@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -109,8 +110,6 @@ def build_parser():
     p.add_argument("--out", default=None, help="also write the JSON result here")
     p.add_argument("--timing", action="store_true",
                    help="report real elapsed_ms (breaks byte-determinism)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; results are identical")
     p.add_argument("--version", action="version", version=__version__)
     return p
 
@@ -123,9 +122,7 @@ def _run_command(cmd, args):
 
     tol = _tolerances(args)
     if args.grid is not None:
-        tol = Tolerances(psd_eps=tol.psd_eps, rank_rel=tol.rank_rel,
-                         fixpoint_eps=tol.fixpoint_eps, feas_eps=tol.feas_eps,
-                         grid_angles=args.grid)
+        tol = replace(tol, grid_angles=args.grid)
     payload = _load_input(args.input) if args.input else None
 
     if cmd == "numrad":
@@ -346,11 +343,6 @@ def run(argv):
         payload, code = _run_command(args.command, args)
     except MrangeError as exc:
         out = {"command": args.command, "error": {"name": exc.name, "message": str(exc)}}
-        _emit(out, args.out)
-        return 1
-    except AssertionError as exc:
-        out = {"command": args.command,
-               "error": {"name": "VerificationFailed", "message": str(exc)}}
         _emit(out, args.out)
         return 1
     elapsed = (time.perf_counter() - started) * 1000.0 if args.timing else 0.0

@@ -9,7 +9,7 @@
 * Nilpotent power dilations through the CP-map feasibility solver.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import (
     RadiusTooLarge,
     SolverUndetermined,
     WindowTooSmall,
+    verify,
 )
 from .linalg import (
     _tol,
@@ -33,7 +34,7 @@ from .linalg import (
     shift,
     sqrt_psd,
 )
-from .numrange import num_radius
+from .numrange import _golden_max, num_radius
 
 
 def halmos_unitary(C, tol=None):
@@ -49,16 +50,13 @@ def halmos_unitary(C, tol=None):
     bot = sqrt_psd(herm_part(I - dagger(A) @ A), _clipping(t))
     U0 = np.block([[A, top], [bot, -dagger(A)]])
     defect = op_norm(dagger(U0) @ U0 - np.eye(2 * d))
-    assert defect <= 1e-8, f"Halmos block not unitary (defect {defect:.3e})"
+    verify(defect <= 1e-8, f"Halmos block not unitary (defect {defect:.3e})")
     return U0
 
 
 def _clipping(t):
     # widen the PSD acceptance for defect operators of near-extreme contractions
-    from .linalg import Tolerances
-    return Tolerances(psd_eps=max(t.psd_eps, 1e-8), rank_rel=t.rank_rel,
-                      fixpoint_eps=t.fixpoint_eps, feas_eps=t.feas_eps,
-                      grid_angles=t.grid_angles)
+    return replace(t, psd_eps=max(t.psd_eps, 1e-8))
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,7 @@ def two_dilation(T, M, tol=None):
     interior = slice(2 * d, (2 * M + 1) * d - 2 * d)
     G = dagger(U) @ U - np.eye((2 * M + 1) * d)
     unit_defect = op_norm(G[interior, interior])
-    assert unit_defect <= 1e-7, f"interior unitarity defect {unit_defect:.3e}"
+    verify(unit_defect <= 1e-7, f"interior unitarity defect {unit_defect:.3e}")
 
     P = np.eye((2 * M + 1) * d, dtype=complex)
     Tn = np.eye(d, dtype=complex)
@@ -138,7 +136,7 @@ def two_dilation(T, M, tol=None):
         P = P @ U
         Tn = Tn @ A
         err = op_norm(P[c:c + d, c:c + d] - Tn / 2.0)
-        assert err <= 1e-9, f"compression identity fails at power {n}: {err:.3e}"
+        verify(err <= 1e-9, f"compression identity fails at power {n}: {err:.3e}")
     return win
 
 
@@ -251,22 +249,8 @@ def nilpotent_condition(T, n, grid=None, tol=None):
     vals = margin_grid(thetas)
     i = int(np.argmin(vals))
     step = 2.0 * np.pi / G
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = thetas[i] - step, thetas[i] + step
-    c, e = b - gr * (b - a), a + gr * (b - a)
-    fc, fe = margin(c), margin(e)
-    best = min(float(vals[i]), fc, fe)
-    while b - a > 1e-12:
-        if fc < fe:
-            b, e, fe = e, c, fc
-            c = b - gr * (b - a)
-            fc = margin(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + gr * (b - a)
-            fe = margin(e)
-        best = min(best, fc, fe)
-    return best
+    top, _ = _golden_max(lambda th: -margin(th), thetas[i] - step, thetas[i] + step)
+    return min(float(vals[i]), -top)
 
 
 @dataclass(frozen=True)
@@ -321,9 +305,9 @@ def nilpotent_dilation(T, n, tol=None, max_iter=20000):
     r = st.r
     N = kron(S, np.eye(r, dtype=complex))
 
-    assert op_norm(np.linalg.matrix_power(N, n)) == 0.0, "N^n must vanish exactly"
+    verify(op_norm(np.linalg.matrix_power(N, n)) == 0.0, "N^n must vanish exactly")
     iso = op_norm(dagger(st.V) @ st.V - np.eye(m))
-    assert iso <= 1e-10, f"Stinespring isometry defect {iso:.3e}"
+    verify(iso <= 1e-10, f"Stinespring isometry defect {iso:.3e}")
     Pj = np.eye(n * r, dtype=complex)
     Tj = np.eye(m, dtype=complex)
     for j in range(n):
@@ -333,5 +317,5 @@ def nilpotent_dilation(T, n, tol=None, max_iter=20000):
         err = op_norm(dagger(st.V) @ Pj @ st.V - Tj)
         # 1e-7 is attainable even at zero feasibility margin (w(T) = 1/2
         # exactly); interior instances land well below 1e-8
-        assert err <= 1e-7, f"compression mismatch at power {j}: {err:.3e}"
+        verify(err <= 1e-7, f"compression mismatch at power {j}: {err:.3e}")
     return NilpotentDilation(order=n, N=N, V=st.V, r=r)

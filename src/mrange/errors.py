@@ -93,6 +93,17 @@ class BoundaryBand(MrangeError):
     pass
 
 
+class VerificationFailed(MrangeError):
+    """A result failed its own post-condition check."""
+
+
+def verify(cond, msg):
+    """Raise VerificationFailed(msg) unless cond holds; unlike ``assert``,
+    this also runs under ``python -O``."""
+    if not cond:
+        raise VerificationFailed(msg)
+
+
 class BadJson(MrangeError):
     pass
 

@@ -23,7 +23,7 @@ class Tolerances:
 
     psd_eps      relative PSD slack
     rank_rel     relative singular/eigen cutoff for pseudo-inverses and ranks
-    fixpoint_eps Frobenius stop for fixed-point iterations
+    fixpoint_eps stop on the fixed-point residual (operator norm)
     feas_eps     joint residual accepted by the feasibility solver
     grid_angles  base number of circle samples for support-function scans
     """
@@ -115,13 +115,16 @@ def herm_eig(H, tol=None):
     return EigResult(eigenvalues=w, eigenvectors=V)
 
 
+def _psd_verdict(w, t):
+    """(is_psd, min_eig) for ascending eigenvalues w."""
+    min_eig = float(w[0]) if w.size else 0.0
+    scale = 1.0 + (float(np.abs(w).max()) if w.size else 0.0)
+    return bool(min_eig >= -t.psd_eps * scale), min_eig
+
+
 def psd_check(H, tol=None):
     """(is_psd, min_eig) with the relative threshold -psd_eps*(1+|H|)."""
-    t = _tol(tol)
-    eig = herm_eig(H)
-    min_eig = float(eig.eigenvalues[0]) if eig.eigenvalues.size else 0.0
-    scale = 1.0 + (float(np.abs(eig.eigenvalues).max()) if eig.eigenvalues.size else 0.0)
-    return bool(min_eig >= -t.psd_eps * scale), min_eig
+    return _psd_verdict(herm_eig(H).eigenvalues, _tol(tol))
 
 
 def pinv(M, tol=None):
@@ -139,11 +142,10 @@ def pinv(M, tol=None):
 
 def sqrt_psd(H, tol=None):
     """PSD square root; eigenvalues within -psd_eps of zero are clipped to 0."""
-    t = _tol(tol)
-    ok, min_eig = psd_check(H, t)
+    eig = herm_eig(H)
+    ok, min_eig = _psd_verdict(eig.eigenvalues, _tol(tol))
     if not ok:
         raise NotPSD(f"min eigenvalue {min_eig:.3e} below PSD tolerance")
-    eig = herm_eig(H)
     w = np.clip(eig.eigenvalues, 0.0, None)
     V = eig.eigenvectors
     return (V * np.sqrt(w)) @ dagger(V)

@@ -15,6 +15,8 @@ from .errors import (
     NoConvergence,
     RadiusTooLarge,
     SolverUndetermined,
+    VerificationFailed,
+    verify,
 )
 from .linalg import (
     _tol,
@@ -105,7 +107,7 @@ def member_shift_ball(X, nodes=64, tol=None, max_iter=20000):
                        for j in range(nodes)]
             resid = max(op_norm(sum(witness) - np.eye(d)),
                         op_norm(sum(o * H for o, H in zip(omega, witness)) - A))
-            assert resid <= 1e-6, f"witness residual {resid:.3e}"
+            verify(resid <= 1e-6, f"witness residual {resid:.3e}")
         else:
             unverified = True
     return MembershipVerdict(member=member, margin=1.0 - nrm,
@@ -247,7 +249,7 @@ class EquivalenceReport:
 
 
 def equivalence_suite(T, tol=None, window=12):
-    """Evaluate all nine radius-one characterizations and assert agreement.
+    """Evaluate all nine radius-one characterizations and verify agreement.
 
     Inputs with radius within 1e-2 of 1 are rejected (BoundaryBand): each
     condition is an inequality with its own discretization error, and inside
@@ -275,14 +277,14 @@ def equivalence_suite(T, tol=None, window=12):
     try:
         two_dilation(A, window, t)
         cond3 = True
-    except (RadiusTooLarge, NoConvergence, AssertionError):
+    except (RadiusTooLarge, NoConvergence, VerificationFailed):
         cond3 = False
 
     cond4 = nilpotent_condition(A / 2.0, 2, tol=t) >= -t.psd_eps
     try:
         nilpotent_dilation(A / 2.0, 2, t)
         cond5 = True
-    except (ConditionFails, SolverUndetermined, AssertionError):
+    except (ConditionFails, SolverUndetermined, VerificationFailed):
         cond5 = False
 
     try:
@@ -292,7 +294,7 @@ def equivalence_suite(T, tol=None, window=12):
                         @ sqrt_psd(I - dec.Y_max, t) - A) <= 1e-8
         cond8 = op_norm(2.0 * sqrt_psd(I - dagger(dec.C) @ dec.C, t)
                         @ dec.C - A) <= 1e-8
-    except (RadiusTooLarge, NoConvergence, AssertionError):
+    except (RadiusTooLarge, NoConvergence, VerificationFailed):
         cond6 = False
         cond8 = False
 
@@ -301,7 +303,7 @@ def equivalence_suite(T, tol=None, window=12):
     try:
         phi = ucp_from_e21(A / 2.0, t)
         cond9 = is_cp(phi, t)[0]
-    except (RadiusTooLarge, AssertionError):
+    except (RadiusTooLarge, VerificationFailed):
         cond9 = False
 
     report = EquivalenceReport(
@@ -309,6 +311,6 @@ def equivalence_suite(T, tol=None, window=12):
         power_dilation=cond3, order2_condition=cond4, order2_dilation=cond5,
         factorization=cond6, lmi_halved=cond7, c_form=cond8, ucp_halved=cond9)
     conds = report.all_conditions()
-    assert all(c == cond1 for c in conds), \
-        f"equivalence conditions disagree at radius {w:.6f}: {conds}"
+    verify(all(c == cond1 for c in conds),
+           f"equivalence conditions disagree at radius {w:.6f}: {conds}")
     return report

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadShape
+from .errors import BadShape, verify
 from .linalg import _tol, herm_part, op_norm, require_square
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -125,7 +125,7 @@ def radius_characterizations(T, tol=None):
     """Evaluate the four radius-at-most-one conditions on a grid.
 
     When the radius is not within 1e-6 of the threshold, the four booleans
-    are asserted to agree with ``num_radius(T) <= 1``.
+    are verified to agree with ``num_radius(T) <= 1``.
     """
     t = _tol(tol)
     A = require_square(T, "radius_characterizations")
@@ -162,7 +162,7 @@ def radius_characterizations(T, tol=None):
     worst_margin = float(min(worst2, worst3, worst4))
     if abs(radius - 1.0) > 1e-6:
         expected = radius <= 1.0
-        assert all(c == expected for c in conds), (
-            f"radius conditions disagree: radius={radius}, conditions={conds}")
+        verify(all(c == expected for c in conds),
+               f"radius conditions disagree: radius={radius}, conditions={conds}")
     return RadiusReport(radius=radius, argmax_angle=angle,
                         conditions=conds, worst_margin=worst_margin)

@@ -15,6 +15,7 @@ from .errors import (
     NotStrictlyPositive,
     RootPairingFailed,
     SolverUndetermined,
+    verify,
 )
 from .linalg import (
     _tol,
@@ -107,7 +108,7 @@ def fejer_riesz(tau, tol=None):
     lam = np.exp(2j * np.pi * np.arange(_PRECHECK_GRID) / _PRECHECK_GRID)
     fit = np.abs(np.polyval(p[::-1], lam)) ** 2
     err = np.abs(grid - fit).max()
-    assert err <= 1e-7 * (1.0 + grid.max()), f"factorization grid error {err:.3e}"
+    verify(err <= 1e-7 * (1.0 + grid.max()), f"factorization grid error {err:.3e}")
     return p
 
 

@@ -41,6 +41,16 @@ class TestAndoX:
             lmi = np.block([[np.eye(3) - X, np.conj(T).T / 2], [T / 2, X]])
             assert mr.psd_check(lmi)[1] >= -1e-9 * (1 + mr.op_norm(lmi))
 
+    @pytest.mark.parametrize("dim, k", [(2, 117), (2, 118), (2, 133), (3, 121)])
+    def test_boundary_ymin_below_ymax(self, dim, k):
+        # at w(T) = 1, Y_max - Y_min is singular at the exact solution; a stop
+        # on step size or stagnation runs on to the rounding floor, where X
+        # can end slightly below the maximal solution and Y_min then rises
+        # above Y_max on these inputs
+        T = random_with_radius(dim, 1.0, split(61, k))
+        dec = mr.ando_decompose(T)
+        assert dec.residuals["ymin_below_ymax"] >= -1e-9 * (1 + mr.op_norm(T))
+
 
 def _lmi_feasible_point(T, start, tol=None, max_iter=4000):
     """Project a random Hermitian pair into {[[I-Y, T*/2],[T/2, Y]] >= 0}."""

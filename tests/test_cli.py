@@ -198,6 +198,20 @@ class TestCommands:
         assert code == 1
         assert out["error"]["name"] == "UnknownCommand"
 
+    def test_verification_failure_is_machine_readable(self, tmp_path, capsys,
+                                                      monkeypatch):
+        from mrange import numrange
+        from mrange.errors import VerificationFailed
+
+        def failing(T, tol=None):
+            raise VerificationFailed("forced")
+
+        monkeypatch.setattr(numrange, "num_radius", failing)
+        path = write_json(tmp_path, "e21.json", E21_JSON)
+        code, out = run_captured(capsys, ["numrad", "--input", path])
+        assert code == 1
+        assert out["error"] == {"name": "VerificationFailed", "message": "forced"}
+
     def test_env_tolerance_override(self, tmp_path, capsys, monkeypatch):
         # min eigenvalue -1e-6: inside the loose band, outside the strict one
         path = write_json(tmp_path, "spec.json",

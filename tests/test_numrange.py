@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,3 +129,22 @@ class TestRadiusCharacterizations:
         rep = mr.radius_characterizations(T)
         expected = target <= 1.0
         assert all(c == expected for c in rep.conditions)
+
+    def test_disagreement_raises_under_optimize(self):
+        # a wrong radius makes the conditions disagree; the check must not
+        # vanish with assert statements under python -O
+        code = textwrap.dedent("""
+            import numpy as np
+            from mrange import numrange
+            from mrange.errors import VerificationFailed
+            numrange._radius_and_angle = lambda T, tol: (2.0, 0.0)
+            try:
+                numrange.radius_characterizations(np.array([[0, 0], [1, 0]], dtype=complex))
+            except VerificationFailed as exc:
+                print(__debug__, exc.name)
+        """)
+        src = os.path.dirname(os.path.dirname(mr.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == ["False", "VerificationFailed"], out.stderr
