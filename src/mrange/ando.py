@@ -59,14 +59,19 @@ def _fixpoint_residual(T, X, tol):
 def ando_X(T, tol=None):
     """Extremal positive contraction X for T with w(T) <= 1.
 
-    Returns (X, iterations). Raises RadiusTooLarge when w(T) > 1 + 1e-9,
-    RangeViolation when X maps T outside its column space (the infimum in
-    the defining variational formula would be -infinity), and NoConvergence
-    when the iteration fails to settle or its limit fails the defining LMI.
+    Returns (X, iterations). Raises RadiusTooLarge when w(T) > 1 + 1e-9 or
+    the iteration does not settle at w(T) > 1, RangeViolation when X maps T
+    outside its column space (the defining infimum would be -infinity), and
+    NoConvergence when the iteration fails to settle or its limit fails the
+    defining LMI.
     """
     t = _tol(tol)
     A = require_square(T, "ando_X")
-    w = num_radius(A, t)
+    return _extremal_X(A, num_radius(A, t), t)
+
+
+def _extremal_X(A, w, t):
+    """ando_X for a square A whose numerical radius w is already known."""
     if w > 1.0 + 1e-9:
         raise RadiusTooLarge(f"numerical radius {w:.12f} exceeds 1")
     n = A.shape[0]
@@ -84,7 +89,10 @@ def ando_X(T, tol=None):
         C = herm_part(C - B @ Cp @ dagger(B) - BCB)
         B = -B @ Cp @ B
     else:
-        raise NoConvergence(f"no fixed point after {_MAX_STEPS} steps (residual {res:.3e})")
+        msg = f"no fixed point after {_MAX_STEPS} steps (residual {res:.3e})"
+        if w > 1.0:
+            raise RadiusTooLarge(f"numerical radius {w:.12f} exceeds 1: {msg}")
+        raise NoConvergence(msg)
 
     if op_norm((I - X @ pinv(X, t)) @ A) > 1e-6:
         raise RangeViolation("X no longer covers the range of T")
@@ -125,8 +133,9 @@ def ando_decompose(T, tol=None):
     n = A.shape[0]
     I = np.eye(n, dtype=complex)
 
-    X, iters = ando_X(A, t)
-    Xstar, iters2 = ando_X(dagger(A), t)
+    w = num_radius(A, t)   # w(T*) = w(T)
+    X, iters = _extremal_X(A, w, t)
+    Xstar, iters2 = _extremal_X(dagger(A), w, t)
     Y_max = 2.0 * X - I
     Y_min = -(2.0 * Xstar - I)
 
@@ -185,7 +194,7 @@ def radius_lmi(T, tol=None):
     w = num_radius(M, t)
     if w > 0.5 + t.psd_eps:
         return False, None
-    A, _ = ando_X(dagger(2.0 * M), t)
+    A, _ = _extremal_X(dagger(2.0 * M), 2.0 * w, t)
     block = np.block([[A, dagger(M)], [M, np.eye(M.shape[0]) - A]])
     ok, min_eig = psd_check(block, t)
     verify(ok, f"radius LMI block not PSD (min eig {min_eig:.3e})")

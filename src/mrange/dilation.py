@@ -17,7 +17,6 @@ from .errors import (
     BadShape,
     ConditionFails,
     NotContraction,
-    RadiusTooLarge,
     SolverUndetermined,
     WindowTooSmall,
     verify,
@@ -34,7 +33,8 @@ from .linalg import (
     shift,
     sqrt_psd,
 )
-from .numrange import _golden_max, num_radius
+
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def halmos_unitary(C, tol=None):
@@ -98,12 +98,9 @@ def two_dilation(T, M, tol=None):
     A = require_square(T, "two_dilation")
     if M < 4:
         raise WindowTooSmall(f"window M >= 4 required, got {M}")
-    w = num_radius(A, t)
-    if w > 1.0 + 1e-9:
-        raise RadiusTooLarge(f"numerical radius {w:.12f} exceeds 1")
 
     from .ando import ando_decompose
-    C = ando_decompose(A, t).C
+    C = ando_decompose(A, t).C   # raises RadiusTooLarge when w(T) > 1 + 1e-9
     d = A.shape[0]
     I = np.eye(d, dtype=complex)
     DC = sqrt_psd(herm_part(I - dagger(C) @ C), _clipping(t))    # (I-C*C)^{1/2}
@@ -219,6 +216,24 @@ def halved_power_blocks(T, N):
     return out
 
 
+def _golden_max(f, a, b, bracket=1e-12):
+    """Largest value of f seen by a golden-section search on [a, b]."""
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    best = max(fc, fd)
+    while b - a > bracket:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+        best = max(best, fc, fd)
+    return best
+
+
 def nilpotent_condition(T, n, grid=None, tol=None):
     """min over the circle of lambda_min(I + 2 Re sum_{k=1}^{n-1} l^k T^k).
 
@@ -232,11 +247,6 @@ def nilpotent_condition(T, n, grid=None, tol=None):
     I = np.eye(d, dtype=complex)
     powers = [np.linalg.matrix_power(A, k) for k in range(1, n)]
 
-    def margin(theta):
-        lam = np.exp(1j * theta)
-        S = sum((lam ** k) * powers[k - 1] for k in range(1, n))
-        return float(np.linalg.eigvalsh(I + S + dagger(S))[0])
-
     def margin_grid(thetas):
         lam = np.exp(1j * thetas)
         S = sum((lam ** k)[:, None, None] * powers[k - 1][None, :, :]
@@ -249,7 +259,8 @@ def nilpotent_condition(T, n, grid=None, tol=None):
     vals = margin_grid(thetas)
     i = int(np.argmin(vals))
     step = 2.0 * np.pi / G
-    top, _ = _golden_max(lambda th: -margin(th), thetas[i] - step, thetas[i] + step)
+    top = _golden_max(lambda th: -float(margin_grid(np.array([th]))[0]),
+                      thetas[i] - step, thetas[i] + step)
     return min(float(vals[i]), -top)
 
 

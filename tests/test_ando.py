@@ -27,6 +27,14 @@ class TestAndoX:
         with pytest.raises(RadiusTooLarge):
             mr.ando_X(random_with_radius(3, 1.2, 0))
 
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_radius_just_above_one(self, dim):
+        # inside the 1e-9 admission band no maximal solution exists, so the
+        # iteration cannot settle; the radius is what is wrong with the input
+        T = random_with_radius(dim, 1.0 + 1e-10, split(83, dim))
+        with pytest.raises(RadiusTooLarge, match="numerical radius 1.0000000001"):
+            mr.ando_X(T)
+
     def test_fixed_point_consistency(self):
         for seed in range(5):
             T = random_with_radius(3, 0.9, seed)
@@ -88,6 +96,14 @@ class TestAndoDecompose:
         np.testing.assert_allclose(dec.Y_min, dec.Y_max, atol=1e-12)
         np.testing.assert_allclose(dec.Z, E21, atol=1e-12)
         np.testing.assert_allclose(dec.C, E21, atol=1e-12)
+
+    def test_radius_computed_once(self, monkeypatch):
+        # w(T*) = w(T), so the adjoint problem reuses the radius
+        calls = []
+        radius = mr.ando.num_radius
+        monkeypatch.setattr(mr.ando, "num_radius", lambda T, tol: calls.append(1) or radius(T, tol))
+        mr.ando_decompose(E21)
+        assert len(calls) == 1
 
     def test_zero(self):
         dec = mr.ando_decompose(np.zeros((2, 2)))

@@ -31,6 +31,25 @@ class TestHermEig:
         with pytest.raises(NotHermitian):
             mr.herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("delta, accepted", [
+        (1.0e-8, True),   # passes the Frobenius test
+        (1.5e-8, True),   # fails the Frobenius test, passes the exact one
+        (2.5e-8, False),  # fails both
+    ])
+    def test_asymmetry_threshold(self, delta, accepted):
+        # H - H* = delta (E_12 - E_21): spectral norm delta, Frobenius norm
+        # delta sqrt(2), against the bound 1e-8 (1 + |H|) ~ 2e-8
+        H = np.diag([1.0, 0.5, -0.25]).astype(complex)
+        H[0, 1] = delta
+        if not accepted:
+            with pytest.raises(NotHermitian):
+                mr.herm_eig(H)
+            return
+        res = mr.herm_eig(H)
+        w, V = np.linalg.eigh((H + np.conj(H).T) / 2)
+        assert np.array_equal(res.eigenvalues, w)
+        assert np.array_equal(res.eigenvectors, V)
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32), dim=st.integers(1, 8))
     def test_reconstruction_and_orthonormality(self, seed, dim):
