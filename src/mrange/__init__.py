@@ -9,11 +9,8 @@ __version__ = "0.1.0"
 
 from .ando import AndoDecomposition, ando_X, ando_decompose, radius_lmi, ucp_from_e21
 from .cpmaps import (
-    AffineConstraint,
     ChoiMat,
     Feasible,
-    FeasibilityProblem,
-    Infeasible,
     KrausSet,
     MapOnUnits,
     StinespringForm,

@@ -191,7 +191,11 @@ def radius_lmi(T, tol=None):
     """
     t = _tol(tol)
     M = require_square(T, "radius_lmi")
-    w = num_radius(M, t)
+    return _radius_lmi(M, num_radius(M, t), t)
+
+
+def _radius_lmi(M, w, t):
+    """radius_lmi for a square M whose numerical radius w is already known."""
     if w > 0.5 + t.psd_eps:
         return False, None
     A, _ = _extremal_X(dagger(2.0 * M), 2.0 * w, t)
@@ -207,14 +211,18 @@ def ucp_from_e21(T, tol=None):
     Requires w(T) <= 1/2 (+ tolerance); the Choi matrix of the returned map
     is exactly the verified block [[A, T*], [T, I-A]].
     """
-    from .cpmaps import is_cp, map_on_units
-
     t = _tol(tol)
     M = require_square(T, "ucp_from_e21")
-    w = num_radius(M, t)
+    return _ucp_from_e21(M, num_radius(M, t), t)
+
+
+def _ucp_from_e21(M, w, t):
+    """ucp_from_e21 for a square M whose numerical radius w is already known."""
+    from .cpmaps import is_cp, map_on_units
+
     if w > 0.5 + 1e-9:
         raise RadiusTooLarge(f"numerical radius {w:.12f} exceeds 1/2")
-    ok, A = radius_lmi(M, t)
+    ok, A = _radius_lmi(M, w, t)
     if not ok:
         raise RadiusTooLarge("radius LMI infeasible")
     I = np.eye(M.shape[0], dtype=complex)

@@ -1,5 +1,5 @@
 """Linear maps between matrix algebras, Choi matrices, Kraus and Stinespring
-forms, and a PSD-affine feasibility solver.
+forms, and one PSD-affine feasibility solver.
 
 Conventions (frozen by round-trip tests):
 
@@ -12,6 +12,11 @@ Conventions (frozen by round-trip tests):
   index i), and the map acts as ``phi(X) = sum_k K_k X K_k*``.
 * Stinespring: V: C^m -> C^n (x) C^r with row order (i, k) -> i*r + k,
   so that ``V*(X (x) I_r)V = phi(X)`` and V*V = I_m for unital maps.
+* A feasibility problem's unknown is a stack of N PSD matrices, each an
+  s x s grid of m x m blocks W_g[i, j]; constraint k reads
+  ``sum_{g,i,j} K[k, g, i, j] W_g[i, j] = B[k]``. PSD weights with
+  prescribed moments (C*-convex combinations, block moment measures) have
+  s = 1; the Choi matrix of a map M_n -> M_m has N = 1, s = n.
 """
 
 from dataclasses import dataclass
@@ -34,6 +39,7 @@ from .linalg import (
     herm_part,
     op_norm,
     psd_check,
+    psd_part,
 )
 
 
@@ -238,43 +244,8 @@ def cstar_convex(Xs, As, atol=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# PSD-affine feasibility via alternating projections with Dykstra correction
+# PSD-affine feasibility: Dykstra's alternating projections on block stacks
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AffineConstraint:
-    """sum over (row, col, coeff) of coeff * M[row, col] == target."""
-
-    coeffs: tuple  # ((row, col, complex coeff), ...)
-    target: complex
-
-
-@dataclass(frozen=True)
-class FeasibilityProblem:
-    """Find a Hermitian matrix that is PSD (blockwise on ``psd_blocks``)
-    and satisfies all affine constraints.
-
-    ``certificate`` is an optional caller-supplied proof of infeasibility;
-    when present the solver reports Infeasible without iterating.
-    """
-
-    size: int
-    constraints: tuple
-    psd_blocks: tuple = ()  # diagonal block sizes; () means one full block
-    certificate: str = ""
-
-    def blocks(self):
-        if not self.psd_blocks:
-            return ((0, self.size),)
-        spans = []
-        start = 0
-        for b in self.psd_blocks:
-            spans.append((start, start + b))
-            start += b
-        if start != self.size:
-            raise ShapeMismatch("psd_blocks must partition the matrix size")
-        return tuple(spans)
-
 
 @dataclass(frozen=True)
 class Feasible:
@@ -287,202 +258,94 @@ class Undetermined:
     residual: float
 
 
-@dataclass(frozen=True)
-class Infeasible:
-    certificate: str
+def solve_feasibility(K, B, tol=None, max_iter=20000, start=None, target=None):
+    """Find a stack W of N Hermitian PSD matrices, each an s x s grid of
+    m x m blocks W_g[i, j], with
 
+        sum_{g, i, j} K[k, g, i, j] W_g[i, j] = B[k]   for every k,
 
-class _HermBasis:
-    """Real coordinates for Hermitian matrices of a fixed size:
-    diagonal (real), then upper-triangle real parts, then imaginary parts."""
+    where K has shape (k, N, s, s) and B shape (k, m, m). PSD weights with
+    prescribed moments use s = 1; a Choi matrix uses N = 1 and s = n.
 
-    def __init__(self, size):
-        self.size = size
-        rows, cols = np.triu_indices(size, k=1)
-        self.rows, self.cols = rows, cols
-        self.pairs = list(zip(rows.tolist(), cols.tolist()))
-        self.re_index = {rc: size + k for k, rc in enumerate(self.pairs)}
-        self.im_index = {rc: size + len(self.pairs) + k
-                         for k, rc in enumerate(self.pairs)}
-        self.dim = size * size
+    Dykstra-corrected alternating projections (Boyle & Dykstra, 1986)
+    between the PSD cones (one batched eigh over the stack) and the affine
+    set. For Hermitian W each constraint is equivalent to its adjoint
+    sum conj(K[k, g, j, i]) W_g[i, j] = B[k]*; with both, the affine set is
+    closed under W -> W*, so its Frobenius projection, taken entry (a, b)
+    by entry through the pseudo-inverse of the small matrix
+    [K; conj(K^T)], keeps W Hermitian.
 
-    def to_vec(self, M):
-        upper = M[self.rows, self.cols]
-        return np.concatenate([np.real(np.diagonal(M)), upper.real, upper.imag])
+    Returns Feasible with the stack when the joint residual drops below
+    feas_eps (the affine constraints hold essentially exactly, the cones
+    are PSD within feas_eps), and Undetermined after max_iter otherwise.
+    Raises InconsistentAffine, carrying the least-squares residual, when
+    the affine system alone has no Hermitian solution.
 
-    def to_mat(self, x):
-        n = self.size
-        k = self.rows.size
-        M = np.zeros((n, n), dtype=complex)
-        M[np.arange(n), np.arange(n)] = x[:n]
-        upper = x[n:n + k] + 1j * x[n + k:]
-        M[self.rows, self.cols] = upper
-        M[self.cols, self.rows] = np.conj(upper)
-        return M
-
-    def entry_rows(self, r, c, coeff):
-        """Real-linear rows of coeff * M[r, c] as (re_part, im_part) each a
-        list of (vec_index, weight)."""
-        a, b = coeff.real, coeff.imag
-        if r == c:
-            # M[r,r] real: coeff * x  ->  re = a x, im = b x
-            return [(r, a)], [(r, b)]
-        if r < c:
-            ire, iim = self.re_index[(r, c)], self.im_index[(r, c)]
-            sgn = 1.0
-        else:
-            ire, iim = self.re_index[(c, r)], self.im_index[(c, r)]
-            sgn = -1.0
-        # M[r,c] = u + i s v  (s = sgn); coeff*(u + i s v)
-        re = [(ire, a), (iim, -b * sgn)]
-        im = [(ire, b), (iim, a * sgn)]
-        return re, im
-
-
-def _psd_project(M):
-    w, V = np.linalg.eigh(herm_part(M))
-    w = np.clip(w, 0.0, None)
-    return (V * w) @ dagger(V)
-
-
-def solve_feasibility(problem, tol=None, max_iter=20000, start=None, target=None):
-    """Dykstra-corrected alternating projections between the (blockwise) PSD
-    cone and the affine subspace.
-
-    Returns Feasible when the joint residual drops below feas_eps (the matrix
-    reported satisfies the affine constraints essentially exactly and is PSD
-    within feas_eps), Undetermined after max_iter otherwise, and Infeasible
-    only when the problem carries a caller-supplied analytic certificate.
-    Raises InconsistentAffine when the affine system alone has no solution.
-
-    ``target`` sets the residual at which iteration stops early; by default
-    it sits a decade below feas_eps so downstream spectral clipping stays
-    inside verification tolerances. Callers that only need the feas_eps
-    contract (membership witnesses, moment weights) pass a looser value.
+    ``start`` (any array of N (s m)^2 entries) replaces the least-squares
+    starting point. ``target`` sets the residual at which iteration stops
+    early; by default it sits a decade below feas_eps so downstream
+    spectral clipping stays inside verification tolerances. Callers that
+    only need the feas_eps contract (membership witnesses, moment weights)
+    pass a looser value.
     """
     t = _tol(tol)
-    if problem.certificate:
-        return Infeasible(certificate=problem.certificate)
+    K = np.asarray(K, dtype=complex)
+    B = np.asarray(B, dtype=complex)
+    count, N, s = K.shape[:3]
+    m = B.shape[-1]
 
-    basis = _HermBasis(problem.size)
-    rows = []
-    rhs = []
-    for con in problem.constraints:
-        re_row = np.zeros(basis.dim)
-        im_row = np.zeros(basis.dim)
-        for (r, c, coeff) in con.coeffs:
-            re_part, im_part = basis.entry_rows(r, c, complex(coeff))
-            for idx, wgt in re_part:
-                re_row[idx] += wgt
-            for idx, wgt in im_part:
-                im_row[idx] += wgt
-        rows.extend([re_row, im_row])
-        rhs.extend([complex(con.target).real, complex(con.target).imag])
-    L = np.array(rows) if rows else np.zeros((0, basis.dim))
-    b = np.array(rhs)
+    def entries(W):
+        """(N, s m, s m) -> (N s s, m m), one column per block entry (a, b)."""
+        return W.reshape(N, s, m, s, m).transpose(0, 1, 3, 2, 4).reshape(N * s * s, m * m)
 
-    if L.shape[0]:
-        x_ls, *_ = np.linalg.lstsq(L, b, rcond=None)
-        ls_res = float(np.linalg.norm(L @ x_ls - b))
-        if ls_res > 1e-8 * (1.0 + float(np.linalg.norm(b))):
-            raise InconsistentAffine(f"affine system unsolvable, residual {ls_res:.3e}")
-        Lp = np.linalg.pinv(L, rcond=1e-12)
-    else:
-        x_ls = np.zeros(basis.dim)
-        Lp = None
+    def stack(V):
+        return V.reshape(N, s, s, m, m).transpose(0, 1, 3, 2, 4).reshape(N, s * m, s * m)
 
-    def proj_affine(x):
-        if Lp is None:
-            return x
-        return x - Lp @ (L @ x - b)
+    Kf, Bf = K.reshape(count, N * s * s), B.reshape(count, m * m)
+    L = np.concatenate([Kf, dagger(K).reshape(count, N * s * s)])
+    c = np.concatenate([Bf, dagger(B).reshape(count, m * m)])
+    Lp = np.linalg.pinv(L, rcond=1e-12)
+    x = Lp @ c
+    ls_res = float(np.linalg.norm(Kf @ x - Bf))
+    if ls_res > 1e-8 * (1.0 + float(np.linalg.norm(Bf))):
+        raise InconsistentAffine(f"affine system unsolvable, residual {ls_res:.3e}",
+                                 ls_res)
 
-    def affine_res(x):
-        if L.shape[0] == 0:
-            return 0.0
-        return float(np.max(np.abs(L @ x - b)))
-
-    spans = problem.blocks()
-
-    def psd_res(M):
-        worst = 0.0
-        for (s, e) in spans:
-            w = np.linalg.eigvalsh(herm_part(M[s:e, s:e]))
-            if w.size and w[0] < -worst:
-                worst = -float(w[0])
-        return worst
-
-    if start is not None:
-        x = basis.to_vec(as_cmat(start))
-    else:
-        x = proj_affine(x_ls)
-    p = np.zeros(basis.dim)
-
+    W = stack(x) if start is None else np.asarray(start, dtype=complex).reshape(N, s * m, s * m)
+    dual = np.zeros_like(W)
     if target is None:
         target = t.feas_eps / 20.0
-    best = None
+    best = (np.inf, None)
     for it in range(max_iter):
-        y = basis.to_mat(x + p)
-        Ypsd = np.zeros_like(y)
-        for (s, e) in spans:
-            Ypsd[s:e, s:e] = _psd_project(y[s:e, s:e])
-        ypsd = basis.to_vec(Ypsd)
-        p = (x + p) - ypsd
-        x = proj_affine(ypsd)
+        Y = W + dual
+        Ypsd = psd_part(Y)
+        dual = Y - Ypsd
+        W = Ypsd - stack(Lp @ (L @ entries(Ypsd) - c))
         if it % 8 == 0 or it == max_iter - 1:
-            M = basis.to_mat(x)
-            res = max(affine_res(x), psd_res(M))
-            if best is None or res < best[0]:
+            M = herm_part(W)
+            res = max(float(np.abs(Kf @ entries(M) - Bf).max(initial=0.0)),
+                      -float(np.linalg.eigvalsh(M)[:, 0].min()), 0.0)
+            if res < best[0]:
                 best = (res, M)
             if res <= target:
                 return Feasible(matrix=M, residual=res)
-    if best is not None and best[0] <= t.feas_eps:
+    if best[0] <= t.feas_eps:
         return Feasible(matrix=best[1], residual=best[0])
-    return Undetermined(residual=best[0] if best else np.inf)
+    return Undetermined(residual=best[0])
 
 
-# -- helpers to phrase map-construction problems -----------------------------
-
-def unital_constraints(n, m):
-    """Affine rows pinning sum_i phi(E_ii) = I_m on an nm x nm Choi block."""
-    cons = []
-    for a in range(m):
-        for bcol in range(m):
-            coeffs = tuple((i * m + a, i * m + bcol, 1.0 + 0j) for i in range(n))
-            cons.append(AffineConstraint(coeffs=coeffs,
-                                         target=1.0 + 0j if a == bcol else 0.0 + 0j))
-    return cons
-
-
-def value_constraints(n, m, X, target):
-    """Affine rows pinning phi(X) = target entrywise, for X in M_n."""
-    X = as_cmat(X)
-    tgt = as_cmat(target)
-    cons = []
-    for a in range(m):
-        for bcol in range(m):
-            coeffs = []
-            for i in range(n):
-                for j in range(n):
-                    if X[i, j] != 0:
-                        coeffs.append((i * m + a, j * m + bcol, complex(X[i, j])))
-            cons.append(AffineConstraint(coeffs=tuple(coeffs),
-                                         target=complex(tgt[a, bcol])))
-    return cons
-
-
-def solve_map_problem(n, m, value_pairs, tol=None, max_iter=20000,
-                      unital=True, certificate=""):
-    """Feasibility for a (unital) CP map M_n -> M_m with prescribed values.
+def solve_map_problem(n, m, value_pairs, tol=None, max_iter=20000):
+    """Feasibility for a unital CP map M_n -> M_m with prescribed values.
 
     ``value_pairs`` is an iterable of (X, target) pairs meaning
-    phi(X) = target. Returns the FeasibilityOutcome; on Feasible the matrix
-    is the Choi block.
+    phi(X) = sum_ij X_ij phi(E_ij) = target; unitality is the pair
+    (I_n, I_m). Returns the feasibility outcome; on Feasible the matrix is
+    the nm x nm Choi block.
     """
-    cons = []
-    if unital:
-        cons.extend(unital_constraints(n, m))
-    for X, target in value_pairs:
-        cons.extend(value_constraints(n, m, X, target))
-    problem = FeasibilityProblem(size=n * m, constraints=tuple(cons),
-                                 certificate=certificate)
-    return solve_feasibility(problem, tol, max_iter=max_iter)
+    pairs = [(np.eye(n), np.eye(m))] + list(value_pairs)
+    K = np.array([as_cmat(X) for X, _ in pairs])[:, None]
+    B = np.array([as_cmat(Y) for _, Y in pairs])
+    outcome = solve_feasibility(K, B, tol, max_iter=max_iter)
+    if isinstance(outcome, Feasible):
+        return Feasible(matrix=outcome.matrix[0], residual=outcome.residual)
+    return outcome

@@ -74,7 +74,12 @@ class SolverUndetermined(MrangeError):
 
 
 class InconsistentAffine(MrangeError):
-    pass
+    """The affine constraints have no solution; ``residual`` is the
+    least-squares residual."""
+
+    def __init__(self, msg, residual):
+        super().__init__(msg)
+        self.residual = residual
 
 
 class NotStrictlyPositive(MrangeError):

@@ -78,7 +78,8 @@ def require_square(M, op=""):
 
 
 def dagger(M):
-    return np.conj(M).T
+    """Conjugate transpose; on a stack, of each matrix."""
+    return np.conj(np.swapaxes(M, -1, -2))
 
 
 def herm_part(M):
@@ -129,6 +130,13 @@ def _psd_verdict(w, t):
 def psd_check(H, tol=None):
     """(is_psd, min_eig) with the relative threshold -psd_eps*(1+|H|)."""
     return _psd_verdict(herm_eig(H).eigenvalues, _tol(tol))
+
+
+def psd_part(H):
+    """Nearest PSD matrix in the Frobenius norm: the Hermitian part with its
+    negative eigenvalues set to zero. On a stack, of each matrix."""
+    w, V = np.linalg.eigh(herm_part(H))
+    return (V * np.clip(w, 0.0, None)[..., None, :]) @ dagger(V)
 
 
 def pinv(M, tol=None):

@@ -11,7 +11,7 @@ from .errors import (
     BadShape,
     BoundaryBand,
     ConditionFails,
-    MrangeError,
+    InconsistentAffine,
     NoConvergence,
     RadiusTooLarge,
     SolverUndetermined,
@@ -46,7 +46,7 @@ class MembershipVerdict:
 def member_e21(X, tol=None):
     """Membership in the matricial range of the 2x2 lower shift:
     exactly the operators with numerical radius at most 1/2."""
-    from .ando import ucp_from_e21
+    from .ando import _ucp_from_e21
 
     t = _tol(tol)
     A = require_square(X, "member_e21")
@@ -56,7 +56,7 @@ def member_e21(X, tol=None):
     unverified = False
     if member:
         try:
-            witness = ucp_from_e21(A, t)
+            witness = _ucp_from_e21(A, w, t)
         except RadiusTooLarge:
             # only reachable when psd_eps is looser than the witness
             # constructor's own acceptance band
@@ -70,14 +70,10 @@ def member_shift_ball(X, nodes=64, tol=None, max_iter=20000):
     full-spectrum unitary: the closed unit norm ball.
 
     For comfortably interior points (norm <= 0.95) a constructive witness is
-    produced: PSD weights H_j at the nodes-th roots of unity with
-    sum H_j = I and sum omega_j H_j = X, i.e. X realized as the image of a
-    normal unitary surrogate. Solver failure leaves the verdict intact and
-    flags the witness as unverified.
+    produced: member_normal's weights at the nodes-th roots of unity, i.e.
+    X realized as the image of a normal unitary surrogate. Solver failure
+    leaves the verdict intact and flags the witness as unverified.
     """
-    from .cpmaps import (AffineConstraint, Feasible, FeasibilityProblem,
-                         solve_feasibility)
-
     t = _tol(tol)
     A = require_square(X, "member_shift_ball")
     nrm = op_norm(A)
@@ -85,73 +81,42 @@ def member_shift_ball(X, nodes=64, tol=None, max_iter=20000):
     witness = None
     unverified = False
     if member and nrm <= 0.95:
-        d = A.shape[0]
         th = 2.0 * np.pi * np.arange(nodes) / nodes
-        omega = np.exp(1j * th)
-        cons = []
-        for a in range(d):
-            for b in range(d):
-                cons.append(AffineConstraint(
-                    coeffs=tuple((j * d + a, j * d + b, 1.0 + 0j) for j in range(nodes)),
-                    target=1.0 + 0j if a == b else 0.0 + 0j))
-                cons.append(AffineConstraint(
-                    coeffs=tuple((j * d + a, j * d + b, complex(omega[j]))
-                                 for j in range(nodes)),
-                    target=complex(A[a, b])))
-        problem = FeasibilityProblem(size=nodes * d, constraints=tuple(cons),
-                                     psd_blocks=tuple([d] * nodes))
-        outcome = solve_feasibility(problem, t, max_iter=max_iter,
-                                    target=t.feas_eps)
-        if isinstance(outcome, Feasible):
-            witness = [outcome.matrix[j * d:(j + 1) * d, j * d:(j + 1) * d]
-                       for j in range(nodes)]
-            resid = max(op_norm(sum(witness) - np.eye(d)),
-                        op_norm(sum(o * H for o, H in zip(omega, witness)) - A))
-            verify(resid <= 1e-6, f"witness residual {resid:.3e}")
-        else:
-            unverified = True
+        witness = member_normal(np.exp(1j * th), A, t, max_iter).witness
+        unverified = witness is None
     return MembershipVerdict(member=member, margin=1.0 - nrm,
                              witness=witness, unverified=unverified)
 
 
 def member_normal(spectrum, X, tol=None, max_iter=20000):
     """Membership in the matricial range of a normal operator with the given
-    spectrum: feasibility of X = sum_j lambda_j H_j over PSD H_j summing to
-    the identity. Solver non-convergence is reported conservatively as
-    non-membership with the residual as margin."""
-    from .cpmaps import (AffineConstraint, Feasible, FeasibilityProblem,
-                         solve_feasibility)
+    spectrum: PSD weights H_j with sum_j H_j = I and sum_j lambda_j H_j = X
+    (a C*-convex combination of the spectrum), verified before they are
+    returned as the witness. Moments that no Hermitian weights match give
+    a checked non-member; solver non-convergence gives a conservative,
+    unverified one. Either way the margin is the residual."""
+    from .cpmaps import Feasible, solve_feasibility
 
     t = _tol(tol)
     A = require_square(X, "member_normal")
-    lams = [complex(l) for l in spectrum]
-    if not lams:
+    lams = np.array([complex(l) for l in spectrum])
+    if not lams.size:
         raise BadShape("spectrum must be nonempty")
     d = A.shape[0]
-    k = len(lams)
-    cons = []
-    for a in range(d):
-        for b in range(d):
-            cons.append(AffineConstraint(
-                coeffs=tuple((j * d + a, j * d + b, 1.0 + 0j) for j in range(k)),
-                target=1.0 + 0j if a == b else 0.0 + 0j))
-            cons.append(AffineConstraint(
-                coeffs=tuple((j * d + a, j * d + b, lams[j]) for j in range(k)),
-                target=complex(A[a, b])))
-    problem = FeasibilityProblem(size=k * d, constraints=tuple(cons),
-                                 psd_blocks=tuple([d] * k))
+    K = np.array([np.ones(lams.size), lams])[:, :, None, None]
     try:
-        outcome = solve_feasibility(problem, t, max_iter=max_iter,
+        outcome = solve_feasibility(K, [np.eye(d), A], t, max_iter=max_iter,
                                     target=t.feas_eps)
-    except MrangeError:
-        return MembershipVerdict(member=False, margin=np.inf, unverified=True)
-    if isinstance(outcome, Feasible):
-        weights = [outcome.matrix[j * d:(j + 1) * d, j * d:(j + 1) * d]
-                   for j in range(k)]
-        return MembershipVerdict(member=True, margin=outcome.residual,
-                                 witness=weights)
-    return MembershipVerdict(member=False, margin=outcome.residual,
-                             unverified=True)
+    except InconsistentAffine as exc:
+        return MembershipVerdict(member=False, margin=exc.residual)
+    if not isinstance(outcome, Feasible):
+        return MembershipVerdict(member=False, margin=outcome.residual,
+                                 unverified=True)
+    weights = list(outcome.matrix)
+    resid = max(op_norm(sum(weights) - np.eye(d)),
+                op_norm(sum(l * H for l, H in zip(lams, weights)) - A))
+    verify(resid <= 1e-6, f"witness residual {resid:.3e}")
+    return MembershipVerdict(member=True, margin=outcome.residual, witness=weights)
 
 
 def spatial_samples(T, n, count, seed, tol=None):

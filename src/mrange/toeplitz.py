@@ -24,6 +24,7 @@ from .linalg import (
     herm_part,
     op_norm,
     psd_check,
+    psd_part,
     shift,
 )
 
@@ -250,36 +251,17 @@ def block_measure_from_toeplitz(spec, grid_size=None, tol=None, max_iter=20000):
     """PSD matrix weights G_j on equispaced nodes with
     sum_j e^{i k theta_j} G_j = A_k, via the PSD-affine feasibility solver
     over the product cone of the blocks."""
-    from .cpmaps import (AffineConstraint, Feasible, FeasibilityProblem,
-                         solve_feasibility)
+    from .cpmaps import Feasible, solve_feasibility
 
     t = _tol(tol)
     ok, min_eig = toeplitz_psd(spec, t)
     if not ok:
         raise NotPSD(f"block Toeplitz min eigenvalue {min_eig:.3e}")
-    n, d = spec.n, spec.block_dim
-    G = grid_size or 8 * n
+    G = grid_size or 8 * spec.n
     th = 2.0 * np.pi * np.arange(G) / G
-
-    cons = []
-    for k in range(n):
-        phases = np.exp(1j * k * th)
-        for a in range(d):
-            for bcol in range(d):
-                coeffs = tuple((g * d + a, g * d + bcol, complex(phases[g]))
-                               for g in range(G))
-                cons.append(AffineConstraint(coeffs=coeffs,
-                                             target=complex(spec.blocks[k][a, bcol])))
-    problem = FeasibilityProblem(size=G * d, constraints=tuple(cons),
-                                 psd_blocks=tuple([d] * G))
-    outcome = solve_feasibility(problem, t, max_iter=max_iter, target=t.feas_eps)
+    K = np.exp(1j * np.outer(np.arange(spec.n), th))[:, :, None, None]
+    outcome = solve_feasibility(K, spec.blocks, t, max_iter=max_iter, target=t.feas_eps)
     if not isinstance(outcome, Feasible):
         raise SolverUndetermined(
             f"moment feasibility residual {outcome.residual:.3e}")
-    weights = []
-    for g in range(G):
-        blk = outcome.matrix[g * d:(g + 1) * d, g * d:(g + 1) * d]
-        w, V = np.linalg.eigh(herm_part(blk))
-        w = np.clip(w, 0.0, None)
-        weights.append((V * w) @ dagger(V))
-    return AtomicMeasure(nodes=th, weights=tuple(weights))
+    return AtomicMeasure(nodes=th, weights=tuple(psd_part(outcome.matrix)))

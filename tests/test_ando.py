@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mrange as mr
-from mrange.cpmaps import AffineConstraint, Feasible, FeasibilityProblem
+from mrange.cpmaps import Feasible
 from mrange.errors import RadiusTooLarge
 from mrange.rng import split
 
@@ -63,23 +63,14 @@ class TestAndoX:
 def _lmi_feasible_point(T, start, tol=None, max_iter=4000):
     """Project a random Hermitian pair into {[[I-Y, T*/2],[T/2, Y]] >= 0}."""
     d = T.shape[0]
-    cons = []
-    # off-diagonal block pinned to T/2
-    for a in range(d):
-        for b in range(d):
-            cons.append(AffineConstraint(coeffs=(((d + a), b, 1.0 + 0j),),
-                                         target=complex(T[a, b]) / 2))
-    # diagonal blocks sum to the identity
-    for a in range(d):
-        for b in range(d):
-            cons.append(AffineConstraint(
-                coeffs=((a, b, 1.0 + 0j), (d + a, d + b, 1.0 + 0j)),
-                target=1.0 + 0j if a == b else 0.0 + 0j))
-    problem = FeasibilityProblem(size=2 * d, constraints=tuple(cons))
-    out = mr.solve_feasibility(problem, tol, max_iter=max_iter, start=start)
+    # one cone, a 2 x 2 grid of d x d blocks: the (2, 1) block is pinned to
+    # T/2 and the diagonal blocks sum to the identity
+    K = [[np.array([[0, 0], [1, 0]])], [np.eye(2)]]
+    out = mr.solve_feasibility(K, [T / 2, np.eye(d)], tol, max_iter=max_iter,
+                               start=start)
     if not isinstance(out, Feasible):
         return None
-    return out.matrix[d:, d:]
+    return out.matrix[0, d:, d:]
 
 
 class TestAndoDecompose:

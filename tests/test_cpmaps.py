@@ -4,15 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mrange as mr
-from mrange.cpmaps import (
-    AffineConstraint,
-    Feasible,
-    FeasibilityProblem,
-    Infeasible,
-    Undetermined,
-    unital_constraints,
-    value_constraints,
-)
+from mrange.cpmaps import Feasible, Undetermined
 from mrange.errors import InconsistentAffine, NotPartitionOfIdentity
 from mrange.rng import split
 
@@ -210,25 +202,11 @@ class TestSolveFeasibility:
         ok, _ = mr.psd_check(out.matrix)
         assert ok
 
-    def test_certificate_reports_infeasible(self):
-        T = 0.6 * np.eye(2, dtype=complex)
-        margin = mr.nilpotent_condition(T, 2)
-        assert margin < -10 * 1e-9  # 1 - 2*0.6
-        cons = tuple(unital_constraints(2, 2)) + tuple(value_constraints(2, 2, E21, T))
-        problem = FeasibilityProblem(
-            size=4, constraints=cons,
-            certificate=f"order-2 condition margin {margin:.3e} < 0")
-        out = mr.solve_feasibility(problem)
-        assert isinstance(out, Infeasible)
-        assert "margin" in out.certificate
-
     def test_inconsistent_affine_raises(self):
-        cons = (
-            AffineConstraint(coeffs=((0, 0, 1.0 + 0j),), target=1.0 + 0j),
-            AffineConstraint(coeffs=((0, 0, 1.0 + 0j),), target=2.0 + 0j),
-        )
+        # one 2 x 2 cone of 1 x 1 blocks whose (1, 1) entry is pinned to 1 and 2
+        E11 = np.diag([1.0, 0.0])
         with pytest.raises(InconsistentAffine):
-            mr.solve_feasibility(FeasibilityProblem(size=2, constraints=cons))
+            mr.solve_feasibility([[E11], [E11]], [[[1.0]], [[2.0]]])
 
     def test_undetermined_on_infeasible_without_certificate(self):
         # radius of 0.8*I is 0.8 > 1/2: no unital CP map can send E21 there
@@ -238,8 +216,19 @@ class TestSolveFeasibility:
 
     def test_block_cone_partition(self):
         # two 1x1 blocks forced to x and 1-x with x PSD: feasible
-        cons = (AffineConstraint(coeffs=((0, 0, 1.0 + 0j), (1, 1, 1.0 + 0j)),
-                                 target=1.0 + 0j),)
-        out = mr.solve_feasibility(FeasibilityProblem(
-            size=2, constraints=cons, psd_blocks=(1, 1)))
+        out = mr.solve_feasibility(np.ones((1, 2, 1, 1)), [[[1.0]]])
         assert isinstance(out, Feasible)
+
+    def test_choi_value_mixing_diagonal_and_offdiagonal_blocks(self):
+        # phi(E11 + E21) ties diagonal entries of the (1, 1) block to
+        # off-diagonal entries of the Choi matrix in the (2, 1) block
+        psi = random_ucp_map(2, 3, 77)
+        X = np.array([[1, 0], [1, 0]], dtype=complex)
+        out = mr.solve_map_problem(2, 3, [(X, mr.apply_map(psi, X))])
+        feas_eps = mr.default_tolerances().feas_eps
+        assert isinstance(out, Feasible)
+        assert np.linalg.eigvalsh(out.matrix)[0] >= -feas_eps
+        phi = mr.map_from_choi(mr.ChoiMat(n=2, m=3, block=out.matrix))
+        defect = max(phi.unital_defect(),
+                     mr.op_norm(mr.apply_map(phi, X) - mr.apply_map(psi, X)))
+        assert defect <= feas_eps

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import mrange as mr
-from mrange.errors import BadShape, BoundaryBand
+from mrange.cpmaps import Feasible
+from mrange.errors import BadShape, BoundaryBand, VerificationFailed
 from mrange.rng import split
 
 from helpers import E21, random_partition_of_identity, random_ucp_map, random_with_radius
@@ -31,6 +32,17 @@ class TestMemberE21:
             assert v.member and v.witness is not None
             assert mr.op_norm(v.witness.value(2, 1) - T) <= 1e-12
             assert mr.is_cp(v.witness)[0]
+
+    def test_radius_computed_once(self, monkeypatch):
+        # the witness constructor and its LMI reuse the verdict's radius
+        T = random_with_radius(8, 0.4, 3)
+        calls = []
+        solve = mr.numrange._radius_and_angle
+        monkeypatch.setattr(mr.numrange, "_radius_and_angle",
+                            lambda T, tol: calls.append(1) or solve(T, tol))
+        v = mr.member_e21(T)
+        assert v.member and v.witness is not None
+        assert len(calls) == 1
 
 
 class TestMemberShiftBall:
@@ -70,6 +82,25 @@ class TestMemberNormal:
     def test_empty_spectrum(self):
         with pytest.raises(BadShape):
             mr.member_normal([], np.eye(2))
+
+    def test_inconsistent_moments_checked_non_member(self):
+        # H1 + H2 = I forces 0.5 H1 + 0.5 H2 = I/2: no Hermitian weights at
+        # all match X, so the verdict is checked, with the least-squares
+        # residual sqrt(0.104) of the moment system as margin
+        v = mr.member_normal([0.5, 0.5], np.diag([0.2, 0.7]))
+        assert not v.member and not v.unverified and v.witness is None
+        assert v.margin == pytest.approx(np.sqrt(0.104), abs=1e-12)
+
+    @pytest.mark.parametrize("member", [
+        lambda: mr.member_normal([0.0, 1.0], np.eye(2) / 2),
+        lambda: mr.member_shift_ball(0.5 * E21, nodes=8),
+    ])
+    def test_witness_is_verified(self, member, monkeypatch):
+        def wrong(K, B, *args, **kwargs):
+            return Feasible(matrix=np.zeros((np.shape(K)[1], 2, 2)), residual=0.0)
+        monkeypatch.setattr(mr.cpmaps, "solve_feasibility", wrong)
+        with pytest.raises(VerificationFailed, match="witness residual"):
+            member()
 
 
 class TestSpatialSamples:
