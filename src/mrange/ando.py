@@ -130,11 +130,15 @@ class AndoDecomposition:
 def ando_decompose(T, tol=None):
     t = _tol(tol)
     A = require_square(T, "ando_decompose")
+    return _ando_decompose(A, num_radius(A, t), t)
+
+
+def _ando_decompose(A, w, t):
+    """ando_decompose for a square A whose numerical radius w is already known."""
     n = A.shape[0]
     I = np.eye(n, dtype=complex)
 
-    w = num_radius(A, t)   # w(T*) = w(T)
-    X, iters = _extremal_X(A, w, t)
+    X, iters = _extremal_X(A, w, t)   # w(T*) = w(T)
     Xstar, iters2 = _extremal_X(dagger(A), w, t)
     Y_max = 2.0 * X - I
     Y_min = -(2.0 * Xstar - I)

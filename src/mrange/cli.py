@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from functools import cache
 
 import numpy as np
 
@@ -92,14 +92,16 @@ def _tolerances(args):
     return Tolerances(psd_eps=eps, feas_eps=max(eps, 1e-7))
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="mrange",
         description="numerical radius / matricial range / dilation toolkit")
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--input", required=False, help="input JSON file")
     p.add_argument("--tol", type=float, default=None, help="psd tolerance override")
-    p.add_argument("--grid", type=int, default=None, help="angle or node grid size")
+    p.add_argument("--grid", type=int, default=None, help="node grid size")
     p.add_argument("--seed", type=int, default=2024, help="random seed")
     p.add_argument("--order", type=int, default=2, help="nilpotent order / subspace size")
     p.add_argument("--window", type=int, default=8, help="dilation window half-width")
@@ -121,8 +123,6 @@ def _run_command(cmd, args):
     from .cpmaps import choi, is_cp
 
     tol = _tolerances(args)
-    if args.grid is not None:
-        tol = replace(tol, grid_angles=args.grid)
     payload = _load_input(args.input) if args.input else None
 
     if cmd == "numrad":
@@ -200,7 +200,7 @@ def _run_command(cmd, args):
 
     if cmd == "nilpotent-cond":
         T = _require_matrix(payload)
-        margin = dilation.nilpotent_condition(T, args.order, args.grid, tol)
+        margin = dilation.nilpotent_condition(T, args.order, tol)
         ok = margin >= -tol.psd_eps
         return {"order": args.order, "margin": margin, "holds": ok}, 0 if ok else 2
 

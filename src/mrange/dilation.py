@@ -6,6 +6,9 @@
   index, its (0,0) block compressions reproduce T^n / 2 inside the window.
 * The truncated bilateral shift compressed to a two-dimensional corner.
 * Finite positive-definite-function tests (block Toeplitz Gram matrix).
+* The order-n nilpotent condition I + 2 Re sum_{k<n} l^k T^k >= 0 on the
+  unit circle, decided by the level-set method of :mod:`mrange.numrange`
+  for the matrix polynomial -2 sum_k z^k T^k.
 * Nilpotent power dilations through the CP-map feasibility solver.
 """
 
@@ -33,8 +36,7 @@ from .linalg import (
     shift,
     sqrt_psd,
 )
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+from .numrange import _level_set_max
 
 
 def halmos_unitary(C, tol=None):
@@ -94,13 +96,18 @@ def two_dilation(T, M, tol=None):
     center block. Rows and columns at the two outer edges are incomplete, so
     unitarity holds away from them.
     """
+    from .ando import ando_decompose
+
     t = _tol(tol)
     A = require_square(T, "two_dilation")
+    # raises RadiusTooLarge when w(T) > 1 + 1e-9
+    return _two_dilation(A, ando_decompose(A, t).C, M, t)
+
+
+def _two_dilation(A, C, M, t):
+    """two_dilation for a square A whose decomposition's C is already known."""
     if M < 4:
         raise WindowTooSmall(f"window M >= 4 required, got {M}")
-
-    from .ando import ando_decompose
-    C = ando_decompose(A, t).C   # raises RadiusTooLarge when w(T) > 1 + 1e-9
     d = A.shape[0]
     I = np.eye(d, dtype=complex)
     DC = sqrt_psd(herm_part(I - dagger(C) @ C), _clipping(t))    # (I-C*C)^{1/2}
@@ -216,52 +223,21 @@ def halved_power_blocks(T, N):
     return out
 
 
-def _golden_max(f, a, b, bracket=1e-12):
-    """Largest value of f seen by a golden-section search on [a, b]."""
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    best = max(fc, fd)
-    while b - a > bracket:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        best = max(best, fc, fd)
-    return best
-
-
-def nilpotent_condition(T, n, grid=None, tol=None):
+def nilpotent_condition(T, n, tol=None):
     """min over the circle of lambda_min(I + 2 Re sum_{k=1}^{n-1} l^k T^k).
 
     The condition of order n holds iff the returned margin is >= -psd_eps.
+    The margin is 1 - max lambda_max(Re p(l)) for p(z) = -2 sum_k z^k T^k,
+    computed by the level-set method of :mod:`mrange.numrange` (``tol`` is
+    unused: it needs none).
     """
-    t = _tol(tol)
     A = require_square(T, "nilpotent_condition")
     if n < 2:
         raise BadShape(f"order n >= 2 required, got {n}")
-    d = A.shape[0]
-    I = np.eye(d, dtype=complex)
-    powers = [np.linalg.matrix_power(A, k) for k in range(1, n)]
-
-    def margin_grid(thetas):
-        lam = np.exp(1j * thetas)
-        S = sum((lam ** k)[:, None, None] * powers[k - 1][None, :, :]
-                for k in range(1, n))
-        stack = I[None, :, :] + S + np.conj(np.swapaxes(S, 1, 2))
-        return np.linalg.eigvalsh(stack)[:, 0]
-
-    G = max(grid or 0, t.grid_angles, 64 * n * d)
-    thetas = 2.0 * np.pi * np.arange(G) / G
-    vals = margin_grid(thetas)
-    i = int(np.argmin(vals))
-    step = 2.0 * np.pi / G
-    top = _golden_max(lambda th: -float(margin_grid(np.array([th]))[0]),
-                      thetas[i] - step, thetas[i] + step)
-    return min(float(vals[i]), -top)
+    D = [-2.0 * A]
+    for _ in range(2, n):
+        D.append(D[-1] @ A)
+    return 1.0 - _level_set_max(np.array(D))[0]
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ class Tolerances:
     rank_rel     relative singular/eigen cutoff for pseudo-inverses and ranks
     fixpoint_eps stop on the fixed-point residual (operator norm)
     feas_eps     joint residual accepted by the feasibility solver
-    grid_angles  base number of circle samples for the nilpotent-condition
-                 scan (the radius routines use level sets and ignore it)
+    grid_angles  kept for compatibility; no routine reads it (the radius and
+                 the nilpotent condition use level sets)
     """
 
     psd_eps: float = 1e-9

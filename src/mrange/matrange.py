@@ -220,9 +220,9 @@ def equivalence_suite(T, tol=None, window=12):
     condition is an inequality with its own discretization error, and inside
     that band they may legitimately disagree.
     """
-    from .ando import ando_decompose, radius_lmi, ucp_from_e21
+    from .ando import _ando_decompose, _radius_lmi, _ucp_from_e21
     from .cpmaps import is_cp
-    from .dilation import nilpotent_condition, nilpotent_dilation, two_dilation
+    from .dilation import _two_dilation, nilpotent_condition, nilpotent_dilation
     from .linalg import sqrt_psd
 
     t = _tol(tol)
@@ -235,11 +235,19 @@ def equivalence_suite(T, tol=None, window=12):
 
     cond2 = not _exceeds(A, 1.0 + t.psd_eps * (1.0 + op_norm(A)))
 
+    # one decomposition serves the dilation (3) and both factorizations (6), (8)
+    cond3 = cond6 = cond8 = False
     try:
-        two_dilation(A, window, t)
+        dec = _ando_decompose(A, w, t)
+        I = np.eye(A.shape[0], dtype=complex)
+        cond6 = op_norm(sqrt_psd(I + dec.Y_max, t) @ dec.Z
+                        @ sqrt_psd(I - dec.Y_max, t) - A) <= 1e-8
+        cond8 = op_norm(2.0 * sqrt_psd(I - dagger(dec.C) @ dec.C, t)
+                        @ dec.C - A) <= 1e-8
+        _two_dilation(A, dec.C, window, t)
         cond3 = True
     except (RadiusTooLarge, NoConvergence, VerificationFailed):
-        cond3 = False
+        pass
 
     cond4 = nilpotent_condition(A / 2.0, 2, tol=t) >= -t.psd_eps
     try:
@@ -248,21 +256,11 @@ def equivalence_suite(T, tol=None, window=12):
     except (ConditionFails, SolverUndetermined, VerificationFailed):
         cond5 = False
 
-    try:
-        dec = ando_decompose(A, t)
-        I = np.eye(A.shape[0], dtype=complex)
-        cond6 = op_norm(sqrt_psd(I + dec.Y_max, t) @ dec.Z
-                        @ sqrt_psd(I - dec.Y_max, t) - A) <= 1e-8
-        cond8 = op_norm(2.0 * sqrt_psd(I - dagger(dec.C) @ dec.C, t)
-                        @ dec.C - A) <= 1e-8
-    except (RadiusTooLarge, NoConvergence, VerificationFailed):
-        cond6 = False
-        cond8 = False
-
-    cond7 = radius_lmi(A / 2.0, t)[0]
+    # w(T/2) = w(T)/2
+    cond7 = _radius_lmi(A / 2.0, w / 2.0, t)[0]
 
     try:
-        phi = ucp_from_e21(A / 2.0, t)
+        phi = _ucp_from_e21(A / 2.0, w / 2.0, t)
         cond9 = is_cp(phi, t)[0]
     except (RadiusTooLarge, VerificationFailed):
         cond9 = False

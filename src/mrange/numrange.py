@@ -1,18 +1,21 @@
 """Numerical range sampling and numerical radius computation.
 
 The radius is the maximum of the support function
-f(theta) = lambda_max(Re(e^{i theta} T)), computed by the level-set method
-of Mengi and Overton (IMA J. Numer. Anal. 25, 2005). At a level r the
-unimodular eigenvalues z = e^{i theta} of the 2n x 2n pencil
+f(theta) = lambda_max(Re(e^{i theta} T)). It is the case p(z) = z T of the
+maximum over the unit circle of lambda_max(Re p(e^{i theta})) for a matrix
+polynomial p(z) = z D_1 + ... + z^m D_m, which the level-set method of
+Mengi and Overton (IMA J. Numer. Anal. 25, 2005) computes. At a level r the
+unimodular roots z = e^{i theta} of z^m (p(z) + p(z)* - 2r I), the
+eigenvalues of its 2mn x 2mn first companion pencil, are the angles where
+some eigenvalue of Re p(e^{i theta}) equals r. For the radius that pencil is
 
-    [[2r I, -T*], [I, 0]] - z [[T, 0], [0, I]]
+    [[2r I, -T*], [I, 0]] - z [[T, 0], [0, I]].
 
-are the angles where some eigenvalue of Re(e^{i theta} T) equals r. Between
-two consecutive such angles f - r keeps its sign, so f exceeds r somewhere
-exactly when it does at one of their midpoints. Starting from the best of 8
-sampled angles, r rises to the best midpoint value until no midpoint beats
-it; that last pencil solve is the check that f <= r on the whole circle.
-The levels converge quadratically.
+Between two consecutive such angles lambda_max - r keeps its sign, so it
+exceeds r somewhere exactly when it does at one of their midpoints.
+Starting from the best of 8 sampled angles, r rises to the best midpoint
+value until no midpoint beats it; that last pencil solve is the check that
+lambda_max <= r on the whole circle. The levels converge quadratically.
 """
 
 from dataclasses import dataclass
@@ -32,21 +35,33 @@ _UNIMODULAR = 1e-4
 _MAX_LEVELS = 100
 
 
-def _support_grid(T, thetas):
-    """Support-function values at many angles through one batched eigensolve."""
-    phases = np.exp(1j * thetas)
-    stack = phases[:, None, None] * T[None, :, :]
+def _support_grid(D, thetas):
+    """lambda_max(Re p(e^{i theta})) at many angles through one batched
+    eigensolve, for p(z) = sum_k z^k D_k with D = D_1..D_m stacked as an
+    (m, n, n) array; a single n x n matrix T stands for p(z) = z T."""
+    D = np.reshape(D, (-1,) + np.shape(D)[-2:])
+    lam = np.exp(1j * thetas)[:, None, None]
+    stack = lam * D[0]
+    for k in range(2, D.shape[0] + 1):
+        stack = stack + lam ** k * D[k - 1]
     stack = (stack + np.conj(np.swapaxes(stack, 1, 2))) / 2.0
     return np.linalg.eigvalsh(stack)[:, -1]
 
 
-def _level_midpoints(A, r):
+def _level_midpoints(D, r):
     """Midpoints between consecutive angles where an eigenvalue of
-    Re(e^{i theta} A) equals r, or angle 0 when there is no such angle."""
-    n = A.shape[0]
-    I, O = np.eye(n), np.zeros((n, n))
-    z = scipy.linalg.eig(np.block([[2.0 * r * I, -dagger(A)], [I, O]]),
-                         np.block([[A, O], [O, I]]), right=False)
+    Re p(e^{i theta}) equals r, or angle 0 when there is no such angle."""
+    D = np.reshape(D, (-1,) + np.shape(D)[-2:])
+    m, n = D.shape[:2]
+    # first companion pencil of z^m (p(z) + p(z)* - 2r I): its top block row
+    # holds the coefficients of z^{2m-1} down to z^0, negated
+    P = np.zeros((2 * m * n, 2 * m * n), dtype=complex)
+    P[:n] = np.hstack([-Dk for Dk in D[:-1][::-1]] + [2.0 * r * np.eye(n)]
+                      + [-dagger(Dk) for Dk in D])
+    P[n:, :-n] = np.eye((2 * m - 1) * n)
+    Q = np.eye(2 * m * n, dtype=complex)
+    Q[:n, :n] = D[-1]
+    z = scipy.linalg.eig(P, Q, right=False)
     z = z[np.isfinite(z)]
     th = np.sort(np.angle(z[np.abs(np.abs(z) - 1.0) <= _UNIMODULAR]) % (2.0 * np.pi))
     if th.size == 0:
@@ -59,20 +74,25 @@ def _exceeds(A, level):
     return bool(_support_grid(A, _level_midpoints(A, level)).max() > level)
 
 
-def _radius_and_angle(T, tol):
-    """Max of the support function and an angle where it is attained
-    (``tol`` is unused: the level-set iteration needs none)."""
-    A = require_square(T, "num_radius")
+def _level_set_max(D):
+    """Max over theta of lambda_max(Re p(e^{i theta})) and an angle where it
+    is attained, for p(z) = sum_k z^k D_k as in ``_support_grid``."""
     thetas = 2.0 * np.pi * np.arange(8) / 8
-    vals = _support_grid(A, thetas)
+    vals = _support_grid(D, thetas)
     for _ in range(_MAX_LEVELS):
         i = int(np.argmax(vals))
         r, angle = float(vals[i]), float(thetas[i])
-        thetas = _level_midpoints(A, r)
-        vals = _support_grid(A, thetas)
+        thetas = _level_midpoints(D, r)
+        vals = _support_grid(D, thetas)
         if vals.max() <= r:
             return r, angle % (2.0 * np.pi)
     raise NoConvergence(f"level set still rising after {_MAX_LEVELS} levels")
+
+
+def _radius_and_angle(T, tol):
+    """Max of the support function and an angle where it is attained
+    (``tol`` is unused: the level-set iteration needs none)."""
+    return _level_set_max(require_square(T, "num_radius"))
 
 
 def num_radius(T, tol=None):

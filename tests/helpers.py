@@ -26,6 +26,25 @@ def radius_bruteforce(T, seed=0, vectors=200_000, angles=20_000):
     return max(vec_best, grid_best)
 
 
+def nilpotent_margin_bracket(T, n, angles=20_000):
+    """[lower, upper] around min over the circle of
+    lambda_min(I + 2 Re sum_{k=1}^{n-1} l^k T^k) from a dense angle grid.
+
+    The grid minimum is attained, so it is an upper bound. The derivative
+    of the matrix function has norm at most L = sum_k 2k |T^k|, and every
+    angle lies within pi / angles of a grid angle, so no value falls below
+    the grid minimum by more than L pi / angles.
+    """
+    T = np.asarray(T, dtype=complex)
+    powers = [np.linalg.matrix_power(T, k) for k in range(1, n)]
+    lam = np.exp(2j * np.pi * np.arange(angles) / angles)
+    S = sum((lam ** k)[:, None, None] * P[None, :, :] for k, P in enumerate(powers, 1))
+    stack = np.eye(T.shape[0]) + S + np.conj(np.swapaxes(S, 1, 2))
+    upper = float(np.linalg.eigvalsh(stack)[:, 0].min())
+    lip = sum(2 * k * np.linalg.norm(P, 2) for k, P in enumerate(powers, 1))
+    return upper - lip * np.pi / angles, upper
+
+
 def random_with_radius(dim, target, seed):
     """Seeded complex Gaussian matrix rescaled to numerical radius ``target``."""
     T = mr.random_matrix(dim, dim, seed)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mrange as mr
-from mrange.cli import matrix_from_json, matrix_to_json, run
+from mrange.cli import build_parser, matrix_from_json, matrix_to_json, run
 
 from helpers import E21
 
@@ -241,3 +241,26 @@ class TestDeterminism:
         dec = mr.ando_decompose(E21)
         assert np.array_equal(matrix_from_json(out["X"]), dec.X)
         assert np.array_equal(matrix_from_json(out["Z"]), dec.Z)
+
+    def test_commands_in_sequence_match_each_alone(self, tmp_path, capsys):
+        # the parser is built once per process; options set by one command
+        # (order, tolerance, set, grid) must not carry over to the next
+        e21 = write_json(tmp_path, "e21.json", E21_JSON)
+        spec = write_json(tmp_path, "spec.json", {"coeffs": [[1.0, 0.0], [0.5, 0.0]]})
+        argvs = [
+            ["nilpotent-cond", "--input", e21, "--order", "3", "--tol", "1e-6"],
+            ["nilpotent-cond", "--input", e21],
+            ["member", "--input", e21, "--set", "shift", "--nodes", "16"],
+            ["member", "--input", e21],
+            ["toeplitz-measure", "--input", spec, "--grid", "16"],
+            ["toeplitz-measure", "--input", spec],
+            ["numrad", "--input", e21, "--order", "x"],
+            ["numrad", "--input", e21],
+        ]
+        assert build_parser() is build_parser()
+        in_sequence = []
+        for argv in argvs:
+            in_sequence.append((run(argv), capsys.readouterr().out))
+        for argv, seen in zip(argvs, in_sequence):
+            build_parser.cache_clear()
+            assert (run(argv), capsys.readouterr().out) == seen

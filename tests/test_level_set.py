@@ -1,5 +1,6 @@
-"""The level-set radius: inputs with tangencies, symmetric maxima and
-degenerate pencils, checked against exact values and the brute-force oracle."""
+"""The level-set radius and order-n nilpotent condition: inputs with
+tangencies, symmetric extrema and degenerate pencils, checked against exact
+values and the brute-force oracles."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import mrange as mr
 from mrange.numrange import _support_grid
 from mrange.rng import split
 
-from helpers import radius_bruteforce, random_with_radius
+from helpers import E21, nilpotent_margin_bracket, radius_bruteforce, random_with_radius
 
 
 def _attained(T, angle):
@@ -79,3 +80,81 @@ class TestCharacterizationsByLevelSet:
         rep = mr.radius_characterizations(T)
         assert rep.conditions == (False, False, False, False)
         assert rep.worst_margin == pytest.approx(1.0 - 1.0 / 0.9, abs=1e-8)
+
+
+def _margins_at(T, n, thetas):
+    """lambda_min(I + 2 Re sum_{k<n} l^k T^k) at the given angles."""
+    S = sum(np.exp(1j * k * thetas)[:, None, None] * np.linalg.matrix_power(T, k)
+            for k in range(1, n))
+    return np.linalg.eigvalsh(np.eye(T.shape[0]) + S + np.conj(np.swapaxes(S, 1, 2)))[:, 0]
+
+
+class TestNilpotentConditionByLevelSet:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_against_grid_oracle(self, n):
+        for dim in (1, 2, 3, 5):
+            for k in range(3):
+                T = mr.random_matrix(dim, dim, split(800 + 10 * n + dim, k))
+                if k == 1:
+                    T = T.real.astype(complex)
+                T = T * ((0.2 + 0.15 * k) / mr.num_radius(T))
+                lower, upper = nilpotent_margin_bracket(T, n)
+                assert lower - 1e-12 <= mr.nilpotent_condition(T, n) <= upper + 1e-10
+
+    def test_order_two_is_one_minus_twice_the_radius(self):
+        for dim in range(1, 9):
+            for k in range(3):
+                T = mr.random_matrix(dim, dim, split(850 + dim, k))
+                assert mr.nilpotent_condition(T, 2) == pytest.approx(
+                    1.0 - 2.0 * mr.num_radius(T), abs=1e-12)
+
+    @pytest.mark.parametrize("T, n, expected", [
+        (np.zeros((3, 3)), 2, 1.0),
+        (np.zeros((3, 3)), 4, 1.0),
+        # T^{n-1} = 0: the leading coefficient of the pencil vanishes
+        (E21, 3, 0.0),
+        (E21, 4, 0.0),
+        (np.kron(np.eye(2), E21), 2, 0.0),
+        (np.kron(np.eye(2), E21), 3, 0.0),
+        # I + 2 Re sum l^k S_n^k = u u* with u = (l^i): the margin is 0 at every
+        # angle, so every pencil is singular
+        (mr.shift(3), 3, 0.0),
+        (mr.shift(4), 4, 0.0),
+        (mr.shift(5), 5, 0.0),
+        (mr.shift(6), 6, 0.0),
+        # a zero eigenvalue gives a constant branch; the 0.3 one decides:
+        # 1 - 0.6 at order 2, min of 0.82 + 0.6c + 0.36c^2 at order 3
+        (np.diag([0.0, 0.3, -0.2j]), 2, 0.4),
+        (np.diag([0.0, 0.3, -0.2j]), 3, 0.57),
+    ])
+    def test_degenerate_inputs(self, T, n, expected):
+        assert mr.nilpotent_condition(T, n) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_common_null_vector(self, n):
+        # T e_0 = T* e_0 = 0 keeps the eigenvalue 1 at every angle
+        B = 0.3 * mr.random_matrix(2, 2, split(860, n))
+        T = np.zeros((3, 3), dtype=complex)
+        T[1:, 1:] = B
+        assert mr.nilpotent_condition(T, n) == pytest.approx(
+            mr.nilpotent_condition(B, n), abs=1e-12)
+
+    @pytest.mark.parametrize("n, dim, k", [(3, 2, 384), (3, 3, 217), (4, 3, 360)])
+    def test_real_input_with_local_max_at_zero(self, n, dim, k):
+        # the margin of a real input is even in theta; here theta = 0 is the
+        # lowest of the 8 start angles but a local maximum, so the start
+        # level touches the level set tangentially there (with a 1e-8
+        # unimodularity filter the margin came back up to 8e-3 high)
+        T = mr.random_matrix(dim, dim, split(dim, k)).real.astype(complex)
+        T = T * (0.3 / mr.num_radius(T))
+        m0, m_near = _margins_at(T, n, np.array([0.0, 1e-3]))
+        margin = mr.nilpotent_condition(T, n)
+        assert m_near < m0 and margin < m0 - 1e-3
+        lower, upper = nilpotent_margin_bracket(T, n)
+        assert lower - 1e-12 <= margin <= upper + 1e-10
+
+    def test_order_two_at_dimension_64(self):
+        T = mr.random_matrix(64, 64, split(870, 0))
+        T = T * (0.45 / mr.num_radius(T))
+        assert mr.nilpotent_condition(T, 2) == pytest.approx(
+            1.0 - 2.0 * mr.num_radius(T), abs=1e-12)

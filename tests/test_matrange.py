@@ -194,6 +194,28 @@ class TestEquivalenceSuite:
         with pytest.raises(BoundaryBand):
             mr.equivalence_suite(random_with_radius(2, 1.005, 3))
 
+    @pytest.mark.parametrize("T", [0.3 * E21 + 0.1 * np.eye(2), 2.1 * E21])
+    def test_one_radius_and_one_decomposition(self, T, monkeypatch):
+        # the dilation, the factorizations and the halved LMI and UCP map all
+        # reuse the suite's radius and its single decomposition
+        calls = {"radius": 0, "decompose": 0}
+        solve = mr.numrange._radius_and_angle
+        decompose = mr.ando._ando_decompose
+
+        def counted_solve(A, tol):
+            calls["radius"] += 1
+            return solve(A, tol)
+
+        def counted_decompose(A, w, t):
+            calls["decompose"] += 1
+            return decompose(A, w, t)
+
+        monkeypatch.setattr(mr.numrange, "_radius_and_angle", counted_solve)
+        monkeypatch.setattr(mr.ando, "_ando_decompose", counted_decompose)
+        rep = mr.equivalence_suite(T)
+        assert len(set(rep.all_conditions())) == 1
+        assert calls == {"radius": 1, "decompose": 1}
+
 
 class TestKnownSetClosure:
     def test_cstar_combinations_stay_inside(self):
