@@ -131,8 +131,7 @@ def _run_command(cmd, args):
 
     if cmd == "boundary":
         T = _require_matrix(payload)
-        K = args.count
-        pts = numrange.range_boundary(T, K, tol)
+        pts = numrange.range_boundary(T, args.count, tol)
         return {"points": [complex_to_json(z) for z in pts]}, 0
 
     if cmd == "ando":
@@ -214,7 +213,7 @@ def _run_command(cmd, args):
                    for j in range(args.order))
         return {
             "order": nd.order,
-            "multiplicity": nd.r,
+            "multiplicity": nd.r,   # r = dim T: V comes from a d x d spectral factor
             "isometry_residual": op_norm(Vh @ nd.V - np.eye(A.shape[0])),
             "compression_residual": comp,
             "V": matrix_to_json(nd.V),
@@ -225,9 +224,9 @@ def _run_command(cmd, args):
         coeffs = np.array([complex_from_json(c) for c in payload["coeffs"]])
         poly = toeplitz.TrigPoly(coeffs=coeffs)
         p = toeplitz.fejer_riesz(poly, tol)
-        lam = np.exp(2j * np.pi * np.arange(4096) / 4096)
-        resid = float(np.abs(poly.eval_at_angle(np.angle(lam))
-                             - np.abs(np.polyval(p[::-1], lam)) ** 2).max())
+        # |tau - |p|^2| on fejer_riesz's 4096-point precheck grid
+        resid = float(np.abs(toeplitz._trig_grid(poly.coeffs)
+                             - np.abs(toeplitz._circle_sums(p)) ** 2).max())
         return {
             "factor": [complex_to_json(z) for z in p],
             "grid_residual": resid,

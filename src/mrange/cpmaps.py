@@ -37,6 +37,7 @@ from .linalg import (
     dagger,
     herm_eig,
     herm_part,
+    matrix_unit,
     op_norm,
     psd_check,
     psd_part,
@@ -52,26 +53,18 @@ class MapOnUnits:
     values: tuple  # values[i][j] = phi(E_{i+1,j+1}), each m x m
 
     def __post_init__(self):
-        if len(self.values) != self.n:
+        if len(self.values) != self.n or any(len(row) != self.n for row in self.values):
             raise ShapeMismatch("values must be an n x n array of blocks")
-        for row in self.values:
-            if len(row) != self.n:
-                raise ShapeMismatch("values must be an n x n array of blocks")
-            for blk in row:
-                if as_cmat(blk).shape != (self.m, self.m):
-                    raise ShapeMismatch("each value block must be m x m")
+        if any(as_cmat(B).shape != (self.m, self.m) for row in self.values for B in row):
+            raise ShapeMismatch("each value block must be m x m")
 
     def value(self, i, j):
         """phi(E_ij), 1-based indices."""
         return np.asarray(self.values[i - 1][j - 1], dtype=complex)
 
     def is_selfadjoint_compatible(self, atol=1e-10):
-        for i in range(self.n):
-            for j in range(self.n):
-                if op_norm(np.asarray(self.values[j][i]) -
-                           dagger(np.asarray(self.values[i][j]))) > atol:
-                    return False
-        return True
+        return all(op_norm(np.asarray(self.values[j][i]) - dagger(np.asarray(self.values[i][j])))
+                   <= atol for i in range(self.n) for j in range(self.n))
 
     def unital_defect(self):
         s = sum(np.asarray(self.values[i][i], dtype=complex) for i in range(self.n))
@@ -84,19 +77,13 @@ def map_on_units(n, m, values):
 
 
 def identity_map(n):
-    vals = [[np.zeros((n, n), dtype=complex) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            vals[i][j][i, j] = 1.0
-    return map_on_units(n, n, vals)
+    return map_on_units(n, n, [[matrix_unit(n, i, j) for j in range(1, n + 1)]
+                               for i in range(1, n + 1)])
 
 
 def transpose_map(n):
-    vals = [[np.zeros((n, n), dtype=complex) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            vals[i][j][j, i] = 1.0
-    return map_on_units(n, n, vals)
+    return map_on_units(n, n, [[matrix_unit(n, j, i) for j in range(1, n + 1)]
+                               for i in range(1, n + 1)])
 
 
 @dataclass(frozen=True)
@@ -114,12 +101,8 @@ class ChoiMat:
 
 def choi(phi):
     """Assemble the Choi matrix of a MapOnUnits."""
-    n, m = phi.n, phi.m
-    C = np.zeros((n * m, n * m), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            C[i * m:(i + 1) * m, j * m:(j + 1) * m] = np.asarray(phi.values[i][j])
-    return ChoiMat(n=n, m=m, block=C)
+    block = np.block([[np.asarray(B, dtype=complex) for B in row] for row in phi.values])
+    return ChoiMat(n=phi.n, m=phi.m, block=block)
 
 
 def map_from_choi(C):
@@ -138,11 +121,7 @@ def apply_map(phi, X):
     A = as_cmat(X)
     if A.shape != (phi.n, phi.n):
         raise ShapeMismatch(f"argument must be {phi.n} x {phi.n}, got {A.shape}")
-    out = np.zeros((phi.m, phi.m), dtype=complex)
-    for i in range(phi.n):
-        for j in range(phi.n):
-            out += A[i, j] * np.asarray(phi.values[i][j])
-    return out
+    return np.einsum("ij,ijab->ab", A, np.asarray(phi.values, dtype=complex))
 
 
 def amplify(phi, k, A):
@@ -150,13 +129,10 @@ def amplify(phi, k, A):
     M = as_cmat(A)
     if M.shape != (k * phi.n, k * phi.n):
         raise ShapeMismatch(f"amplification argument must be {k * phi.n} square")
-    out = np.zeros((k * phi.m, k * phi.m), dtype=complex)
     n, m = phi.n, phi.m
-    for s in range(k):
-        for t in range(k):
-            out[s * m:(s + 1) * m, t * m:(t + 1) * m] = \
-                apply_map(phi, M[s * n:(s + 1) * n, t * n:(t + 1) * n])
-    return out
+    out = np.einsum("sitj,ijab->satb", M.reshape(k, n, k, n),
+                    np.asarray(phi.values, dtype=complex))
+    return out.reshape(k * m, k * m)
 
 
 @dataclass(frozen=True)
@@ -185,13 +161,9 @@ def kraus_from_choi(C, tol=None, psd_slack=None):
     slack = t.psd_eps if psd_slack is None else psd_slack
     if w.size and w[0] < -slack * scale:
         raise NotPSD(f"Choi min eigenvalue {w[0]:.3e} below tolerance")
-    top = float(w.max()) if w.size else 0.0
-    ops = []
-    for k in range(w.size):
-        if w[k] > t.rank_rel * max(top, np.finfo(float).tiny) and w[k] > 0:
-            v = eig.eigenvectors[:, k] * np.sqrt(w[k])
-            ops.append(v.reshape(C.n, C.m).T.copy())
-    return KrausSet(operators=tuple(ops))
+    keep = (w > t.rank_rel * max(w.max(initial=0.0), np.finfo(float).tiny)) & (w > 0)
+    vecs = eig.eigenvectors[:, keep] * np.sqrt(w[keep])
+    return KrausSet(operators=tuple(v.reshape(C.n, C.m).T.copy() for v in vecs.T))
 
 
 @dataclass(frozen=True)
@@ -214,13 +186,11 @@ def stinespring(phi, tol=None, psd_slack=None):
         raise NotCP(f"Choi min eigenvalue {min_eig:.3e}")
     if phi.unital_defect() > 1e-6:
         raise NotUnital(f"unital defect {phi.unital_defect():.3e}")
-    ks = kraus_from_choi(choi(phi), t, psd_slack=slack)
-    r = max(len(ks.operators), 1)
-    n, m = phi.n, phi.m
-    V = np.zeros((n * r, m), dtype=complex)
-    for k, K in enumerate(ks.operators):
-        for i in range(n):
-            V[i * r + k, :] = np.conj(K[:, i])
+    ops = kraus_from_choi(choi(phi), t, psd_slack=slack).operators
+    ops = ops or (np.zeros((phi.m, phi.n), dtype=complex),)
+    r = len(ops)
+    # row i r + k of V is conj(K_k[:, i])
+    V = np.conj(np.array(ops)).transpose(2, 0, 1).reshape(phi.n * r, phi.m)
     # polar correction: V <- V (V*V)^{-1/2}
     G = dagger(V) @ V
     w, Q = np.linalg.eigh(herm_part(G))

@@ -86,10 +86,6 @@ class NotStrictlyPositive(MrangeError):
     pass
 
 
-class RootPairingFailed(MrangeError):
-    pass
-
-
 class MomentResidualTooLarge(MrangeError):
     pass
 

@@ -12,6 +12,7 @@ invariant.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import BadShape, NonSquare, NotHermitian, NotPSD
 from .rng import SplitMix64
@@ -196,15 +197,7 @@ def direct_sum(mats):
     mats = [as_cmat(M) for M in mats]
     if not mats:
         return np.zeros((0, 0), dtype=complex)
-    rows = sum(M.shape[0] for M in mats)
-    cols = sum(M.shape[1] for M in mats)
-    out = np.zeros((rows, cols), dtype=complex)
-    r = c = 0
-    for M in mats:
-        out[r:r + M.shape[0], c:c + M.shape[1]] = M
-        r += M.shape[0]
-        c += M.shape[1]
-    return out
+    return scipy.linalg.block_diag(*mats)
 
 
 def matrix_unit(n, k, j):
@@ -218,10 +211,7 @@ def matrix_unit(n, k, j):
 
 def shift(n):
     """Lower unilateral shift: sum of E_{k+1,k}, so shift(2) = E_21."""
-    S = np.zeros((n, n), dtype=complex)
-    for k in range(n - 1):
-        S[k + 1, k] = 1.0
-    return S
+    return np.eye(n, k=-1, dtype=complex)
 
 
 def random_matrix(n, m, seed):

@@ -14,7 +14,6 @@ from .errors import (
     InconsistentAffine,
     NoConvergence,
     RadiusTooLarge,
-    SolverUndetermined,
     VerificationFailed,
     verify,
 )
@@ -237,8 +236,10 @@ def equivalence_suite(T, tol=None, window=12):
 
     # one decomposition serves the dilation (3) and both factorizations (6), (8)
     cond3 = cond6 = cond8 = False
+    Xstar = None
     try:
         dec = _ando_decompose(A, w, t)
+        Xstar = dec.Xstar
         I = np.eye(A.shape[0], dtype=complex)
         cond6 = op_norm(sqrt_psd(I + dec.Y_max, t) @ dec.Z
                         @ sqrt_psd(I - dec.Y_max, t) - A) <= 1e-8
@@ -253,14 +254,14 @@ def equivalence_suite(T, tol=None, window=12):
     try:
         nilpotent_dilation(A / 2.0, 2, t)
         cond5 = True
-    except (ConditionFails, SolverUndetermined, VerificationFailed):
+    except (ConditionFails, NoConvergence, VerificationFailed):
         cond5 = False
 
-    # w(T/2) = w(T)/2
-    cond7 = _radius_lmi(A / 2.0, w / 2.0, t)[0]
+    # w(T/2) = w(T)/2, and ando_X((2 T/2)*) is the decomposition's Xstar
+    cond7 = _radius_lmi(A / 2.0, w / 2.0, t, Xstar)[0]
 
     try:
-        phi = _ucp_from_e21(A / 2.0, w / 2.0, t)
+        phi = _ucp_from_e21(A / 2.0, w / 2.0, t, Xstar)
         cond9 = is_cp(phi, t)[0]
     except (RadiusTooLarge, VerificationFailed):
         cond9 = False

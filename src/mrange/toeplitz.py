@@ -8,12 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
+from .ando import _cyclic_reduction
 from .errors import (
     BadShape,
     MomentResidualTooLarge,
     NotPSD,
     NotStrictlyPositive,
-    RootPairingFailed,
     SolverUndetermined,
     verify,
 )
@@ -25,7 +25,6 @@ from .linalg import (
     op_norm,
     psd_check,
     psd_part,
-    shift,
 )
 
 _PRECHECK_GRID = 4096
@@ -41,23 +40,26 @@ class TrigPoly:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 1 or c.size == 0:
-            raise BadShape("TrigPoly needs a 1-D, nonempty coefficient array")
-        if abs(c[0].imag) > 1e-12 * (1.0 + np.abs(c).max()):
-            raise BadShape("a_0 must be real")
-        object.__setattr__(self, "coeffs", c)
+        _store_coeffs(self, "TrigPoly")
 
     @property
     def degree(self):
         return self.coeffs.size - 1
 
     def eval_at_angle(self, theta):
-        lam = np.exp(1j * np.asarray(theta))
-        val = np.full_like(lam, self.coeffs[0].real, dtype=float)
-        for k in range(1, self.coeffs.size):
-            val = val + 2.0 * np.real(self.coeffs[k] * lam ** k)
-        return val
+        powers = np.exp(1j * np.multiply.outer(np.asarray(theta), np.arange(1, self.coeffs.size)))
+        return self.coeffs[0].real + 2.0 * np.real(powers @ self.coeffs[1:])
+
+
+def _store_coeffs(spec, name):
+    """Validate spec.coeffs as one-sided coefficients a_0..a_N with a_0 real,
+    and store them as a complex array."""
+    c = np.asarray(spec.coeffs, dtype=complex)
+    if c.ndim != 1 or c.size == 0:
+        raise BadShape(f"{name} needs a 1-D, nonempty coefficient array")
+    if abs(c[0].imag) > 1e-12 * (1.0 + np.abs(c).max()):
+        raise BadShape("a_0 must be real")
+    object.__setattr__(spec, "coeffs", c)
 
 
 def trig_poly_from_factor(q):
@@ -70,14 +72,63 @@ def trig_poly_from_factor(q):
     return TrigPoly(coeffs=coeffs)
 
 
+def _circle_sums(c, size=_PRECHECK_GRID):
+    """sum_k c_k l^k at the size-th roots of unity l = e^{2 pi i j / size},
+    j = 0..size-1, by one FFT (coefficients beyond size fold onto k mod size)."""
+    folded = np.zeros(-(-c.size // size) * size, dtype=complex)
+    folded[:c.size] = c
+    return np.fft.ifft(folded.reshape(-1, size).sum(axis=0)) * size
+
+
+def _trig_grid(a):
+    """a_0 + 2 Re sum_{k>=1} a_k l^k, the Hermitian polynomial of a, on the
+    _PRECHECK_GRID roots of unity."""
+    return 2.0 * _circle_sums(a).real - a[0].real
+
+
+def _block_toeplitz(Q, n, offset=0):
+    """The n x n block matrix [Q_{i-j-offset}] for a stack Q_0..Q_K of equal
+    square blocks, with Q_{-k} = Q_k* and Q_k = 0 for |k| > K."""
+    K, m = Q.shape[0] - 1, Q.shape[1]
+    # Q_{-K} .. Q_K, then one zero block
+    full = np.concatenate([dagger(Q[:0:-1]), Q, np.zeros((1, m, m), dtype=complex)])
+    k = np.subtract.outer(np.arange(n), np.arange(n)) - offset
+    idx = np.where(np.abs(k) <= K, k + K, 2 * K + 1)
+    return full[idx].transpose(0, 2, 1, 3).reshape(n * m, n * m)
+
+
+def _spectral_factor(Q, t):
+    """Coefficients P_0..P_N (m x m) of an outer P(l) = sum_k l^k P_k with
+    P(l)* P(l) = Q(l) >= 0 on the circle, Q given by Q_0..Q_N (Q_{-k} = Q_k*).
+
+    In blocks of N, [Q_{i-j}] is block tridiagonal with diagonal
+    A0 = [Q_{i-j}] and superdiagonal A1 = [Q_{i-j-N}]. The maximal solution of
+    X + A1 X^{-1} A1* = A0 is L*L for L = [P_{i-j}], so X's last block row is
+    P_0* [P_{N-1}, ..., P_0], and P_0* P_N = Q_N. With P_0* P_0 = U w U*,
+    P_k = w^{-1/2} U* (P_0* P_k), zero in the rows where w is under the
+    rank_rel cutoff, so Q singular on the whole circle factors too.
+    """
+    N, m = Q.shape[0] - 1, Q.shape[1]
+    X, _ = _cyclic_reduction(_block_toeplitz(Q, N), _block_toeplitz(Q, N, N), t, polish=True)
+    w, U = np.linalg.eigh(X[-m:, -m:])
+    keep = w > t.rank_rel * max(w[-1], np.finfo(float).tiny)
+    root = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)[:, None] * dagger(U)
+    last = X[-m:].reshape(m, N, m).transpose(1, 0, 2)[::-1]   # P_0* P_k, k < N
+    return root @ np.concatenate([last, Q[N:]])
+
+
 def fejer_riesz(tau, tol=None):
     """Spectral factor p (lowest-first) with |p|^2 = tau on the circle.
 
-    tau must be strictly positive on a 4096-point grid. The factor collects
-    the roots of z^N tau(z) that lie strictly inside the unit disk; a root
-    within 1e-6 of the circle aborts with RootPairingFailed since the
-    pairing of roots across the circle is then numerically meaningless.
+    tau must be strictly positive on a 4096-point grid. The scalar case of
+    _spectral_factor, on tau / a_0, gives the outer factor, with its roots
+    outside the unit disk; p is its conjugate reversal
+    l^N conj(p(1/conj(l))), which collects the roots inside the disk and has
+    a real positive leading coefficient. It is verified by the exact
+    coefficient identity conv(p, conj(p[::-1])) = tau, to a bound that
+    implies |tau - |p|^2| <= 1e-7 (1 + max tau) on the grid.
     """
+    t = _tol(tol)
     a = np.asarray(tau.coeffs, dtype=complex)
     # trim trailing coefficients so the top coefficient is genuinely nonzero
     cut = 1e-12 * max(np.abs(a).max(), np.finfo(float).tiny)
@@ -85,31 +136,20 @@ def fejer_riesz(tau, tol=None):
     while N > 0 and abs(a[N]) <= cut:
         N -= 1
     a = a[:N + 1]
-    poly = TrigPoly(coeffs=a)
 
-    grid = poly.eval_at_angle(2.0 * np.pi * np.arange(_PRECHECK_GRID) / _PRECHECK_GRID)
+    grid = _trig_grid(a)
     if grid.min() <= 1e-8:
         raise NotStrictlyPositive(f"min over grid {grid.min():.3e} <= 1e-8")
 
     if N == 0:
         return np.array([np.sqrt(a[0].real)], dtype=complex)
 
-    # g(z) = z^N tau(z): coefficients conj(a_N)..conj(a_1), a_0, a_1..a_N
-    g = np.concatenate([np.conj(a[1:][::-1]), a])
-    roots = np.roots(g[::-1])
-    if np.any(np.abs(np.abs(roots) - 1.0) < 1e-6):
-        raise RootPairingFailed("a root lies within 1e-6 of the unit circle")
-    inside = roots[np.abs(roots) < 1.0]
-    if inside.size != N:
-        raise RootPairingFailed(
-            f"expected {N} roots inside the disk, found {inside.size}")
-    c = np.sqrt(abs(a[N] / np.prod(inside)))
-    p = c * np.poly(inside)[::-1]
-
-    lam = np.exp(2j * np.pi * np.arange(_PRECHECK_GRID) / _PRECHECK_GRID)
-    fit = np.abs(np.polyval(p[::-1], lam)) ** 2
-    err = np.abs(grid - fit).max()
-    verify(err <= 1e-7 * (1.0 + grid.max()), f"factorization grid error {err:.3e}")
+    outer = _spectral_factor((a / a[0].real)[:, None, None], t)[:, 0, 0]
+    p = np.sqrt(a[0].real) * np.conj(outer[::-1])
+    # |tau - |p|^2| on the circle is at most |e_0| + 2 sum_{k>=1} |e_k|
+    e = np.abs(np.convolve(p, np.conj(p[::-1]))[N:] - a)
+    err = e[0] + 2.0 * e[1:].sum()
+    verify(err <= 1e-7 * (1.0 + grid.max()), f"factorization coefficient error {err:.3e}")
     return p
 
 
@@ -120,12 +160,7 @@ class ToeplitzSpec:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 1 or c.size == 0:
-            raise BadShape("ToeplitzSpec needs a 1-D, nonempty coefficient array")
-        if abs(c[0].imag) > 1e-12 * (1.0 + np.abs(c).max()):
-            raise BadShape("a_0 must be real")
-        object.__setattr__(self, "coeffs", c)
+        _store_coeffs(self, "ToeplitzSpec")
 
     @property
     def n(self):
@@ -143,9 +178,8 @@ class BlockToeplitzSpec:
         if not mats:
             raise BadShape("need at least one block")
         d = mats[0].shape[0]
-        for B in mats:
-            if B.shape != (d, d):
-                raise BadShape("all blocks must be square of one size")
+        if any(B.shape != (d, d) for B in mats):
+            raise BadShape("all blocks must be square of one size")
         if op_norm(mats[0] - dagger(mats[0])) > 1e-12 * (1.0 + op_norm(mats[0])):
             raise BadShape("A_0 must be Hermitian")
         object.__setattr__(self, "blocks", mats)
@@ -163,22 +197,11 @@ def toeplitz_assemble(spec):
     """Dense matrix a_0 I + sum_k (a_k S^k + conj(a_k) S*^k), blockwise for
     BlockToeplitzSpec."""
     if isinstance(spec, ToeplitzSpec):
-        n = spec.n
-        a = spec.coeffs
-        X = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                X[i, j] = a[i - j] if i >= j else np.conj(a[j - i])
-        X[np.arange(n), np.arange(n)] = a[0].real
-        return X
-    n = spec.n
-    d = spec.block_dim
-    S = shift(n)
-    X = np.kron(np.eye(n), herm_part(spec.blocks[0]))
-    for k in range(1, n):
-        Sk = np.linalg.matrix_power(S, k)
-        X = X + np.kron(Sk, spec.blocks[k]) + np.kron(Sk.T, dagger(spec.blocks[k]))
-    return X
+        Q = spec.coeffs[:, None, None].copy()
+    else:
+        Q = np.array(spec.blocks)
+    Q[0] = herm_part(Q[0])
+    return _block_toeplitz(Q, spec.n)
 
 
 def toeplitz_psd(spec, tol=None):
@@ -202,10 +225,7 @@ class AtomicMeasure:
         phases = np.exp(1j * k * np.asarray(self.nodes))
         if not self.is_block:
             return complex(np.sum(np.asarray(self.weights) * phases))
-        out = 0
-        for ph, G in zip(phases, self.weights):
-            out = out + ph * np.asarray(G)
-        return out
+        return np.tensordot(phases, np.asarray(self.weights), axes=1)
 
 
 def measure_from_toeplitz(spec, grid_size=None, tol=None):
@@ -221,7 +241,10 @@ def measure_from_toeplitz(spec, grid_size=None, tol=None):
     Phi = np.exp(1j * np.outer(np.arange(n), th))
     A = np.vstack([Phi.real, Phi.imag])
     b = np.concatenate([spec.coeffs.real, spec.coeffs.imag])
-    w, _ = nnls(A, b)
+    try:
+        w, _ = nnls(A, b)
+    except RuntimeError as exc:   # scipy's nnls stops on its iteration limit
+        raise MomentResidualTooLarge(f"nonnegative least squares failed: {exc}")
     keep = w > 1e-10
     nodes, weights = th[keep], w[keep]
     mom = np.array([np.sum(weights * np.exp(1j * k * nodes)) for k in range(n)])
@@ -236,15 +259,10 @@ def measure_from_toeplitz(spec, grid_size=None, tol=None):
 def toeplitz_from_measure(mu, n):
     """Coefficients a_k = sum_j w_j e^{i k theta_j} (blockwise for matrix
     weights); the resulting spec is PSD by construction."""
+    moments = [mu.moment(k) for k in range(n)]
     if not mu.is_block:
-        coeffs = np.array([mu.moment(k) for k in range(n)])
-        coeffs[0] = coeffs[0].real
-        return ToeplitzSpec(coeffs=coeffs)
-    blocks = []
-    for k in range(n):
-        blocks.append(as_cmat(mu.moment(k)))
-    blocks[0] = herm_part(blocks[0])
-    return BlockToeplitzSpec(blocks=tuple(blocks))
+        return ToeplitzSpec(coeffs=np.array([moments[0].real] + moments[1:]))
+    return BlockToeplitzSpec(blocks=(herm_part(as_cmat(moments[0])), *moments[1:]))
 
 
 def block_measure_from_toeplitz(spec, grid_size=None, tol=None, max_iter=20000):

@@ -5,6 +5,7 @@ import pytest
 
 import mrange as mr
 from mrange.cli import build_parser, matrix_from_json, matrix_to_json, run
+from mrange.rng import SplitMix64
 
 from helpers import E21
 
@@ -102,6 +103,19 @@ class TestCommands:
         mom = [complex(re, im) for re, im in out["moments"]]
         assert abs(mom[1] - 0.5) <= 1e-6
 
+    def test_toeplitz_measure_failure_is_machine_readable(self, tmp_path, capsys):
+        # moments of 34 atoms on the 256-point grid at n = 32: scipy's nnls
+        # stops on its iteration limit, which must surface as an error object
+        n = 32
+        u = SplitMix64(2).uniforms(2 * (n + 2))
+        nodes = 2 * np.pi * np.floor(8 * n * u[:n + 2]) / (8 * n)
+        coeffs = np.exp(1j * np.outer(np.arange(n), nodes)) @ (u[n + 2:] + 0.1)
+        path = write_json(tmp_path, "spec.json", {
+            "coeffs": [[c.real, c.imag] for c in coeffs]})
+        code, out = run_captured(capsys, ["toeplitz-measure", "--input", path])
+        assert code == 1
+        assert out["error"]["name"] == "MomentResidualTooLarge"
+
     def test_probe(self, tmp_path, capsys):
         path = write_json(tmp_path, "pair.json", {
             "S": matrix_to_json(np.diag([1.0, 0.0])),
@@ -158,6 +172,7 @@ class TestCommands:
         assert code == 0
         assert out["compression_residual"] <= 1e-7
         assert out["isometry_residual"] <= 1e-10
+        assert out["multiplicity"] == 2   # r = dim T
 
     def test_pdcheck(self, tmp_path, capsys):
         blocks = [matrix_to_json(B) for B in mr.halved_power_blocks(2 * E21, 3)]

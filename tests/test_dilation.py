@@ -176,3 +176,44 @@ class TestNilpotentDilation:
         nd = mr.nilpotent_dilation(T, 2)
         assert mr.op_norm(np.conj(nd.V).T @ nd.V - np.eye(3)) <= 1e-10
         assert mr.op_norm(np.conj(nd.V).T @ nd.N @ nd.V - T) <= 1e-8
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [2, 5, 16])
+    def test_orders_and_sizes(self, n, d):
+        # |T| = 0.3 keeps I + 2 Re sum_k l^k T^k >= (1 - 0.86) I up to order 5
+        T = mr.random_matrix(d, d, split(91, 10 * n + d))
+        T *= 0.3 / mr.op_norm(T)
+        nd = mr.nilpotent_dilation(T, n)
+        assert nd.r == d and nd.V.shape == (n * d, d)
+        assert mr.op_norm(np.conj(nd.V).T @ nd.V - np.eye(d)) <= 1e-10
+        P = np.eye(n * d, dtype=complex)
+        for j in range(1, n):
+            P = P @ nd.N
+            assert mr.op_norm(np.conj(nd.V).T @ P @ nd.V
+                              - np.linalg.matrix_power(T, j)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_zero_margin_shift(self, n):
+        # I + 2 Re sum_k l^k S^k is singular on the whole circle; it is
+        # factored lifted by 10 rank_rel, which the compression carries
+        nd = mr.nilpotent_dilation(mr.shift(n), n)
+        assert nd.r == n
+        assert mr.op_norm(np.conj(nd.V).T @ nd.V - np.eye(n)) <= 1e-10
+        assert mr.op_norm(np.conj(nd.V).T @ nd.N @ nd.V - mr.shift(n)) <= 1e-8
+
+    @pytest.mark.parametrize("eps", [-1e-10, -1e-12, 1e-12, 1e-10])
+    def test_next_to_zero_margin(self, eps):
+        # margins within 1e-9 of zero, on both sides
+        for n in (3, 4):
+            T = (1 + eps) * mr.shift(n)
+            nd = mr.nilpotent_dilation(T, n)
+            assert mr.op_norm(np.conj(nd.V).T @ nd.V - np.eye(n)) <= 1e-10
+            assert mr.op_norm(np.conj(nd.V).T @ nd.N @ nd.V - T) <= 1e-8
+
+    def test_no_feasibility_solve(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_feasibility called")
+
+        monkeypatch.setattr(mr.cpmaps, "solve_feasibility", forbidden)
+        nd = mr.nilpotent_dilation(random_with_radius(3, 0.4, 5), 2)
+        assert nd.r == 3

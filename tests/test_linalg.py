@@ -227,3 +227,33 @@ def test_splitmix_stream_is_deterministic():
     b = SplitMix64(123).normals(8)
     np.testing.assert_array_equal(a, b)
     assert split(7, 0) != split(7, 1)
+
+
+def _scalar_splitmix(seed):
+    """The splitmix64 recurrence one draw at a time, in Python integers."""
+    mask, state = (1 << 64) - 1, seed & ((1 << 64) - 1)
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024, 2**64 - 1])
+def test_splitmix_batches_match_the_scalar_recurrence(seed):
+    from mrange.rng import SplitMix64
+
+    ref = _scalar_splitmix(seed)
+    gen = SplitMix64(seed)
+    assert [gen.next_u64() for _ in range(5)] == [next(ref) for _ in range(5)]
+    assert gen.uniform() == (next(ref) >> 11) * 2.0 ** -53
+    # Box-Muller on consecutive pairs; an odd count still uses up the pair
+    for count in (1, 6, 9):
+        expect = []
+        for _ in range((count + 1) // 2):
+            u1 = max((next(ref) >> 11) * 2.0 ** -53, 2.0 ** -53)
+            u2 = (next(ref) >> 11) * 2.0 ** -53
+            r = np.sqrt(-2.0 * np.log(u1))
+            expect += [r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)]
+        np.testing.assert_array_equal(gen.normals(count), expect[:count])

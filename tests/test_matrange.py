@@ -216,6 +216,21 @@ class TestEquivalenceSuite:
         assert len(set(rep.all_conditions())) == 1
         assert calls == {"radius": 1, "decompose": 1}
 
+    def test_extremal_X_twice(self, monkeypatch):
+        # X(T) and X(T*) for the decomposition; the halved LMI and UCP map
+        # take the decomposition's X(T*) instead of solving for it again
+        calls = []
+        extremal = mr.ando._extremal_X
+
+        def counted(A, w, t):
+            calls.append(A)
+            return extremal(A, w, t)
+
+        monkeypatch.setattr(mr.ando, "_extremal_X", counted)
+        rep = mr.equivalence_suite(0.3 * E21 + 0.1 * np.eye(2))
+        assert all(rep.all_conditions())
+        assert len(calls) == 2
+
 
 class TestKnownSetClosure:
     def test_cstar_combinations_stay_inside(self):

@@ -83,6 +83,25 @@ class TestFejerRiesz:
         inside = roots[np.abs(roots) < 1.0]
         assert abs(abs(p[-1]) ** 2 - abs(a[N] / np.prod(inside))) <= 1e-8
 
+    @pytest.mark.parametrize("deg", [48, 64, 96, 128])
+    def test_high_degree_coefficient_identity(self, deg):
+        for seed in range(3):
+            tau = random_trig_poly(deg, split(31, seed))
+            p = mr.fejer_riesz(tau)
+            assert p.size == deg + 1
+            # conv(p, conj(p reversed)) holds the two-sided coefficients of |p|^2
+            err = np.abs(np.convolve(p, np.conj(p[::-1]))[deg:] - tau.coeffs)
+            th = 2 * np.pi * np.arange(4096) / 4096
+            assert err[0] + 2 * err[1:].sum() <= 1e-9 * (1 + tau.eval_at_angle(th).max())
+
+    def test_no_root_finding(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("np.roots called")
+
+        monkeypatch.setattr(np, "roots", forbidden)
+        p = mr.fejer_riesz(random_trig_poly(24, 5))
+        assert p.size == 25
+
 
 class TestToeplitzAssembly:
     def test_identity(self):
