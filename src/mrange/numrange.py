@@ -11,11 +11,18 @@ some eigenvalue of Re p(e^{i theta}) equals r. For the radius that pencil is
 
     [[2r I, -T*], [I, 0]] - z [[T, 0], [0, I]].
 
+Each pencil is solved as a standard eigenproblem by shift-and-invert: its
+eigenvalues are z = z0 + 1 / mu for the eigenvalues mu of
+(P - z0 Q)^{-1} Q, with a fixed z0 off the unit circle. QZ
+(``scipy.linalg.eig(P, Q)``) is only the fallback, for the singular
+pencils of constant eigenvalue branches (T = 0, Jordan blocks, shifts).
+
 Between two consecutive such angles lambda_max - r keeps its sign, so it
 exceeds r somewhere exactly when it does at one of their midpoints.
 Starting from the best of 8 sampled angles, r rises to the best midpoint
-value until no midpoint beats it; that last pencil solve is the check that
-lambda_max <= r on the whole circle. The levels converge quadratically.
+value until no midpoint beats it by more than the rounding floor of 8 ulps
+of r; that last pencil solve is the check that lambda_max <= r on the whole
+circle. The levels converge quadratically.
 """
 
 from dataclasses import dataclass
@@ -33,6 +40,17 @@ from .linalg import _tol, dagger, herm_part, op_norm, require_square
 _UNIMODULAR = 1e-4
 # quadratic convergence ends in under 10 levels on every input tried
 _MAX_LEVELS = 100
+# a midpoint that beats the level by no more than this many ulps of it is a
+# rise at the rounding floor, not a higher basin: the loop stops there
+_FLOOR_ULPS = 8.0
+# shift-and-invert point of the level-set pencils, off the unit circle: a
+# unimodular z gives mu = 1 / (z - z0) with 1 / 2.37 <= |mu| <= 1 / 0.37
+_SHIFT = 1.37 * np.exp(0.7j)
+# eigvals of M = (P - z0 Q)^{-1} Q errs by about eps |M|, so up to this |M|_F
+# a unimodular z is found to about 1e-8; a singular pencil makes P - z0 Q
+# singular and |M|_F about 1e16 (regular ones on 1e-6..1e6 scaled inputs:
+# at most 5e2), and then the pencil goes to QZ
+_SHIFTED_NORM_MAX = 1e8
 
 
 def _support_grid(D, thetas):
@@ -48,21 +66,51 @@ def _support_grid(D, thetas):
     return np.linalg.eigvalsh(stack)[:, -1]
 
 
-def _level_midpoints(D, r):
-    """Midpoints between consecutive angles where an eigenvalue of
-    Re p(e^{i theta}) equals r, or angle 0 when there is no such angle."""
+def _pencil_eigenvalues(P, Q):
+    """Finite eigenvalues of the pencil P - z Q, all those near the unit
+    circle among them.
+
+    They are z = z0 + 1 / mu for the eigenvalues mu of (P - z0 Q)^{-1} Q, one
+    LU solve and one standard eigensolve; an infinite eigenvalue (Q singular)
+    is mu = 0 and is dropped. QZ is only the fallback, for P - z0 Q singular
+    or nearly so, which every singular pencil makes it.
+    """
+    try:
+        M = np.linalg.solve(P - _SHIFT * Q, Q)
+    except np.linalg.LinAlgError:
+        M = None
+    if M is None or not np.linalg.norm(M) <= _SHIFTED_NORM_MAX:
+        z = scipy.linalg.eig(P, Q, right=False)
+        return z[np.isfinite(z)]
+    mu = np.linalg.eigvals(M)
+    # every z with |z| <= 1 + _UNIMODULAR has |z - z0| < |z0| + 2
+    mu = mu[np.abs(mu) * (abs(_SHIFT) + 2.0) > 1.0]
+    return _SHIFT + 1.0 / mu
+
+
+def _level_pencil(D, r):
+    """The 2mn x 2mn first companion pencil (P, Q) of
+    z^m (p(z) + p(z)* - 2r I); its top block row holds the coefficients of
+    z^{2m-1} down to z^0, negated."""
     D = np.reshape(D, (-1,) + np.shape(D)[-2:])
     m, n = D.shape[:2]
-    # first companion pencil of z^m (p(z) + p(z)* - 2r I): its top block row
-    # holds the coefficients of z^{2m-1} down to z^0, negated
     P = np.zeros((2 * m * n, 2 * m * n), dtype=complex)
     P[:n] = np.hstack([-Dk for Dk in D[:-1][::-1]] + [2.0 * r * np.eye(n)]
                       + [-dagger(Dk) for Dk in D])
     P[n:, :-n] = np.eye((2 * m - 1) * n)
     Q = np.eye(2 * m * n, dtype=complex)
     Q[:n, :n] = D[-1]
-    z = scipy.linalg.eig(P, Q, right=False)
-    z = z[np.isfinite(z)]
+    return P, Q
+
+
+def _level_midpoints(D, r):
+    """Midpoints between consecutive angles where an eigenvalue of
+    Re p(e^{i theta}) equals r, or angle 0 when there is no such angle.
+
+    The angles are those of the pencil's eigenvalues within _UNIMODULAR of
+    the unit circle, found by shift-and-invert (``_pencil_eigenvalues``)
+    with QZ only as its fallback."""
+    z = _pencil_eigenvalues(*_level_pencil(D, r))
     th = np.sort(np.angle(z[np.abs(np.abs(z) - 1.0) <= _UNIMODULAR]) % (2.0 * np.pi))
     if th.size == 0:
         return np.zeros(1)
@@ -79,12 +127,16 @@ def _level_set_max(D):
     is attained, for p(z) = sum_k z^k D_k as in ``_support_grid``."""
     thetas = 2.0 * np.pi * np.arange(8) / 8
     vals = _support_grid(D, thetas)
+    i = int(np.argmax(vals))
+    r, angle = float(vals[i]), float(thetas[i])
     for _ in range(_MAX_LEVELS):
-        i = int(np.argmax(vals))
-        r, angle = float(vals[i]), float(thetas[i])
         thetas = _level_midpoints(D, r)
         vals = _support_grid(D, thetas)
-        if vals.max() <= r:
+        i = int(np.argmax(vals))
+        floor = r + _FLOOR_ULPS * np.finfo(float).eps * (1.0 + abs(r))
+        if vals[i] > r:
+            r, angle = float(vals[i]), float(thetas[i])
+        if vals[i] <= floor:
             return r, angle % (2.0 * np.pi)
     raise NoConvergence(f"level set still rising after {_MAX_LEVELS} levels")
 
@@ -104,20 +156,26 @@ def range_boundary(T, K, tol=None):
     """K support points of the numerical range.
 
     For each theta_k = 2 pi k / K, takes a top eigenvector v of
-    Re(e^{-i theta_k} T) and emits <Tv, v>. Every point lies in the
-    numerical range; their convex hull approximates it from inside.
+    Re(e^{-i theta_k} T) = cos(theta_k) Re T + sin(theta_k) Re(-i T) and
+    emits <Tv, v>. Every point lies in the numerical range; their convex hull
+    approximates it from inside. Each top eigenvector is one LAPACK ?heevr
+    call, and the K points come from one product.
     """
     A = require_square(T, "range_boundary")
     if K < 3:
         raise BadShape(f"range_boundary needs K >= 3, got {K}")
-    top = [A.shape[0] - 1] * 2
-    pts = []
-    for k in range(K):
-        theta = 2.0 * np.pi * k / K
-        H = herm_part(np.exp(-1j * theta) * A)
-        v = scipy.linalg.eigh(H, subset_by_index=top, driver="evr")[1][:, 0]
-        pts.append(complex(np.vdot(v, A @ v)))
-    return pts
+    n = A.shape[0]
+    X, Y = herm_part(A), herm_part(-1j * A)
+    heevr = scipy.linalg.get_lapack_funcs("heevr", (X,))
+    V = np.empty((K, n), dtype=complex)
+    for k, theta in enumerate(2.0 * np.pi * np.arange(K) / K):
+        _, v, _, _, info = heevr(np.cos(theta) * X + np.sin(theta) * Y,
+                                 range="I", il=n, iu=n)
+        if info != 0:
+            raise NoConvergence(f"?heevr failed at angle {k} of {K} (info={info})")
+        V[k] = v[:, 0]
+    # row k of V @ A^T is A v_k
+    return np.einsum("ki,ki->k", V.conj(), V @ A.T).tolist()
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,19 @@ def _mix(z):
     return z ^ (z >> 31)
 
 
+# 0-d uint64 operands: numpy applies them faster than uint64 scalars
+_U64 = {k: np.array(k, dtype=np.uint64)
+        for k in (11, 27, 30, 31, _GOLDEN, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)}
+
+
 def _mix_array(z):
-    """_mix elementwise on a uint64 array, whose products wrap mod 2^64."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """_mix elementwise, in place, on a uint64 array (products wrap mod 2^64)."""
+    z ^= z >> _U64[30]
+    z *= _U64[0xBF58476D1CE4E5B9]
+    z ^= z >> _U64[27]
+    z *= _U64[0x94D049BB133111EB]
+    z ^= z >> _U64[31]
+    return z
 
 
 def split(seed, k):
@@ -51,10 +59,10 @@ class SplitMix64:
 
     def _draw(self, count):
         """The next ``count`` outputs, as a uint64 array."""
-        steps = np.arange(1, count + 1, dtype=np.uint64)
-        states = np.uint64(self._state) + np.uint64(_GOLDEN) * steps
-        if count:
-            self._state = int(states[-1])
+        states = np.arange(1, count + 1, dtype=np.uint64)
+        states *= _U64[_GOLDEN]
+        states += np.array(self._state, dtype=np.uint64)
+        self._state = (self._state + count * _GOLDEN) & _MASK
         return _mix_array(states)
 
     def next_u64(self):
@@ -62,27 +70,43 @@ class SplitMix64:
 
     def uniforms(self, count):
         """``count`` uniform doubles in [0, 1)."""
-        return (self._draw(count) >> np.uint64(11)) * 2.0 ** -53
+        z = self._draw(count)
+        z >>= _U64[11]
+        return z * 2.0 ** -53
 
     def uniform(self):
         """Uniform double in [0, 1)."""
         return float(self.uniforms(1)[0])
 
     def _box_muller(self, pairs):
-        """2 ``pairs`` standard normals, two from each pair of uniforms."""
+        """Box-Muller on ``pairs`` pairs of uniforms, as a (2, pairs) array:
+        row 0 holds r cos(angle), row 1 r sin(angle)."""
         u = self.uniforms(2 * pairs)
-        r = np.sqrt(-2.0 * np.log(np.maximum(u[0::2], 2.0 ** -53)))
+        r = np.maximum(u[0::2], 2.0 ** -53)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
         angle = 2.0 * np.pi * u[1::2]
-        return np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1).reshape(-1)
+        out = np.empty((2, pairs))
+        np.cos(angle, out=out[0])
+        np.sin(angle, out=out[1])
+        out *= r
+        return out
 
     def normals(self, count):
         """Array of ``count`` standard normals via Box-Muller."""
-        return self._box_muller((count + 1) // 2)[:count]
+        return self._box_muller((count + 1) // 2).T.reshape(-1)[:count]
 
     def complex_normals(self, count):
-        # normals(count) twice, from one batch of uniforms
-        x, y = self._box_muller(2 * ((count + 1) // 2)).reshape(2, -1)[:, :count]
-        return (x + 1j * y) / np.sqrt(2.0)
+        """(x + iy) / sqrt(2) for x = normals(count) and y = normals(count)
+        drawn next: normal pairs 0..h-1 fill x, pairs h..2h-1 fill y."""
+        h = (count + 1) // 2
+        z = np.empty(2 * h, dtype=complex)
+        # z as floats is indexed [pair, cos / sin, real / imag]
+        polar = self._box_muller(2 * h).reshape(2, 2, h)
+        z.view(float).reshape(h, 2, 2)[...] = polar.transpose(2, 0, 1)
+        z /= np.sqrt(2.0)
+        return z[:count]
 
     def complex_matrix(self, rows, cols):
         return self.complex_normals(rows * cols).reshape(rows, cols)

@@ -4,9 +4,11 @@ values and the brute-force oracles."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import eig as qz
 
 import mrange as mr
-from mrange.numrange import _support_grid
+from mrange.numrange import _level_pencil, _pencil_eigenvalues, _support_grid
 from mrange.rng import split
 
 from helpers import E21, nilpotent_margin_bracket, radius_bruteforce, random_with_radius
@@ -14,6 +16,47 @@ from helpers import E21, nilpotent_margin_bracket, radius_bruteforce, random_wit
 
 def _attained(T, angle):
     return float(_support_grid(T, np.array([angle]))[0])
+
+
+@pytest.fixture
+def qz_calls(monkeypatch):
+    """Records every call of scipy.linalg.eig, the level-set QZ fallback."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return qz(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eig", counted)
+    return calls
+
+
+class TestShiftAndInvert:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_unimodular_eigenvalues_match_qz(self, m, qz_calls):
+        for k in range(4):
+            D = np.array([mr.random_matrix(5, 5, split(900 + m, m * k + j)) for j in range(m)])
+            # the support value at one angle is a level with crossings
+            r = _attained(D, 0.4 + 1.3 * k)
+            P, Q = _level_pencil(D, r)
+            ref = qz(P, Q, right=False)
+            ref = ref[np.abs(np.abs(ref) - 1.0) <= 1e-4]
+            z = _pencil_eigenvalues(P, Q)
+            z = z[np.abs(np.abs(z) - 1.0) <= 1e-4]
+            assert ref.size >= 2 and z.size == ref.size
+            assert np.abs(z[:, None] - ref[None, :]).min(axis=0).max() <= 1e-10
+        assert qz_calls == []
+
+    def test_qz_only_for_singular_pencils(self, qz_calls):
+        mr.num_radius(mr.random_matrix(16, 16, split(910, 0)))
+        assert len(qz_calls) == 0
+        assert mr.num_radius(np.zeros((3, 3))) == 0.0
+        assert len(qz_calls) >= 1
+        # constant support function: every pencil is singular
+        before = len(qz_calls)
+        J = 2.5 * np.exp(0.3j) * mr.shift(5).T
+        assert mr.num_radius(J) == pytest.approx(2.5 * np.cos(np.pi / 6), abs=1e-12)
+        assert len(qz_calls) > before
 
 
 class TestLevelSetRadius:
@@ -31,6 +74,9 @@ class TestLevelSetRadius:
 
     def test_shift_128(self):
         assert mr.num_radius(mr.shift(128)) == pytest.approx(np.cos(np.pi / 129), abs=1e-12)
+
+    def test_shift_256(self):
+        assert mr.num_radius(mr.shift(256)) == pytest.approx(np.cos(np.pi / 257), abs=1e-12)
 
     def test_zero(self):
         for n in (1, 3):

@@ -257,3 +257,14 @@ def test_splitmix_batches_match_the_scalar_recurrence(seed):
             r = np.sqrt(-2.0 * np.log(u1))
             expect += [r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)]
         np.testing.assert_array_equal(gen.normals(count), expect[:count])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("count", [1, 4, 7])
+def test_complex_normals_pair_two_normal_draws(seed, count):
+    from mrange.rng import SplitMix64
+
+    gen = SplitMix64(seed)
+    x, y = gen.normals(count), gen.normals(count)
+    np.testing.assert_array_equal(SplitMix64(seed).complex_normals(count),
+                                  (x + 1j * y) / np.sqrt(2.0))

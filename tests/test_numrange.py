@@ -5,6 +5,7 @@ import textwrap
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,6 +103,21 @@ class TestRangeBoundary:
         pts = mr.range_boundary(np.diag(lam), 100)
         for p in pts:
             assert abs(p) <= 1.0 + 1e-9
+
+    def test_matches_per_angle_eigh_at_64(self):
+        # the one-pass ?heevr scan against one scipy eigh per angle; a top
+        # eigenvector, and so its point, is only defined up to the top gap
+        T = mr.random_matrix(64, 64, split(930, 0))
+        K = 64
+        pts = mr.range_boundary(T, K)
+        simple = 0
+        for k, p in enumerate(pts):
+            H = np.exp(-2j * np.pi * k / K) * T
+            w, V = scipy.linalg.eigh((H + np.conj(H).T) / 2.0)
+            if w[-1] - w[-2] > 1e-2:
+                simple += 1
+                assert p == pytest.approx(np.vdot(V[:, -1], T @ V[:, -1]), abs=1e-12)
+        assert simple >= K // 2
 
 
 class TestRadiusCharacterizations:
