@@ -22,7 +22,7 @@ from functools import cache
 import numpy as np
 
 from . import __version__
-from .errors import BadJson, MrangeError, UnknownCommand
+from .errors import BadJson, BadTolerance, MrangeError, UnknownCommand
 from .linalg import Tolerances, as_cmat, op_norm
 
 COMMANDS = (
@@ -34,11 +34,11 @@ COMMANDS = (
 
 
 def matrix_to_json(M):
-    A = as_cmat(M)
+    A = np.ascontiguousarray(as_cmat(M))
     return {
         "rows": int(A.shape[0]),
         "cols": int(A.shape[1]),
-        "data": [[float(z.real), float(z.imag)] for z in A.reshape(-1)],
+        "data": A.view(float).reshape(-1, 2).tolist(),
     }
 
 
@@ -46,18 +46,18 @@ def matrix_from_json(obj):
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
         data = obj["data"]
-    except (KeyError, TypeError) as exc:
+        count = len(data)
+    except (KeyError, TypeError, ValueError) as exc:
         raise BadJson(f"matrix object needs rows/cols/data: {exc}")
-    if len(data) != rows * cols:
-        raise BadJson(f"data length {len(data)} != rows*cols = {rows * cols}")
+    if min(rows, cols) < 0 or count != rows * cols:
+        raise BadJson(f"{rows} x {cols} matrix with {count} data entries")
     try:
         flat = np.array([complex(re, im) for re, im in data], dtype=complex)
     except (TypeError, ValueError) as exc:
         raise BadJson(f"matrix entries must be [re, im] pairs: {exc}")
-    M = flat.reshape(rows, cols)
-    if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
+    if not np.isfinite(flat).all():
         raise BadJson("matrix entries must be finite")
-    return M
+    return flat.reshape(rows, cols)
 
 
 def complex_from_json(pair):
@@ -85,8 +85,15 @@ def _require_matrix(payload, key="matrix"):
 
 
 def _tolerances(args):
+    """Tolerances from --tol, else from MRANGE_TOL; BadTolerance unless the
+    value is a finite positive number."""
+    eps = args.tol
     base = os.environ.get("MRANGE_TOL")
-    eps = args.tol if args.tol is not None else (float(base) if base else None)
+    if eps is None and base:
+        try:
+            eps = float(base)
+        except ValueError:
+            raise BadTolerance(f"MRANGE_TOL must be a number, got {base!r}") from None
     if eps is None:
         return Tolerances()
     return Tolerances(psd_eps=eps, feas_eps=max(eps, 1e-7))

@@ -109,5 +109,9 @@ class BadJson(MrangeError):
     pass
 
 
+class BadTolerance(MrangeError, ValueError):
+    """A tolerance that is not a finite positive number."""
+
+
 class UnknownCommand(MrangeError):
     pass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import BadShape, NonSquare, NotHermitian, NotPSD
+from .errors import BadShape, BadTolerance, NonSquare, NotHermitian, NotPSD
 from .rng import SplitMix64
 
 
@@ -38,8 +38,10 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("psd_eps", "rank_rel", "fixpoint_eps", "feas_eps", "grid_angles"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"Tolerances.{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (value > 0 and np.isfinite(value)):
+                raise BadTolerance(f"Tolerances.{name} must be finite and strictly positive, "
+                                   f"got {value!r}")
 
 
 DEFAULT_TOL = Tolerances()

@@ -20,7 +20,6 @@ from .errors import (
 from .linalg import (
     _tol,
     dagger,
-    kron,
     op_norm,
     random_isometry,
     random_matrix,
@@ -177,16 +176,18 @@ class ProbeReport:
 def opsys_probe(S, T, n, samples, seed):
     A1 = require_square(S, "opsys_probe")
     A2 = require_square(T, "opsys_probe")
-    gaps = np.empty(samples)
-    I1 = np.eye(A1.shape[0], dtype=complex)
-    I2 = np.eye(A2.shape[0], dtype=complex)
-    for i in range(samples):
-        child = split(seed, i)
-        A = random_matrix(n, n, split(child, 0))
-        B = random_matrix(n, n, split(child, 1))
-        n1 = op_norm(kron(A, I1) + kron(B, A1))
-        n2 = op_norm(kron(A, I2) + kron(B, A2))
-        gaps[i] = abs(n1 - n2)
+    children = [split(seed, i) for i in range(samples)]
+    A = np.array([random_matrix(n, n, split(c, 0)) for c in children]).reshape(samples, n, n)
+    B = np.array([random_matrix(n, n, split(c, 1)) for c in children]).reshape(samples, n, n)
+
+    def norms(M):
+        # kron(A_i, I) + kron(B_i, M) for every sample i, then their operator norms
+        d = M.shape[0]
+        stack = (A[:, :, None, :, None] * np.eye(d)[:, None, :]
+                 + B[:, :, None, :, None] * M[:, None, :])
+        return np.linalg.norm(stack.reshape(samples, n * d, n * d), 2, axis=(1, 2))
+
+    gaps = np.abs(norms(A1) - norms(A2))
     return ProbeReport(samples=samples, max_gap=float(gaps.max() if samples else 0.0),
                        gaps=gaps)
 

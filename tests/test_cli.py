@@ -38,6 +38,25 @@ class TestMatrixJson:
         with pytest.raises(BadJson):
             matrix_from_json({"rows": 2, "cols": 2, "data": [[0.0, 0.0]]})
 
+    @pytest.mark.parametrize("obj", [
+        {"rows": 1, "cols": 1, "data": 5},
+        {"rows": "one", "cols": 1, "data": [[0.0, 0.0]]},
+        {"rows": -1, "cols": -1, "data": [[0.0, 0.0]]},
+        {"rows": 1, "cols": 1, "data": [["0.5", "0"]]},
+        {"rows": 1, "cols": 1, "data": [[0.5, 0.0, 1.0]]},
+        {"rows": 1, "cols": 1, "data": [[None, 0.0]]},
+    ])
+    def test_rejects_malformed(self, obj):
+        from mrange.errors import BadJson
+        with pytest.raises(BadJson):
+            matrix_from_json(obj)
+
+    def test_to_json_matches_the_element_loop(self):
+        # signed zeros, subnormals and a non-contiguous view included
+        M = np.array([[-0.0 + 0.0j, 5e-324 - 0.0j], [1 / 3 + 1e300j, -2.5]]).T
+        expected = [[float(z.real), float(z.imag)] for z in M.reshape(-1)]
+        assert json.dumps(matrix_to_json(M)["data"]) == json.dumps(expected)
+
 
 class TestCommands:
     def test_numrad(self, tmp_path, capsys):
@@ -236,6 +255,23 @@ class TestCommands:
         monkeypatch.setenv("MRANGE_TOL", "1e-4")
         code, loose = run_captured(capsys, ["toeplitz-check", "--input", path])
         assert code == 0 and loose["psd"]
+
+
+class TestBadTolerance:
+    """A --tol or MRANGE_TOL that is not a finite positive number is an
+    error object with exit 1, not a traceback or a solver failure."""
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_flag(self, tmp_path, capsys, value):
+        path = write_json(tmp_path, "t.json", matrix_to_json(np.array([[0.3]])))
+        code, out = run_captured(capsys, ["ando", "--input", path, "--tol", value])
+        assert code == 1 and out["error"]["name"] == "BadTolerance"
+
+    def test_environment(self, tmp_path, capsys, monkeypatch):
+        path = write_json(tmp_path, "t.json", matrix_to_json(np.array([[0.3]])))
+        monkeypatch.setenv("MRANGE_TOL", "abc")
+        code, out = run_captured(capsys, ["ando", "--input", path])
+        assert code == 1 and out["error"]["name"] == "BadTolerance"
 
 
 class TestDeterminism:

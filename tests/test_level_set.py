@@ -8,7 +8,8 @@ import scipy.linalg
 from scipy.linalg import eig as qz
 
 import mrange as mr
-from mrange.numrange import _level_pencil, _pencil_eigenvalues, _support_grid
+from mrange import numrange
+from mrange.numrange import _ascend, _level_pencil, _pencil_eigenvalues, _support_grid
 from mrange.rng import split
 
 from helpers import E21, nilpotent_margin_bracket, radius_bruteforce, random_with_radius
@@ -57,6 +58,87 @@ class TestShiftAndInvert:
         J = 2.5 * np.exp(0.3j) * mr.shift(5).T
         assert mr.num_radius(J) == pytest.approx(2.5 * np.cos(np.pi / 6), abs=1e-12)
         assert len(qz_calls) > before
+
+
+@pytest.fixture
+def pencil_calls(monkeypatch):
+    """Counts the level-set pencil solves."""
+    calls = []
+
+    def counted(P, Q):
+        calls.append(P.shape[0])
+        return _pencil_eigenvalues(P, Q)
+
+    monkeypatch.setattr(numrange, "_pencil_eigenvalues", counted)
+    return calls
+
+
+def _ascent_stack(T):
+    """The (2, n, n) stack [Re T, Re(iT)] that ``_ascend`` climbs on."""
+    T = np.asarray(T, dtype=complex)
+    return np.array([T + T.conj().T, 1j * T - 1j * T.conj().T]) / 2.0
+
+
+class TestNewtonAscent:
+    def test_one_certifying_pencil_solve_per_radius(self, pencil_calls):
+        # each level-set pencil used to climb as well as certify: about 3 solves
+        # per radius on these inputs, now about 1
+        radii = 0
+        for n in (2, 4, 8, 16, 32, 64):
+            for k in range(6):
+                T = mr.random_matrix(n, n, split(2000 + n, k))
+                if k % 2:
+                    T = T.real.astype(complex)
+                w, angle = numrange._radius_and_angle(T, None)
+                assert _attained(T, angle) == pytest.approx(w, abs=1e-12)
+                radii += 1
+        assert len(pencil_calls) / radii <= 1.5
+
+    def test_climbs_only_where_concave(self):
+        # from a start where f is concave the ascent ends at a local maximum;
+        # where f'' > 0 it takes no step and leaves the climb to the pencil
+        concave = 0
+        for k in range(6):
+            T = mr.random_matrix(6, 6, split(2100, k))
+            start = 2.0 * np.pi * np.argmax(_support_grid(T, 2.0 * np.pi * np.arange(8) / 8)) / 8
+            value, angle = _ascend(_ascent_stack(T), start)
+            f = _support_grid(T, start + np.array([-1e-3, 0.0, 1e-3]))
+            if f[0] + f[2] - 2.0 * f[1] < 0.0:
+                concave += 1
+                near = _support_grid(T, angle + np.array([-1e-4, 0.0, 1e-4]))
+                assert value >= f[1] and near.max() <= value + 1e-14
+                assert near[1] == pytest.approx(value, abs=1e-14)
+            else:
+                assert angle == start and value == pytest.approx(f[1], abs=1e-14)
+        assert 0 < concave < 6
+
+    @pytest.mark.parametrize("T, expected", [
+        (np.zeros((3, 3)), 0.0),
+        (0.3 * np.eye(3), 0.3),
+        (mr.shift(4), np.cos(np.pi / 5)),
+        (mr.shift(7), np.cos(np.pi / 8)),
+        (0.7 * mr.shift(6) + 0.2 * np.eye(6), 0.7 * np.cos(np.pi / 7) + 0.2),
+        (np.array([[0.3 - 0.4j]]), 0.5),
+        # lambda_max is double at theta = pi / 4, a kink of the support function
+        (np.diag([1.0, 1j, -1.0, -1j]), 1.0),
+    ])
+    def test_degenerate_inputs(self, T, expected):
+        assert mr.num_radius(T) == pytest.approx(expected, abs=1e-14)
+
+    def test_no_step_at_a_double_top_eigenvalue(self):
+        # at theta = pi / 4 the top eigenvalue cos(pi / 4) is double, so f'' is
+        # undefined: the ascent stays put and leaves the maximum to the pencil
+        value, angle = _ascend(_ascent_stack(np.diag([1.0, 1j, -1.0, -1j])), np.pi / 4)
+        assert angle == np.pi / 4 and value == pytest.approx(np.cos(np.pi / 4), abs=1e-15)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_nilpotent_margins_in_bracket(self, n):
+        for dim in (2, 4, 6):
+            for k in range(2):
+                T = mr.random_matrix(dim, dim, split(2200 + dim, k))
+                T = T * (0.35 / mr.num_radius(T))
+                lower, upper = nilpotent_margin_bracket(T, n)
+                assert lower - 1e-12 <= mr.nilpotent_condition(T, n) <= upper + 1e-10
 
 
 class TestLevelSetRadius:

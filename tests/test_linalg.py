@@ -206,6 +206,14 @@ class TestTolerances:
         with pytest.raises(ValueError):
             mr.Tolerances(grid_angles=-1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_nonfinite(self, value):
+        from mrange.errors import BadTolerance, MrangeError
+        for name in ("psd_eps", "rank_rel", "fixpoint_eps", "feas_eps"):
+            with pytest.raises(BadTolerance) as info:
+                mr.Tolerances(**{name: value})
+            assert isinstance(info.value, ValueError) and isinstance(info.value, MrangeError)
+
     def test_process_default_swap(self):
         original = mr.default_tolerances()
         try:
