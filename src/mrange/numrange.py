@@ -27,6 +27,11 @@ angles to a local maximum r. One pencil solve at r then either certifies
 it, when no midpoint beats r by more than the rounding floor of 8 ulps of
 r, or hands the best midpoint, which lies in a higher basin, to the next
 ascent. A generic radius takes one pencil solve.
+
+The boundary is sampled by Johnson's support points (SIAM J. Numer. Anal.
+15, 1978): <Tv, v> for a top eigenvector v of Re(e^{-i theta} T) at each
+angle. The top end at theta + pi is the bottom end at theta, so an even
+number of angles takes one tridiagonal reduction per antipodal pair.
 """
 
 from dataclasses import dataclass
@@ -219,22 +224,55 @@ def range_boundary(T, K, tol=None):
     For each theta_k = 2 pi k / K, takes a top eigenvector v of
     Re(e^{-i theta_k} T) = cos(theta_k) Re T + sin(theta_k) Re(-i T) and
     emits <Tv, v>. Every point lies in the numerical range; their convex hull
-    approximates it from inside. Each top eigenvector is one LAPACK ?heevr
-    call, and the K points come from one product.
+    approximates it from inside.
+
+    Re(e^{-i(theta + pi)} T) = -Re(e^{-i theta} T), so for even K the top
+    eigenvector at theta_{k + K/2} is the bottom one at theta_k, and the K
+    points need K/2 Hermitian matrices; odd K takes the top end of all K.
+    Each matrix is reduced to real tridiagonal form once (LAPACK ?hetrd),
+    its wanted ends are found by bisection (dstebz) and inverse iteration
+    (dstein), and one ?unmqr applies the reduction's reflectors back to
+    both vectors. The K points then come from one product.
     """
     A = require_square(T, "range_boundary")
     if K < 3:
         raise BadShape(f"range_boundary needs K >= 3, got {K}")
     n = A.shape[0]
-    X, Y = herm_part(A), herm_part(-1j * A)
-    heevr = scipy.linalg.get_lapack_funcs("heevr", (X,))
+    if n == 1:
+        return [complex(A[0, 0])] * K
+    # a power of 2 leaves the eigenvectors bit for bit alone and keeps the
+    # squares bisection takes of the tridiagonal in range
+    scale = np.ldexp(1.0, -int(np.frexp(np.abs(A).max())[1]))
+    X, Y = herm_part(scale * A), herm_part(-1j * scale * A)
+    half, ends = (K // 2, (n, 1)) if K % 2 == 0 else (K, (n,))
+    hetrd, unmqr = scipy.linalg.get_lapack_funcs(("hetrd", "unmqr"), (X,))
+    stebz, stein = scipy.linalg.get_lapack_funcs(("stebz", "stein"), (X.real,))
+    lwork = int(scipy.linalg.get_lapack_funcs("hetrd_lwork", (X,))(n, lower=1)[0].real)
+    iblock = np.zeros(n, dtype=np.int32)
     V = np.empty((K, n), dtype=complex)
-    for k, theta in enumerate(2.0 * np.pi * np.arange(K) / K):
-        _, v, _, _, info = heevr(np.cos(theta) * X + np.sin(theta) * Y,
-                                 range="I", il=n, iu=n)
-        if info != 0:
-            raise NoConvergence(f"?heevr failed at angle {k} of {K} (info={info})")
-        V[k] = v[:, 0]
+    for k, theta in enumerate(2.0 * np.pi * np.arange(half) / K):
+        c, d, e, tau, info = hetrd(np.cos(theta) * X + np.sin(theta) * Y,
+                                   lower=1, lwork=lwork)
+        infos = [info]
+        # (block, eigenvalue, row of V) of each end; dstein wants them
+        # grouped by split-off block and ascending within one
+        found = []
+        for j, i in enumerate(ends):
+            _, w, blocks, isplit, info = stebz(d, e, 2, 0.0, 0.0, i, i, 0.0, "B")
+            found.append((blocks[0], w[0], k + j * half))
+            infos.append(info)
+        found.sort()
+        iblock[:len(found)] = [b for b, _, _ in found]
+        z, info = stein(d, e, [w for _, w, _ in found], iblock, isplit)
+        infos.append(info)
+        # the lower reflectors of ?hetrd are the QR reflectors of c[1:, :n-1]
+        z = z.astype(complex)
+        z[1:], _, info = unmqr("L", "N", c[1:, :-1], tau, z[1:], len(found))
+        infos.append(info)
+        if any(infos):
+            raise NoConvergence(f"tridiagonal eigensolve failed at angle {k} of {K} "
+                                f"(info={infos})")
+        V[[r for _, _, r in found]] = z.T
     # row k of V @ A^T is A v_k
     return np.einsum("ki,ki->k", V.conj(), V @ A.T).tolist()
 
@@ -245,8 +283,9 @@ class RadiusReport:
 
     conditions holds, in order: (1) w(T) <= 1, (2) I + Re(lambda T) PSD on
     the unit circle, (3) Re(lambda T) <= I on the unit circle, (4)
-    Re(z T) <= I on the open unit disk. worst_margin is 1 - w(T), the
-    smallest margin of the four.
+    Re(z T) <= I on the open unit disk. (2) to (4) are one inequality and
+    share one level-set test. worst_margin is 1 - w(T), the smallest margin
+    of the four.
     """
 
     radius: float
@@ -258,24 +297,19 @@ class RadiusReport:
 def radius_characterizations(T, tol=None):
     """Decide the four radius-at-most-one conditions.
 
-    Conditions (2) to (4) each come from their own level-set test at level
-    1 + psd_eps * (1 + |T|). When the radius is not within 1e-6 of the
-    threshold, the four booleans are verified to agree with
-    ``num_radius(T) <= 1``.
+    Conditions (2) to (4) come from one level-set test at level
+    1 + psd_eps * (1 + |T|): lambda -> -lambda maps the circle onto itself,
+    so (2) is (3), and the open-disk condition (4) holds iff its boundary
+    limit (3) does. Condition (1) comes from the radius. When the radius is
+    not within 1e-6 of the threshold, the four booleans are verified to
+    agree with ``num_radius(T) <= 1``.
     """
     t = _tol(tol)
     A = require_square(T, "radius_characterizations")
     radius, angle = _radius_and_angle(A, t)
     level = 1.0 + t.psd_eps * (1.0 + op_norm(A))
-    cond3 = not _exceeds(A, level)
-    # the open-disk condition holds iff its boundary limit (3) does; the
-    # outermost sampled ring |z| = 0.9 is kept as a consistency check
-    conds = (
-        radius <= level,
-        not _exceeds(-A, level),
-        cond3,
-        cond3 and not _exceeds(0.9 * A, level),
-    )
+    on_circle = not _exceeds(A, level)
+    conds = (radius <= level, on_circle, on_circle, on_circle)
     if abs(radius - 1.0) > 1e-6:
         expected = radius <= 1.0
         verify(all(c == expected for c in conds),

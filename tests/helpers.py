@@ -26,6 +26,18 @@ def radius_bruteforce(T, seed=0, vectors=200_000, angles=20_000):
     return max(vec_best, grid_best)
 
 
+def support_residual(T, points):
+    """max_k |Re(e^{-i theta_k} p_k) - lambda_max(Re(e^{-i theta_k} T))| over
+    theta_k = 2 pi k / K, K = len(points): how far each point falls from the
+    support line at its angle, from one batched eigensolve."""
+    T = np.asarray(T, dtype=complex)
+    K = len(points)
+    phases = np.exp(-2j * np.pi * np.arange(K) / K)
+    stack = phases[:, None, None] * T[None, :, :]
+    tops = np.linalg.eigvalsh((stack + np.conj(np.swapaxes(stack, 1, 2))) / 2.0)[:, -1]
+    return float(np.abs((phases * np.asarray(points)).real - tops).max())
+
+
 def nilpotent_margin_bracket(T, n, angles=20_000):
     """[lower, upper] around min over the circle of
     lambda_min(I + 2 Re sum_{k=1}^{n-1} l^k T^k) from a dense angle grid.

@@ -7,7 +7,7 @@ import mrange as mr
 from mrange.cli import build_parser, matrix_from_json, matrix_to_json, run
 from mrange.rng import SplitMix64
 
-from helpers import E21
+from helpers import E21, support_residual
 
 
 def write_json(tmp_path, name, obj):
@@ -167,6 +167,20 @@ class TestCommands:
         assert code == 0
         mods = [abs(complex(re, im)) for re, im in out["points"]]
         assert max(mods) <= 0.5 + 1e-9
+
+    @pytest.mark.parametrize("count", [7, 8])
+    def test_boundary_support_points(self, tmp_path, capsys, count):
+        T = mr.random_matrix(5, 5, 950)
+        path = write_json(tmp_path, "t.json", matrix_to_json(T))
+        argv = ["boundary", "--input", path, "--count", str(count)]
+        outs = []
+        for _ in range(2):
+            assert run(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        pts = [complex(re, im) for re, im in json.loads(outs[0])["points"]]
+        assert len(pts) == count
+        assert support_residual(T, pts) <= 1e-13 * (1.0 + np.linalg.norm(T, 2))
 
     def test_dilate2(self, tmp_path, capsys):
         path = write_json(tmp_path, "t.json", matrix_to_json(2 * E21))

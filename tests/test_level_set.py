@@ -209,6 +209,17 @@ class TestCharacterizationsByLevelSet:
         assert rep.conditions == (False, False, False, False)
         assert rep.worst_margin == pytest.approx(1.0 - 1.0 / 0.9, abs=1e-8)
 
+    def test_one_level_solve_beyond_the_radius(self, pencil_calls):
+        # conditions (2) to (4) share one level-set test
+        for n in (2, 4, 16):
+            for target in (0.8, 1.2):
+                T = random_with_radius(n, target, split(960, n))
+                pencil_calls.clear()
+                mr.num_radius(T)
+                radius_solves = len(pencil_calls)
+                mr.radius_characterizations(T)
+                assert len(pencil_calls) - radius_solves == radius_solves + 1
+
 
 def _margins_at(T, n, thetas):
     """lambda_min(I + 2 Re sum_{k<n} l^k T^k) at the given angles."""

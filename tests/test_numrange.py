@@ -13,7 +13,7 @@ import mrange as mr
 from mrange.errors import NonSquare
 from mrange.rng import split
 
-from helpers import E21, radius_bruteforce, random_with_radius
+from helpers import E21, radius_bruteforce, random_with_radius, support_residual
 
 
 class TestNumRadius:
@@ -118,6 +118,74 @@ class TestRangeBoundary:
                 simple += 1
                 assert p == pytest.approx(np.vdot(V[:, -1], T @ V[:, -1]), abs=1e-12)
         assert simple >= K // 2
+
+
+# split tridiagonals: a normal matrix and a direct sum of E21 blocks with
+# multiple eigenvalues, where the bottom end's block can follow the top end's
+_BOUNDARY_INPUTS = {
+    "random5": mr.random_matrix(5, 5, split(940, 0)),
+    "diag4": np.diag([1.0, 1j, -1.0, -1j]),
+    "e21_sum": np.kron(np.eye(3), E21) + np.diag([0, 0, 0.5, 0.5, -0.3j, -0.3j]),
+    "n1": np.array([[0.3 - 0.7j]]),
+    "n2": mr.random_matrix(2, 2, split(940, 1)),
+    "zero": np.zeros((3, 3), dtype=complex),
+    "identity": np.eye(3, dtype=complex),
+    "tiny": 1e-150 * mr.random_matrix(6, 6, split(940, 2)),
+    "huge": 1e150 * mr.random_matrix(6, 6, split(940, 2)),
+}
+
+
+@pytest.fixture
+def hetrd_calls(monkeypatch):
+    """Counts the ?hetrd reductions made through the LAPACK handles the
+    module looks up."""
+    calls = []
+    lookup = scipy.linalg.get_lapack_funcs
+
+    def counted(f):
+        def call(*args, **kwargs):
+            calls.append(1)
+            return f(*args, **kwargs)
+        return call
+
+    def counted_lookup(names, *args, **kwargs):
+        found = lookup(names, *args, **kwargs)
+        if isinstance(names, str):
+            return counted(found) if names == "hetrd" else found
+        return [counted(f) if name == "hetrd" else f for name, f in zip(names, found)]
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counted_lookup)
+    return calls
+
+
+class TestBoundaryByAntipodalPairs:
+    @pytest.mark.parametrize("K", [3, 4, 7, 255, 256])
+    @pytest.mark.parametrize("name", sorted(_BOUNDARY_INPUTS))
+    def test_points_on_support_lines(self, name, K):
+        T = _BOUNDARY_INPUTS[name]
+        pts = mr.range_boundary(T, K)
+        assert len(pts) == K
+        scale = 1.0 + np.linalg.norm(T, 2)
+        assert support_residual(T, pts) <= 1e-13 * scale
+        assert np.abs(pts).max() <= mr.num_radius(T) + 1e-12 * scale
+
+    @pytest.mark.parametrize("K", [3, 4, 7, 255, 256])
+    def test_one_reduction_per_antipodal_pair(self, hetrd_calls, K):
+        mr.range_boundary(mr.random_matrix(8, 8, split(941, K)), K)
+        assert len(hetrd_calls) == (K // 2 if K % 2 == 0 else K)
+
+    @pytest.mark.parametrize("exponent", [-990, 990])
+    def test_scaling_by_a_power_of_two_is_exact(self, exponent):
+        # the points scale with T bit for bit, out to where the tridiagonal's
+        # squares would leave the floating-point range unscaled
+        T = mr.random_matrix(6, 6, split(940, 3))
+        for K in (7, 8):
+            scaled = mr.range_boundary(T * 2.0 ** exponent, K)
+            assert scaled == [p * 2.0 ** exponent for p in mr.range_boundary(T, K)]
+
+    def test_scalar_needs_no_reduction(self, hetrd_calls):
+        assert mr.range_boundary(np.array([[2.0 - 1j]]), 6) == [2.0 - 1j] * 6
+        assert hetrd_calls == []
 
 
 class TestRadiusCharacterizations:
