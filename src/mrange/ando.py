@@ -35,17 +35,15 @@ from scipy.linalg import lapack
 
 from .errors import NoConvergence, RadiusTooLarge, RangeViolation, verify
 from .linalg import (
+    _defect_roots,
+    _sqrt_eigenvalues,
     _tol,
     dagger,
-    herm_eig,
     herm_part,
     op_norm,
     pinv,
-    pinv_sqrt_psd,
     psd_check,
-    range_projector,
     require_square,
-    sqrt_psd,
 )
 from .numrange import num_radius
 
@@ -127,11 +125,12 @@ def ando_X(T, tol=None):
     """
     t = _tol(tol)
     A = require_square(T, "ando_X")
-    return _extremal_X(A, num_radius(A, t), t)
+    return _extremal_X(A, num_radius(A, t), t)[:2]
 
 
 def _extremal_X(A, w, t):
-    """ando_X for a square A whose numerical radius w is already known."""
+    """ando_X for a square A whose numerical radius w is already known; also
+    returns X's eigendecomposition (x, U) and the LMI's min eigenvalue."""
     if w > 1.0 + 1e-9:
         raise RadiusTooLarge(f"numerical radius {w:.12f} exceeds 1")
     I = np.eye(A.shape[0], dtype=complex)
@@ -142,16 +141,17 @@ def _extremal_X(A, w, t):
             raise RadiusTooLarge(f"numerical radius {w:.12f} exceeds 1: {exc}")
         raise
 
-    if op_norm((I - X @ pinv(X, t)) @ A) > 1e-6:
+    x, U = np.linalg.eigh(X)
+    # I - X X^+ projects onto the eigenvectors pinv would drop
+    kernel = U[:, np.abs(x) <= t.rank_rel * np.abs(x).max(initial=0.0)]
+    if op_norm(dagger(kernel) @ A) > 1e-6:
         raise RangeViolation("X no longer covers the range of T")
-    scale = 1.0 + op_norm(A)
-    lmi = np.block([[I - X, dagger(A) / 2.0], [A / 2.0, X]])
-    ok, min_eig = psd_check(lmi, t)
+    ok, min_eig = psd_check(np.block([[I - X, dagger(A) / 2.0], [A / 2.0, X]]), t)
     if not ok:
         raise NoConvergence(f"limit violates the defining LMI (min eig {min_eig:.3e})")
-    if float(np.linalg.eigvalsh(X)[-1]) > 1.0 + t.psd_eps * scale:
+    if float(x[-1]) > 1.0 + t.psd_eps * (1.0 + op_norm(A)):
         raise NoConvergence("limit exceeds the identity")
-    return X, k
+    return X, k, (x, U), min_eig
 
 
 @dataclass(frozen=True)
@@ -183,33 +183,46 @@ def ando_decompose(T, tol=None):
     return _ando_decompose(A, num_radius(A, t), t)
 
 
+def _pinv_sqrt(w, t):
+    """1 / sqrt(w) where w > rank_rel * max|w|, else 0: the eigenvalues of
+    the pseudo-inverse square root of a PSD operator with eigenvalues w."""
+    keep = w > t.rank_rel * max(np.abs(w).max(initial=0.0), np.finfo(float).tiny)
+    return np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
+
+
 def _ando_decompose(A, w, t):
-    """ando_decompose for a square A whose numerical radius w is already known."""
+    """ando_decompose for a square A whose numerical radius w is already known.
+
+    Every operator of the factorization is a function of X, taken from the
+    one eigendecomposition X = U diag(x) U* that _extremal_X checked."""
     I = np.eye(A.shape[0], dtype=complex)
-    X, iters = _extremal_X(A, w, t)   # w(T*) = w(T)
-    Xstar, iters2 = _extremal_X(dagger(A), w, t)
+    X, iters, (x, U), lmi_min = _extremal_X(A, w, t)   # w(T*) = w(T)
+    Xstar, iters2, _, _ = _extremal_X(dagger(A), w, t)
     Y_max = 2.0 * X - I
     Y_min = -(2.0 * Xstar - I)
 
-    sq_x_inv = pinv_sqrt_psd(X, t)
-    sq_ix_inv = pinv_sqrt_psd(I - X, t)
-    Z = range_projector(X, t) @ (sq_x_inv @ (A / 2.0) @ sq_ix_inv) @ range_projector(I - X, t)
-    C = Z @ sqrt_psd(I - X, t)
+    def of_X(fx):
+        """f(X) for the eigenvalues fx = f(x)."""
+        return (U * fx) @ dagger(U)
 
-    rec_y = op_norm(sqrt_psd(I + Y_max, t) @ Z @ sqrt_psd(I - Y_max, t) - A)
-    rec_c = op_norm(2.0 * sqrt_psd(I - dagger(C) @ C, t) @ C - A)
+    # X^{+1/2} and (I - X)^{+1/2} vanish off range(X) and range(I - X), so
+    # Z maps range(I - X) into range(X) as it is
+    inv_sq_ix = _pinv_sqrt(1.0 - x, t)
+    Z = of_X(_pinv_sqrt(x, t)) @ (A / 2.0) @ of_X(inv_sq_ix)
+    C = Z @ of_X(_sqrt_eigenvalues(1.0 - x, t.psd_eps))
+
+    # I + Y_max = 2X and I - Y_max = 2(I - X)
+    rec_y = op_norm(of_X(_sqrt_eigenvalues(2.0 * x, t.psd_eps)) @ Z
+                    @ of_X(_sqrt_eigenvalues(2.0 * (1.0 - x), t.psd_eps)) - A)
+    rec_c = op_norm(2.0 * _defect_roots(C, t.psd_eps)[1] @ C - A)
     fixres = op_norm(_fixpoint_defect(I, dagger(A) / 2.0, X, t))
-    lmi_min = psd_check(np.block([[I - X, dagger(A) / 2.0], [A / 2.0, X]]), t)[1]
     ymin_gap = float(np.linalg.eigvalsh(Y_max - Y_min)[0])
 
-    # Z is isometric on range(I - Y_max): check on an eigenbasis of that range
-    IY = I - Y_max
-    eig = herm_eig(IY)
-    w = eig.eigenvalues
-    IYv = IY @ eig.eigenvectors[:, w > t.rank_rel * max(np.abs(w).max(initial=0.0),
-                                                        np.finfo(float).tiny)]
-    iso_defect = float(np.abs(np.linalg.norm(Z @ IYv, axis=0)
-                              - np.linalg.norm(IYv, axis=0)).max(initial=0.0))
+    # Z is isometric on range(I - Y_max): | |Z v| - |v| | on its eigenvectors
+    # v = 2(1 - x_j) u_j
+    on = inv_sq_ix > 0.0
+    iso_defect = float((2.0 * (1.0 - x[on]) * np.abs(np.linalg.norm(Z @ U[:, on], axis=0)
+                                                     - 1.0)).max(initial=0.0))
 
     scale = 1.0 + op_norm(A)
     z_norm = op_norm(Z)
@@ -249,7 +262,7 @@ def _radius_lmi(M, w, t, A=None):
     if w > 0.5 + t.psd_eps:
         return False, None
     if A is None:
-        A, _ = _extremal_X(dagger(2.0 * M), 2.0 * w, t)
+        A = _extremal_X(dagger(2.0 * M), 2.0 * w, t)[0]
     block = np.block([[A, dagger(M)], [M, np.eye(M.shape[0]) - A]])
     ok, min_eig = psd_check(block, t)
     verify(ok, f"radius LMI block not PSD (min eig {min_eig:.3e})")

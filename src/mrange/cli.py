@@ -76,12 +76,21 @@ def _load_input(path):
         raise BadJson(f"cannot read input JSON: {exc}")
 
 
+def _field(payload, key, convert, many=False):
+    """convert(payload[key]), or with ``many`` convert of each of its items;
+    BadJson when the input has no such field or it does not convert."""
+    if not isinstance(payload, dict) or key not in payload:
+        raise BadJson(f"input must carry a '{key}' field")
+    try:
+        return [convert(v) for v in payload[key]] if many else convert(payload[key])
+    except (TypeError, ValueError, IndexError) as exc:
+        raise BadJson(f"malformed '{key}' field: {exc}")
+
+
 def _require_matrix(payload, key="matrix"):
     if isinstance(payload, dict) and "rows" in payload and "data" in payload:
         return matrix_from_json(payload)
-    if isinstance(payload, dict) and key in payload:
-        return matrix_from_json(payload[key])
-    raise BadJson(f"input must be a matrix object or carry a '{key}' field")
+    return _field(payload, key, matrix_from_json)
 
 
 def _tolerances(args):
@@ -200,7 +209,7 @@ def _run_command(cmd, args):
         }, 0 if ok else 2
 
     if cmd == "pdcheck":
-        blocks = [matrix_from_json(b) for b in payload["blocks"]]
+        blocks = _field(payload, "blocks", matrix_from_json, many=True)
         ok, min_eig = dilation.pd_function_check(blocks, tol)
         return {"positive_definite": ok, "min_eig": min_eig}, 0 if ok else 2
 
@@ -228,7 +237,7 @@ def _run_command(cmd, args):
         }, 0
 
     if cmd == "fejer-riesz":
-        coeffs = np.array([complex_from_json(c) for c in payload["coeffs"]])
+        coeffs = np.array(_field(payload, "coeffs", complex_from_json, many=True))
         poly = toeplitz.TrigPoly(coeffs=coeffs)
         p = toeplitz.fejer_riesz(poly, tol)
         # |tau - |p|^2| on fejer_riesz's 4096-point precheck grid
@@ -274,7 +283,7 @@ def _run_command(cmd, args):
         elif args.target_set == "shift":
             verdict = matrange.member_shift_ball(X, args.nodes, tol)
         else:
-            spectrum = [complex_from_json(z) for z in payload["spectrum"]]
+            spectrum = _field(payload, "spectrum", complex_from_json, many=True)
             verdict = matrange.member_normal(spectrum, X, tol)
         return {
             "set": args.target_set,
@@ -304,8 +313,8 @@ def _run_command(cmd, args):
         }, 0
 
     if cmd == "probe":
-        S = matrix_from_json(payload["S"])
-        T = matrix_from_json(payload["T"])
+        S = _field(payload, "S", matrix_from_json)
+        T = _field(payload, "T", matrix_from_json)
         rep = matrange.opsys_probe(S, T, args.order, args.count, args.seed)
         return {"samples": rep.samples, "max_gap": rep.max_gap}, 0
 
@@ -325,12 +334,10 @@ def _run_command(cmd, args):
 def _toeplitz_spec(payload):
     from .toeplitz import BlockToeplitzSpec, ToeplitzSpec
 
-    if "coeffs" in payload:
-        return ToeplitzSpec(coeffs=np.array(
-            [complex_from_json(c) for c in payload["coeffs"]]))
-    if "blocks" in payload:
-        return BlockToeplitzSpec(blocks=tuple(
-            matrix_from_json(b) for b in payload["blocks"]))
+    if isinstance(payload, dict) and "coeffs" in payload:
+        return ToeplitzSpec(coeffs=np.array(_field(payload, "coeffs", complex_from_json, True)))
+    if isinstance(payload, dict) and "blocks" in payload:
+        return BlockToeplitzSpec(blocks=tuple(_field(payload, "blocks", matrix_from_json, True)))
     raise BadJson("Toeplitz input needs 'coeffs' or 'blocks'")
 
 

@@ -13,7 +13,7 @@
   polynomial (:mod:`mrange.toeplitz`), with multiplicity r = dim T.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,19 +25,22 @@ from .errors import (
     verify,
 )
 from .linalg import (
+    _defect_roots,
     _tol,
     as_cmat,
     dagger,
-    herm_part,
     kron,
     op_norm,
     psd_check,
     require_square,
     shift,
-    sqrt_psd,
 )
 from .numrange import _level_set_max
 from .toeplitz import _block_toeplitz, _spectral_factor
+
+# least PSD slack of the defect operators' eigenvalues 1 - s^2: rounding can
+# push them marginally negative for near-extreme contractions
+_DEFECT_EPS = 1e-8
 
 
 def halmos_unitary(C, tol=None):
@@ -46,20 +49,11 @@ def halmos_unitary(C, tol=None):
     A = require_square(C, "halmos_unitary")
     if op_norm(A) > 1.0 + 1e-9:
         raise NotContraction(f"operator norm {op_norm(A):.12f} exceeds 1")
-    d = A.shape[0]
-    I = np.eye(d, dtype=complex)
-    # clip the defect operators: rounding can push I - C*C marginally negative
-    top = sqrt_psd(herm_part(I - A @ dagger(A)), _clipping(t))
-    bot = sqrt_psd(herm_part(I - dagger(A) @ A), _clipping(t))
+    top, bot = _defect_roots(A, max(t.psd_eps, _DEFECT_EPS))
     U0 = np.block([[A, top], [bot, -dagger(A)]])
-    defect = op_norm(dagger(U0) @ U0 - np.eye(2 * d))
+    defect = op_norm(dagger(U0) @ U0 - np.eye(2 * A.shape[0]))
     verify(defect <= 1e-8, f"Halmos block not unitary (defect {defect:.3e})")
     return U0
-
-
-def _clipping(t):
-    # widen the PSD acceptance for defect operators of near-extreme contractions
-    return replace(t, psd_eps=max(t.psd_eps, 1e-8))
 
 
 @dataclass(frozen=True)
@@ -111,8 +105,7 @@ def _two_dilation(A, C, M, t):
         raise WindowTooSmall(f"window M >= 4 required, got {M}")
     d = A.shape[0]
     I = np.eye(d, dtype=complex)
-    DC = sqrt_psd(herm_part(I - dagger(C) @ C), _clipping(t))    # (I-C*C)^{1/2}
-    DCs = sqrt_psd(herm_part(I - C @ dagger(C)), _clipping(t))   # (I-CC*)^{1/2}
+    DCs, DC = _defect_roots(C, max(t.psd_eps, _DEFECT_EPS))   # (I-CC*)^{1/2}, (I-C*C)^{1/2}
 
     blocks = {(k, k - 1): I.copy() for k in range(1 - M, M + 1) if abs(k) >= 2}
     blocks[(1, 0)] = DC

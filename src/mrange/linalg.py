@@ -123,16 +123,32 @@ def herm_eig(H, tol=None):
     return EigResult(eigenvalues=w, eigenvectors=V)
 
 
-def _psd_verdict(w, t):
-    """(is_psd, min_eig) for ascending eigenvalues w."""
-    min_eig = float(w[0]) if w.size else 0.0
-    scale = 1.0 + (float(np.abs(w).max()) if w.size else 0.0)
-    return bool(min_eig >= -t.psd_eps * scale), min_eig
+def _psd_verdict(w, eps):
+    """(is_psd, min_eig) for eigenvalues w, with the slack -eps * (1 + max|w|)."""
+    min_eig = float(w.min()) if w.size else 0.0
+    return bool(min_eig >= -eps * (1.0 + float(np.abs(w).max(initial=0.0)))), min_eig
+
+
+def _sqrt_eigenvalues(w, eps):
+    """Square roots of the eigenvalues w of a PSD operator, those within
+    -eps * (1 + max|w|) of zero clipped to 0; NotPSD below that."""
+    ok, min_eig = _psd_verdict(w, eps)
+    if not ok:
+        raise NotPSD(f"min eigenvalue {min_eig:.3e} below PSD tolerance")
+    return np.sqrt(np.clip(w, 0.0, None))
+
+
+def _defect_roots(C, eps):
+    """(I - CC*)^{1/2} and (I - C*C)^{1/2} from one SVD C = W diag(s) Vh:
+    both have the eigenvalues 1 - s^2, checked with slack eps."""
+    W, s, Vh = np.linalg.svd(C)
+    r = _sqrt_eigenvalues((1.0 - s) * (1.0 + s), eps)
+    return (W * r) @ dagger(W), (dagger(Vh) * r) @ Vh
 
 
 def psd_check(H, tol=None):
     """(is_psd, min_eig) with the relative threshold -psd_eps*(1+|H|)."""
-    return _psd_verdict(herm_eig(H).eigenvalues, _tol(tol))
+    return _psd_verdict(herm_eig(H).eigenvalues, _tol(tol).psd_eps)
 
 
 def psd_part(H):
@@ -158,37 +174,8 @@ def pinv(M, tol=None):
 def sqrt_psd(H, tol=None):
     """PSD square root; eigenvalues within -psd_eps of zero are clipped to 0."""
     eig = herm_eig(H)
-    ok, min_eig = _psd_verdict(eig.eigenvalues, _tol(tol))
-    if not ok:
-        raise NotPSD(f"min eigenvalue {min_eig:.3e} below PSD tolerance")
-    w = np.clip(eig.eigenvalues, 0.0, None)
     V = eig.eigenvectors
-    return (V * np.sqrt(w)) @ dagger(V)
-
-
-def pinv_sqrt_psd(H, tol=None):
-    """Pseudo-inverse of the PSD square root (eigenvalues below
-    rank_rel * max treated as zero)."""
-    t = _tol(tol)
-    eig = herm_eig(H)
-    w = eig.eigenvalues
-    top = float(np.abs(w).max()) if w.size else 0.0
-    keep = w > t.rank_rel * max(top, np.finfo(float).tiny)
-    inv = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
-    V = eig.eigenvectors
-    return (V * inv) @ dagger(V)
-
-
-def range_projector(H, tol=None):
-    """Orthogonal projector onto the numerical range (column space) of a
-    Hermitian matrix, using the rank_rel eigenvalue cutoff."""
-    t = _tol(tol)
-    eig = herm_eig(H)
-    w = eig.eigenvalues
-    top = float(np.abs(w).max()) if w.size else 0.0
-    keep = np.abs(w) > t.rank_rel * max(top, np.finfo(float).tiny)
-    V = eig.eigenvectors[:, keep]
-    return V @ dagger(V)
+    return (V * _sqrt_eigenvalues(eig.eigenvalues, _tol(tol).psd_eps)) @ dagger(V)
 
 
 def kron(A, B):

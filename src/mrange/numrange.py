@@ -127,9 +127,17 @@ def _level_midpoints(D, r):
     return (th + np.append(th[1:], th[0] + 2.0 * np.pi)) / 2.0
 
 
+def _pow2_scale(M):
+    """A power of 2 near 1 / max|M| (1 for M = 0): scaling by it is exact,
+    keeps eigenvectors bit for bit and products of entries in range."""
+    return float(np.ldexp(1.0, min(-int(np.frexp(np.abs(M).max(initial=0.0))[1]), 1023)))
+
+
 def _exceeds(A, level):
     """Whether lambda_max(Re(e^{i theta} A)) > level for some theta."""
-    return bool(_support_grid(A, _level_midpoints(A, level)).max() > level)
+    s = _pow2_scale(A)
+    B, level = s * A, s * level
+    return bool(_support_grid(B, _level_midpoints(B, level)).max() > level)
 
 
 def _floor(r):
@@ -189,8 +197,10 @@ def _level_set_max(D):
 
     A Newton ascent (``_ascend``) climbs from the best of 8 sampled angles,
     and again from the best midpoint of any level that one beats, so each
-    pencil solve mostly just certifies the top already reached."""
-    D = np.reshape(D, (-1,) + np.shape(D)[-2:])
+    pencil solve mostly just certifies the top already reached. It works on
+    D scaled by _pow2_scale: the rounding floor is relative to |D|."""
+    scale = _pow2_scale(D)
+    D = scale * np.reshape(D, (-1,) + np.shape(D)[-2:])
     AB = np.stack([herm_part(D), herm_part(1j * D)], axis=1).reshape((-1,) + D.shape[1:])
     thetas = 2.0 * np.pi * np.arange(8) / 8
     vals = _support_grid(D, thetas)
@@ -203,7 +213,7 @@ def _level_set_max(D):
         if vals[i] <= r + _floor(r):
             if vals[i] > r:
                 r, angle = float(vals[i]), float(thetas[i])
-            return r, angle % (2.0 * np.pi)
+            return r / scale, angle % (2.0 * np.pi)
     raise NoConvergence(f"level set still rising after {_MAX_LEVELS} levels")
 
 
@@ -240,9 +250,8 @@ def range_boundary(T, K, tol=None):
     n = A.shape[0]
     if n == 1:
         return [complex(A[0, 0])] * K
-    # a power of 2 leaves the eigenvectors bit for bit alone and keeps the
-    # squares bisection takes of the tridiagonal in range
-    scale = np.ldexp(1.0, -int(np.frexp(np.abs(A).max())[1]))
+    # bisection takes squares of the tridiagonal's entries
+    scale = _pow2_scale(A)
     X, Y = herm_part(scale * A), herm_part(-1j * scale * A)
     half, ends = (K // 2, (n, 1)) if K % 2 == 0 else (K, (n,))
     hetrd, unmqr = scipy.linalg.get_lapack_funcs(("hetrd", "unmqr"), (X,))

@@ -87,4 +87,52 @@ def random_ucp_map(n, m, seed):
     return mr.map_from_choi(mr.ChoiMat(n=n, m=m, block=C))
 
 
+def _psd_function(H, f, rank_rel=1e-10):
+    """f applied to the eigenvalues of the Hermitian part of H, its own eigh."""
+    w, V = np.linalg.eigh((H + np.conj(H).T) / 2)
+    keep = np.abs(w) > rank_rel * max(np.abs(w).max(), np.finfo(float).tiny)
+    return (V * f(w, keep)) @ np.conj(V).T
+
+
+def _sqrt(w, keep):
+    return np.sqrt(np.clip(w, 0.0, None))
+
+
+def _pinv_sqrt(w, keep):
+    keep = keep & (w > 0)
+    return np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
+
+
+def _projector(w, keep):
+    return keep.astype(float)
+
+
+def ando_reference(T, X):
+    """Z and C of Ando's factorization for T and its extremal X, each
+    operator from an eigendecomposition of its own:
+    Z = P_X X^{+1/2} (T/2) (I - X)^{+1/2} P_{I-X} and C = Z (I - X)^{1/2},
+    with range projectors P and the 1e-10 rank cutoff."""
+    T = np.asarray(T, dtype=complex)
+    IX = np.eye(T.shape[0]) - X
+    Z = (_psd_function(X, _projector) @ _psd_function(X, _pinv_sqrt) @ (T / 2)
+         @ _psd_function(IX, _pinv_sqrt) @ _psd_function(IX, _projector))
+    return Z, Z @ _psd_function(IX, _sqrt)
+
+
+def two_dilation_reference(C, M):
+    """The dense banded unitary of the two-dilation on the window -M..M for
+    a given C, with (I - C*C)^{1/2} and (I - CC*)^{1/2} from an eigh each."""
+    d = C.shape[0]
+    I = np.eye(d)
+    Cs = np.conj(C).T
+    DC, DCs = _psd_function(I - Cs @ C, _sqrt), _psd_function(I - C @ Cs, _sqrt)
+    blocks = {(k, k - 1): I for k in range(1 - M, M + 1) if abs(k) >= 2}
+    blocks.update({(1, 0): DC, (1, -1): -Cs, (-1, 0): C @ C, (-1, -1): C @ DCs,
+                   (-1, -2): DCs, (0, 0): DC @ C, (0, -1): DC @ DCs, (0, -2): -Cs})
+    U = np.zeros(((2 * M + 1) * d, (2 * M + 1) * d), dtype=complex)
+    for (i, j), B in blocks.items():
+        U[(i + M) * d:(i + M + 1) * d, (j + M) * d:(j + M + 1) * d] = B
+    return U
+
+
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)

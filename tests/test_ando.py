@@ -3,10 +3,10 @@ import pytest
 
 import mrange as mr
 from mrange.cpmaps import Feasible
-from mrange.errors import RadiusTooLarge
+from mrange.errors import NotPSD, RadiusTooLarge
 from mrange.rng import split
 
-from helpers import E21, random_with_radius
+from helpers import E21, ando_reference, random_with_radius, two_dilation_reference
 
 
 class TestAndoX:
@@ -134,6 +134,58 @@ class TestAndoDecompose:
             hits += 1
             assert np.linalg.eigvalsh(X - Y)[0] >= -1e-6
         assert hits >= 90  # the sampler must actually produce feasible points
+
+
+def _reference_inputs():
+    yield 2 * E21
+    yield mr.shift(4) / np.cos(np.pi / 5)   # w(S_n) = cos(pi / (n + 1))
+    yield mr.shift(8) / np.cos(np.pi / 9)
+    for w in (0.8, 1.0):
+        for dim in (2, 3, 5, 6):
+            yield random_with_radius(dim, w, split(3101, dim))
+
+
+class TestOneFactorizationPerOperator:
+    """Every function of X comes from one eigendecomposition of X, and the
+    dilation's defect operators from one SVD of C."""
+
+    @pytest.mark.parametrize("run, bound", [
+        (lambda T: mr.ando_decompose(T), 11),
+        (lambda T: mr.two_dilation(T, 12), 12),
+        (lambda T: mr.equivalence_suite(T / 2), 24),
+    ], ids=["ando_decompose", "two_dilation", "equivalence_suite"])
+    def test_decomposition_count(self, run, bound, monkeypatch):
+        T = random_with_radius(6, 1.0, 5)
+        calls = []
+
+        def counted(name):
+            solver = getattr(np.linalg, name)
+            return lambda *args, **kwargs: calls.append(name) or solver(*args, **kwargs)
+
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        run(T)
+        assert len(calls) <= bound, calls
+
+    @pytest.mark.parametrize("T", list(_reference_inputs()))
+    def test_matches_separate_decompositions(self, T):
+        dec = mr.ando_decompose(T)
+        Z, C = ando_reference(T, dec.X)
+        scale = 1 + mr.op_norm(T)
+        assert np.abs(dec.Z - Z).max() <= 1e-10 * scale
+        assert np.abs(dec.C - C).max() <= 1e-12 * scale
+        U = mr.two_dilation(T, 8).dense()
+        assert np.abs(U - two_dilation_reference(dec.C, 8)).max() <= 1e-12 * scale
+
+    def test_defect_outside_slack_is_not_psd(self):
+        # 1 - s^2 below -1e-8 (1 + max|1 - s^2|): the defect operators do not exist
+        C = (1 + 1e-7) * E21
+        with pytest.raises(NotPSD):
+            mr.dilation._two_dilation(2 * C, C, 8, mr.default_tolerances())
+        # within the slack they are clipped to zero
+        C = (1 + 1e-9) * E21
+        win = mr.dilation._two_dilation(2 * C, C, 8, mr.default_tolerances())
+        np.testing.assert_allclose(win.blocks[(1, 0)], np.diag([0.0, 1.0]), atol=1e-15)
 
 
 class TestRadiusLmi:

@@ -288,6 +288,37 @@ class TestBadTolerance:
         assert code == 1 and out["error"]["name"] == "BadTolerance"
 
 
+class TestMissingFields:
+    """A missing or malformed payload field, or a missing --input, is a
+    BadJson error object with exit 1, not a bare traceback."""
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["pdcheck"], {}),
+        (["pdcheck"], {"blocks": 3}),
+        (["pdcheck"], None),
+        (["fejer-riesz"], {}),
+        (["fejer-riesz"], {"coeffs": [[1.0]]}),
+        (["probe"], {"S": E21_JSON}),
+        (["member", "--set", "normal"], E21_JSON),
+        (["member", "--set", "normal"], {"matrix": E21_JSON, "spectrum": [1.0]}),
+        (["toeplitz-check"], None),
+        (["toeplitz-check"], {"coeffs": "ab"}),
+        (["block-measure"], {"blocks": [[1.0, 0.0]]}),
+        (["numrad"], None),
+    ], ids=["pdcheck-no-blocks", "pdcheck-blocks-not-list", "pdcheck-no-input",
+            "fejer-riesz-no-coeffs", "fejer-riesz-bad-pair", "probe-no-T",
+            "member-normal-no-spectrum", "member-normal-bad-spectrum",
+            "toeplitz-check-no-input", "toeplitz-check-coeffs-not-list",
+            "block-measure-bad-block", "numrad-no-input"])
+    def test_bad_json_error_object(self, tmp_path, capsys, argv, payload):
+        if payload is not None:
+            argv = argv + ["--input", write_json(tmp_path, "in.json", payload)]
+        code, out = run_captured(capsys, argv)
+        assert code == 1
+        assert out["error"]["name"] == "BadJson"
+        assert out["command"] == argv[0]
+
+
 class TestDeterminism:
     def test_byte_identical_output(self, tmp_path, capsys):
         path = write_json(tmp_path, "e21.json", E21_JSON)

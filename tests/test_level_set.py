@@ -297,3 +297,31 @@ class TestNilpotentConditionByLevelSet:
         T = T * (0.45 / mr.num_radius(T))
         assert mr.nilpotent_condition(T, 2) == pytest.approx(
             1.0 - 2.0 * mr.num_radius(T), abs=1e-12)
+
+
+class TestScaleInvariance:
+    """The level-set maximum is taken on D scaled by a power of 2 near
+    1 / max|D| and scaled back exactly, so it is relative to |D|: no
+    absolute rounding floor below |T| ~ 1e-16 and no overflow near 1e300."""
+
+    SCALES = [2.0 ** -1000, 1e-300, 1e-16, 1e300, 2.0 ** 1000]
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_radius_ratio(self, s):
+        T = mr.random_matrix(6, 6, 7)
+        assert mr.num_radius(s * T) / s == pytest.approx(mr.num_radius(T), rel=1e-15)
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_nilpotent_margin_ratio(self, s):
+        # 1 - nilpotent_condition(s T, 2) is the order-2 maximum of s T; below
+        # s ~ 1e-16 the margin itself rounds to 1, so its maximum is compared
+        T = mr.random_matrix(6, 6, 7)
+        top = 1.0 - mr.nilpotent_condition(T, 2)
+        assert numrange._level_set_max(np.array([-2.0 * s * T]))[0] / s \
+            == pytest.approx(top, rel=1e-15)
+        if s > 1.0:
+            assert (1.0 - mr.nilpotent_condition(s * T, 2)) / s == pytest.approx(top, rel=1e-15)
+
+    def test_zero_keeps_unit_scale(self):
+        assert numrange._pow2_scale(np.zeros((3, 3))) == 1.0
+        assert mr.num_radius(np.zeros((3, 3))) == 0.0
