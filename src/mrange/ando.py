@@ -21,11 +21,18 @@ reduction (Meini, Math. Comp. 71, 2002): from X_0 = C_0 = A0, B_0 = A1*,
 
 each step through one Cholesky factor of C_k (a pseudo-inverse only when
 C_k is not numerically definite). The iterates decrease to X, quadratically
-when w(T) < 1 and linearly with rate 1/2 when w(T) = 1 (Guo, SIAM J. Matrix
-Anal. Appl., 2001). The loop stops on the fixed-point residual, never on
-step size: at w(T) = 1 the step stalls at the rounding floor, where X can
-end slightly below the maximal solution, while the residual stop leaves it
-just above. The result is verified against the defining LMI and X <= I.
+when w(T) < 1. The loop stops on the fixed-point residual, never on step
+size.
+
+At w(T) = 1 the minimal solvent G of A1* + G + A1 G^2 = 0 (X = I + A1 G)
+has unimodular eigenvalues, and the iteration converges only linearly with
+rate 1/2 (Guo, SIAM J. Matrix Anal. Appl. 23, 2001), stopping about 4e-7
+above the maximal solution. There it runs instead on Brauer's shifted
+equation (He, Meini and Rhee, SIAM J. Matrix Anal. Appl. 23, 2001), whose
+shift, built from the angles where w(T) is attained, moves those
+eigenvalues to 0: quadratic, 4 to 10 steps, and at the maximal solution
+itself. A shifted run that misses the stop falls back to the plain one.
+The result is verified against the defining LMI and X <= I.
 """
 
 from dataclasses import dataclass
@@ -45,11 +52,20 @@ from .linalg import (
     psd_check,
     require_square,
 )
-from .numrange import num_radius
+from .numrange import _ascend, num_radius
 
 # at w(T) = 1 the residual falls like 4^-k and reaches fixpoint_eps in about
 # 20 steps; elsewhere convergence is quadratic
 _MAX_STEPS = 100
+# the shifted iteration is quadratic and took at most 10 steps, polish
+# included, on every boundary input tried (n = 2 to 128); a run still going
+# after 12 has a wrong shift, and the unshifted iteration takes over
+_SHIFT_STEPS = 12
+# the shift is taken only at w = 1 to within rounding: at 1 - w = 1e-12 its
+# unimodular z misses G's eigenvalue by enough to fail the stop
+_SHIFT_BAND = 64.0 * np.finfo(float).eps
+# W = V (V*V)^{-1} amplifies rounding by about cond(V*V) = cond(V)^2
+_SHIFT_RCOND_MIN = 1e-8
 
 
 def _congruence_pinv(X, A1, t):
@@ -83,35 +99,120 @@ def _norm_within(R, eps):
     return op_norm(R) <= eps
 
 
-def _cyclic_reduction(A0, A1, t, polish=False):
+def _lu_solve(M, B):
+    """M^{-1} B by one LU factor of M; NoConvergence when M is singular."""
+    lu, piv, info = lapack.zgetrf(M)
+    if info != 0:
+        raise NoConvergence(f"singular cyclic-reduction step (getrf info={info})")
+    return lapack.zgetrs(lu, piv, B)[0]
+
+
+def _cyclic_reduction(A0, A1, t, polish=False, shift=None):
     """Maximal Hermitian solution X of X + A1 X^{-1} A1* = A0, and the step count.
 
-    Stops once op_norm(X - (A0 - A1 X^+ A1*)) <= fixpoint_eps. With
-    ``polish`` it takes one more step, which in the quadratic regime brings X
-    to the rounding floor: a spectral factor read off X needs that accuracy.
-    Raises NoConvergence after _MAX_STEPS steps.
+    X = A0 + A1 G for the minimal solvent G of A1* + A0 G + A1 G^2 = 0. Each
+    step of cyclic reduction on A_{-1} + A_0 G + A_1 G^2 = 0 takes K = A_0^{-1},
+
+        Ah     <- Ah - A_1 K A_{-1},
+        A_0    <- A_0 - A_{-1} K A_1 - A_1 K A_{-1},
+        A_{-1} <- -A_{-1} K A_{-1},   A_1 <- -A_1 K A_1,
+
+    from Ah = A_0, and G = -Ah^{-1} A_{-1} (the initial A_{-1}) in the
+    limit. Unshifted, A_{-1} = A_1* = A1* keeps every iterate Hermitian and
+    Ah is X itself; a step takes one Cholesky factor of A_0 (a
+    pseudo-inverse only when A_0 is not numerically definite).
+
+    ``shift`` = (S, P) = (V diag(z) W*, V W*), with G V = V diag(z) and
+    W* V = I, runs it instead on Brauer's shifted equation for G - S:
+    A_{-1} = A1* (I - P), A_0 = A0 + A1 S, A_1 = A1. G - S has eigenvalue 0
+    on V where G has z, so unimodular z no longer slow it down. A step then
+    takes one LU factor. Ah tends to A_0 + A_1 (G - S) = A0 + A1 G = X, and
+    herm(Ah) is the X checked and returned. The shifted run must stop within
+    _SHIFT_STEPS steps, polish included, with rho(G) <= 1 + 1e-8 for
+    G = S - Ah^{-1} A_{-1} (the minimal solvent's bound), or it raises
+    NoConvergence: a wrong shift never passes.
+
+    Either way the loop stops once op_norm(X - (A0 - A1 X^+ A1*)) <= fixpoint_eps.
+    With ``polish`` it takes one more step, which in the quadratic regime
+    brings X to the rounding floor: a spectral factor read off X needs that
+    accuracy. Raises NoConvergence after _MAX_STEPS steps.
     """
-    X, C, B = A0.copy(), A0.copy(), dagger(A1)
-    for k in range(_MAX_STEPS):
+    Am, C, Ap, X = dagger(A1), A0.copy(), A1, A0.copy()
+    steps = _MAX_STEPS
+    if shift is not None:
+        S, P = shift
+        steps = _SHIFT_STEPS
+        Am0 = Am = Am - Am @ P
+        C = Ah = A0 + A1 @ S
+        X = herm_part(Ah)
+    for k in range(steps):
         R = _fixpoint_defect(A0, A1, X, t)
         done = _norm_within(R, t.fixpoint_eps)
         if done and not polish:
-            return X, k
-        L, info = lapack.zpotrf(C, lower=1)
-        if info == 0:
-            # C^{-1} = L^{-*} L^{-1}: each product pairs W = L^{-1} B, V = L^{-1} B*
-            W, V = np.split(lapack.ztrtrs(L, np.hstack([B, dagger(B)]), lower=1)[0], 2, axis=1)
-            BCB, BCBs, BCB2 = dagger(W) @ W, dagger(V) @ V, dagger(V) @ W
+            break
+        if shift is None:
+            L, info = lapack.zpotrf(C, lower=1)
+            if info == 0:
+                # C^{-1} = L^{-*} L^{-1}: each product pairs W = L^{-1} B, V = L^{-1} B*
+                # for B = A_{-1}
+                W, V = np.split(lapack.ztrtrs(L, np.hstack([Am, dagger(Am)]), lower=1)[0], 2,
+                                axis=1)
+                BCB, BCBs, BCB2 = dagger(W) @ W, dagger(V) @ V, dagger(V) @ W
+            else:
+                Cp = pinv(C, t)
+                BCB, BCBs, BCB2 = dagger(Am) @ Cp @ Am, Am @ Cp @ dagger(Am), Am @ Cp @ Am
+            X = herm_part(X - BCB)
+            C = herm_part(C - BCBs - BCB)
+            Am = -BCB2
         else:
-            Cp = pinv(C, t)
-            BCB, BCBs, BCB2 = dagger(B) @ Cp @ B, B @ Cp @ dagger(B), B @ Cp @ B
-        X = herm_part(X - BCB)
+            try:
+                KAm, KAp = np.split(_lu_solve(C, np.hstack([Am, Ap])), 2, axis=1)
+            except NoConvergence:
+                if done:   # a singular polishing step: keep the X that met the stop
+                    break
+                raise
+            ApKAm = Ap @ KAm
+            Ah = Ah - ApKAm
+            X = herm_part(Ah)
+            C = C - Am @ KAp - ApKAm
+            Am, Ap = -Am @ KAm, -Ap @ KAp
         if done:
-            return X, k + 1
-        C = herm_part(C - BCBs - BCB)
-        B = -BCB2
-    raise NoConvergence(
-        f"no fixed point after {_MAX_STEPS} steps (residual {op_norm(R):.3e})")
+            k += 1
+            break
+    else:
+        raise NoConvergence(
+            f"no fixed point after {steps} steps (residual {op_norm(R):.3e})")
+    if shift is not None and \
+            np.abs(np.linalg.eigvals(S - _lu_solve(Ah, Am0))).max() > 1.0 + 1e-8:
+        raise NoConvergence("shifted solvent is not the minimal one")
+    return X, k
+
+
+def _boundary_shift(A, w, maxima):
+    """The shift (S, P) of _cyclic_reduction at w(A) = 1, or None.
+
+    At an angle theta where lambda_max(Re(e^{i theta} A)) = 1 with top
+    eigenvector v, A1* + z I + z^2 A1 = -e^{-i theta} (I - Re(e^{i theta} A))
+    for A1 = A*/2 and z = -e^{-i theta}, so v is an eigenvector of the
+    minimal solvent G for its unimodular eigenvalue z. Each angle of
+    ``maxima`` is refined by a Newton ascent first. None unless
+    |w - 1| <= _SHIFT_BAND and 1 <= len(maxima) <= n, or when the Gram
+    matrix V*V is too ill-conditioned to give W* = (V*V)^{-1} V*.
+    """
+    n = A.shape[0]
+    if abs(w - 1.0) > _SHIFT_BAND or not 1 <= len(maxima) <= n:
+        return None
+    AB = np.stack([herm_part(A), herm_part(1j * A)])
+    thetas = np.array([_ascend(AB, float(th))[1] for th in maxima])
+    V = np.linalg.eigh(herm_part(np.exp(1j * thetas)[:, None, None] * A))[1][:, :, -1].T
+    gram = dagger(V) @ V
+    L, info = lapack.zpotrf(gram, lower=1)
+    if info == 0:
+        rcond, info = lapack.zpocon(L, np.abs(gram).sum(axis=0).max(), uplo="L")
+    if info != 0 or not rcond >= _SHIFT_RCOND_MIN:
+        return None
+    Ws = lapack.zpotrs(L, dagger(V), lower=1)[0]
+    return (V * -np.exp(-1j * thetas)) @ Ws, V @ Ws
 
 
 def ando_X(T, tol=None):
@@ -125,21 +226,45 @@ def ando_X(T, tol=None):
     """
     t = _tol(tol)
     A = require_square(T, "ando_X")
-    return _extremal_X(A, num_radius(A, t), t)[:2]
+    w = num_radius(A, t)
+    return _extremal_X(A, w, t, _maxima(w))[:2]
 
 
-def _extremal_X(A, w, t):
-    """ando_X for a square A whose numerical radius w is already known; also
-    returns X's eigendecomposition (x, U) and the LMI's min eigenvalue."""
+def _maxima(w):
+    """The angles where a radius from num_radius is attained; none for a
+    plain float, such as a scaled radius."""
+    return np.asarray(getattr(w, "maxima", ()), dtype=float)
+
+
+def _extremal_X(A, w, t, maxima=()):
+    """ando_X for a square A whose numerical radius w is already known, and
+    the angles ``maxima`` where it is attained (none: no shift is tried);
+    also returns X's eigendecomposition (x, U) and the LMI's min eigenvalue.
+
+    At w = 1 the shifted cyclic reduction runs first; when it fails (a
+    wrong shift) the unshifted one does, and the iteration count adds the
+    rejected run's whole budget of _SHIFT_STEPS."""
     if w > 1.0 + 1e-9:
         raise RadiusTooLarge(f"numerical radius {w:.12f} exceeds 1")
     I = np.eye(A.shape[0], dtype=complex)
-    try:
-        X, k = _cyclic_reduction(I, dagger(A) / 2.0, t)
-    except NoConvergence as exc:
-        if w > 1.0:
-            raise RadiusTooLarge(f"numerical radius {w:.12f} exceeds 1: {exc}")
-        raise
+    A1 = dagger(A) / 2.0
+    X, k = None, 0
+    shift = _boundary_shift(A, w, maxima)
+    if shift is not None:
+        try:
+            # a wrong shift can also overflow: that falls back as well
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                X, k = _cyclic_reduction(I, A1, t, polish=True, shift=shift)
+        except (NoConvergence, FloatingPointError, np.linalg.LinAlgError):
+            k = _SHIFT_STEPS
+    if X is None:
+        try:
+            X, k_plain = _cyclic_reduction(I, A1, t)
+        except NoConvergence as exc:
+            if w > 1.0:
+                raise RadiusTooLarge(f"numerical radius {w:.12f} exceeds 1: {exc}")
+            raise
+        k += k_plain
 
     x, U = np.linalg.eigh(X)
     # I - X X^+ projects onto the eigenvectors pinv would drop
@@ -196,8 +321,9 @@ def _ando_decompose(A, w, t):
     Every operator of the factorization is a function of X, taken from the
     one eigendecomposition X = U diag(x) U* that _extremal_X checked."""
     I = np.eye(A.shape[0], dtype=complex)
-    X, iters, (x, U), lmi_min = _extremal_X(A, w, t)   # w(T*) = w(T)
-    Xstar, iters2, _, _ = _extremal_X(dagger(A), w, t)
+    X, iters, (x, U), lmi_min = _extremal_X(A, w, t, _maxima(w))
+    # w(T*) = w(T), attained at the negated angles: Re(e^{i theta} T*) = Re(e^{-i theta} T)
+    Xstar, iters2, _, _ = _extremal_X(dagger(A), w, t, -_maxima(w))
     Y_max = 2.0 * X - I
     Y_min = -(2.0 * Xstar - I)
 
@@ -262,7 +388,7 @@ def _radius_lmi(M, w, t, A=None):
     if w > 0.5 + t.psd_eps:
         return False, None
     if A is None:
-        A = _extremal_X(dagger(2.0 * M), 2.0 * w, t)[0]
+        A = _extremal_X(dagger(2.0 * M), 2.0 * w, t, -_maxima(w))[0]
     block = np.block([[A, dagger(M)], [M, np.eye(M.shape[0]) - A]])
     ok, min_eig = psd_check(block, t)
     verify(ok, f"radius LMI block not PSD (min eig {min_eig:.3e})")

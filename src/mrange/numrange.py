@@ -26,7 +26,10 @@ analytic first and second derivatives climbs from the best of 8 sampled
 angles to a local maximum r. One pencil solve at r then either certifies
 it, when no midpoint beats r by more than the rounding floor of 8 ulps of
 r, or hands the best midpoint, which lies in a higher basin, to the next
-ascent. A generic radius takes one pencil solve.
+ascent. A generic radius takes one pencil solve. The final level's
+midpoints that attain the maximum are the angles where it is attained;
+``num_radius`` returns them with the radius, for the boundary shift of
+:mod:`mrange.ando`.
 
 The boundary is sampled by Johnson's support points (SIAM J. Numer. Anal.
 15, 1978): <Tv, v> for a top eigenvector v of Re(e^{-i theta} T) at each
@@ -52,6 +55,9 @@ _MAX_LEVELS = 100
 # a midpoint that beats the level by no more than this many ulps of it is a
 # rise at the rounding floor, not a higher basin: the loop stops there
 _FLOOR_ULPS = 8.0
+# a midpoint of the final level within this many floors of the maximum marks
+# an angle where the maximum is attained (a tangency of the level set)
+_MAXIMA_FLOORS = 64.0
 # shift-and-invert point of the level-set pencils, off the unit circle: a
 # unimodular z gives mu = 1 / (z - z0) with 1 / 2.37 <= |mu| <= 1 / 0.37
 _SHIFT = 1.37 * np.exp(0.7j)
@@ -192,8 +198,13 @@ def _ascend(AB, theta):
 
 
 def _level_set_max(D):
-    """Max over theta of lambda_max(Re p(e^{i theta})) and an angle where it
-    is attained, for p(z) = sum_k z^k D_k as in ``_support_grid``.
+    """Max over theta of lambda_max(Re p(e^{i theta})), an angle where it
+    is attained, and the maxima: the final level's midpoints that attain it
+    to within _MAXIMA_FLOORS floors, for p(z) = sum_k z^k D_k as in
+    ``_support_grid``. A maximum attained that closely at all 8 sampled
+    angles is taken to be attained on the whole circle (a constant
+    eigenvalue branch, whose pencils are singular), and no maxima are
+    reported.
 
     A Newton ascent (``_ascend``) climbs from the best of 8 sampled angles,
     and again from the best midpoint of any level that one beats, so each
@@ -204,27 +215,47 @@ def _level_set_max(D):
     AB = np.stack([herm_part(D), herm_part(1j * D)], axis=1).reshape((-1,) + D.shape[1:])
     thetas = 2.0 * np.pi * np.arange(8) / 8
     vals = _support_grid(D, thetas)
+    lowest = float(vals.min())
     for _ in range(_MAX_LEVELS):
         i = int(np.argmax(vals))
         r, angle = _ascend(AB, float(thetas[i]))
+        # the midpoint values and the ascent come from different eigensolvers;
+        # a level below the value that raised it would be solved again
+        if vals[i] > r:
+            r, angle = float(vals[i]), float(thetas[i])
         thetas = _level_midpoints(D, r)
         vals = _support_grid(D, thetas)
         i = int(np.argmax(vals))
         if vals[i] <= r + _floor(r):
             if vals[i] > r:
                 r, angle = float(vals[i]), float(thetas[i])
-            return r / scale, angle % (2.0 * np.pi)
+            near = r - _MAXIMA_FLOORS * _floor(r)
+            maxima = thetas[vals >= near] % (2.0 * np.pi) if lowest < near else np.empty(0)
+            return r / scale, angle % (2.0 * np.pi), maxima
     raise NoConvergence(f"level set still rising after {_MAX_LEVELS} levels")
 
 
+class _Radius(float):
+    """A numerical radius that also holds ``maxima``: the angles where the
+    final level of its level-set solve attains it (``_level_set_max``).
+    Ando's extremal X takes its boundary shift from them."""
+
+    def __new__(cls, value, maxima=()):
+        self = super().__new__(cls, value)
+        self.maxima = maxima
+        return self
+
+
 def _radius_and_angle(T, tol):
-    """Max of the support function and an angle where it is attained
-    (``tol`` is unused: the level-set iteration needs none)."""
-    return _level_set_max(require_square(T, "num_radius"))
+    """Max of the support function, as a _Radius, and an angle where it is
+    attained (``tol`` is unused: the level-set iteration needs none)."""
+    r, angle, maxima = _level_set_max(require_square(T, "num_radius"))
+    return _Radius(r, maxima), angle
 
 
 def num_radius(T, tol=None):
-    """Numerical radius w(T) = max_theta lambda_max(Re(e^{i theta} T))."""
+    """Numerical radius w(T) = max_theta lambda_max(Re(e^{i theta} T)), a
+    float that also carries the angles where it is attained (``_Radius``)."""
     return _radius_and_angle(T, tol)[0]
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -58,6 +63,148 @@ class TestAndoX:
         T = random_with_radius(dim, 1.0, split(61, k))
         dec = mr.ando_decompose(T)
         assert dec.residuals["ymin_below_ymax"] >= -1e-9 * (1 + mr.op_norm(T))
+
+
+def _unshifted_X(T):
+    """X from cyclic reduction without the boundary shift, and its steps."""
+    A = np.asarray(T, dtype=complex)
+    return mr.ando._cyclic_reduction(np.eye(A.shape[0], dtype=complex), np.conj(A).T / 2,
+                                     mr.default_tolerances())
+
+
+def _real_boundary(k):
+    T = mr.random_matrix(5, 5, split(63, k)).real
+    return T / mr.num_radius(T)
+
+
+def _direct_sum(T):
+    Z = np.zeros_like(T)
+    return np.block([[T, Z], [Z, np.exp(1j) * T]])
+
+
+def _boundary_inputs():
+    for dim, k in [(2, 117), (2, 118), (2, 133), (3, 121)]:
+        yield f"ymin-{dim}-{k}", random_with_radius(dim, 1.0, split(61, k))
+    for dim in (2, 3, 6):
+        for k in range(30):
+            yield f"gauss-{dim}-{k}", random_with_radius(dim, 1.0, split(61, k))
+    # real inputs: maxima at +-theta* (two, a rank-2 shift) and at theta* = pi
+    yield "real-0", _real_boundary(0)
+    yield "real-6", _real_boundary(6)
+    # maxima at two angles one radian apart, one from each summand
+    yield "direct-sum", _direct_sum(random_with_radius(3, 1.0, 5))
+
+
+_BOUNDARY = list(_boundary_inputs())
+
+
+class TestBoundaryShift:
+    """At w(T) = 1 the extremal X comes from cyclic reduction on the
+    Brauer-shifted equation: quadratic, and at the maximal solution instead
+    of about 4e-7 above it."""
+
+    @pytest.mark.parametrize("T", [T for _, T in _BOUNDARY], ids=[i for i, _ in _BOUNDARY])
+    def test_maximal_and_accurate(self, T):
+        A = np.asarray(T, dtype=complex)
+        I = np.eye(A.shape[0])
+        A1 = np.conj(A).T / 2
+        scale = 1 + mr.op_norm(A)
+        X, steps = mr.ando_X(A)
+        # the unshifted limit lies above the maximal solution, never below
+        assert np.linalg.eigvalsh(X - _unshifted_X(A)[0])[-1] <= 1e-12 * scale
+        assert mr.op_norm(X - (I - A1 @ np.linalg.solve(X, np.conj(A1).T))) <= 1e-14 * scale
+        # G = -X^{-1} A1* of the maximal X is the minimal solvent: rho(G) <= 1
+        G = -np.linalg.solve(X, np.conj(A1).T)
+        assert np.abs(np.linalg.eigvals(G)).max() <= 1 + 1e-8
+        dec = mr.ando_decompose(A)
+        assert dec.residuals["ymin_below_ymax"] >= -1e-9 * scale
+
+    @pytest.mark.parametrize("T, maxima", [(_real_boundary(0), 2), (_real_boundary(6), 1),
+                                           (_direct_sum(random_with_radius(3, 1.0, 5)), 2)],
+                             ids=["real-pm", "real-pi", "direct-sum"])
+    def test_one_maximum_per_angle(self, T, maxima):
+        assert len(mr.ando._maxima(mr.num_radius(T))) == maxima
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_steps(self, n, real):
+        # the unshifted iteration takes 20 steps at w(T) = 1
+        for k in range(2):
+            T = mr.random_matrix(n, n, split(64 + n, k))
+            T = T.real if real else T
+            T = T / mr.num_radius(T)
+            assert mr.ando_X(T)[1] <= 10
+            assert _unshifted_X(T)[1] == 20
+
+    @pytest.mark.parametrize("T, X", [
+        (2 * E21, np.diag([0.0, 1.0])),
+        (mr.shift(4) / np.cos(np.pi / 5), None),
+        (mr.shift(8) / np.cos(np.pi / 9), None),
+    ], ids=["2E21", "S4", "S8"])
+    def test_constant_support_function_unshifted(self, T, X):
+        # the maximum is attained on the whole circle: no maxima, no shift,
+        # and the closed forms come out exactly as before
+        assert len(mr.ando._maxima(mr.num_radius(T))) == 0
+        out, steps = mr.ando_X(T)
+        plain, plain_steps = _unshifted_X(T)
+        assert np.array_equal(out, plain) and steps == plain_steps
+        if X is not None:
+            np.testing.assert_allclose(out, X, atol=1e-12)
+
+    def test_outside_shift_band(self):
+        # at 1 - w = 1e-12 a unimodular z misses G's eigenvalue by enough to
+        # fail the stop, so no shift is tried: the unshifted X, bit for bit
+        T = random_with_radius(4, 1.0 - 1e-12, 9)
+        X, steps = mr.ando_X(T)
+        plain, plain_steps = _unshifted_X(T)
+        assert np.array_equal(X, plain) and steps == plain_steps
+        G = -np.linalg.solve(X, T / 2)
+        assert np.abs(np.linalg.eigvals(G)).max() <= 1 + 1e-8
+
+    def test_wrong_shifts_fall_back_under_optimize(self):
+        # a shift at angles 0.1 away from the maxima never meets the stop, and
+        # the shift by the outer eigenvalues gives the minimal Hermitian
+        # solution, which meets the stop and the LMI and only fails
+        # rho(G) <= 1; both fall back to the unshifted X, also under python -O
+        code = textwrap.dedent("""
+            import numpy as np
+            import scipy.linalg
+            import mrange as mr
+            from mrange import ando
+
+            def plain(T):
+                I = np.eye(T.shape[0], dtype=complex)
+                return ando._cyclic_reduction(I, T.conj().T / 2, mr.default_tolerances())
+
+            T = mr.random_matrix(4, 4, 7)
+            T = T / mr.num_radius(T)
+            ascend = ando._ascend
+            ando._ascend = lambda AB, theta: (ascend(AB, theta)[0], theta + 0.1)
+            X, steps = mr.ando_X(T)
+            ando._ascend = ascend
+            print(__debug__, np.array_equal(X, plain(T)[0]), steps == ando._SHIFT_STEPS + plain(T)[1])
+
+            T = mr.random_matrix(4, 4, 0)
+            T = 0.9 * T / mr.num_radius(T)
+            I, Z = np.eye(4), np.zeros((4, 4))
+            A1 = T.conj().T / 2
+            mu, U = scipy.linalg.eig(np.block([[Z, I], [-A1.conj().T, -I]]),
+                                     np.block([[I, Z], [Z, A1]]))
+            outer = np.argsort(np.abs(mu))[4:]
+            V = U[:4, outer]
+            S = (V * mu[outer]) @ np.linalg.inv(V)
+            Xmin = I + A1 @ S
+            Xmin = (Xmin + Xmin.conj().T) / 2
+            print(mr.op_norm(Xmin + A1 @ np.linalg.solve(Xmin, A1.conj().T) - I) < 1e-12)
+            ando._boundary_shift = lambda A, w, maxima: (S, np.eye(4))
+            X, steps = mr.ando_X(T)
+            print(np.array_equal(X, plain(T)[0]))
+        """)
+        src = os.path.dirname(os.path.dirname(mr.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == ["False", "True", "True", "True", "True"], out.stderr
 
 
 def _lmi_feasible_point(T, start, tol=None, max_iter=4000):

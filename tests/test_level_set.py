@@ -192,6 +192,34 @@ class TestLevelSetRadius:
             assert _attained(T, angle) == pytest.approx(w, abs=1e-12)
 
 
+class TestNoLevelCycle:
+    """Midpoint values (batched eigvalsh) and the ascent (?heevd) evaluate
+    lambda_max of the same H(theta) by two eigensolvers. From n ~ 64 they
+    can differ by more than the rounding floor; a level that the ascent left
+    below the midpoint value that raised it was then solved again until
+    _MAX_LEVELS ran out (NoConvergence)."""
+
+    INPUTS = [(64, 28, False), (64, 29, True), (128, 2, True), (128, 19, True)]
+
+    @pytest.mark.parametrize("n, seed, real", INPUTS)
+    def test_radius_in_bruteforce_bracket(self, n, seed, real):
+        T = mr.random_matrix(n, n, seed)
+        T = T.real if real else T
+        w, angle = numrange._radius_and_angle(T, None)
+        # the grid maximum is attained, and the support function lies below
+        # it over cos(pi / angles) (a polygon circumscribing the range)
+        angles = 256
+        brute = radius_bruteforce(T, seed=seed, vectors=2000, angles=angles)
+        assert brute <= w + 1e-12 * (1.0 + w)
+        assert w <= brute / np.cos(np.pi / angles) + 1e-12 * (1.0 + w)
+        assert _attained(T, angle) == pytest.approx(w, rel=1e-14)
+
+    def test_nilpotent_condition_same_loop(self):
+        T = mr.random_matrix(64, 64, 28)
+        assert mr.nilpotent_condition(T, 2) == pytest.approx(
+            1.0 - 2.0 * mr.num_radius(T), abs=1e-12 * (1.0 + mr.op_norm(T)))
+
+
 class TestCharacterizationsByLevelSet:
     @pytest.mark.parametrize("target", [0.8, 1.2])
     def test_negated_input(self, target):

@@ -222,9 +222,9 @@ class TestEquivalenceSuite:
         calls = []
         extremal = mr.ando._extremal_X
 
-        def counted(A, w, t):
-            calls.append(A)
-            return extremal(A, w, t)
+        def counted(*args):
+            calls.append(args[0])
+            return extremal(*args)
 
         monkeypatch.setattr(mr.ando, "_extremal_X", counted)
         rep = mr.equivalence_suite(0.3 * E21 + 0.1 * np.eye(2))
