@@ -52,7 +52,7 @@ from .linalg import (
     psd_check,
     require_square,
 )
-from .numrange import _ascend, num_radius
+from .numrange import num_radius
 
 # at w(T) = 1 the residual falls like 4^-k and reaches fixpoint_eps in about
 # 20 steps; elsewhere convergence is quadratic
@@ -194,17 +194,14 @@ def _boundary_shift(A, w, maxima):
     At an angle theta where lambda_max(Re(e^{i theta} A)) = 1 with top
     eigenvector v, A1* + z I + z^2 A1 = -e^{-i theta} (I - Re(e^{i theta} A))
     for A1 = A*/2 and z = -e^{-i theta}, so v is an eigenvector of the
-    minimal solvent G for its unimodular eigenvalue z. Each angle of
-    ``maxima`` is refined by a Newton ascent first. None unless
+    minimal solvent G for its unimodular eigenvalue z. None unless
     |w - 1| <= _SHIFT_BAND and 1 <= len(maxima) <= n, or when the Gram
     matrix V*V is too ill-conditioned to give W* = (V*V)^{-1} V*.
     """
     n = A.shape[0]
     if abs(w - 1.0) > _SHIFT_BAND or not 1 <= len(maxima) <= n:
         return None
-    AB = np.stack([herm_part(A), herm_part(1j * A)])
-    thetas = np.array([_ascend(AB, float(th))[1] for th in maxima])
-    V = np.linalg.eigh(herm_part(np.exp(1j * thetas)[:, None, None] * A))[1][:, :, -1].T
+    V = np.linalg.eigh(herm_part(np.exp(1j * maxima)[:, None, None] * A))[1][:, :, -1].T
     gram = dagger(V) @ V
     L, info = lapack.zpotrf(gram, lower=1)
     if info == 0:
@@ -212,7 +209,7 @@ def _boundary_shift(A, w, maxima):
     if info != 0 or not rcond >= _SHIFT_RCOND_MIN:
         return None
     Ws = lapack.zpotrs(L, dagger(V), lower=1)[0]
-    return (V * -np.exp(-1j * thetas)) @ Ws, V @ Ws
+    return (V * -np.exp(-1j * maxima)) @ Ws, V @ Ws
 
 
 def ando_X(T, tol=None):

@@ -117,7 +117,6 @@ def build_parser():
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--input", required=False, help="input JSON file")
     p.add_argument("--tol", type=float, default=None, help="psd tolerance override")
-    p.add_argument("--grid", type=int, default=None, help="node grid size")
     p.add_argument("--seed", type=int, default=2024, help="random seed")
     p.add_argument("--order", type=int, default=2, help="nilpotent order / subspace size")
     p.add_argument("--window", type=int, default=8, help="dilation window half-width")
@@ -255,7 +254,7 @@ def _run_command(cmd, args):
 
     if cmd == "toeplitz-measure":
         spec = _toeplitz_spec(payload)
-        mu = toeplitz.measure_from_toeplitz(spec, args.grid, tol)
+        mu = toeplitz.measure_from_toeplitz(spec, tol)
         moments = [mu.moment(k) for k in range(spec.n)]
         return {
             "nodes": [float(x) for x in mu.nodes],
@@ -267,7 +266,7 @@ def _run_command(cmd, args):
 
     if cmd == "block-measure":
         spec = _toeplitz_spec(payload)
-        mu = toeplitz.block_measure_from_toeplitz(spec, args.grid, tol)
+        mu = toeplitz.block_measure_from_toeplitz(spec, tol)
         resid = max(op_norm(mu.moment(k) - spec.blocks[k])
                     for k in range(spec.n))
         return {

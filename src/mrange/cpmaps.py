@@ -14,9 +14,9 @@ Conventions (frozen by round-trip tests):
   so that ``V*(X (x) I_r)V = phi(X)`` and V*V = I_m for unital maps.
 * A feasibility problem's unknown is a stack of N PSD matrices, each an
   s x s grid of m x m blocks W_g[i, j]; constraint k reads
-  ``sum_{g,i,j} K[k, g, i, j] W_g[i, j] = B[k]``. PSD weights with
-  prescribed moments (C*-convex combinations, block moment measures) have
-  s = 1; the Choi matrix of a map M_n -> M_m has N = 1, s = n.
+  ``sum_{g,i,j} K[k, g, i, j] W_g[i, j] = B[k]``. PSD weights of
+  C*-convex combinations have s = 1; the Choi matrix of a map
+  M_n -> M_m has N = 1, s = n.
 """
 
 from dataclasses import dataclass
@@ -234,8 +234,8 @@ def solve_feasibility(K, B, tol=None, max_iter=20000, start=None, target=None):
 
         sum_{g, i, j} K[k, g, i, j] W_g[i, j] = B[k]   for every k,
 
-    where K has shape (k, N, s, s) and B shape (k, m, m). PSD weights with
-    prescribed moments use s = 1; a Choi matrix uses N = 1 and s = n.
+    where K has shape (k, N, s, s) and B shape (k, m, m). PSD weights of
+    C*-convex combinations use s = 1; a Choi matrix uses N = 1 and s = n.
 
     Dykstra-corrected alternating projections (Boyle & Dykstra, 1986)
     between the PSD cones (one batched eigh over the stack) and the affine
@@ -255,8 +255,8 @@ def solve_feasibility(K, B, tol=None, max_iter=20000, start=None, target=None):
     starting point. ``target`` sets the residual at which iteration stops
     early; by default it sits a decade below feas_eps so downstream
     spectral clipping stays inside verification tolerances. Callers that
-    only need the feas_eps contract (membership witnesses, moment weights)
-    pass a looser value.
+    only need the feas_eps contract (membership witnesses) pass a looser
+    value.
     """
     t = _tol(tol)
     K = np.asarray(K, dtype=complex)

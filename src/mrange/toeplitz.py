@@ -1,12 +1,12 @@
 """Scalar and block Toeplitz positivity, spectral factorization of strictly
 positive trigonometric polynomials, and constructive moment representations
-by atomic measures on the unit circle.
+by atomic measures on the unit circle, read off a unitary extension.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
+import scipy.linalg
 
 from .ando import _cyclic_reduction
 from .errors import (
@@ -14,17 +14,17 @@ from .errors import (
     MomentResidualTooLarge,
     NotPSD,
     NotStrictlyPositive,
-    SolverUndetermined,
     verify,
 )
 from .linalg import (
+    _psd_verdict,
     _tol,
     as_cmat,
     dagger,
+    herm_eig,
     herm_part,
     op_norm,
     psd_check,
-    psd_part,
 )
 
 _PRECHECK_GRID = 4096
@@ -214,7 +214,7 @@ class AtomicMeasure:
     matrix weights in the block case."""
 
     nodes: np.ndarray
-    weights: object  # 1-D array (scalar case) or tuple of PSD matrices
+    weights: object  # 1-D array (scalar case), or a stack or tuple of PSD matrices
 
     @property
     def is_block(self):
@@ -228,32 +228,49 @@ class AtomicMeasure:
         return np.tensordot(phases, np.asarray(self.weights), axes=1)
 
 
-def measure_from_toeplitz(spec, grid_size=None, tol=None):
-    """Nonnegative atoms on equispaced nodes reproducing the coefficients of
-    a PSD Toeplitz spec as moments, by nonnegative least squares."""
-    t = _tol(tol)
-    ok, min_eig = toeplitz_psd(spec, t)
+def _unitary_measure(spec, t):
+    """Nodes theta_j and rank-one PSD weights G_j (an (r, d, d) stack,
+    r <= rank T) with sum_j e^{i k theta_j} G_j = A_k for k < n: Gauss-Szego
+    quadrature (Jones, Njastad & Thron, 1989; Gragg, 1993).
+
+    T = F*F for F = diag(sqrt w) U* over T's eigenvalues above
+    rank_rel * w_max, so F_i* F_j = A_{i-j} for its column blocks, and
+    F_a = [F_0..F_{n-2}], F_b = [F_1..F_{n-1}] share a Gram matrix. The
+    polar factor W of F_b F_a* is then unitary with W F_a = F_b, also for a
+    rank-deficient F_a, and A_k = F_0* W^{-k} F_0. The complex Schur form
+    W = Z diag(l) Z* keeps Z unitary for clustered l: theta_j = -angle(l_j)
+    and G_j = g_j* g_j for the rows g_j of Z* F_0. NotPSD as toeplitz_psd;
+    MomentResidualTooLarge beyond 1e-6 (1 + max|A_k|) in a moment entry.
+    """
+    T = toeplitz_assemble(spec)
+    n, d = spec.n, T.shape[0] // spec.n
+    eig = herm_eig(T)
+    w, U = eig.eigenvalues, eig.eigenvectors
+    ok, min_eig = _psd_verdict(w, t.psd_eps)
     if not ok:
         raise NotPSD(f"Toeplitz matrix min eigenvalue {min_eig:.3e}")
-    n = spec.n
-    G = grid_size or 8 * n
-    th = 2.0 * np.pi * np.arange(G) / G
-    Phi = np.exp(1j * np.outer(np.arange(n), th))
-    A = np.vstack([Phi.real, Phi.imag])
-    b = np.concatenate([spec.coeffs.real, spec.coeffs.imag])
-    try:
-        w, _ = nnls(A, b)
-    except RuntimeError as exc:   # scipy's nnls stops on its iteration limit
-        raise MomentResidualTooLarge(f"nonnegative least squares failed: {exc}")
-    keep = w > 1e-10
-    nodes, weights = th[keep], w[keep]
-    mom = np.array([np.sum(weights * np.exp(1j * k * nodes)) for k in range(n)])
-    resid = np.abs(mom - spec.coeffs).max() if n else 0.0
-    bound = 1e-6 * (1.0 + float(np.abs(spec.coeffs).max()))
-    if resid > bound:
-        raise MomentResidualTooLarge(
-            f"moment residual {resid:.3e} exceeds {bound:.3e}; grid too coarse")
-    return AtomicMeasure(nodes=nodes, weights=weights)
+    keep = w > t.rank_rel * max(w[-1], np.finfo(float).tiny)
+    F = np.sqrt(w[keep])[:, None] * dagger(U[:, keep])
+    # at n = 1 F_a is empty and any unitary, such as this one, extends it
+    X, _, Yh = np.linalg.svd(F[:, d:] @ dagger(F[:, :-d]))
+    L, Z = scipy.linalg.schur(X @ Yh, output="complex")
+    g = dagger(Z) @ F[:, :d]
+    nodes = -np.angle(np.diagonal(L))
+    weights = np.conj(g)[:, :, None] * g[:, None, :]
+    moments = np.exp(1j * np.outer(np.arange(n), nodes)) @ weights.reshape(-1, d * d)
+    A = T[:, :d].reshape(n, d * d)   # the first block column: A_0..A_{n-1}
+    resid = float(np.abs(moments - A).max())
+    bound = 1e-6 * (1.0 + float(np.abs(A).max()))
+    if not resid <= bound:
+        raise MomentResidualTooLarge(f"moment residual {resid:.3e} exceeds {bound:.3e}")
+    return nodes, weights
+
+
+def measure_from_toeplitz(spec, tol=None):
+    """At most rank T nonnegative atoms with the coefficients of a PSD
+    Toeplitz spec as moments: the scalar case of _unitary_measure."""
+    nodes, weights = _unitary_measure(spec, _tol(tol))
+    return AtomicMeasure(nodes=nodes, weights=weights[:, 0, 0].real)
 
 
 def toeplitz_from_measure(mu, n):
@@ -265,21 +282,9 @@ def toeplitz_from_measure(mu, n):
     return BlockToeplitzSpec(blocks=(herm_part(as_cmat(moments[0])), *moments[1:]))
 
 
-def block_measure_from_toeplitz(spec, grid_size=None, tol=None, max_iter=20000):
-    """PSD matrix weights G_j on equispaced nodes with
-    sum_j e^{i k theta_j} G_j = A_k, via the PSD-affine feasibility solver
-    over the product cone of the blocks."""
-    from .cpmaps import Feasible, solve_feasibility
-
-    t = _tol(tol)
-    ok, min_eig = toeplitz_psd(spec, t)
-    if not ok:
-        raise NotPSD(f"block Toeplitz min eigenvalue {min_eig:.3e}")
-    G = grid_size or 8 * spec.n
-    th = 2.0 * np.pi * np.arange(G) / G
-    K = np.exp(1j * np.outer(np.arange(spec.n), th))[:, :, None, None]
-    outcome = solve_feasibility(K, spec.blocks, t, max_iter=max_iter, target=t.feas_eps)
-    if not isinstance(outcome, Feasible):
-        raise SolverUndetermined(
-            f"moment feasibility residual {outcome.residual:.3e}")
-    return AtomicMeasure(nodes=th, weights=tuple(psd_part(outcome.matrix)))
+def block_measure_from_toeplitz(spec, tol=None, max_iter=None):
+    """An (r, d, d) stack of r <= rank T rank-one PSD weights with
+    sum_j e^{i k theta_j} G_j = A_k (_unitary_measure). max_iter is unused;
+    bench/workloads.py passes it."""
+    nodes, weights = _unitary_measure(spec, _tol(tol))
+    return AtomicMeasure(nodes=nodes, weights=weights)

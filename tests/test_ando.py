@@ -178,10 +178,10 @@ class TestBoundaryShift:
 
             T = mr.random_matrix(4, 4, 7)
             T = T / mr.num_radius(T)
-            ascend = ando._ascend
-            ando._ascend = lambda AB, theta: (ascend(AB, theta)[0], theta + 0.1)
+            maxima = ando._maxima
+            ando._maxima = lambda w: maxima(w) + 0.1
             X, steps = mr.ando_X(T)
-            ando._ascend = ascend
+            ando._maxima = maxima
             print(__debug__, np.array_equal(X, plain(T)[0]), steps == ando._SHIFT_STEPS + plain(T)[1])
 
             T = mr.random_matrix(4, 4, 0)

@@ -122,15 +122,35 @@ class TestCommands:
         mom = [complex(re, im) for re, im in out["moments"]]
         assert abs(mom[1] - 0.5) <= 1e-6
 
-    def test_toeplitz_measure_failure_is_machine_readable(self, tmp_path, capsys):
-        # moments of 34 atoms on the 256-point grid at n = 32: scipy's nnls
-        # stops on its iteration limit, which must surface as an error object
+    def test_toeplitz_measure_of_numerically_singular_spec(self, tmp_path, capsys):
+        # moments of 34 atoms on the 256-point grid at n = 32 (cond T ~ 6e15),
+        # where nonnegative least squares on the grid stopped on its
+        # iteration limit
         n = 32
         u = SplitMix64(2).uniforms(2 * (n + 2))
         nodes = 2 * np.pi * np.floor(8 * n * u[:n + 2]) / (8 * n)
         coeffs = np.exp(1j * np.outer(np.arange(n), nodes)) @ (u[n + 2:] + 0.1)
         path = write_json(tmp_path, "spec.json", {
             "coeffs": [[c.real, c.imag] for c in coeffs]})
+        code, out = run_captured(capsys, ["toeplitz-measure", "--input", path])
+        assert code == 0
+        assert out["moment_residual"] <= 1e-6
+        assert len(out["nodes"]) <= n
+
+    def test_toeplitz_measure_failure_is_machine_readable(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # a measure off its moments is never returned: nodes turned by a
+        # quarter turn must surface as an error object
+        import scipy.linalg
+        schur = scipy.linalg.schur
+
+        def turned(W, output):
+            L, Z = schur(W, output=output)
+            return 1j * L, Z
+
+        monkeypatch.setattr(scipy.linalg, "schur", turned)
+        path = write_json(tmp_path, "spec.json",
+                          {"coeffs": [[1.0, 0.0], [0.5, 0.0]]})
         code, out = run_captured(capsys, ["toeplitz-measure", "--input", path])
         assert code == 1
         assert out["error"]["name"] == "MomentResidualTooLarge"
@@ -340,7 +360,7 @@ class TestDeterminism:
 
     def test_commands_in_sequence_match_each_alone(self, tmp_path, capsys):
         # the parser is built once per process; options set by one command
-        # (order, tolerance, set, grid) must not carry over to the next
+        # (order, tolerance, set) must not carry over to the next
         e21 = write_json(tmp_path, "e21.json", E21_JSON)
         spec = write_json(tmp_path, "spec.json", {"coeffs": [[1.0, 0.0], [0.5, 0.0]]})
         argvs = [
@@ -348,7 +368,7 @@ class TestDeterminism:
             ["nilpotent-cond", "--input", e21],
             ["member", "--input", e21, "--set", "shift", "--nodes", "16"],
             ["member", "--input", e21],
-            ["toeplitz-measure", "--input", spec, "--grid", "16"],
+            ["toeplitz-measure", "--input", spec, "--tol", "1e-6"],
             ["toeplitz-measure", "--input", spec],
             ["numrad", "--input", e21, "--order", "x"],
             ["numrad", "--input", e21],

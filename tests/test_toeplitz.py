@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,3 +261,105 @@ class TestBlockMeasures:
         mu = mr.measure_from_toeplitz(spec)
         for k in range(3):
             assert abs(complex(bmu.moment(k)[0, 0]) - mu.moment(k)) <= 1e-6
+
+
+def _moment_spec(nodes, weights, n):
+    """The first n moments of atoms at ``nodes``: scalar weights as a 1-D
+    array, matrix weights as a stack."""
+    w = weights if np.ndim(weights) == 1 else tuple(weights)
+    return mr.toeplitz_from_measure(mr.AtomicMeasure(nodes=nodes, weights=w), n)
+
+
+def _rank_one_stack(rng, atoms, d):
+    g = rng.standard_normal((atoms, d)) + 1j * rng.standard_normal((atoms, d))
+    return np.conj(g)[:, :, None] * g[:, None, :]
+
+
+def _assert_represents(mu, spec):
+    """Moments within 1e-8 relative (the rank cutoff at rank_rel = 1e-10
+    alone leaves errors of that order), at most rank(T) atoms, every weight
+    PSD of rank at most one."""
+    T = mr.toeplitz_assemble(spec)
+    w = np.linalg.eigvalsh(T)
+    rank = int(np.sum(w > 1e-10 * max(w[-1], np.finfo(float).tiny)))
+    assert len(mu.nodes) <= rank
+    A = np.array([spec.coeffs] if isinstance(spec, mr.ToeplitzSpec) else spec.blocks)
+    A = A.reshape(spec.n, -1)
+    M = np.array([np.ravel(mu.moment(k)) for k in range(spec.n)])
+    assert np.abs(M - A).max() <= 1e-8 * (1.0 + np.abs(A).max())
+    for G in (np.atleast_2d(G) for G in mu.weights):
+        s = np.linalg.svd(G, compute_uv=False)
+        assert mr.op_norm(G - np.conj(G).T) <= 1e-14 * (1.0 + s[0])
+        assert np.linalg.eigvalsh(G)[0] >= -1e-14 * (1.0 + s[0])
+        assert s.size == 1 or s[1] <= 1e-12 * (1.0 + s[0])
+
+
+class TestUnitaryExtension:
+    def test_scalar_past_the_grid_solver_iteration_limit(self):
+        # 26 atoms on the 192-point grid at n = 24: nonnegative least squares
+        # on that grid stopped on its iteration limit for this input
+        n, rng = 24, np.random.default_rng(3)
+        nodes = 2 * np.pi * rng.choice(8 * n, size=n + 2, replace=False) / (8 * n)
+        spec = _moment_spec(nodes, rng.random(n + 2) + 0.1, n)
+        mu = mr.measure_from_toeplitz(spec)
+        assert mu.weights.ndim == 1 and np.all(mu.weights >= 0)
+        _assert_represents(mu, spec)
+
+    def test_sparse_off_grid_block(self):
+        # five atoms off the 40-point grid at d = 2, n = 5: Dykstra on that
+        # grid stalled at a residual of 4e-3
+        d, n, atoms, rng = 2, 5, 5, np.random.default_rng(0)
+        nodes = 2 * np.pi * (rng.choice(8 * n, size=atoms, replace=False)
+                             + rng.uniform(0.2, 0.8, atoms)) / (8 * n)
+        g = rng.standard_normal((atoms, d, d)) + 1j * rng.standard_normal((atoms, d, d))
+        spec = _moment_spec(nodes, g @ np.conj(np.swapaxes(g, 1, 2)) / (d * atoms), n)
+        _assert_represents(mr.block_measure_from_toeplitz(spec), spec)
+
+    @pytest.mark.parametrize("d, n, atoms, arc", [(2, 8, 5, 0.3), (3, 6, 4, 2 * np.pi),
+                                                  (4, 5, 7, 0.3), (1, 12, 3, 0.05),
+                                                  (2, 10, 12, 0.3)])
+    def test_clustered_and_rank_deficient_block(self, d, n, atoms, arc):
+        rng = np.random.default_rng(d * 100 + n)
+        nodes = 1.0 + arc * rng.random(atoms)
+        spec = _moment_spec(nodes, _rank_one_stack(rng, atoms, d), n)
+        assert np.linalg.cond(mr.toeplitz_assemble(spec)) >= 1e12
+        _assert_represents(mr.block_measure_from_toeplitz(spec), spec)
+
+    def test_single_coefficient(self):
+        mu = mr.measure_from_toeplitz(mr.ToeplitzSpec(coeffs=np.array([2.0])))
+        _assert_represents(mu, mr.ToeplitzSpec(coeffs=np.array([2.0])))
+        assert mu.weights.sum() == pytest.approx(2.0, rel=1e-14)
+        A0 = np.array([[2.0, 1j], [-1j, 1.0]])
+        spec = mr.BlockToeplitzSpec(blocks=(A0,))
+        _assert_represents(mr.block_measure_from_toeplitz(spec), spec)
+
+    def test_zero_spec_has_no_atoms(self):
+        mu = mr.measure_from_toeplitz(mr.ToeplitzSpec(coeffs=np.zeros(4)))
+        assert mu.nodes.size == 0 and mu.weights.size == 0
+        spec = mr.BlockToeplitzSpec(blocks=(np.zeros((2, 2)),) * 3)
+        mu = mr.block_measure_from_toeplitz(spec)
+        assert len(mu.weights) == 0
+        assert np.array_equal(mu.moment(1), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_atoms_within_rank_and_rank_one_weights(self, seed):
+        rng = np.random.default_rng(seed)
+        d, n = int(rng.integers(1, 4)), int(rng.integers(2, 9))
+        atoms = int(rng.integers(1, 2 * n * d))
+        spec = _moment_spec(2 * np.pi * rng.random(atoms), _rank_one_stack(rng, atoms, d), n)
+        _assert_represents(mr.block_measure_from_toeplitz(spec), spec)
+
+    def test_block_of_size_one_is_the_scalar_measure(self):
+        spec = _random_psd_spec(6, 11)
+        mu = mr.measure_from_toeplitz(spec)
+        bmu = mr.block_measure_from_toeplitz(mr.BlockToeplitzSpec(
+            blocks=tuple(np.array([[c]]) for c in spec.coeffs)))
+        assert np.array_equal(bmu.nodes, mu.nodes)
+        assert np.array_equal(np.array(bmu.weights)[:, 0, 0].real, mu.weights)
+
+    def test_import_leaves_out_scipy_optimize(self):
+        src = os.path.dirname(os.path.dirname(mr.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, mrange; print('scipy.optimize' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == ["False"], out.stderr
