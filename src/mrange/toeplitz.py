@@ -282,9 +282,8 @@ def toeplitz_from_measure(mu, n):
     return BlockToeplitzSpec(blocks=(herm_part(as_cmat(moments[0])), *moments[1:]))
 
 
-def block_measure_from_toeplitz(spec, tol=None, max_iter=None):
+def block_measure_from_toeplitz(spec, tol=None):
     """An (r, d, d) stack of r <= rank T rank-one PSD weights with
-    sum_j e^{i k theta_j} G_j = A_k (_unitary_measure). max_iter is unused;
-    bench/workloads.py passes it."""
+    sum_j e^{i k theta_j} G_j = A_k (_unitary_measure)."""
     nodes, weights = _unitary_measure(spec, _tol(tol))
     return AtomicMeasure(nodes=nodes, weights=weights)
