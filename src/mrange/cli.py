@@ -185,11 +185,9 @@ def _run_command(cmd, args):
     if cmd == "dilate2":
         T = _require_matrix(payload)
         win = dilation.two_dilation(T, args.window, tol)
-        residual = 0.0
-        Tn = np.eye(T.shape[0], dtype=complex)
-        for n in range(1, args.window // 2):
-            Tn = Tn @ as_cmat(T)
-            residual = max(residual, op_norm(win.center_block_of_power(n) - Tn / 2.0))
+        halves = dilation.halved_power_blocks(T, args.window // 2 - 1)[1:]
+        residual = max(op_norm(block - half) for block, half
+                       in zip(win.center_blocks_of_powers(len(halves)), halves))
         return {
             "window": args.window,
             "block_dim": win.block_dim,

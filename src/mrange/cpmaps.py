@@ -62,10 +62,6 @@ class MapOnUnits:
         """phi(E_ij), 1-based indices."""
         return np.asarray(self.values[i - 1][j - 1], dtype=complex)
 
-    def is_selfadjoint_compatible(self, atol=1e-10):
-        return all(op_norm(np.asarray(self.values[j][i]) - dagger(np.asarray(self.values[i][j])))
-                   <= atol for i in range(self.n) for j in range(self.n))
-
     def unital_defect(self):
         s = sum(np.asarray(self.values[i][i], dtype=complex) for i in range(self.n))
         return op_norm(s - np.eye(self.m))

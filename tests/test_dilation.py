@@ -7,6 +7,7 @@ from mrange.errors import (
     ConditionFails,
     NotContraction,
     RadiusTooLarge,
+    VerificationFailed,
     WindowTooSmall,
 )
 from mrange.rng import split
@@ -80,6 +81,88 @@ class TestTwoDilation:
     def test_radius_too_large(self):
         with pytest.raises(RadiusTooLarge):
             mr.two_dilation(random_with_radius(2, 1.3, 1), 8)
+
+
+class TestTwoDilationBand:
+    """The two-dilation is checked on its band: unitarity on the 3d x 3d core
+    W = U[block rows -1..1, block columns -2..0], the compression identity on
+    the block column U^n E_0. These tests pin the structure that makes both
+    exact and compare them with the dense computations they replace."""
+
+    CORE_COLS, CORE_ROWS = (-2, -1, 0), (-1, 0, 1)
+
+    @staticmethod
+    def _inputs():
+        for d in (1, 2, 3, 5, 8):
+            for w in (0.7, 1.0):
+                yield random_with_radius(d, w, split(1307, 10 * d + int(10 * w)))
+
+    @pytest.mark.parametrize("M", [4, 5, 12, 16])
+    def test_columns_outside_core_are_isolated_identities(self, M):
+        for T in (2 * E21, random_with_radius(3, 1.0, 11)):
+            d = T.shape[0]
+            win = mr.two_dilation(T, M)
+            rows = [i for i, _ in win.blocks]
+            for j in range(-M, M + 1):
+                col = [i for i, jj in win.blocks if jj == j]
+                if j in self.CORE_COLS:
+                    assert set(col) <= set(self.CORE_ROWS)
+                    continue
+                assert len(col) == (0 if j == M else 1)   # column M lies past the band
+                for i in col:
+                    assert np.array_equal(win.blocks[(i, j)], np.eye(d))
+                    assert rows.count(i) == 1
+            # the rows that meet the core hold no block outside it
+            assert all(j in self.CORE_COLS for i, j in win.blocks if i in self.CORE_ROWS)
+
+    @pytest.mark.parametrize("M", [4, 5, 12])
+    def test_core_defect_equals_dense_interior_defect(self, M):
+        for T in self._inputs():
+            d = T.shape[0]
+            win = mr.two_dilation(T, M)
+            U = win.dense()
+            size = U.shape[0]
+            inner = slice(2 * d, size - 2 * d)
+            G = (np.conj(U).T @ U - np.eye(size))[inner, inner]
+            dense = mr.op_norm(G)
+            core = mr.dilation._core_unitarity_defect(win.blocks, d)
+            assert abs(core - dense) <= 1e-14 * (1 + mr.op_norm(T))
+            # outside the core columns, U*U - I is exactly zero; the interior
+            # starts at block 2 - M, so block -2 starts at (M - 4) d
+            lo = (M - 4) * d
+            G[lo:lo + 3 * d, lo:lo + 3 * d] = 0.0
+            assert np.count_nonzero(G) == 0
+
+    @pytest.mark.parametrize("M", [4, 5, 12])
+    def test_power_recursion_matches_dense_powers(self, M):
+        for T in self._inputs():
+            d = T.shape[0]
+            win = mr.two_dilation(T, M)
+            U, c = win.dense(), slice(M * d, (M + 1) * d)
+            blocks = list(win.center_blocks_of_powers(M))
+            assert len(blocks) == M
+            for n, block in enumerate(blocks, 1):
+                dense = np.linalg.matrix_power(U, n)[c, c]
+                assert mr.op_norm(block - dense) <= 1e-13 * (1 + mr.op_norm(T))
+                np.testing.assert_array_equal(win.center_block_of_power(n), block)
+            np.testing.assert_array_equal(win.center_block_of_power(0), np.eye(d))
+
+    def test_scaled_defect_root_fails_unitarity(self, monkeypatch):
+        roots = mr.dilation._defect_roots
+
+        def scaled(C, eps):
+            DCs, DC = roots(C, eps)
+            return DCs, DC * (1 + 1e-6)
+
+        monkeypatch.setattr(mr.dilation, "_defect_roots", scaled)
+        with pytest.raises(VerificationFailed, match="interior unitarity defect"):
+            mr.two_dilation(random_with_radius(3, 0.9, 5), 8)
+
+    def test_operator_other_than_the_factorization_fails_compression(self):
+        T = random_with_radius(3, 0.9, 5)
+        C = mr.ando_decompose(T).C
+        with pytest.raises(VerificationFailed, match="compression identity"):
+            mr.dilation._two_dilation(T + 1e-6 * np.eye(3), C, 8, mr.default_tolerances())
 
 
 class TestBilateralModel:
