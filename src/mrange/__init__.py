@@ -55,7 +55,6 @@ from .linalg import (
     random_hermitian,
     random_isometry,
     random_matrix,
-    set_default_tolerances,
     shift,
     sqrt_psd,
 )

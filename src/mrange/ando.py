@@ -42,7 +42,10 @@ from scipy.linalg import lapack
 
 from .errors import NoConvergence, RadiusTooLarge, RangeViolation, verify
 from .linalg import (
+    FIXPOINT_EPS,
+    RANK_REL,
     _defect_roots,
+    _pinv_sqrt,
     _sqrt_eigenvalues,
     _tol,
     dagger,
@@ -54,7 +57,7 @@ from .linalg import (
 )
 from .numrange import num_radius
 
-# at w(T) = 1 the residual falls like 4^-k and reaches fixpoint_eps in about
+# at w(T) = 1 the residual falls like 4^-k and reaches FIXPOINT_EPS in about
 # 20 steps; elsewhere convergence is quadratic
 _MAX_STEPS = 100
 # the shifted iteration is quadratic and took at most 10 steps, polish
@@ -68,26 +71,26 @@ _SHIFT_BAND = 64.0 * np.finfo(float).eps
 _SHIFT_RCOND_MIN = 1e-8
 
 
-def _congruence_pinv(X, A1, t):
-    """A1 X^+ A1* for Hermitian X, X^+ at the rank_rel cutoff: by a Cholesky
+def _congruence_pinv(X, A1):
+    """A1 X^+ A1* for Hermitian X, X^+ at the RANK_REL cutoff: by a Cholesky
     solve when LAPACK's pocon puts X far above the cutoff (its 1-norm estimate
     is within n of the 2-norm condition; 1e3 covers the estimate's own
     error), by one eigh of X otherwise."""
     L, info = lapack.zpotrf(X, lower=1)
     if info == 0:
         rcond, info = lapack.zpocon(L, np.abs(X).sum(axis=0).max(), uplo="L")
-        if info == 0 and rcond > 1e3 * X.shape[0] * t.rank_rel:
+        if info == 0 and rcond > 1e3 * X.shape[0] * RANK_REL:
             W = lapack.ztrtrs(L, dagger(A1), lower=1)[0]
             return dagger(W) @ W
     w, U = np.linalg.eigh(X)
-    keep = np.abs(w) > t.rank_rel * np.abs(w).max(initial=0.0)
+    keep = np.abs(w) > RANK_REL * np.abs(w).max(initial=0.0)
     AU = A1 @ U[:, keep]
     return (AU / w[keep]) @ dagger(AU)
 
 
-def _fixpoint_defect(A0, A1, X, t):
+def _fixpoint_defect(A0, A1, X):
     """X - (A0 - A1 X^+ A1*), zero at a solution of X + A1 X^{-1} A1* = A0."""
-    return X - herm_part(A0 - _congruence_pinv(X, A1, t))
+    return X - herm_part(A0 - _congruence_pinv(X, A1))
 
 
 def _norm_within(R, eps):
@@ -107,7 +110,7 @@ def _lu_solve(M, B):
     return lapack.zgetrs(lu, piv, B)[0]
 
 
-def _cyclic_reduction(A0, A1, t, polish=False, shift=None):
+def _cyclic_reduction(A0, A1, polish=False, shift=None):
     """Maximal Hermitian solution X of X + A1 X^{-1} A1* = A0, and the step count.
 
     X = A0 + A1 G for the minimal solvent G of A1* + A0 G + A1 G^2 = 0. Each
@@ -132,7 +135,7 @@ def _cyclic_reduction(A0, A1, t, polish=False, shift=None):
     G = S - Ah^{-1} A_{-1} (the minimal solvent's bound), or it raises
     NoConvergence: a wrong shift never passes.
 
-    Either way the loop stops once op_norm(X - (A0 - A1 X^+ A1*)) <= fixpoint_eps.
+    Either way the loop stops once op_norm(X - (A0 - A1 X^+ A1*)) <= FIXPOINT_EPS.
     With ``polish`` it takes one more step, which in the quadratic regime
     brings X to the rounding floor: a spectral factor read off X needs that
     accuracy. Raises NoConvergence after _MAX_STEPS steps.
@@ -146,8 +149,8 @@ def _cyclic_reduction(A0, A1, t, polish=False, shift=None):
         C = Ah = A0 + A1 @ S
         X = herm_part(Ah)
     for k in range(steps):
-        R = _fixpoint_defect(A0, A1, X, t)
-        done = _norm_within(R, t.fixpoint_eps)
+        R = _fixpoint_defect(A0, A1, X)
+        done = _norm_within(R, FIXPOINT_EPS)
         if done and not polish:
             break
         if shift is None:
@@ -159,7 +162,7 @@ def _cyclic_reduction(A0, A1, t, polish=False, shift=None):
                                 axis=1)
                 BCB, BCBs, BCB2 = dagger(W) @ W, dagger(V) @ V, dagger(V) @ W
             else:
-                Cp = pinv(C, t)
+                Cp = pinv(C)
                 BCB, BCBs, BCB2 = dagger(Am) @ Cp @ Am, Am @ Cp @ dagger(Am), Am @ Cp @ Am
             X = herm_part(X - BCB)
             C = herm_part(C - BCBs - BCB)
@@ -223,7 +226,7 @@ def ando_X(T, tol=None):
     """
     t = _tol(tol)
     A = require_square(T, "ando_X")
-    w = num_radius(A, t)
+    w = num_radius(A)
     return _extremal_X(A, w, t, _maxima(w))[:2]
 
 
@@ -251,12 +254,12 @@ def _extremal_X(A, w, t, maxima=()):
         try:
             # a wrong shift can also overflow: that falls back as well
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                X, k = _cyclic_reduction(I, A1, t, polish=True, shift=shift)
+                X, k = _cyclic_reduction(I, A1, polish=True, shift=shift)
         except (NoConvergence, FloatingPointError, np.linalg.LinAlgError):
             k = _SHIFT_STEPS
     if X is None:
         try:
-            X, k_plain = _cyclic_reduction(I, A1, t)
+            X, k_plain = _cyclic_reduction(I, A1)
         except NoConvergence as exc:
             if w > 1.0:
                 raise RadiusTooLarge(f"numerical radius {w:.12f} exceeds 1: {exc}")
@@ -265,7 +268,7 @@ def _extremal_X(A, w, t, maxima=()):
 
     x, U = np.linalg.eigh(X)
     # I - X X^+ projects onto the eigenvectors pinv would drop
-    kernel = U[:, np.abs(x) <= t.rank_rel * np.abs(x).max(initial=0.0)]
+    kernel = U[:, np.abs(x) <= RANK_REL * np.abs(x).max(initial=0.0)]
     if op_norm(dagger(kernel) @ A) > 1e-6:
         raise RangeViolation("X no longer covers the range of T")
     ok, min_eig = psd_check(np.block([[I - X, dagger(A) / 2.0], [A / 2.0, X]]), t)
@@ -302,14 +305,7 @@ class AndoDecomposition:
 def ando_decompose(T, tol=None):
     t = _tol(tol)
     A = require_square(T, "ando_decompose")
-    return _ando_decompose(A, num_radius(A, t), t)
-
-
-def _pinv_sqrt(w, t):
-    """1 / sqrt(w) where w > rank_rel * max|w|, else 0: the eigenvalues of
-    the pseudo-inverse square root of a PSD operator with eigenvalues w."""
-    keep = w > t.rank_rel * max(np.abs(w).max(initial=0.0), np.finfo(float).tiny)
-    return np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
+    return _ando_decompose(A, num_radius(A), t)
 
 
 def _ando_decompose(A, w, t):
@@ -330,15 +326,15 @@ def _ando_decompose(A, w, t):
 
     # X^{+1/2} and (I - X)^{+1/2} vanish off range(X) and range(I - X), so
     # Z maps range(I - X) into range(X) as it is
-    inv_sq_ix = _pinv_sqrt(1.0 - x, t)
-    Z = of_X(_pinv_sqrt(x, t)) @ (A / 2.0) @ of_X(inv_sq_ix)
+    inv_sq_ix = _pinv_sqrt(1.0 - x)
+    Z = of_X(_pinv_sqrt(x)) @ (A / 2.0) @ of_X(inv_sq_ix)
     C = Z @ of_X(_sqrt_eigenvalues(1.0 - x, t.psd_eps))
 
     # I + Y_max = 2X and I - Y_max = 2(I - X)
     rec_y = op_norm(of_X(_sqrt_eigenvalues(2.0 * x, t.psd_eps)) @ Z
                     @ of_X(_sqrt_eigenvalues(2.0 * (1.0 - x), t.psd_eps)) - A)
     rec_c = op_norm(2.0 * _defect_roots(C, t.psd_eps)[1] @ C - A)
-    fixres = op_norm(_fixpoint_defect(I, dagger(A) / 2.0, X, t))
+    fixres = op_norm(_fixpoint_defect(I, dagger(A) / 2.0, X))
     ymin_gap = float(np.linalg.eigvalsh(Y_max - Y_min)[0])
 
     # Z is isometric on range(I - Y_max): | |Z v| - |v| | on its eigenvectors
@@ -376,7 +372,7 @@ def radius_lmi(T, tol=None):
     """
     t = _tol(tol)
     M = require_square(T, "radius_lmi")
-    return _radius_lmi(M, num_radius(M, t), t)
+    return _radius_lmi(M, num_radius(M), t)
 
 
 def _radius_lmi(M, w, t, A=None):
@@ -400,7 +396,7 @@ def ucp_from_e21(T, tol=None):
     """
     t = _tol(tol)
     M = require_square(T, "ucp_from_e21")
-    return _ucp_from_e21(M, num_radius(M, t), t)
+    return _ucp_from_e21(M, num_radius(M), t)
 
 
 def _ucp_from_e21(M, w, t, A=None):

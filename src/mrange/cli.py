@@ -14,7 +14,6 @@ error object on stdout.
 
 import argparse
 import json
-import os
 import sys
 import time
 from functools import cache
@@ -22,7 +21,7 @@ from functools import cache
 import numpy as np
 
 from . import __version__
-from .errors import BadJson, BadTolerance, MrangeError, UnknownCommand
+from .errors import BadJson, MrangeError, UnknownCommand
 from .linalg import Tolerances, as_cmat, op_norm
 
 COMMANDS = (
@@ -93,21 +92,6 @@ def _require_matrix(payload, key="matrix"):
     return _field(payload, key, matrix_from_json)
 
 
-def _tolerances(args):
-    """Tolerances from --tol, else from MRANGE_TOL; BadTolerance unless the
-    value is a finite positive number."""
-    eps = args.tol
-    base = os.environ.get("MRANGE_TOL")
-    if eps is None and base:
-        try:
-            eps = float(base)
-        except ValueError:
-            raise BadTolerance(f"MRANGE_TOL must be a number, got {base!r}") from None
-    if eps is None:
-        return Tolerances()
-    return Tolerances(psd_eps=eps, feas_eps=max(eps, 1e-7))
-
-
 @cache
 def build_parser():
     """The argument parser, built once per process: parsing leaves it unchanged."""
@@ -137,16 +121,17 @@ def _run_command(cmd, args):
     from . import dilation, matrange, numrange, toeplitz
     from .cpmaps import choi, is_cp
 
-    tol = _tolerances(args)
+    # BadTolerance unless --tol is a finite positive number
+    tol = Tolerances() if args.tol is None else Tolerances(psd_eps=args.tol)
     payload = _load_input(args.input) if args.input else None
 
     if cmd == "numrad":
         T = _require_matrix(payload)
-        return {"radius": numrange.num_radius(T, tol)}, 0
+        return {"radius": numrange.num_radius(T)}, 0
 
     if cmd == "boundary":
         T = _require_matrix(payload)
-        pts = numrange.range_boundary(T, args.count, tol)
+        pts = numrange.range_boundary(T, args.count)
         return {"points": [complex_to_json(z) for z in pts]}, 0
 
     if cmd == "ando":
@@ -212,7 +197,7 @@ def _run_command(cmd, args):
 
     if cmd == "nilpotent-cond":
         T = _require_matrix(payload)
-        margin = dilation.nilpotent_condition(T, args.order, tol)
+        margin = dilation.nilpotent_condition(T, args.order)
         ok = margin >= -tol.psd_eps
         return {"order": args.order, "margin": margin, "holds": ok}, 0 if ok else 2
 
@@ -236,7 +221,7 @@ def _run_command(cmd, args):
     if cmd == "fejer-riesz":
         coeffs = np.array(_field(payload, "coeffs", complex_from_json, many=True))
         poly = toeplitz.TrigPoly(coeffs=coeffs)
-        p = toeplitz.fejer_riesz(poly, tol)
+        p = toeplitz.fejer_riesz(poly)
         # |tau - |p|^2| on fejer_riesz's 4096-point precheck grid
         resid = float(np.abs(toeplitz._trig_grid(poly.coeffs)
                              - np.abs(toeplitz._circle_sums(p)) ** 2).max())
@@ -292,8 +277,8 @@ def _run_command(cmd, args):
 
     if cmd == "spatial":
         T = _require_matrix(payload)
-        mats = matrange.spatial_samples(T, args.order, args.count, args.seed, tol)
-        radii = [numrange.num_radius(M, tol) for M in mats]
+        mats = matrange.spatial_samples(T, args.order, args.count, args.seed)
+        radii = [numrange.num_radius(M) for M in mats]
         return {
             "count": len(mats),
             "max_radius": max(radii) if radii else 0.0,

@@ -32,6 +32,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import (
+    _rank_mask,
     _tol,
     as_cmat,
     dagger,
@@ -157,7 +158,7 @@ def kraus_from_choi(C, tol=None, psd_slack=None):
     slack = t.psd_eps if psd_slack is None else psd_slack
     if w.size and w[0] < -slack * scale:
         raise NotPSD(f"Choi min eigenvalue {w[0]:.3e} below tolerance")
-    keep = (w > t.rank_rel * max(w.max(initial=0.0), np.finfo(float).tiny)) & (w > 0)
+    keep = _rank_mask(w)
     vecs = eig.eigenvectors[:, keep] * np.sqrt(w[keep])
     return KrausSet(operators=tuple(v.reshape(C.n, C.m).T.copy() for v in vecs.T))
 
@@ -175,14 +176,15 @@ def stinespring(phi, tol=None, psd_slack=None):
     isometry identity holds to machine precision.
     """
     t = _tol(tol)
-    okcp, min_eig = is_cp(phi, t)
+    C = choi(phi)
+    okcp, min_eig = psd_check(C.block, t)
     slack = t.psd_eps if psd_slack is None else psd_slack
-    scale = 1.0 + op_norm(choi(phi).block)
-    if not okcp and min_eig < -slack * scale:
+    if not okcp and min_eig < -slack * (1.0 + op_norm(C.block)):
         raise NotCP(f"Choi min eigenvalue {min_eig:.3e}")
-    if phi.unital_defect() > 1e-6:
-        raise NotUnital(f"unital defect {phi.unital_defect():.3e}")
-    ops = kraus_from_choi(choi(phi), t, psd_slack=slack).operators
+    defect = phi.unital_defect()
+    if defect > 1e-6:
+        raise NotUnital(f"unital defect {defect:.3e}")
+    ops = kraus_from_choi(C, t, psd_slack=slack).operators
     ops = ops or (np.zeros((phi.m, phi.n), dtype=complex),)
     r = len(ops)
     # row i r + k of V is conj(K_k[:, i])
@@ -213,6 +215,10 @@ def cstar_convex(Xs, As, atol=1e-9):
 # PSD-affine feasibility: Dykstra's alternating projections on block stacks
 # ---------------------------------------------------------------------------
 
+# iteration cap of the feasibility solver
+MAX_ITER = 20000
+
+
 @dataclass(frozen=True)
 class Feasible:
     matrix: np.ndarray
@@ -224,7 +230,7 @@ class Undetermined:
     residual: float
 
 
-def solve_feasibility(K, B, tol=None, max_iter=20000, start=None, target=None):
+def solve_feasibility(K, B, tol=None, start=None, target=None):
     """Find a stack W of N Hermitian PSD matrices, each an s x s grid of
     m x m blocks W_g[i, j], with
 
@@ -242,8 +248,9 @@ def solve_feasibility(K, B, tol=None, max_iter=20000, start=None, target=None):
     [K; conj(K^T)], keeps W Hermitian.
 
     Returns Feasible with the stack when the joint residual drops below
-    feas_eps (the affine constraints hold essentially exactly, the cones
-    are PSD within feas_eps), and Undetermined after max_iter otherwise.
+    feas_eps = max(psd_eps, 1e-7) (the affine constraints hold essentially
+    exactly, the cones are PSD within feas_eps), and Undetermined after
+    MAX_ITER iterations otherwise.
     Raises InconsistentAffine, carrying the least-squares residual, when
     the affine system alone has no Hermitian solution.
 
@@ -282,12 +289,12 @@ def solve_feasibility(K, B, tol=None, max_iter=20000, start=None, target=None):
     if target is None:
         target = t.feas_eps / 20.0
     best = (np.inf, None)
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         Y = W + dual
         Ypsd = psd_part(Y)
         dual = Y - Ypsd
         W = Ypsd - stack(Lp @ (L @ entries(Ypsd) - c))
-        if it % 8 == 0 or it == max_iter - 1:
+        if it % 8 == 0 or it == MAX_ITER - 1:
             M = herm_part(W)
             res = max(float(np.abs(Kf @ entries(M) - Bf).max(initial=0.0)),
                       -float(np.linalg.eigvalsh(M)[:, 0].min()), 0.0)
@@ -300,7 +307,7 @@ def solve_feasibility(K, B, tol=None, max_iter=20000, start=None, target=None):
     return Undetermined(residual=best[0])
 
 
-def solve_map_problem(n, m, value_pairs, tol=None, max_iter=20000):
+def solve_map_problem(n, m, value_pairs, tol=None):
     """Feasibility for a unital CP map M_n -> M_m with prescribed values.
 
     ``value_pairs`` is an iterable of (X, target) pairs meaning
@@ -311,7 +318,7 @@ def solve_map_problem(n, m, value_pairs, tol=None, max_iter=20000):
     pairs = [(np.eye(n), np.eye(m))] + list(value_pairs)
     K = np.array([as_cmat(X) for X, _ in pairs])[:, None]
     B = np.array([as_cmat(Y) for _, Y in pairs])
-    outcome = solve_feasibility(K, B, tol, max_iter=max_iter)
+    outcome = solve_feasibility(K, B, tol)
     if isinstance(outcome, Feasible):
         return Feasible(matrix=outcome.matrix[0], residual=outcome.residual)
     return outcome

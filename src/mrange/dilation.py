@@ -26,6 +26,7 @@ from .errors import (
     verify,
 )
 from .linalg import (
+    RANK_REL,
     _defect_roots,
     _tol,
     as_cmat,
@@ -213,13 +214,13 @@ def halved_power_blocks(T, N):
     return out
 
 
-def nilpotent_condition(T, n, tol=None):
+def nilpotent_condition(T, n):
     """min over the circle of lambda_min(I + 2 Re sum_{k=1}^{n-1} l^k T^k).
 
     The condition of order n holds iff the returned margin is >= -psd_eps.
     The margin is 1 - max lambda_max(Re p(l)) for p(z) = -2 sum_k z^k T^k,
-    computed by the level-set method of :mod:`mrange.numrange` (``tol`` is
-    unused: it needs none).
+    computed by the level-set method of :mod:`mrange.numrange`, which needs
+    no tolerance.
     """
     A = require_square(T, "nilpotent_condition")
     if n < 2:
@@ -253,7 +254,7 @@ def nilpotent_dilation(T, n, tol=None):
     t = _tol(tol)
     A = require_square(T, "nilpotent_dilation")
     d = A.shape[0]
-    cond = nilpotent_condition(A, n, tol=t)
+    cond = nilpotent_condition(A, n)
     if cond < -t.psd_eps:
         raise ConditionFails(
             f"order-{n} condition margin {cond:.3e} is negative")
@@ -261,13 +262,13 @@ def nilpotent_dilation(T, n, tol=None):
     powers = [np.eye(d, dtype=complex)]
     for _ in range(1, n):
         powers.append(powers[-1] @ A)
-    # below a margin of 10 rank_rel, factor Q + (10 rank_rel - margin) I instead:
-    # its X >= 10 rank_rel I stays clear of the pseudo-inverse cutoff, so the
+    # below a margin of 10 RANK_REL, factor Q + (10 RANK_REL - margin) I instead:
+    # its X >= 10 RANK_REL I stays clear of the pseudo-inverse cutoff, so the
     # residual stop can be met. V, scaled back to an isometry, then moves the
     # compressions by at most that lift (|T^j| <= 1 under the condition)
-    lift = 1.0 + max(0.0, 10.0 * t.rank_rel - cond)
+    lift = 1.0 + max(0.0, 10.0 * RANK_REL - cond)
     Q = np.array([lift * powers[0]] + powers[1:])
-    V = _spectral_factor(Q, t)[::-1].reshape(n * d, d) / np.sqrt(lift)
+    V = _spectral_factor(Q)[::-1].reshape(n * d, d) / np.sqrt(lift)
     N = kron(shift(n), np.eye(d, dtype=complex))
 
     verify(op_norm(np.linalg.matrix_power(N, n)) == 0.0, "N^n must vanish exactly")
@@ -277,7 +278,7 @@ def nilpotent_dilation(T, n, tol=None):
     for j in range(1, n):
         Pj = Pj @ N
         err = op_norm(dagger(V) @ Pj @ V - powers[j])
-        # the lift moves this by at most 10 rank_rel + psd_eps near zero
+        # the lift moves this by at most 10 RANK_REL + psd_eps near zero
         # margin; interior instances land at the rounding floor
         verify(err <= 1e-7, f"compression mismatch at power {j}: {err:.3e}")
     return NilpotentDilation(order=n, N=N, V=V, r=d)

@@ -18,30 +18,30 @@ from .errors import BadShape, BadTolerance, NonSquare, NotHermitian, NotPSD
 from .rng import SplitMix64
 
 
+# relative singular/eigen cutoff for pseudo-inverses and ranks
+RANK_REL = 1e-10
+# stop on the fixed-point residual (operator norm)
+FIXPOINT_EPS = 1e-12
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric thresholds shared across the toolkit.
+    """The relative PSD slack ``psd_eps``, the toolkit's one numeric setting.
 
-    psd_eps      relative PSD slack
-    rank_rel     relative singular/eigen cutoff for pseudo-inverses and ranks
-    fixpoint_eps stop on the fixed-point residual (operator norm)
-    feas_eps     joint residual accepted by the feasibility solver
-    grid_angles  kept for compatibility; no routine reads it (the radius and
-                 the nilpotent condition use level sets)
+    feas_eps, the joint residual the feasibility solver accepts, follows
+    from it as max(psd_eps, 1e-7).
     """
 
     psd_eps: float = 1e-9
-    rank_rel: float = 1e-10
-    fixpoint_eps: float = 1e-12
-    feas_eps: float = 1e-7
-    grid_angles: int = 720
 
     def __post_init__(self):
-        for name in ("psd_eps", "rank_rel", "fixpoint_eps", "feas_eps", "grid_angles"):
-            value = getattr(self, name)
-            if not (value > 0 and np.isfinite(value)):
-                raise BadTolerance(f"Tolerances.{name} must be finite and strictly positive, "
-                                   f"got {value!r}")
+        if not (self.psd_eps > 0 and np.isfinite(self.psd_eps)):
+            raise BadTolerance(f"Tolerances.psd_eps must be finite and strictly positive, "
+                               f"got {self.psd_eps!r}")
+
+    @property
+    def feas_eps(self):
+        return max(self.psd_eps, 1e-7)
 
 
 DEFAULT_TOL = Tolerances()
@@ -49,14 +49,6 @@ DEFAULT_TOL = Tolerances()
 
 def default_tolerances():
     return DEFAULT_TOL
-
-
-def set_default_tolerances(tol):
-    """Replace the process-wide default. Intended to be called once at startup."""
-    global DEFAULT_TOL
-    if not isinstance(tol, Tolerances):
-        raise TypeError("expected a Tolerances instance")
-    DEFAULT_TOL = tol
 
 
 def _tol(tol):
@@ -106,7 +98,7 @@ class EigResult:
     eigenvectors: np.ndarray
 
 
-def herm_eig(H, tol=None):
+def herm_eig(H):
     """Eigendecomposition of a Hermitian-within-tolerance matrix.
 
     The input is symmetrized as (H + H*)/2 before solving; asymmetry beyond
@@ -158,17 +150,29 @@ def psd_part(H):
     return (V * np.clip(w, 0.0, None)[..., None, :]) @ dagger(V)
 
 
-def pinv(M, tol=None):
+def pinv(M):
     """Moore-Penrose pseudo-inverse with singular values below
-    rank_rel * sigma_max treated as zero."""
-    t = _tol(tol)
+    RANK_REL * sigma_max treated as zero."""
     A = as_cmat(M)
     if A.size == 0:
         return A.T.copy()
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    cut = t.rank_rel * (s[0] if s.size else 0.0)
+    cut = RANK_REL * (s[0] if s.size else 0.0)
     inv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
     return dagger(Vh) @ (inv[:, None] * dagger(U))
+
+
+def _rank_mask(w):
+    """Which eigenvalues w of a PSD operator lie above the rank cutoff
+    RANK_REL * max(w, tiny), which is positive."""
+    return w > RANK_REL * max(w.max(initial=0.0), np.finfo(float).tiny)
+
+
+def _pinv_sqrt(w):
+    """1 / sqrt(w) where w > RANK_REL * max|w|, else 0: the eigenvalues of
+    the pseudo-inverse square root of a PSD operator with eigenvalues w."""
+    keep = w > RANK_REL * max(np.abs(w).max(initial=0.0), np.finfo(float).tiny)
+    return np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
 
 
 def sqrt_psd(H, tol=None):

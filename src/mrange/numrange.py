@@ -246,20 +246,21 @@ class _Radius(float):
         return self
 
 
-def _radius_and_angle(T, tol):
+def _radius_and_angle(T):
     """Max of the support function, as a _Radius, and an angle where it is
-    attained (``tol`` is unused: the level-set iteration needs none)."""
+    attained."""
     r, angle, maxima = _level_set_max(require_square(T, "num_radius"))
     return _Radius(r, maxima), angle
 
 
-def num_radius(T, tol=None):
+def num_radius(T):
     """Numerical radius w(T) = max_theta lambda_max(Re(e^{i theta} T)), a
-    float that also carries the angles where it is attained (``_Radius``)."""
-    return _radius_and_angle(T, tol)[0]
+    float that also carries the angles where it is attained (``_Radius``).
+    The level-set method needs no tolerance."""
+    return _radius_and_angle(T)[0]
 
 
-def range_boundary(T, K, tol=None):
+def range_boundary(T, K):
     """K support points of the numerical range.
 
     For each theta_k = 2 pi k / K, takes a top eigenvector v of
@@ -346,7 +347,7 @@ def radius_characterizations(T, tol=None):
     """
     t = _tol(tol)
     A = require_square(T, "radius_characterizations")
-    radius, angle = _radius_and_angle(A, t)
+    radius, angle = _radius_and_angle(A)
     level = 1.0 + t.psd_eps * (1.0 + op_norm(A))
     on_circle = not _exceeds(A, level)
     conds = (radius <= level, on_circle, on_circle, on_circle)

@@ -17,7 +17,9 @@ from .errors import (
     verify,
 )
 from .linalg import (
+    _pinv_sqrt,
     _psd_verdict,
+    _rank_mask,
     _tol,
     as_cmat,
     dagger,
@@ -97,7 +99,7 @@ def _block_toeplitz(Q, n, offset=0):
     return full[idx].transpose(0, 2, 1, 3).reshape(n * m, n * m)
 
 
-def _spectral_factor(Q, t):
+def _spectral_factor(Q):
     """Coefficients P_0..P_N (m x m) of an outer P(l) = sum_k l^k P_k with
     P(l)* P(l) = Q(l) >= 0 on the circle, Q given by Q_0..Q_N (Q_{-k} = Q_k*).
 
@@ -106,18 +108,17 @@ def _spectral_factor(Q, t):
     X + A1 X^{-1} A1* = A0 is L*L for L = [P_{i-j}], so X's last block row is
     P_0* [P_{N-1}, ..., P_0], and P_0* P_N = Q_N. With P_0* P_0 = U w U*,
     P_k = w^{-1/2} U* (P_0* P_k), zero in the rows where w is under the
-    rank_rel cutoff, so Q singular on the whole circle factors too.
+    RANK_REL cutoff, so Q singular on the whole circle factors too.
     """
     N, m = Q.shape[0] - 1, Q.shape[1]
-    X, _ = _cyclic_reduction(_block_toeplitz(Q, N), _block_toeplitz(Q, N, N), t, polish=True)
+    X, _ = _cyclic_reduction(_block_toeplitz(Q, N), _block_toeplitz(Q, N, N), polish=True)
     w, U = np.linalg.eigh(X[-m:, -m:])
-    keep = w > t.rank_rel * max(w[-1], np.finfo(float).tiny)
-    root = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)[:, None] * dagger(U)
+    root = _pinv_sqrt(w)[:, None] * dagger(U)
     last = X[-m:].reshape(m, N, m).transpose(1, 0, 2)[::-1]   # P_0* P_k, k < N
     return root @ np.concatenate([last, Q[N:]])
 
 
-def fejer_riesz(tau, tol=None):
+def fejer_riesz(tau):
     """Spectral factor p (lowest-first) with |p|^2 = tau on the circle.
 
     tau must be strictly positive on a 4096-point grid. The scalar case of
@@ -128,7 +129,6 @@ def fejer_riesz(tau, tol=None):
     coefficient identity conv(p, conj(p[::-1])) = tau, to a bound that
     implies |tau - |p|^2| <= 1e-7 (1 + max tau) on the grid.
     """
-    t = _tol(tol)
     a = np.asarray(tau.coeffs, dtype=complex)
     # trim trailing coefficients so the top coefficient is genuinely nonzero
     cut = 1e-12 * max(np.abs(a).max(), np.finfo(float).tiny)
@@ -144,7 +144,7 @@ def fejer_riesz(tau, tol=None):
     if N == 0:
         return np.array([np.sqrt(a[0].real)], dtype=complex)
 
-    outer = _spectral_factor((a / a[0].real)[:, None, None], t)[:, 0, 0]
+    outer = _spectral_factor((a / a[0].real)[:, None, None])[:, 0, 0]
     p = np.sqrt(a[0].real) * np.conj(outer[::-1])
     # |tau - |p|^2| on the circle is at most |e_0| + 2 sum_{k>=1} |e_k|
     e = np.abs(np.convolve(p, np.conj(p[::-1]))[N:] - a)
@@ -234,7 +234,7 @@ def _unitary_measure(spec, t):
     quadrature (Jones, Njastad & Thron, 1989; Gragg, 1993).
 
     T = F*F for F = diag(sqrt w) U* over T's eigenvalues above
-    rank_rel * w_max, so F_i* F_j = A_{i-j} for its column blocks, and
+    RANK_REL * w_max, so F_i* F_j = A_{i-j} for its column blocks, and
     F_a = [F_0..F_{n-2}], F_b = [F_1..F_{n-1}] share a Gram matrix. The
     polar factor W of F_b F_a* is then unitary with W F_a = F_b, also for a
     rank-deficient F_a, and A_k = F_0* W^{-k} F_0. The complex Schur form
@@ -249,7 +249,7 @@ def _unitary_measure(spec, t):
     ok, min_eig = _psd_verdict(w, t.psd_eps)
     if not ok:
         raise NotPSD(f"Toeplitz matrix min eigenvalue {min_eig:.3e}")
-    keep = w > t.rank_rel * max(w[-1], np.finfo(float).tiny)
+    keep = _rank_mask(w)
     F = np.sqrt(w[keep])[:, None] * dagger(U[:, keep])
     # at n = 1 F_a is empty and any unitary, such as this one, extends it
     X, _, Yh = np.linalg.svd(F[:, d:] @ dagger(F[:, :-d]))

@@ -68,8 +68,7 @@ class TestAndoX:
 def _unshifted_X(T):
     """X from cyclic reduction without the boundary shift, and its steps."""
     A = np.asarray(T, dtype=complex)
-    return mr.ando._cyclic_reduction(np.eye(A.shape[0], dtype=complex), np.conj(A).T / 2,
-                                     mr.default_tolerances())
+    return mr.ando._cyclic_reduction(np.eye(A.shape[0], dtype=complex), np.conj(A).T / 2)
 
 
 def _real_boundary(k):
@@ -174,7 +173,7 @@ class TestBoundaryShift:
 
             def plain(T):
                 I = np.eye(T.shape[0], dtype=complex)
-                return ando._cyclic_reduction(I, T.conj().T / 2, mr.default_tolerances())
+                return ando._cyclic_reduction(I, T.conj().T / 2)
 
             T = mr.random_matrix(4, 4, 7)
             T = T / mr.num_radius(T)
@@ -207,14 +206,13 @@ class TestBoundaryShift:
         assert out.stdout.split() == ["False", "True", "True", "True", "True"], out.stderr
 
 
-def _lmi_feasible_point(T, start, tol=None, max_iter=4000):
+def _lmi_feasible_point(T, start):
     """Project a random Hermitian pair into {[[I-Y, T*/2],[T/2, Y]] >= 0}."""
     d = T.shape[0]
     # one cone, a 2 x 2 grid of d x d blocks: the (2, 1) block is pinned to
     # T/2 and the diagonal blocks sum to the identity
     K = [[np.array([[0, 0], [1, 0]])], [np.eye(2)]]
-    out = mr.solve_feasibility(K, [T / 2, np.eye(d)], tol, max_iter=max_iter,
-                               start=start)
+    out = mr.solve_feasibility(K, [T / 2, np.eye(d)], start=start)
     if not isinstance(out, Feasible):
         return None
     return out.matrix[0, d:, d:]
@@ -239,7 +237,7 @@ class TestAndoDecompose:
         # w(T*) = w(T), so the adjoint problem reuses the radius
         calls = []
         radius = mr.ando.num_radius
-        monkeypatch.setattr(mr.ando, "num_radius", lambda T, tol: calls.append(1) or radius(T, tol))
+        monkeypatch.setattr(mr.ando, "num_radius", lambda T: calls.append(1) or radius(T))
         mr.ando_decompose(E21)
         assert len(calls) == 1
 
@@ -268,7 +266,8 @@ class TestAndoDecompose:
         Xstar, _ = mr.ando_X(np.conj(T).T)
         np.testing.assert_allclose(dec.Y_min, -(2 * Xstar - np.eye(3)), atol=1e-12)
 
-    def test_maximality_against_sampled_feasible_points(self):
+    def test_maximality_against_sampled_feasible_points(self, monkeypatch):
+        monkeypatch.setattr(mr.cpmaps, "MAX_ITER", 4000)
         T = random_with_radius(2, 0.9, 23)
         X, _ = mr.ando_X(T)
         hits = 0

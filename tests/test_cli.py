@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -271,7 +272,7 @@ class TestCommands:
         from mrange import numrange
         from mrange.errors import VerificationFailed
 
-        def failing(T, tol=None):
+        def failing(T):
             raise VerificationFailed("forced")
 
         monkeypatch.setattr(numrange, "num_radius", failing)
@@ -280,31 +281,25 @@ class TestCommands:
         assert code == 1
         assert out["error"] == {"name": "VerificationFailed", "message": "forced"}
 
-    def test_env_tolerance_override(self, tmp_path, capsys, monkeypatch):
+    def test_env_tolerance_override(self, tmp_path, capsys):
         # min eigenvalue -1e-6: inside the loose band, outside the strict one
         path = write_json(tmp_path, "spec.json",
                           {"coeffs": [[1.0, 0.0], [1.000001, 0.0]]})
         code, strict = run_captured(capsys, ["toeplitz-check", "--input", path])
         assert code == 2 and not strict["psd"]
-        monkeypatch.setenv("MRANGE_TOL", "1e-4")
-        code, loose = run_captured(capsys, ["toeplitz-check", "--input", path])
+        code, loose = run_captured(capsys, ["toeplitz-check", "--input", path,
+                                            "--tol", "1e-4"])
         assert code == 0 and loose["psd"]
 
 
 class TestBadTolerance:
-    """A --tol or MRANGE_TOL that is not a finite positive number is an
-    error object with exit 1, not a traceback or a solver failure."""
+    """A --tol that is not a finite positive number is an error object
+    with exit 1, not a traceback or a solver failure."""
 
     @pytest.mark.parametrize("value", ["nan", "0", "-1"])
     def test_flag(self, tmp_path, capsys, value):
         path = write_json(tmp_path, "t.json", matrix_to_json(np.array([[0.3]])))
         code, out = run_captured(capsys, ["ando", "--input", path, "--tol", value])
-        assert code == 1 and out["error"]["name"] == "BadTolerance"
-
-    def test_environment(self, tmp_path, capsys, monkeypatch):
-        path = write_json(tmp_path, "t.json", matrix_to_json(np.array([[0.3]])))
-        monkeypatch.setenv("MRANGE_TOL", "abc")
-        code, out = run_captured(capsys, ["ando", "--input", path])
         assert code == 1 and out["error"]["name"] == "BadTolerance"
 
 
@@ -380,3 +375,13 @@ class TestDeterminism:
         for argv, seen in zip(argvs, in_sequence):
             build_parser.cache_clear()
             assert (run(argv), capsys.readouterr().out) == seen
+
+
+def test_readme_flags_match_the_parser():
+    # the Flags line of README.md lists every option the parser takes, and no other
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    line = readme.split("Flags: `", 1)[1].split("`", 1)[0]
+    listed = {word for word in line.split() if word.startswith("--")}
+    options = {s for a in build_parser()._actions for s in a.option_strings
+               if s not in ("-h", "--help")}
+    assert listed == options

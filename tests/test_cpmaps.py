@@ -208,10 +208,10 @@ class TestSolveFeasibility:
         with pytest.raises(InconsistentAffine):
             mr.solve_feasibility([[E11], [E11]], [[[1.0]], [[2.0]]])
 
-    def test_undetermined_on_infeasible_without_certificate(self):
+    def test_undetermined_on_infeasible_without_certificate(self, monkeypatch):
         # radius of 0.8*I is 0.8 > 1/2: no unital CP map can send E21 there
-        out = mr.solve_map_problem(2, 2, [(E21, 0.8 * np.eye(2, dtype=complex))],
-                                   max_iter=800)
+        monkeypatch.setattr(mr.cpmaps, "MAX_ITER", 800)
+        out = mr.solve_map_problem(2, 2, [(E21, 0.8 * np.eye(2, dtype=complex))])
         assert isinstance(out, Undetermined)
 
     def test_block_cone_partition(self):

@@ -89,7 +89,7 @@ class TestNewtonAscent:
                 T = mr.random_matrix(n, n, split(2000 + n, k))
                 if k % 2:
                     T = T.real.astype(complex)
-                w, angle = numrange._radius_and_angle(T, None)
+                w, angle = numrange._radius_and_angle(T)
                 assert _attained(T, angle) == pytest.approx(w, abs=1e-12)
                 radii += 1
         assert len(pencil_calls) / radii <= 1.5
@@ -166,7 +166,7 @@ class TestLevelSetRadius:
 
     def test_scalar(self):
         c = 0.7 * np.exp(2.1j)
-        w, angle = mr.numrange._radius_and_angle(np.array([[c]]), None)
+        w, angle = mr.numrange._radius_and_angle(np.array([[c]]))
         assert w == pytest.approx(0.7, abs=1e-14)
         assert _attained(np.array([[c]]), angle) == pytest.approx(0.7, abs=1e-14)
 
@@ -184,7 +184,7 @@ class TestLevelSetRadius:
     def test_against_bruteforce(self, dim):
         for k in range(3):
             T = mr.random_matrix(dim, dim, split(700 + dim, k))
-            w, angle = mr.numrange._radius_and_angle(T, None)
+            w, angle = mr.numrange._radius_and_angle(T)
             brute = radius_bruteforce(T, seed=k, vectors=50_000)
             # the oracle's values are attained, so it can only fall short
             assert brute <= w + 1e-12
@@ -205,7 +205,7 @@ class TestNoLevelCycle:
     def test_radius_in_bruteforce_bracket(self, n, seed, real):
         T = mr.random_matrix(n, n, seed)
         T = T.real if real else T
-        w, angle = numrange._radius_and_angle(T, None)
+        w, angle = numrange._radius_and_angle(T)
         # the grid maximum is attained, and the support function lies below
         # it over cos(pi / angles) (a polygon circumscribing the range)
         angles = 256

@@ -196,36 +196,33 @@ class TestStructuredMatrices:
 class TestTolerances:
     def test_defaults(self):
         t = mr.Tolerances()
-        assert t.psd_eps == 1e-9 and t.rank_rel == 1e-10
-        assert t.fixpoint_eps == 1e-12 and t.feas_eps == 1e-7
-        assert t.grid_angles == 720
+        assert t.psd_eps == 1e-9 and t.feas_eps == 1e-7
+        assert mr.default_tolerances() == t
+        assert mr.linalg.RANK_REL == 1e-10 and mr.linalg.FIXPOINT_EPS == 1e-12
+        assert mr.cpmaps.MAX_ITER == 20000
+        # feas_eps follows psd_eps once it is looser than 1e-7
+        assert mr.Tolerances(psd_eps=1e-8).feas_eps == 1e-7
+        assert mr.Tolerances(psd_eps=1e-4).feas_eps == 1e-4
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             mr.Tolerances(psd_eps=0.0)
         with pytest.raises(ValueError):
-            mr.Tolerances(grid_angles=-1)
+            mr.Tolerances(psd_eps=-1.0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_nonfinite(self, value):
         from mrange.errors import BadTolerance, MrangeError
-        for name in ("psd_eps", "rank_rel", "fixpoint_eps", "feas_eps"):
-            with pytest.raises(BadTolerance) as info:
-                mr.Tolerances(**{name: value})
-            assert isinstance(info.value, ValueError) and isinstance(info.value, MrangeError)
+        with pytest.raises(BadTolerance) as info:
+            mr.Tolerances(psd_eps=value)
+        assert isinstance(info.value, ValueError) and isinstance(info.value, MrangeError)
 
     def test_process_default_swap(self):
-        original = mr.default_tolerances()
-        try:
-            loose = mr.Tolerances(psd_eps=1e-6)
-            mr.set_default_tolerances(loose)
-            assert mr.default_tolerances() is loose
-            # a -1e-7 perturbation passes at 1e-6 but not at 1e-9
-            H = np.diag([1.0, -1e-7])
-            assert mr.psd_check(H)[0]
-            assert not mr.psd_check(H, original)[0]
-        finally:
-            mr.set_default_tolerances(original)
+        # a -1e-7 perturbation passes at 1e-6 but not at the default 1e-9
+        H = np.diag([1.0, -1e-7])
+        assert mr.psd_check(H, mr.Tolerances(psd_eps=1e-6))[0]
+        assert not mr.psd_check(H)[0]
+        assert not mr.psd_check(H, mr.default_tolerances())[0]
 
 
 def test_splitmix_stream_is_deterministic():

@@ -39,7 +39,7 @@ class TestMemberE21:
         calls = []
         solve = mr.numrange._radius_and_angle
         monkeypatch.setattr(mr.numrange, "_radius_and_angle",
-                            lambda T, tol: calls.append(1) or solve(T, tol))
+                            lambda T: calls.append(1) or solve(T))
         v = mr.member_e21(T)
         assert v.member and v.witness is not None
         assert len(calls) == 1
@@ -74,8 +74,9 @@ class TestMemberNormal:
         assert v.member
         np.testing.assert_allclose(v.witness[0], np.eye(2), atol=1e-7)
 
-    def test_outside_hull(self):
-        v = mr.member_normal([1.0, -1.0], 1.2 * np.eye(2), max_iter=1500)
+    def test_outside_hull(self, monkeypatch):
+        monkeypatch.setattr(mr.cpmaps, "MAX_ITER", 1500)
+        v = mr.member_normal([1.0, -1.0], 1.2 * np.eye(2))
         assert not v.member
         assert v.unverified
 
@@ -202,9 +203,9 @@ class TestEquivalenceSuite:
         solve = mr.numrange._radius_and_angle
         decompose = mr.ando._ando_decompose
 
-        def counted_solve(A, tol):
+        def counted_solve(A):
             calls["radius"] += 1
-            return solve(A, tol)
+            return solve(A)
 
         def counted_decompose(A, w, t):
             calls["decompose"] += 1

@@ -221,7 +221,7 @@ class TestRadiusCharacterizations:
             import numpy as np
             from mrange import numrange
             from mrange.errors import VerificationFailed
-            numrange._radius_and_angle = lambda T, tol: (2.0, 0.0)
+            numrange._radius_and_angle = lambda T: (2.0, 0.0)
             try:
                 numrange.radius_characterizations(np.array([[0, 0], [1, 0]], dtype=complex))
             except VerificationFailed as exc:
