@@ -32,6 +32,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import (
+    _psd_verdict,
     _rank_mask,
     _tol,
     as_cmat,
@@ -152,10 +153,14 @@ def kraus_from_choi(C, tol=None, psd_slack=None):
     eigenvalues within the slack are clipped to zero.
     """
     t = _tol(tol)
-    eig = herm_eig(C.block)
+    slack = t.psd_eps if psd_slack is None else psd_slack
+    return _kraus_from_eig(herm_eig(C.block), C, slack)
+
+
+def _kraus_from_eig(eig, C, slack):
+    """kraus_from_choi on the eigendecomposition ``eig`` of C.block."""
     w = eig.eigenvalues
     scale = 1.0 + (float(np.abs(w).max()) if w.size else 0.0)
-    slack = t.psd_eps if psd_slack is None else psd_slack
     if w.size and w[0] < -slack * scale:
         raise NotPSD(f"Choi min eigenvalue {w[0]:.3e} below tolerance")
     keep = _rank_mask(w)
@@ -173,18 +178,20 @@ def stinespring(phi, tol=None, psd_slack=None):
     """Stinespring form V*(X (x) I_r)V = phi(X) of a unital CP map.
 
     V is stacked from the Kraus operators and then polar-corrected so the
-    isometry identity holds to machine precision.
+    isometry identity holds to machine precision. One eigendecomposition of
+    the Choi block serves the CP check and the Kraus operators.
     """
     t = _tol(tol)
     C = choi(phi)
-    okcp, min_eig = psd_check(C.block, t)
+    eig = herm_eig(C.block)
+    okcp, min_eig = _psd_verdict(eig.eigenvalues, t.psd_eps)
     slack = t.psd_eps if psd_slack is None else psd_slack
     if not okcp and min_eig < -slack * (1.0 + op_norm(C.block)):
         raise NotCP(f"Choi min eigenvalue {min_eig:.3e}")
     defect = phi.unital_defect()
     if defect > 1e-6:
         raise NotUnital(f"unital defect {defect:.3e}")
-    ops = kraus_from_choi(C, t, psd_slack=slack).operators
+    ops = _kraus_from_eig(eig, C, slack).operators
     ops = ops or (np.zeros((phi.m, phi.n), dtype=complex),)
     r = len(ops)
     # row i r + k of V is conj(K_k[:, i])

@@ -6,6 +6,7 @@ norm probes, and the nine-way equivalence suite for the radius-one ball.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     BadShape,
@@ -20,6 +21,7 @@ from .errors import (
 from .linalg import (
     _tol,
     dagger,
+    herm_part,
     op_norm,
     random_isometry,
     random_matrix,
@@ -67,11 +69,16 @@ def member_shift_ball(X, nodes=64, tol=None):
     """Membership in the matricial range of a proper isometry or
     full-spectrum unitary: the closed unit norm ball.
 
-    For comfortably interior points (norm <= 0.95) a constructive witness is
-    produced: member_normal's weights at the nodes-th roots of unity, i.e.
-    X realized as the image of a normal unitary surrogate. A solver still
-    undetermined after cpmaps.MAX_ITER iterations leaves the verdict intact
-    and flags the witness as unverified.
+    For comfortably interior points (norm <= 0.95) a verified witness is
+    produced: PSD weights H_k with sum_k H_k = I and sum_k omega^k H_k = X
+    at the nodes-th roots of unity omega^k, i.e. X realized as the image of
+    a normal unitary surrogate. Up to norm cos(pi / nodes), the radius of
+    the disk inscribed in their polygon (nodes >= 3), the weights come in
+    closed form from the Halmos dilation of X (_dilation_weights). Only in
+    the band cos(pi / nodes) < norm <= 0.95, which needs nodes <= 9, does
+    member_normal solve for them; a solver still undetermined after
+    cpmaps.MAX_ITER iterations leaves the verdict intact and flags the
+    witness as unverified.
     """
     t = _tol(tol)
     A = require_square(X, "member_shift_ball")
@@ -81,10 +88,60 @@ def member_shift_ball(X, nodes=64, tol=None):
     unverified = False
     if member and nrm <= 0.95:
         th = 2.0 * np.pi * np.arange(nodes) / nodes
-        witness = member_normal(np.exp(1j * th), A, t).witness
-        unverified = witness is None
+        omega = np.exp(1j * th)
+        if nodes >= 3 and nrm <= np.cos(np.pi / nodes):
+            witness = _verified_weights(omega, _dilation_weights(A, omega, t), A)
+        else:
+            witness = member_normal(omega, A, t).witness
+            unverified = witness is None
     return MembershipVerdict(member=member, margin=1.0 - nrm,
                              witness=witness, unverified=unverified)
+
+
+def _dilation_weights(A, omega, t):
+    """PSD weights H_k with sum_k H_k = I and sum_k omega_k H_k = A, for
+    omega the N >= 3 roots of unity and |A| <= c = cos(pi / N).
+
+    With U = Z T Z* the Schur form of the Halmos unitary of A / c, mu_j =
+    T_jj / |T_jj| and g_j the first d entries of column j of Z, the
+    rank-one terms g_j g_j* sum to I and, weighted by mu_j, to A / c. Each
+    c mu_j lies in the disk inscribed in the polygon omega, so it is a
+    convex combination of its two neighbouring vertices and of the centroid
+    0 = mean(omega); H_k gathers the weights that vertex k receives.
+    """
+    from .dilation import halmos_unitary
+
+    N, d = omega.size, A.shape[0]
+    c = np.cos(np.pi / N)
+    T, Z = scipy.linalg.schur(halmos_unitary(A / c, t), output="complex")
+    mu = np.diagonal(T)
+    p = c * mu / np.abs(mu)
+    lo = np.floor(np.angle(p) * N / (2.0 * np.pi)).astype(int) % N
+    hi = (lo + 1) % N
+
+    def cross(a, b):
+        return (np.conj(a) * b).imag
+
+    # p = a_lo omega_lo + a_hi omega_hi + (1 - a_lo - a_hi) 0 by Cramer's
+    # rule; clipping removes rounding-level negatives on the polygon edges
+    det = cross(omega[lo], omega[hi])
+    a_lo = np.clip(cross(p, omega[hi]) / det, 0.0, None)
+    a_hi = np.clip(cross(omega[lo], p) / det, 0.0, None)
+    weights = np.repeat(np.clip(1.0 - a_lo - a_hi, 0.0, None)[:, None] / N, N, axis=1)
+    rows = np.arange(2 * d)
+    weights[rows, lo] += a_lo
+    weights[rows, hi] += a_hi
+    G = Z[:d]
+    return list(herm_part((G * weights.T[:, None, :]) @ dagger(G)))
+
+
+def _verified_weights(lams, weights, A):
+    """The weights, once sum_j H_j = I and sum_j lambda_j H_j = A hold
+    within 1e-6 (VerificationFailed otherwise)."""
+    resid = max(op_norm(np.sum(weights, axis=0) - np.eye(A.shape[0])),
+                op_norm(np.tensordot(lams, weights, axes=1) - A))
+    verify(resid <= 1e-6, f"witness residual {resid:.3e}")
+    return weights
 
 
 def member_normal(spectrum, X, tol=None):
@@ -110,10 +167,7 @@ def member_normal(spectrum, X, tol=None):
     if not isinstance(outcome, Feasible):
         return MembershipVerdict(member=False, margin=outcome.residual,
                                  unverified=True)
-    weights = list(outcome.matrix)
-    resid = max(op_norm(sum(weights) - np.eye(d)),
-                op_norm(sum(l * H for l, H in zip(lams, weights)) - A))
-    verify(resid <= 1e-6, f"witness residual {resid:.3e}")
+    weights = _verified_weights(lams, list(outcome.matrix), A)
     return MembershipVerdict(member=True, margin=outcome.residual, witness=weights)
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import mrange as mr
 from mrange.cpmaps import Feasible, Undetermined
-from mrange.errors import InconsistentAffine, NotPartitionOfIdentity
+from mrange.errors import InconsistentAffine, NotCP, NotPartitionOfIdentity, NotPSD, NotUnital
 from mrange.rng import split
 
 from helpers import E21, random_ucp_map
@@ -162,6 +162,43 @@ class TestStinespring:
                 X = mr.matrix_unit(n, i, j)
                 lhs = np.conj(V).T @ mr.kron(X, np.eye(r)) @ V
                 assert mr.op_norm(lhs - phi.value(i, j)) <= 1e-8
+
+
+    def test_one_choi_eigendecomposition(self, monkeypatch):
+        phi = mr.ucp_from_e21(0.4 * mr.shift(3))
+        # reference: the CP check and the Kraus operators each decompose C
+        C = mr.choi(phi)
+        assert mr.psd_check(C.block)[0]
+        ops = np.array(mr.kraus_from_choi(C).operators)
+        V = np.conj(ops).transpose(2, 0, 1).reshape(-1, phi.m)
+        w, Q = np.linalg.eigh(mr.linalg.herm_part(np.conj(V).T @ V))
+        V = V @ ((Q * (1.0 / np.sqrt(np.clip(w, np.finfo(float).tiny, None)))) @ np.conj(Q).T)
+
+        calls = []
+        herm_eig = mr.linalg.herm_eig
+
+        def counted(H):
+            calls.append(np.shape(H))
+            return herm_eig(H)
+        monkeypatch.setattr(mr.linalg, "herm_eig", counted)
+        monkeypatch.setattr(mr.cpmaps, "herm_eig", counted)
+        st_form = mr.stinespring(phi)
+        assert calls == [(6, 6)]
+        assert st_form.r == len(ops)
+        np.testing.assert_array_equal(st_form.V, V)
+
+    def test_rejections(self):
+        with pytest.raises(NotCP, match="Choi min eigenvalue -1.000e"):
+            mr.stinespring(mr.transpose_map(2))
+        with pytest.raises(NotUnital, match="unital defect 1.000e"):
+            mr.stinespring(mr.map_from_choi(mr.ChoiMat(n=2, m=2,
+                                                       block=2 * mr.choi(mr.identity_map(2)).block)))
+        # min eigenvalue -1e-10 is inside psd_eps (1 + |C|) but outside
+        # psd_slack (1 + |C|): NotPSD, from the Kraus step
+        C = mr.choi(mr.identity_map(2)).block.copy()
+        C[1, 1] = -1e-10
+        with pytest.raises(NotPSD, match="Choi min eigenvalue -1.000e-10 below tolerance"):
+            mr.stinespring(mr.map_from_choi(mr.ChoiMat(n=2, m=2, block=C)), psd_slack=1e-11)
 
 
 class TestCstarConvex:

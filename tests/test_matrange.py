@@ -45,6 +45,33 @@ class TestMemberE21:
         assert len(calls) == 1
 
 
+def solver_shift_ball(X, nodes):
+    """Reference verdict: member_normal's solver weights at every point of
+    norm <= 0.95, with no closed-form witness."""
+    nrm = mr.op_norm(X)
+    witness = None
+    if nrm <= 0.95:
+        th = 2.0 * np.pi * np.arange(nodes) / nodes
+        witness = mr.member_normal(np.exp(1j * th), X).witness
+    return mr.MembershipVerdict(member=nrm <= 1.0 + 1e-9, margin=1.0 - nrm,
+                                witness=witness,
+                                unverified=nrm <= 0.95 and witness is None)
+
+
+def zero_feasible(K, B, *args, **kwargs):
+    """A solve_feasibility stand-in returning all-zero weights."""
+    return Feasible(matrix=np.zeros((np.shape(K)[1], 2, 2)), residual=0.0)
+
+
+def short_weights(A, omega, t):
+    """A _dilation_weights stand-in whose 2 x 2 weights sum to (1 - 1/N) I."""
+    return [np.eye(2) / omega.size] * (omega.size - 1) + [np.zeros((2, 2))]
+
+
+def seeded_unitary(d, seed):
+    return np.linalg.qr(mr.random_matrix(d, d, seed))[0]
+
+
 class TestMemberShiftBall:
     def test_zero_with_witness(self):
         v = mr.member_shift_ball(np.zeros((2, 2)), nodes=16)
@@ -62,6 +89,51 @@ class TestMemberShiftBall:
 
     def test_outside(self):
         assert not mr.member_shift_ball(1.05 * np.eye(2)).member
+
+    @pytest.mark.parametrize("nodes", [3, 4, 10, 16, 64])
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_dilation_weights(self, nodes, d):
+        # |X| <= c = cos(pi / nodes): a partition of I into PSD weights
+        # whose moment at the roots of unity is X, to rounding
+        c = np.cos(np.pi / nodes)
+        omega = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+        G = mr.random_matrix(d, d, split(41, d))
+        inputs = [np.zeros((d, d)), c * np.eye(d), c * mr.shift(d), 0.5 * c * mr.shift(d),
+                  min(0.7, c) * seeded_unitary(d, split(43, d)), c * G / mr.op_norm(G)]
+        for X in inputs:
+            H = np.array(mr.matrange._dilation_weights(X, omega, mr.default_tolerances()))
+            assert H.shape == (nodes, d, d)
+            assert mr.op_norm(H.sum(axis=0) - np.eye(d)) <= 1e-12
+            assert mr.op_norm(np.tensordot(omega, H, axes=1) - X) <= 1e-12 * (1 + mr.op_norm(X))
+            assert np.linalg.eigvalsh(H)[:, 0].min() >= -1e-13
+
+    @pytest.mark.parametrize("nodes,norm,d", [
+        (1, 0.5, 2), (2, 0.0, 2), (2, 0.5, 2), (2, 0.5, 3),  # nodes <= 2
+        (3, 0.6, 2), (4, 0.8, 2), (8, 0.94, 2), (9, 0.95, 3),  # cos(pi/nodes) < |X| <= 0.95
+        (16, 0.97, 2), (64, 1.0, 2), (64, 1.2, 3),  # |X| > 0.95
+        (16, 0.7, 2), (64, 0.7, 3),  # closed-form witness
+    ])
+    def test_verdict_matches_solver_reference(self, nodes, norm, d):
+        G = mr.random_matrix(d, d, split(11, 10 * nodes + d))
+        X = norm * G / mr.op_norm(G)
+        v, ref = mr.member_shift_ball(X, nodes), solver_shift_ball(X, nodes)
+        assert (v.member, v.margin, v.unverified) == (ref.member, ref.margin, ref.unverified)
+        assert (v.witness is None) == (ref.witness is None)
+        if nodes < 3 or norm > np.cos(np.pi / nodes):
+            # outside the closed-form region the solver's weights are returned as they are
+            np.testing.assert_array_equal(np.array(v.witness), np.array(ref.witness))
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("nodes", [16, 32, 64])
+    def test_interior_points_need_no_solver(self, d, nodes, monkeypatch):
+        def no_solver(*args, **kwargs):
+            raise AssertionError("solve_feasibility called")
+        monkeypatch.setattr(mr.cpmaps, "solve_feasibility", no_solver)
+        X = 0.7 * seeded_unitary(d, split(47, 10 * d + nodes))
+        v = mr.member_shift_ball(X, nodes)
+        assert v.member and not v.unverified and len(v.witness) == nodes
+        omega = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+        assert mr.op_norm(np.tensordot(omega, v.witness, axes=1) - X) <= 1e-12
 
 
 class TestMemberNormal:
@@ -92,14 +164,18 @@ class TestMemberNormal:
         assert not v.member and not v.unverified and v.witness is None
         assert v.margin == pytest.approx(np.sqrt(0.104), abs=1e-12)
 
-    @pytest.mark.parametrize("member", [
-        lambda: mr.member_normal([0.0, 1.0], np.eye(2) / 2),
-        lambda: mr.member_shift_ball(0.5 * E21, nodes=8),
+    @pytest.mark.parametrize("member,module,name,wrong", [
+        (lambda: mr.member_normal([0.0, 1.0], np.eye(2) / 2),
+         mr.cpmaps, "solve_feasibility", zero_feasible),
+        # |X| = 0.94 > cos(pi / 8): the solver path
+        (lambda: mr.member_shift_ball(0.94 * E21, nodes=8),
+         mr.cpmaps, "solve_feasibility", zero_feasible),
+        # |X| = 0.5 <= cos(pi / 8): the closed-form path
+        (lambda: mr.member_shift_ball(0.5 * E21, nodes=8),
+         mr.matrange, "_dilation_weights", short_weights),
     ])
-    def test_witness_is_verified(self, member, monkeypatch):
-        def wrong(K, B, *args, **kwargs):
-            return Feasible(matrix=np.zeros((np.shape(K)[1], 2, 2)), residual=0.0)
-        monkeypatch.setattr(mr.cpmaps, "solve_feasibility", wrong)
+    def test_witness_is_verified(self, member, module, name, wrong, monkeypatch):
+        monkeypatch.setattr(module, name, wrong)
         with pytest.raises(VerificationFailed, match="witness residual"):
             member()
 
