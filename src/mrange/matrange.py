@@ -106,8 +106,8 @@ def _dilation_weights(A, omega, t):
     T_jj / |T_jj| and g_j the first d entries of column j of Z, the
     rank-one terms g_j g_j* sum to I and, weighted by mu_j, to A / c. Each
     c mu_j lies in the disk inscribed in the polygon omega, so it is a
-    convex combination of its two neighbouring vertices and of the centroid
-    0 = mean(omega); H_k gathers the weights that vertex k receives.
+    convex combination sum_k a_jk omega_k of its two neighbouring vertices
+    and of the centroid 0 = mean(omega), and H_k = sum_j a_jk g_j g_j*.
     """
     from .dilation import halmos_unitary
 
@@ -127,12 +127,12 @@ def _dilation_weights(A, omega, t):
     det = cross(omega[lo], omega[hi])
     a_lo = np.clip(cross(p, omega[hi]) / det, 0.0, None)
     a_hi = np.clip(cross(omega[lo], p) / det, 0.0, None)
-    weights = np.repeat(np.clip(1.0 - a_lo - a_hi, 0.0, None)[:, None] / N, N, axis=1)
+    a = np.repeat(np.clip(1.0 - a_lo - a_hi, 0.0, None)[:, None] / N, N, axis=1)
     rows = np.arange(2 * d)
-    weights[rows, lo] += a_lo
-    weights[rows, hi] += a_hi
+    a[rows, lo] += a_lo
+    a[rows, hi] += a_hi
     G = Z[:d]
-    return list(herm_part((G * weights.T[:, None, :]) @ dagger(G)))
+    return list(herm_part((G * a.T[:, None, :]) @ dagger(G)))
 
 
 def _verified_weights(lams, weights, A):

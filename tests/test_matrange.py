@@ -164,18 +164,16 @@ class TestMemberNormal:
         assert not v.member and not v.unverified and v.witness is None
         assert v.margin == pytest.approx(np.sqrt(0.104), abs=1e-12)
 
-    @pytest.mark.parametrize("member,module,name,wrong", [
-        (lambda: mr.member_normal([0.0, 1.0], np.eye(2) / 2),
-         mr.cpmaps, "solve_feasibility", zero_feasible),
+    @pytest.mark.parametrize("member", [
+        lambda: mr.member_normal([0.0, 1.0], np.eye(2) / 2),
         # |X| = 0.94 > cos(pi / 8): the solver path
-        (lambda: mr.member_shift_ball(0.94 * E21, nodes=8),
-         mr.cpmaps, "solve_feasibility", zero_feasible),
+        lambda: mr.member_shift_ball(0.94 * E21, nodes=8),
         # |X| = 0.5 <= cos(pi / 8): the closed-form path
-        (lambda: mr.member_shift_ball(0.5 * E21, nodes=8),
-         mr.matrange, "_dilation_weights", short_weights),
+        lambda: mr.member_shift_ball(0.5 * E21, nodes=8),
     ])
-    def test_witness_is_verified(self, member, module, name, wrong, monkeypatch):
-        monkeypatch.setattr(module, name, wrong)
+    def test_witness_is_verified(self, member, monkeypatch):
+        monkeypatch.setattr(mr.cpmaps, "solve_feasibility", zero_feasible)
+        monkeypatch.setattr(mr.matrange, "_dilation_weights", short_weights)
         with pytest.raises(VerificationFailed, match="witness residual"):
             member()
 
