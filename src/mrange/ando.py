@@ -21,8 +21,8 @@ reduction (Meini, Math. Comp. 71, 2002): from X_0 = C_0 = A0, B_0 = A1*,
 
 each step through one Cholesky factor of C_k (a pseudo-inverse only when
 C_k is not numerically definite). The iterates decrease to X, quadratically
-when w(T) < 1. The loop stops on the fixed-point residual, never on step
-size.
+when w(T) < 1. The loop stops on the fixed-point residual; the step size
+only decides when that residual is evaluated.
 
 At w(T) = 1 the minimal solvent G of A1* + G + A1 G^2 = 0 (X = I + A1 G)
 has unimodular eigenvalues, and the iteration converges only linearly with
@@ -45,6 +45,7 @@ from .linalg import (
     FIXPOINT_EPS,
     RANK_REL,
     _defect_roots,
+    _norm_within,
     _pinv_sqrt,
     _sqrt_eigenvalues,
     _tol,
@@ -69,6 +70,11 @@ _SHIFT_STEPS = 12
 _SHIFT_BAND = 64.0 * np.finfo(float).eps
 # W = V (V*V)^{-1} amplifies rounding by about cond(V*V) = cond(V)^2
 _SHIFT_RCOND_MIN = 1e-8
+# quadratic steps leave a residual about the square of the update before it,
+# and at w(T) = 1, where the error halves per step, the update falls under
+# this gate about two steps before the residual passes; a late gate would
+# only add a step, never accept an X
+_RESIDUAL_GATE = np.sqrt(FIXPOINT_EPS)
 
 
 def _congruence_pinv(X, A1):
@@ -91,15 +97,6 @@ def _congruence_pinv(X, A1):
 def _fixpoint_defect(A0, A1, X):
     """X - (A0 - A1 X^+ A1*), zero at a solution of X + A1 X^{-1} A1* = A0."""
     return X - herm_part(A0 - _congruence_pinv(X, A1))
-
-
-def _norm_within(R, eps):
-    """op_norm(R) <= eps. |R| <= |R|_F <= sqrt(n) |R| settles most cases by
-    the Frobenius norm; the SVD norm is taken only between the two."""
-    fro = float(np.linalg.norm(R))
-    if fro <= eps or fro > np.sqrt(R.shape[0]) * eps:
-        return fro <= eps
-    return op_norm(R) <= eps
 
 
 def _lu_solve(M, B):
@@ -136,9 +133,12 @@ def _cyclic_reduction(A0, A1, polish=False, shift=None):
     NoConvergence: a wrong shift never passes.
 
     Either way the loop stops once op_norm(X - (A0 - A1 X^+ A1*)) <= FIXPOINT_EPS.
-    With ``polish`` it takes one more step, which in the quadratic regime
-    brings X to the rounding floor: a spectral factor read off X needs that
-    accuracy. Raises NoConvergence after _MAX_STEPS steps.
+    That residual costs a Cholesky factor and a solve, so it is evaluated only
+    when the last step's update of X (of Ah, shifted) or the current A_{-1}
+    has Frobenius norm at most _RESIDUAL_GATE = sqrt(FIXPOINT_EPS). With
+    ``polish`` it takes one more step, which in the quadratic regime brings X
+    to the rounding floor: a spectral factor read off X needs that accuracy.
+    Raises NoConvergence after _MAX_STEPS steps.
     """
     Am, C, Ap, X = dagger(A1), A0.copy(), A1, A0.copy()
     steps = _MAX_STEPS
@@ -148,9 +148,10 @@ def _cyclic_reduction(A0, A1, polish=False, shift=None):
         Am0 = Am = Am - Am @ P
         C = Ah = A0 + A1 @ S
         X = herm_part(Ah)
+    update = np.inf
     for k in range(steps):
-        R = _fixpoint_defect(A0, A1, X)
-        done = _norm_within(R, FIXPOINT_EPS)
+        done = (update <= _RESIDUAL_GATE or np.linalg.norm(Am) <= _RESIDUAL_GATE) and \
+            _norm_within(_fixpoint_defect(A0, A1, X), FIXPOINT_EPS)
         if done and not polish:
             break
         if shift is None:
@@ -164,6 +165,7 @@ def _cyclic_reduction(A0, A1, polish=False, shift=None):
             else:
                 Cp = pinv(C)
                 BCB, BCBs, BCB2 = dagger(Am) @ Cp @ Am, Am @ Cp @ dagger(Am), Am @ Cp @ Am
+            update = np.linalg.norm(BCB)
             X = herm_part(X - BCB)
             C = herm_part(C - BCBs - BCB)
             Am = -BCB2
@@ -175,6 +177,7 @@ def _cyclic_reduction(A0, A1, polish=False, shift=None):
                     break
                 raise
             ApKAm = Ap @ KAm
+            update = np.linalg.norm(ApKAm)
             Ah = Ah - ApKAm
             X = herm_part(Ah)
             C = C - Am @ KAp - ApKAm
@@ -183,8 +186,8 @@ def _cyclic_reduction(A0, A1, polish=False, shift=None):
             k += 1
             break
     else:
-        raise NoConvergence(
-            f"no fixed point after {steps} steps (residual {op_norm(R):.3e})")
+        raise NoConvergence(f"no fixed point after {steps} steps "
+                            f"(residual {op_norm(_fixpoint_defect(A0, A1, X)):.3e})")
     if shift is not None and \
             np.abs(np.linalg.eigvals(S - _lu_solve(Ah, Am0))).max() > 1.0 + 1e-8:
         raise NoConvergence("shifted solvent is not the minimal one")

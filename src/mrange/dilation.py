@@ -22,12 +22,14 @@ from .errors import (
     BadShape,
     ConditionFails,
     NotContraction,
+    VerificationFailed,
     WindowTooSmall,
     verify,
 )
 from .linalg import (
     RANK_REL,
     _defect_roots,
+    _norm_within,
     _tol,
     as_cmat,
     dagger,
@@ -49,12 +51,15 @@ def halmos_unitary(C, tol=None):
     """Unitary [[C, (I-CC*)^{1/2}], [(I-C*C)^{1/2}, -C*]] of a contraction."""
     t = _tol(tol)
     A = require_square(C, "halmos_unitary")
-    if op_norm(A) > 1.0 + 1e-9:
-        raise NotContraction(f"operator norm {op_norm(A):.12f} exceeds 1")
-    top, bot = _defect_roots(A, max(t.psd_eps, _DEFECT_EPS))
+    svd = np.linalg.svd(A)
+    nrm = float(svd[1].max(initial=0.0))
+    if nrm > 1.0 + 1e-9:
+        raise NotContraction(f"operator norm {nrm:.12f} exceeds 1")
+    top, bot = _defect_roots(A, max(t.psd_eps, _DEFECT_EPS), svd)
     U0 = np.block([[A, top], [bot, -dagger(A)]])
-    defect = op_norm(dagger(U0) @ U0 - np.eye(2 * A.shape[0]))
-    verify(defect <= 1e-8, f"Halmos block not unitary (defect {defect:.3e})")
+    defect = dagger(U0) @ U0 - np.eye(2 * A.shape[0])
+    if not _norm_within(defect, 1e-8):
+        raise VerificationFailed(f"Halmos block not unitary (defect {op_norm(defect):.3e})")
     return U0
 
 

@@ -90,6 +90,15 @@ def op_norm(M):
     return float(np.linalg.norm(A, 2))
 
 
+def _norm_within(R, eps):
+    """op_norm(R) <= eps. |R| <= |R|_F <= sqrt(n) |R| settles most cases by
+    the Frobenius norm; the SVD norm is taken only between the two."""
+    fro = float(np.linalg.norm(R))
+    if fro <= eps or fro > np.sqrt(R.shape[0]) * eps:
+        return fro <= eps
+    return op_norm(R) <= eps
+
+
 @dataclass(frozen=True)
 class EigResult:
     """Hermitian eigendecomposition: ascending eigenvalues, orthonormal columns."""
@@ -130,10 +139,11 @@ def _sqrt_eigenvalues(w, eps):
     return np.sqrt(np.clip(w, 0.0, None))
 
 
-def _defect_roots(C, eps):
-    """(I - CC*)^{1/2} and (I - C*C)^{1/2} from one SVD C = W diag(s) Vh:
-    both have the eigenvalues 1 - s^2, checked with slack eps."""
-    W, s, Vh = np.linalg.svd(C)
+def _defect_roots(C, eps, svd=None):
+    """(I - CC*)^{1/2} and (I - C*C)^{1/2} from one SVD C = W diag(s) Vh
+    (``svd``, when the caller has taken it): both have the eigenvalues
+    1 - s^2, checked with slack eps."""
+    W, s, Vh = np.linalg.svd(C) if svd is None else svd
     r = _sqrt_eigenvalues((1.0 - s) * (1.0 + s), eps)
     return (W * r) @ dagger(W), (dagger(Vh) * r) @ Vh
 

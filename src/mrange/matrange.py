@@ -19,6 +19,7 @@ from .errors import (
     verify,
 )
 from .linalg import (
+    _norm_within,
     _tol,
     dagger,
     herm_part,
@@ -76,9 +77,11 @@ def member_shift_ball(X, nodes=64, tol=None):
     the disk inscribed in their polygon (nodes >= 3), the weights come in
     closed form from the Halmos dilation of X (_dilation_weights). Only in
     the band cos(pi / nodes) < norm <= 0.95, which needs nodes <= 9, does
-    member_normal solve for them; a solver still undetermined after
-    cpmaps.MAX_ITER iterations leaves the verdict intact and flags the
-    witness as unverified.
+    member_normal solve for them. Its own ``unverified`` is passed on: a
+    solver still undetermined after cpmaps.MAX_ITER iterations leaves the
+    verdict intact and flags the witness as unverified, while a checked
+    non-member of the surrogate (no Hermitian weights on nodes <= 2 match
+    a non-Hermitian X) leaves it without a witness and unflagged.
     """
     t = _tol(tol)
     A = require_square(X, "member_shift_ball")
@@ -92,8 +95,8 @@ def member_shift_ball(X, nodes=64, tol=None):
         if nodes >= 3 and nrm <= np.cos(np.pi / nodes):
             witness = _verified_weights(omega, _dilation_weights(A, omega, t), A)
         else:
-            witness = member_normal(omega, A, t).witness
-            unverified = witness is None
+            surrogate = member_normal(omega, A, t)
+            witness, unverified = surrogate.witness, surrogate.unverified
     return MembershipVerdict(member=member, margin=1.0 - nrm,
                              witness=witness, unverified=unverified)
 
@@ -138,9 +141,10 @@ def _dilation_weights(A, omega, t):
 def _verified_weights(lams, weights, A):
     """The weights, once sum_j H_j = I and sum_j lambda_j H_j = A hold
     within 1e-6 (VerificationFailed otherwise)."""
-    resid = max(op_norm(np.sum(weights, axis=0) - np.eye(A.shape[0])),
-                op_norm(np.tensordot(lams, weights, axes=1) - A))
-    verify(resid <= 1e-6, f"witness residual {resid:.3e}")
+    resid = (np.sum(weights, axis=0) - np.eye(A.shape[0]),
+             np.tensordot(lams, weights, axes=1) - A)
+    if not all(_norm_within(R, 1e-6) for R in resid):
+        raise VerificationFailed(f"witness residual {max(map(op_norm, resid)):.3e}")
     return weights
 
 

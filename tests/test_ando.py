@@ -1,4 +1,6 @@
+import inspect
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -8,7 +10,7 @@ import pytest
 
 import mrange as mr
 from mrange.cpmaps import Feasible
-from mrange.errors import NotPSD, RadiusTooLarge
+from mrange.errors import NoConvergence, NotPSD, RadiusTooLarge
 from mrange.rng import split
 
 from helpers import E21, ando_reference, random_with_radius, two_dilation_reference
@@ -206,6 +208,97 @@ class TestBoundaryShift:
         assert out.stdout.split() == ["False", "True", "True", "True", "True"], out.stderr
 
 
+_CLOSED_FORM_STEPS = [
+    ("E21", E21, 1),
+    ("2E21", 2 * E21, 1),
+    ("zero", np.zeros((3, 3)), 0),
+    ("S4", mr.shift(4), 2),
+    ("S4-cos", mr.shift(4) / np.cos(np.pi / 5), 2),
+    ("S8-cos", mr.shift(8) / np.cos(np.pi / 9), 3),
+    ("0.999I", 0.999 * np.eye(3), 8),
+    ("I", np.eye(3), 20),
+]
+
+
+def _two_step_input():
+    T = mr.random_matrix(4, 4, 11)
+    return 0.9 * T / mr.num_radius(T)
+
+
+def _residual_after_two_steps(T):
+    """op_norm of the fixed-point residual of X_2, the unshifted iterate."""
+    I, B = np.eye(T.shape[0], dtype=complex), T / 2
+    X, C = I.copy(), I.copy()
+    for _ in range(2):
+        KB = np.linalg.solve(C, B)
+        X, C, B = (X - B.conj().T @ KB,
+                   C - B @ np.linalg.solve(C, B.conj().T) - B.conj().T @ KB, -B @ KB)
+    A1 = T.conj().T / 2
+    return mr.op_norm(X - (I - A1 @ np.linalg.solve(X, A1.conj().T)))
+
+
+def _reported_residual(T):
+    """The residual named by the NoConvergence of an unshifted run on T."""
+    try:
+        mr.ando._cyclic_reduction(np.eye(T.shape[0], dtype=complex), T.conj().T / 2)
+    except NoConvergence as exc:
+        return float(re.search(r"residual ([^)]*)\)", str(exc)).group(1))
+    return None
+
+
+class TestResidualGate:
+    """The fixed-point residual is evaluated only once the last update or
+    A_{-1} is under sqrt(FIXPOINT_EPS); the stop itself is unchanged."""
+
+    @pytest.mark.parametrize("T, steps", [(T, k) for _, T, k in _CLOSED_FORM_STEPS],
+                             ids=[name for name, _, _ in _CLOSED_FORM_STEPS])
+    def test_closed_form_step_counts(self, T, steps):
+        assert mr.ando_X(T)[1] == steps
+        assert _unshifted_X(T)[1] == steps
+
+    @pytest.mark.parametrize("solve", [
+        lambda: mr.fejer_riesz(mr.trig_poly_from_factor(mr.random_matrix(1, 65, 17)[0])),
+        lambda: mr.ando_X(random_with_radius(8, 0.9, split(71, 8))),
+    ], ids=["fejer_riesz-64", "ando_X-8"])
+    def test_at_most_two_evaluations_per_solve(self, solve, monkeypatch):
+        evals, solves = [], []
+        defect, reduce = mr.ando._fixpoint_defect, mr.ando._cyclic_reduction
+
+        def counted_reduce(*args, **kwargs):
+            solves.append(1)
+            return reduce(*args, **kwargs)
+
+        monkeypatch.setattr(mr.ando, "_fixpoint_defect",
+                            lambda *args: evals.append(1) or defect(*args))
+        monkeypatch.setattr(mr.ando, "_cyclic_reduction", counted_reduce)
+        monkeypatch.setattr(mr.toeplitz, "_cyclic_reduction", counted_reduce)
+        solve()
+        assert len(solves) == 1 and 1 <= len(evals) <= 2
+
+    def test_no_convergence_names_last_residual(self, monkeypatch):
+        monkeypatch.setattr(mr.ando, "_MAX_STEPS", 2)
+        T = _two_step_input()
+        expected = _residual_after_two_steps(T)
+        assert expected > mr.linalg.FIXPOINT_EPS
+        assert _reported_residual(T) == pytest.approx(expected, rel=1e-3)
+
+    def test_no_convergence_names_last_residual_under_optimize(self):
+        code = "\n".join([
+            "import re", "import numpy as np", "import mrange as mr",
+            "from mrange.errors import NoConvergence",
+            *(inspect.getsource(f) for f in
+              (_two_step_input, _residual_after_two_steps, _reported_residual)),
+            "mr.ando._MAX_STEPS = 2",
+            "T = _two_step_input()",
+            "print(__debug__, abs(_reported_residual(T) / _residual_after_two_steps(T) - 1) < 1e-3)",
+        ])
+        src = os.path.dirname(os.path.dirname(mr.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == ["False", "True"], out.stderr
+
+
 def _lmi_feasible_point(T, start):
     """Project a random Hermitian pair into {[[I-Y, T*/2],[T/2, Y]] >= 0}."""
     d = T.shape[0]
@@ -320,8 +413,22 @@ class TestOneFactorizationPerOperator:
         scale = 1 + mr.op_norm(T)
         assert np.abs(dec.Z - Z).max() <= 1e-10 * scale
         assert np.abs(dec.C - C).max() <= 1e-12 * scale
-        U = mr.two_dilation(T, 8).dense()
-        assert np.abs(U - two_dilation_reference(dec.C, 8)).max() <= 1e-12 * scale
+        # where C has a singular value of exactly 1, as for S_4/cos(pi/5) and
+        # S_8/cos(pi/9), (I - C*C)^{1/2} and (I - CC*)^{1/2} take the root of a
+        # rounding-level eigenvalue, so an SVD and an eigh give them only to
+        # sqrt(eps): the roots are checked by their squares, and the blocks
+        # built from them against the same products of U's own roots
+        win = mr.two_dilation(T, 8)
+        DC, DCs = win.blocks[(1, 0)], win.blocks[(-1, -2)]
+        C, Cs, I = dec.C, np.conj(dec.C).T, np.eye(T.shape[0])
+        assert np.abs(DC @ DC - (I - Cs @ C)).max() <= 1e-12 * scale
+        assert np.abs(DCs @ DCs - (I - C @ Cs)).max() <= 1e-12 * scale
+        d, M = T.shape[0], 8
+        ref = two_dilation_reference(C, M)
+        for (i, j), B in {(1, 0): DC, (-1, -2): DCs, (0, 0): DC @ C, (-1, -1): C @ DCs,
+                          (0, -1): DC @ DCs}.items():
+            ref[(i + M) * d:(i + M + 1) * d, (j + M) * d:(j + M + 1) * d] = B
+        assert np.abs(win.dense() - ref).max() <= 1e-12 * scale
 
     def test_defect_outside_slack_is_not_psd(self):
         # 1 - s^2 below -1e-8 (1 + max|1 - s^2|): the defect operators do not exist

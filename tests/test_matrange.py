@@ -1,3 +1,6 @@
+import cProfile
+import pstats
+
 import numpy as np
 import pytest
 
@@ -46,16 +49,17 @@ class TestMemberE21:
 
 
 def solver_shift_ball(X, nodes):
-    """Reference verdict: member_normal's solver weights at every point of
-    norm <= 0.95, with no closed-form witness."""
+    """Reference verdict: member_normal's solver weights, and its own
+    unverified flag, at every point of norm <= 0.95, with no closed-form
+    witness."""
     nrm = mr.op_norm(X)
-    witness = None
+    surrogate = mr.MembershipVerdict(member=False, margin=0.0)
     if nrm <= 0.95:
         th = 2.0 * np.pi * np.arange(nodes) / nodes
-        witness = mr.member_normal(np.exp(1j * th), X).witness
+        surrogate = mr.member_normal(np.exp(1j * th), X)
     return mr.MembershipVerdict(member=nrm <= 1.0 + 1e-9, margin=1.0 - nrm,
-                                witness=witness,
-                                unverified=nrm <= 0.95 and witness is None)
+                                witness=surrogate.witness,
+                                unverified=surrogate.unverified)
 
 
 def zero_feasible(K, B, *args, **kwargs):
@@ -122,6 +126,28 @@ class TestMemberShiftBall:
         if nodes < 3 or norm > np.cos(np.pi / nodes):
             # outside the closed-form region the solver's weights are returned as they are
             np.testing.assert_array_equal(np.array(v.witness), np.array(ref.witness))
+
+    def test_checked_surrogate_non_member_is_not_unverified(self):
+        # nodes = 2: no Hermitian weights on +-1 match a non-Hermitian X, a
+        # checked verdict of the surrogate, not solver non-convergence
+        G = mr.random_matrix(2, 2, split(11, 22))
+        X = 0.5 * G / mr.op_norm(G)
+        surrogate = mr.member_normal([1.0, -1.0], X)
+        assert not surrogate.member and not surrogate.unverified
+        v = mr.member_shift_ball(X, nodes=2)
+        assert v.member and not v.unverified and v.witness is None
+
+    def test_closed_form_takes_two_svds(self):
+        # one for |X|, one inside the Halmos dilation for |X / c| and both
+        # defect roots; the unitarity and witness residuals settle on the
+        # Frobenius norm. A profiler also counts the SVD inside op_norm,
+        # which numpy calls by its module-internal name
+        X = 0.7 * seeded_unitary(4, 5)
+        profile = cProfile.Profile()
+        v = profile.runcall(mr.member_shift_ball, X, nodes=64)
+        svds = sum(stat[1] for (path, _, name), stat in pstats.Stats(profile).stats.items()
+                   if name == "svd" and "linalg" in path)
+        assert v.member and v.witness is not None and svds == 2
 
     @pytest.mark.parametrize("d", [2, 4])
     @pytest.mark.parametrize("nodes", [16, 32, 64])
