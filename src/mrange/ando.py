@@ -70,10 +70,11 @@ _SHIFT_STEPS = 12
 _SHIFT_BAND = 64.0 * np.finfo(float).eps
 # W = V (V*V)^{-1} amplifies rounding by about cond(V*V) = cond(V)^2
 _SHIFT_RCOND_MIN = 1e-8
-# quadratic steps leave a residual about the square of the update before it,
-# and at w(T) = 1, where the error halves per step, the update falls under
-# this gate about two steps before the residual passes; a late gate would
-# only add a step, never accept an X
+# a quadratic step leaves a residual of about update^2 / |A0|, which can pass
+# only once the update is under sqrt(FIXPOINT_EPS |A0|): the gate is this
+# constant times sqrt(max(1, |A0|_1)). At w(T) = 1, where the error halves per
+# step, the update falls under it about two steps before the residual passes.
+# A late gate would only add a step, never accept an X
 _RESIDUAL_GATE = np.sqrt(FIXPOINT_EPS)
 
 
@@ -135,7 +136,7 @@ def _cyclic_reduction(A0, A1, polish=False, shift=None):
     Either way the loop stops once op_norm(X - (A0 - A1 X^+ A1*)) <= FIXPOINT_EPS.
     That residual costs a Cholesky factor and a solve, so it is evaluated only
     when the last step's update of X (of Ah, shifted) or the current A_{-1}
-    has Frobenius norm at most _RESIDUAL_GATE = sqrt(FIXPOINT_EPS). With
+    has Frobenius norm at most sqrt(FIXPOINT_EPS max(1, |A0|_1)). With
     ``polish`` it takes one more step, which in the quadratic regime brings X
     to the rounding floor: a spectral factor read off X needs that accuracy.
     Raises NoConvergence after _MAX_STEPS steps.
@@ -148,9 +149,11 @@ def _cyclic_reduction(A0, A1, polish=False, shift=None):
         Am0 = Am = Am - Am @ P
         C = Ah = A0 + A1 @ S
         X = herm_part(Ah)
+    # |A0|_1 bounds |A0| for Hermitian A0
+    gate = _RESIDUAL_GATE * np.sqrt(max(1.0, np.abs(A0).sum(axis=0).max()))
     update = np.inf
     for k in range(steps):
-        done = (update <= _RESIDUAL_GATE or np.linalg.norm(Am) <= _RESIDUAL_GATE) and \
+        done = (update <= gate or np.linalg.norm(Am) <= gate) and \
             _norm_within(_fixpoint_defect(A0, A1, X), FIXPOINT_EPS)
         if done and not polish:
             break

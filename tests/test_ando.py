@@ -246,6 +246,16 @@ def _reported_residual(T):
     return None
 
 
+def _scaled_moment_problem(scale, degree, seed):
+    """(A0, A1) of _spectral_factor for scale times the moments
+    Q_k = sum_j P_j* P_{j+k} of a seeded 2 x 2 factor P_0..P_degree."""
+    P = mr.random_matrix(2 * (degree + 1), 2, seed).reshape(degree + 1, 2, 2)
+    Q = scale * np.array([sum(np.conj(P[j]).T @ P[j + k] for j in range(degree + 1 - k))
+                          for k in range(degree + 1)])
+    return (mr.toeplitz._block_toeplitz(Q, degree),
+            mr.toeplitz._block_toeplitz(Q, degree, degree))
+
+
 class TestResidualGate:
     """The fixed-point residual is evaluated only once the last update or
     A_{-1} is under sqrt(FIXPOINT_EPS); the stop itself is unchanged."""
@@ -275,6 +285,20 @@ class TestResidualGate:
         solve()
         assert len(solves) == 1 and 1 <= len(evals) <= 2
 
+    @pytest.mark.parametrize("A0, A1, steps", [
+        (np.array([[30.0 + 0j]]), np.array([[13.5 + 0j]]), 6),
+        (np.array([[1e4 + 0j]]), np.array([[4e3 + 0j]]), 6),
+        (*_scaled_moment_problem(30.0, 4, 25), 7),
+    ], ids=["scalar-30", "scalar-1e4", "moments-30"])
+    def test_scaled_input_matches_residual_at_every_step(self, A0, A1, steps, monkeypatch):
+        # the gate grows with |A0|, so a residual of about update^2 / |A0| is
+        # evaluated at the step where it first passes: X and the step count
+        # equal those of a run that evaluates it before every step
+        X, k = mr.ando._cyclic_reduction(A0, A1, polish=True)
+        monkeypatch.setattr(mr.ando, "_RESIDUAL_GATE", np.inf)
+        X_every, k_every = mr.ando._cyclic_reduction(A0, A1, polish=True)
+        assert k == k_every == steps and np.array_equal(X, X_every)
+
     def test_no_convergence_names_last_residual(self, monkeypatch):
         monkeypatch.setattr(mr.ando, "_MAX_STEPS", 2)
         T = _two_step_input()
@@ -290,7 +314,8 @@ class TestResidualGate:
               (_two_step_input, _residual_after_two_steps, _reported_residual)),
             "mr.ando._MAX_STEPS = 2",
             "T = _two_step_input()",
-            "print(__debug__, abs(_reported_residual(T) / _residual_after_two_steps(T) - 1) < 1e-3)",
+            "ratio = _reported_residual(T) / _residual_after_two_steps(T)",
+            "print(__debug__, abs(ratio - 1) < 1e-3)",
         ])
         src = os.path.dirname(os.path.dirname(mr.__file__))
         env = {**os.environ, "PYTHONPATH": src}
@@ -415,20 +440,32 @@ class TestOneFactorizationPerOperator:
         assert np.abs(dec.C - C).max() <= 1e-12 * scale
         # where C has a singular value of exactly 1, as for S_4/cos(pi/5) and
         # S_8/cos(pi/9), (I - C*C)^{1/2} and (I - CC*)^{1/2} take the root of a
-        # rounding-level eigenvalue, so an SVD and an eigh give them only to
-        # sqrt(eps): the roots are checked by their squares, and the blocks
-        # built from them against the same products of U's own roots
-        win = mr.two_dilation(T, 8)
-        DC, DCs = win.blocks[(1, 0)], win.blocks[(-1, -2)]
-        C, Cs, I = dec.C, np.conj(dec.C).T, np.eye(T.shape[0])
-        assert np.abs(DC @ DC - (I - Cs @ C)).max() <= 1e-12 * scale
-        assert np.abs(DCs @ DCs - (I - C @ Cs)).max() <= 1e-12 * scale
+        # rounding-level eigenvalue, so an SVD and an eigh agree on them only
+        # to about sqrt(eps). The roots are checked as Hermitian PSD roots of
+        # their squares, and they and the blocks built from them against the
+        # eigh products to 1e-7, the root of a few hundred eps (each product
+        # has a factor of norm <= 1, so it adds at most the two roots' errors).
+        # Block (0, 0) is checked against T/2 (T = 2 (I - C*C)^{1/2} C), every
+        # other block against the reference as before.
         d, M = T.shape[0], 8
-        ref = two_dilation_reference(C, M)
-        for (i, j), B in {(1, 0): DC, (-1, -2): DCs, (0, 0): DC @ C, (-1, -1): C @ DCs,
-                          (0, -1): DC @ DCs}.items():
-            ref[(i + M) * d:(i + M + 1) * d, (j + M) * d:(j + M + 1) * d] = B
-        assert np.abs(win.dense() - ref).max() <= 1e-12 * scale
+        U, ref = mr.two_dilation(T, M).dense(), two_dilation_reference(dec.C, M)
+
+        def block(A, i, j):
+            return A[(i + M) * d:(i + M + 1) * d, (j + M) * d:(j + M + 1) * d]
+
+        C, Cs, I = dec.C, np.conj(dec.C).T, np.eye(d)
+        for (i, j), square in (((1, 0), I - Cs @ C), ((-1, -2), I - C @ Cs)):
+            R = block(U, i, j)
+            assert np.abs(R - np.conj(R).T).max() <= 1e-12 * scale
+            assert np.linalg.eigvalsh((R + np.conj(R).T) / 2).min() >= -1e-12 * scale
+            assert np.abs(R @ R - square).max() <= 1e-12 * scale
+        root_blocks = [(1, 0), (-1, -2), (-1, -1), (0, -1)]
+        for i, j in root_blocks:
+            assert np.abs(block(U, i, j) - block(ref, i, j)).max() <= 1e-7 * scale
+        assert np.abs(block(U, 0, 0) - T / 2).max() <= 1e-12 * scale
+        for i, j in root_blocks + [(0, 0)]:
+            block(ref, i, j)[:] = block(U, i, j)
+        assert np.abs(U - ref).max() <= 1e-12 * scale
 
     def test_defect_outside_slack_is_not_psd(self):
         # 1 - s^2 below -1e-8 (1 + max|1 - s^2|): the defect operators do not exist
