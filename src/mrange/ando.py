@@ -70,11 +70,12 @@ _SHIFT_STEPS = 12
 _SHIFT_BAND = 64.0 * np.finfo(float).eps
 # W = V (V*V)^{-1} amplifies rounding by about cond(V*V) = cond(V)^2
 _SHIFT_RCOND_MIN = 1e-8
-# a quadratic step leaves a residual of about update^2 / |A0|, which can pass
-# only once the update is under sqrt(FIXPOINT_EPS |A0|): the gate is this
-# constant times sqrt(max(1, |A0|_1)). At w(T) = 1, where the error halves per
-# step, the update falls under it about two steps before the residual passes.
-# A late gate would only add a step, never accept an X
+# the stop is FIXPOINT_EPS s for s = max(1, |A0|_1), and a quadratic step
+# leaves a residual of about update^2 / |A0|, which can pass only once the
+# update is under sqrt(FIXPOINT_EPS s |A0|): the gate is this constant times
+# sqrt(s), at or below that for |A0| >= 1. At w(T) = 1 (A0 = I), where the
+# error halves per step, the update falls under it about two steps before the
+# residual passes. A late gate would only add a step, never accept an X
 _RESIDUAL_GATE = np.sqrt(FIXPOINT_EPS)
 
 
@@ -133,10 +134,11 @@ def _cyclic_reduction(A0, A1, polish=False, shift=None):
     G = S - Ah^{-1} A_{-1} (the minimal solvent's bound), or it raises
     NoConvergence: a wrong shift never passes.
 
-    Either way the loop stops once op_norm(X - (A0 - A1 X^+ A1*)) <= FIXPOINT_EPS.
-    That residual costs a Cholesky factor and a solve, so it is evaluated only
-    when the last step's update of X (of Ah, shifted) or the current A_{-1}
-    has Frobenius norm at most sqrt(FIXPOINT_EPS max(1, |A0|_1)). With
+    Either way the loop stops once op_norm(X - (A0 - A1 X^+ A1*)) <=
+    FIXPOINT_EPS s, s = max(1, |A0|_1): the rounding floor of X grows with
+    |A0|. That residual costs a Cholesky factor and a solve, so it is
+    evaluated only when the last step's update of X (of Ah, shifted) or the
+    current A_{-1} has Frobenius norm at most sqrt(FIXPOINT_EPS s). With
     ``polish`` it takes one more step, which in the quadratic regime brings X
     to the rounding floor: a spectral factor read off X needs that accuracy.
     Raises NoConvergence after _MAX_STEPS steps.
@@ -150,11 +152,12 @@ def _cyclic_reduction(A0, A1, polish=False, shift=None):
         C = Ah = A0 + A1 @ S
         X = herm_part(Ah)
     # |A0|_1 bounds |A0| for Hermitian A0
-    gate = _RESIDUAL_GATE * np.sqrt(max(1.0, np.abs(A0).sum(axis=0).max()))
+    scale = max(1.0, np.abs(A0).sum(axis=0).max())
+    gate = _RESIDUAL_GATE * np.sqrt(scale)
     update = np.inf
     for k in range(steps):
         done = (update <= gate or np.linalg.norm(Am) <= gate) and \
-            _norm_within(_fixpoint_defect(A0, A1, X), FIXPOINT_EPS)
+            _norm_within(_fixpoint_defect(A0, A1, X), FIXPOINT_EPS * scale)
         if done and not polish:
             break
         if shift is None:
@@ -407,16 +410,13 @@ def ucp_from_e21(T, tol=None):
 
 def _ucp_from_e21(M, w, t, A=None):
     """ucp_from_e21 for a square M whose numerical radius w is already known;
-    A as for _radius_lmi."""
-    from .cpmaps import is_cp, map_on_units
+    A as for _radius_lmi. The map is CP because its Choi matrix is the block
+    that _radius_lmi has just checked PSD."""
+    from .cpmaps import map_on_units
 
     if w > 0.5 + 1e-9:
         raise RadiusTooLarge(f"numerical radius {w:.12f} exceeds 1/2")
     ok, A = _radius_lmi(M, w, t, A)
     if not ok:
         raise RadiusTooLarge("radius LMI infeasible")
-    I = np.eye(M.shape[0], dtype=complex)
-    phi = map_on_units(2, M.shape[0], [[A, dagger(M)], [M, I - A]])
-    cp_ok, min_eig = is_cp(phi, t)
-    verify(cp_ok, f"witness map not CP (min eig {min_eig:.3e})")
-    return phi
+    return map_on_units(2, M.shape[0], [[A, dagger(M)], [M, np.eye(M.shape[0]) - A]])

@@ -170,13 +170,10 @@ def _run_command(cmd, args):
     if cmd == "dilate2":
         T = _require_matrix(payload)
         win = dilation.two_dilation(T, args.window, tol)
-        halves = dilation.halved_power_blocks(T, args.window // 2 - 1)[1:]
-        residual = max(op_norm(block - half) for block, half
-                       in zip(win.center_blocks_of_powers(len(halves)), halves))
         return {
             "window": args.window,
             "block_dim": win.block_dim,
-            "compression_residual": residual,
+            "compression_residual": win.residuals["compression"],
             "U": matrix_to_json(win.dense()),
         }, 0
 
@@ -204,16 +201,11 @@ def _run_command(cmd, args):
     if cmd == "nilpotent-dilate":
         T = _require_matrix(payload)
         nd = dilation.nilpotent_dilation(T, args.order, tol)
-        A = as_cmat(T)
-        Vh = np.conj(nd.V).T
-        comp = max(op_norm(Vh @ np.linalg.matrix_power(nd.N, j) @ nd.V
-                           - np.linalg.matrix_power(A, j))
-                   for j in range(args.order))
         return {
             "order": nd.order,
             "multiplicity": nd.r,   # r = dim T: V comes from a d x d spectral factor
-            "isometry_residual": op_norm(Vh @ nd.V - np.eye(A.shape[0])),
-            "compression_residual": comp,
+            "isometry_residual": nd.residuals["isometry"],
+            "compression_residual": nd.residuals["compression"],
             "V": matrix_to_json(nd.V),
             "N": matrix_to_json(nd.N),
         }, 0

@@ -68,11 +68,14 @@ class WindowedOperator:
     """Block matrix over positions -M..M with band width <= 2.
 
     blocks maps (row_index, col_index) -> block; absent pairs are zero.
+    residuals holds the checked ones: ``unitarity``, the core's |W*W - I|,
+    and ``compression``, the largest |(U^n)_{00} - T^n / 2| (two_dilation).
     """
 
     block_dim: int
     window: int
     blocks: dict
+    residuals: dict
 
     def dense(self):
         d, M = self.block_dim, self.window
@@ -135,15 +138,17 @@ def _two_dilation(A, C, M, t):
     blocks[(0, 0)] = DC @ C
     blocks[(0, -1)] = DC @ DCs
     blocks[(0, -2)] = -dagger(C)
-    win = WindowedOperator(block_dim=d, window=M, blocks=blocks)
-
     unit_defect = _core_unitarity_defect(blocks, d)
     verify(unit_defect <= 1e-7, f"interior unitarity defect {unit_defect:.3e}")
 
-    halves = halved_power_blocks(A, M // 2 - 1)[1:]
-    for n, (block, half) in enumerate(zip(win.center_blocks_of_powers(len(halves)), halves), 1):
-        err = op_norm(block - half)
+    residuals = {"unitarity": unit_defect}
+    win = WindowedOperator(block_dim=d, window=M, blocks=blocks, residuals=residuals)
+    halves = _powers(A, M // 2 - 1)[1:] / 2.0
+    errs = [op_norm(block - half)
+            for block, half in zip(win.center_blocks_of_powers(len(halves)), halves)]
+    for n, err in enumerate(errs, 1):
         verify(err <= 1e-9, f"compression identity fails at power {n}: {err:.3e}")
+    residuals["compression"] = max(errs)
     return win
 
 
@@ -208,15 +213,19 @@ def pd_function_check(blocks, tol=None):
     return psd_check(_block_toeplitz(dagger(np.array(mats)), len(mats)), tol)
 
 
+def _powers(A, n):
+    """The stack I, A, A^2, ..., A^n, each power the one before it times A."""
+    P = np.empty((n + 1, *A.shape), dtype=complex)
+    P[0] = np.eye(A.shape[0])
+    for k in range(n):
+        P[k + 1] = P[k] @ A
+    return P
+
+
 def halved_power_blocks(T, N):
     """Blocks {I, T/2, T^2/2, ..., T^N/2} for the positive-definiteness bridge."""
-    A = require_square(T, "halved_power_blocks")
-    out = [np.eye(A.shape[0], dtype=complex)]
-    P = np.eye(A.shape[0], dtype=complex)
-    for _ in range(N):
-        P = P @ A
-        out.append(P / 2.0)
-    return out
+    P = _powers(require_square(T, "halved_power_blocks"), N)
+    return [P[0], *(P[1:] / 2.0)]
 
 
 def nilpotent_condition(T, n):
@@ -230,20 +239,22 @@ def nilpotent_condition(T, n):
     A = require_square(T, "nilpotent_condition")
     if n < 2:
         raise BadShape(f"order n >= 2 required, got {n}")
-    D = [-2.0 * A]
-    for _ in range(2, n):
-        D.append(D[-1] @ A)
-    return 1.0 - _level_set_max(np.array(D))[0]
+    return 1.0 - _level_set_max(-2.0 * _powers(A, n - 1)[1:])[0]
 
 
 @dataclass(frozen=True)
 class NilpotentDilation:
-    """N = S_n (x) I_r with V*V = I and V* N^j V = T^j for j = 0..n-1."""
+    """N = S_n (x) I_r with V*V = I and V* N^j V = T^j for j = 0..n-1.
+
+    residuals holds the checked ones: ``isometry``, |V*V - I|, and
+    ``compression``, the largest |V* N^j V - T^j| over j = 0..n-1.
+    """
 
     order: int
     N: np.ndarray
     V: np.ndarray
     r: int
+    residuals: dict
 
 
 def nilpotent_dilation(T, n, tol=None):
@@ -264,26 +275,25 @@ def nilpotent_dilation(T, n, tol=None):
         raise ConditionFails(
             f"order-{n} condition margin {cond:.3e} is negative")
 
-    powers = [np.eye(d, dtype=complex)]
-    for _ in range(1, n):
-        powers.append(powers[-1] @ A)
+    powers = _powers(A, n - 1)
     # below a margin of 10 RANK_REL, factor Q + (10 RANK_REL - margin) I instead:
     # its X >= 10 RANK_REL I stays clear of the pseudo-inverse cutoff, so the
     # residual stop can be met. V, scaled back to an isometry, then moves the
     # compressions by at most that lift (|T^j| <= 1 under the condition)
     lift = 1.0 + max(0.0, 10.0 * RANK_REL - cond)
-    Q = np.array([lift * powers[0]] + powers[1:])
+    Q = np.concatenate([lift * powers[:1], powers[1:]])
     V = _spectral_factor(Q)[::-1].reshape(n * d, d) / np.sqrt(lift)
     N = kron(shift(n), np.eye(d, dtype=complex))
 
     verify(op_norm(np.linalg.matrix_power(N, n)) == 0.0, "N^n must vanish exactly")
-    iso = op_norm(dagger(V) @ V - np.eye(d))
-    verify(iso <= 1e-10, f"isometry defect {iso:.3e}")
-    Pj = np.eye(n * d, dtype=complex)
+    Vh, Nj, errs = dagger(V), np.eye(n * d, dtype=complex), []
+    for j in range(n):
+        errs.append(op_norm(Vh @ Nj @ V - powers[j]))
+        Nj = Nj @ N
+    verify(errs[0] <= 1e-10, f"isometry defect {errs[0]:.3e}")
     for j in range(1, n):
-        Pj = Pj @ N
-        err = op_norm(dagger(V) @ Pj @ V - powers[j])
         # the lift moves this by at most 10 RANK_REL + psd_eps near zero
         # margin; interior instances land at the rounding floor
-        verify(err <= 1e-7, f"compression mismatch at power {j}: {err:.3e}")
-    return NilpotentDilation(order=n, N=N, V=V, r=d)
+        verify(errs[j] <= 1e-7, f"compression mismatch at power {j}: {errs[j]:.3e}")
+    return NilpotentDilation(order=n, N=N, V=V, r=d,
+                             residuals={"isometry": errs[0], "compression": max(errs)})

@@ -20,7 +20,7 @@ from .rng import SplitMix64
 
 # relative singular/eigen cutoff for pseudo-inverses and ranks
 RANK_REL = 1e-10
-# stop on the fixed-point residual (operator norm)
+# stop on the fixed-point residual (operator norm), relative to max(1, |A0|_1)
 FIXPOINT_EPS = 1e-12
 
 

@@ -6,7 +6,6 @@ norm probes, and the nine-way equivalence suite for the radius-one ball.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BadShape,
@@ -22,7 +21,6 @@ from .linalg import (
     _norm_within,
     _tol,
     dagger,
-    herm_part,
     op_norm,
     random_isometry,
     random_matrix,
@@ -30,6 +28,7 @@ from .linalg import (
 )
 from .numrange import _exceeds, num_radius
 from .rng import split
+from .toeplitz import _block_toeplitz, _unitary_measure
 
 
 @dataclass(frozen=True)
@@ -73,15 +72,16 @@ def member_shift_ball(X, nodes=64, tol=None):
     For comfortably interior points (norm <= 0.95) a verified witness is
     produced: PSD weights H_k with sum_k H_k = I and sum_k omega^k H_k = X
     at the nodes-th roots of unity omega^k, i.e. X realized as the image of
-    a normal unitary surrogate. Up to norm cos(pi / nodes), the radius of
-    the disk inscribed in their polygon (nodes >= 3), the weights come in
-    closed form from the Halmos dilation of X (_dilation_weights). Only in
-    the band cos(pi / nodes) < norm <= 0.95, which needs nodes <= 9, does
-    member_normal solve for them. Its own ``unverified`` is passed on: a
-    solver still undetermined after cpmaps.MAX_ITER iterations leaves the
-    verdict intact and flags the witness as unverified, while a checked
-    non-member of the surrogate (no Hermitian weights on nodes <= 2 match
-    a non-Hermitian X) leaves it without a witness and unflagged.
+    a normal unitary surrogate. Up to norm c = cos(pi / nodes), the radius
+    of the disk inscribed in their polygon (nodes >= 3), the weights come
+    in closed form from the block moment measure of [[I, X*/c], [X/c, I]]
+    (_dilation_weights). Only in the band c < norm <= 0.95, which needs
+    nodes <= 9, does member_normal solve for them. Its own ``unverified``
+    is passed on: a solver still undetermined after cpmaps.MAX_ITER
+    iterations leaves the verdict intact and flags the witness as
+    unverified, while a checked non-member of the surrogate (no Hermitian
+    weights on nodes <= 2 match a non-Hermitian X) leaves it without a
+    witness and unflagged.
     """
     t = _tol(tol)
     A = require_square(X, "member_shift_ball")
@@ -105,20 +105,17 @@ def _dilation_weights(A, omega, t):
     """PSD weights H_k with sum_k H_k = I and sum_k omega_k H_k = A, for
     omega the N >= 3 roots of unity and |A| <= c = cos(pi / N).
 
-    With U = Z T Z* the Schur form of the Halmos unitary of A / c, mu_j =
-    T_jj / |T_jj| and g_j the first d entries of column j of Z, the
-    rank-one terms g_j g_j* sum to I and, weighted by mu_j, to A / c. Each
-    c mu_j lies in the disk inscribed in the polygon omega, so it is a
-    convex combination sum_k a_jk omega_k of its two neighbouring vertices
-    and of the centroid 0 = mean(omega), and H_k = sum_j a_jk g_j g_j*.
+    [[I, A*/c], [A/c, I]] is PSD, so its block moment measure
+    (toeplitz._unitary_measure, checked there) gives rank-one PSD G_j that
+    sum to I and, weighted by e^{i theta_j}, to A / c. Each c e^{i theta_j}
+    lies in the disk inscribed in the polygon omega, so it is a convex
+    combination sum_k a_jk omega_k of its two neighbouring vertices and of
+    the centroid 0 = mean(omega), and H_k = sum_j a_jk G_j.
     """
-    from .dilation import halmos_unitary
-
     N, d = omega.size, A.shape[0]
     c = np.cos(np.pi / N)
-    T, Z = scipy.linalg.schur(halmos_unitary(A / c, t), output="complex")
-    mu = np.diagonal(T)
-    p = c * mu / np.abs(mu)
+    nodes, G = _unitary_measure(_block_toeplitz(np.array([np.eye(d), A / c]), 2), d, t)
+    p = c * np.exp(1j * nodes)
     lo = np.floor(np.angle(p) * N / (2.0 * np.pi)).astype(int) % N
     hi = (lo + 1) % N
 
@@ -131,11 +128,10 @@ def _dilation_weights(A, omega, t):
     a_lo = np.clip(cross(p, omega[hi]) / det, 0.0, None)
     a_hi = np.clip(cross(omega[lo], p) / det, 0.0, None)
     a = np.repeat(np.clip(1.0 - a_lo - a_hi, 0.0, None)[:, None] / N, N, axis=1)
-    rows = np.arange(2 * d)
+    rows = np.arange(nodes.size)
     a[rows, lo] += a_lo
     a[rows, hi] += a_hi
-    G = Z[:d]
-    return list(herm_part((G * a.T[:, None, :]) @ dagger(G)))
+    return list(np.tensordot(a.T, G, axes=1))
 
 
 def _verified_weights(lams, weights, A):
@@ -279,7 +275,6 @@ def equivalence_suite(T, tol=None, window=12):
     that band they may legitimately disagree.
     """
     from .ando import _ando_decompose, _radius_lmi, _ucp_from_e21
-    from .cpmaps import is_cp
     from .dilation import _two_dilation, nilpotent_condition, nilpotent_dilation
 
     t = _tol(tol)
@@ -316,8 +311,8 @@ def equivalence_suite(T, tol=None, window=12):
     cond7 = _radius_lmi(A / 2.0, w / 2.0, t, Xstar)[0]
 
     try:
-        phi = _ucp_from_e21(A / 2.0, w / 2.0, t, Xstar)
-        cond9 = is_cp(phi, t)[0]
+        _ucp_from_e21(A / 2.0, w / 2.0, t, Xstar)
+        cond9 = True
     except (RadiusTooLarge, VerificationFailed):
         cond9 = False
 

@@ -228,9 +228,10 @@ class AtomicMeasure:
         return np.tensordot(phases, np.asarray(self.weights), axes=1)
 
 
-def _unitary_measure(spec, t):
+def _unitary_measure(T, d, t):
     """Nodes theta_j and rank-one PSD weights G_j (an (r, d, d) stack,
-    r <= rank T) with sum_j e^{i k theta_j} G_j = A_k for k < n: Gauss-Szego
+    r <= rank T) with sum_j e^{i k theta_j} G_j = A_k for k < n, for the
+    Hermitian block Toeplitz T = [A_{i-j}] of n blocks of size d: Gauss-Szego
     quadrature (Jones, Njastad & Thron, 1989; Gragg, 1993).
 
     T = F*F for F = diag(sqrt w) U* over T's eigenvalues above
@@ -242,8 +243,7 @@ def _unitary_measure(spec, t):
     and G_j = g_j* g_j for the rows g_j of Z* F_0. NotPSD as toeplitz_psd;
     MomentResidualTooLarge beyond 1e-6 (1 + max|A_k|) in a moment entry.
     """
-    T = toeplitz_assemble(spec)
-    n, d = spec.n, T.shape[0] // spec.n
+    n = T.shape[0] // d
     eig = herm_eig(T)
     w, U = eig.eigenvalues, eig.eigenvectors
     ok, min_eig = _psd_verdict(w, t.psd_eps)
@@ -269,7 +269,8 @@ def _unitary_measure(spec, t):
 def measure_from_toeplitz(spec, tol=None):
     """At most rank T nonnegative atoms with the coefficients of a PSD
     Toeplitz spec as moments: the scalar case of _unitary_measure."""
-    nodes, weights = _unitary_measure(spec, _tol(tol))
+    T = toeplitz_assemble(spec)
+    nodes, weights = _unitary_measure(T, T.shape[0] // spec.n, _tol(tol))
     return AtomicMeasure(nodes=nodes, weights=weights[:, 0, 0].real)
 
 
@@ -285,5 +286,6 @@ def toeplitz_from_measure(mu, n):
 def block_measure_from_toeplitz(spec, tol=None):
     """An (r, d, d) stack of r <= rank T rank-one PSD weights with
     sum_j e^{i k theta_j} G_j = A_k (_unitary_measure)."""
-    nodes, weights = _unitary_measure(spec, _tol(tol))
+    T = toeplitz_assemble(spec)
+    nodes, weights = _unitary_measure(T, T.shape[0] // spec.n, _tol(tol))
     return AtomicMeasure(nodes=nodes, weights=weights)

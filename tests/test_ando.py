@@ -10,7 +10,7 @@ import pytest
 
 import mrange as mr
 from mrange.cpmaps import Feasible
-from mrange.errors import NoConvergence, NotPSD, RadiusTooLarge
+from mrange.errors import NoConvergence, NotPSD, RadiusTooLarge, VerificationFailed
 from mrange.rng import split
 
 from helpers import E21, ando_reference, random_with_radius, two_dilation_reference
@@ -246,19 +246,29 @@ def _reported_residual(T):
     return None
 
 
+def _factor_moments(P):
+    """Q_k = sum_j P_j* P_{j+k} for a stack P_0..P_N."""
+    N = P.shape[0] - 1
+    return np.array([sum(np.conj(P[j]).T @ P[j + k] for j in range(N + 1 - k))
+                     for k in range(N + 1)])
+
+
+def _seeded_moments(degree, seed):
+    """The moments of a seeded 2 x 2 factor P_0..P_degree."""
+    return _factor_moments(mr.random_matrix(2 * (degree + 1), 2, seed).reshape(degree + 1, 2, 2))
+
+
 def _scaled_moment_problem(scale, degree, seed):
     """(A0, A1) of _spectral_factor for scale times the moments
     Q_k = sum_j P_j* P_{j+k} of a seeded 2 x 2 factor P_0..P_degree."""
-    P = mr.random_matrix(2 * (degree + 1), 2, seed).reshape(degree + 1, 2, 2)
-    Q = scale * np.array([sum(np.conj(P[j]).T @ P[j + k] for j in range(degree + 1 - k))
-                          for k in range(degree + 1)])
+    Q = scale * _seeded_moments(degree, seed)
     return (mr.toeplitz._block_toeplitz(Q, degree),
             mr.toeplitz._block_toeplitz(Q, degree, degree))
 
 
 class TestResidualGate:
     """The fixed-point residual is evaluated only once the last update or
-    A_{-1} is under sqrt(FIXPOINT_EPS); the stop itself is unchanged."""
+    A_{-1} is under sqrt(FIXPOINT_EPS max(1, |A0|_1))."""
 
     @pytest.mark.parametrize("T, steps", [(T, k) for _, T, k in _CLOSED_FORM_STEPS],
                              ids=[name for name, _, _ in _CLOSED_FORM_STEPS])
@@ -322,6 +332,27 @@ class TestResidualGate:
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, text=True, timeout=120)
         assert out.stdout.split() == ["False", "True"], out.stderr
+
+
+class TestRelativeStop:
+    """The fixed-point stop is FIXPOINT_EPS max(1, |A0|_1): inputs whose
+    rounding floor lies above 1e-12 stop as well."""
+
+    @pytest.mark.parametrize("scale", [30.0, 1e3, 1e5])
+    def test_scaled_moments_factor(self, scale):
+        Q = scale * _seeded_moments(8, 3)
+        P = mr.toeplitz._spectral_factor(Q)
+        assert np.abs(_factor_moments(P) - Q).max() <= 1e-13 * np.abs(Q).max()
+
+    @pytest.mark.parametrize("degree", [256, 384])
+    def test_high_degree_fejer_riesz(self, degree):
+        c = mr.trig_poly_from_factor(np.ones(degree + 1)).coeffs
+        c[0] *= 1.001
+        p = mr.fejer_riesz(mr.TrigPoly(coeffs=c))
+        err = np.abs(np.convolve(p, np.conj(p[::-1]))[degree:] - c)
+        # all coefficients are positive, so tau peaks at angle 0
+        assert p.size == degree + 1
+        assert err[0] + 2 * err[1:].sum() <= 1e-9 * (1 + c[0].real + 2 * c[1:].real.sum())
 
 
 def _lmi_feasible_point(T, start):
@@ -530,3 +561,42 @@ class TestUcpFromE21:
     def test_rejects_large_radius(self):
         with pytest.raises(RadiusTooLarge):
             mr.ucp_from_e21(0.6 * np.eye(2))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_choi_block_checked_once_by_the_lmi(self, d, monkeypatch):
+        # the witness map's Choi matrix is the block _radius_lmi checks PSD,
+        # bit for bit, and no second check of it runs
+        checked, inside = [], []
+        radius_lmi, psd_check = mr.ando._radius_lmi, mr.linalg.psd_check
+
+        def traced_lmi(*args):
+            inside.append(True)
+            try:
+                return radius_lmi(*args)
+            finally:
+                inside.pop()
+
+        def traced_check(H, tol=None):
+            checked.append((bool(inside), H.copy()))
+            return psd_check(H, tol)
+
+        monkeypatch.setattr(mr.ando, "_radius_lmi", traced_lmi)
+        monkeypatch.setattr(mr.ando, "psd_check", traced_check)
+        monkeypatch.setattr(mr.cpmaps, "psd_check", traced_check)
+        phi = mr.ucp_from_e21(random_with_radius(d, 0.4, split(53, d)))
+        block = mr.choi(phi).block
+        assert [lmi for lmi, H in checked
+                if H.shape == block.shape and np.array_equal(H, block)] == [True]
+
+    def test_non_psd_block_raises(self, monkeypatch):
+        # an A that leaves [[A, T*], [T, I - A]] indefinite is caught by the
+        # LMI check, which the witness map relies on
+        extremal_X = mr.ando._extremal_X
+
+        def shifted_X(*args, **kwargs):
+            X, *rest = extremal_X(*args, **kwargs)
+            return (X + 0.5 * np.eye(X.shape[0]), *rest)
+
+        monkeypatch.setattr(mr.ando, "_extremal_X", shifted_X)
+        with pytest.raises(VerificationFailed, match="radius LMI block not PSD"):
+            mr.ucp_from_e21(random_with_radius(3, 0.4, split(53, 3)))

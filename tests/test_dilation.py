@@ -300,3 +300,35 @@ class TestNilpotentDilation:
         monkeypatch.setattr(mr.cpmaps, "solve_feasibility", forbidden)
         nd = mr.nilpotent_dilation(random_with_radius(3, 0.4, 5), 2)
         assert nd.r == 3
+
+
+def _seeded_inputs(d, radius, seed):
+    """A seeded Gaussian scaled to the radius, E21-type shifts, and zero."""
+    return [random_with_radius(d, radius, seed), radius * mr.shift(d), np.zeros((d, d))]
+
+
+class TestCarriedResiduals:
+    """Each dilation carries the residuals it was verified on: the values a
+    caller would get by recomputing them with dense powers."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_nilpotent_dilation(self, n, d):
+        for T in _seeded_inputs(d, 0.3, split(97, 10 * n + d)):
+            nd = mr.nilpotent_dilation(T, n)
+            Vh = np.conj(nd.V).T
+            compression = max(mr.op_norm(Vh @ np.linalg.matrix_power(nd.N, j) @ nd.V
+                                         - np.linalg.matrix_power(T, j)) for j in range(n))
+            assert nd.residuals == {"isometry": mr.op_norm(Vh @ nd.V - np.eye(d)),
+                                    "compression": compression}
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_two_dilation(self, d):
+        for T in _seeded_inputs(d, 0.9, split(98, d)):
+            win = mr.two_dilation(T, 8)
+            halves = mr.halved_power_blocks(T, 3)[1:]
+            compression = max(mr.op_norm(block - half) for block, half
+                              in zip(win.center_blocks_of_powers(len(halves)), halves))
+            assert win.residuals == {
+                "unitarity": mr.dilation._core_unitarity_defect(win.blocks, d),
+                "compression": compression}

@@ -138,8 +138,8 @@ class TestMemberShiftBall:
         assert v.member and not v.unverified and v.witness is None
 
     def test_closed_form_takes_two_svds(self):
-        # one for |X|, one inside the Halmos dilation for |X / c| and both
-        # defect roots; the unitarity and witness residuals settle on the
+        # one for |X|, one for the polar factor of the block moment measure
+        # of [[I, X*/c], [X/c, I]]; the witness residuals settle on the
         # Frobenius norm. A profiler also counts the SVD inside op_norm,
         # which numpy calls by its module-internal name
         X = 0.7 * seeded_unitary(4, 5)

@@ -1,5 +1,7 @@
 """Every parameter of a library function is read by its body: a parameter
-that nothing reads is a setting that does nothing."""
+that nothing reads is a setting that does nothing. Likewise every name a
+library module imports is used: an unused import is left over from code
+that has gone."""
 
 import ast
 import pathlib
@@ -42,3 +44,45 @@ def test_every_library_parameter_is_read():
     unread = {path.name: unread_parameters(path.read_text())
               for path in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in unread.items() if v} == {}
+
+
+def _own_nodes(scope):
+    """The nodes of scope's body, without those of the functions nested in it."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def unused_imports(source):
+    """Each name that an import binds and that nothing in the import's scope
+    (the function holding it, else the module) loads, in source order."""
+    tree = ast.parse(source)
+    out = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        loaded = {n.id for n in ast.walk(scope)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in _own_nodes(scope):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                # "import a.b" binds a
+                out += [(node.lineno, name) for name in
+                        (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                        if name not in loaded]
+    return [name for _, name in sorted(out)]
+
+
+def test_detects_an_unused_import():
+    source = ("import scipy.linalg\nimport numpy as np\nfrom .x import a, b\n\n"
+              "def f():\n    from .y import c\n    return np.eye(2), a\n\n"
+              "def g():\n    return c\n")
+    assert unused_imports(source) == ["scipy", "b", "c"]
+
+
+def test_every_library_import_is_used():
+    unused = {path.name: unused_imports(path.read_text())
+              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert {k: v for k, v in unused.items() if v} == {}
