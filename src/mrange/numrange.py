@@ -240,7 +240,7 @@ class _Radius(float):
     final level of its level-set solve attains it (``_level_set_max``).
     Ando's extremal X takes its boundary shift from them."""
 
-    def __new__(cls, value, maxima=()):
+    def __new__(cls, value, maxima):
         self = super().__new__(cls, value)
         self.maxima = maxima
         return self

@@ -74,12 +74,12 @@ def trig_poly_from_factor(q):
     return TrigPoly(coeffs=coeffs)
 
 
-def _circle_sums(c, size=_PRECHECK_GRID):
-    """sum_k c_k l^k at the size-th roots of unity l = e^{2 pi i j / size},
-    j = 0..size-1, by one FFT (coefficients beyond size fold onto k mod size)."""
-    folded = np.zeros(-(-c.size // size) * size, dtype=complex)
+def _circle_sums(c):
+    """sum_k c_k l^k at the _PRECHECK_GRID-th roots of unity l, by one FFT
+    (coefficients beyond the grid fold onto k mod its size)."""
+    folded = np.zeros(-(-c.size // _PRECHECK_GRID) * _PRECHECK_GRID, dtype=complex)
     folded[:c.size] = c
-    return np.fft.ifft(folded.reshape(-1, size).sum(axis=0)) * size
+    return np.fft.ifft(folded.reshape(-1, _PRECHECK_GRID).sum(axis=0)) * _PRECHECK_GRID
 
 
 def _trig_grid(a):

@@ -204,14 +204,14 @@ def crit09_cp_pipeline():
         if mn < -1e-7:
             details.append(f"case {k}: Choi min eig {mn:.2e}")
             continue
-        ks = mr.kraus_from_choi(C, psd_slack=1e-6)
+        ks = mr.kraus_from_choi(C, mr.Tolerances(psd_eps=1e-6))
         back = ks.reconstruct(n, m)
         rec = max(mr.op_norm(back.value(i, j) - C.block_at(i, j))
                   for i in range(1, n + 1) for j in range(1, n + 1))
         if rec > 1e-8:
             details.append(f"case {k}: Kraus reconstruction {rec:.2e}")
             continue
-        st_form = mr.stinespring(mr.map_from_choi(C), psd_slack=1e-6)
+        st_form = mr.stinespring(mr.map_from_choi(C), mr.Tolerances(psd_eps=1e-6))
         iso = mr.op_norm(np.conj(st_form.V).T @ st_form.V - np.eye(m))
         if iso > 1e-10:
             details.append(f"case {k}: isometry defect {iso:.2e}")

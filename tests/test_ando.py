@@ -10,7 +10,8 @@ import pytest
 
 import mrange as mr
 from mrange.cpmaps import Feasible
-from mrange.errors import NoConvergence, NotPSD, RadiusTooLarge, VerificationFailed
+from mrange.errors import (NoConvergence, NotContraction, NotPSD, RadiusTooLarge,
+                           VerificationFailed)
 from mrange.rng import split
 
 from helpers import E21, ando_reference, random_with_radius, two_dilation_reference
@@ -535,6 +536,21 @@ class TestRadiusLmi:
             T = random_with_radius(2, target, split(31, seed))
             ok, _ = mr.radius_lmi(T)
             assert ok == (target <= 0.5)
+
+
+class TestFixedRoundingBand:
+    def test_loose_tolerance_does_not_widen_it(self):
+        # the w <= 1 + 1e-9 of _extremal_X and the norm <= 1 + 1e-9 of
+        # halmos_unitary ignore psd_eps: widened to 1e-4, these inputs just
+        # outside fail verification ("Y_min above Y_max", "interior
+        # unitarity defect") instead of being refused
+        loose = mr.Tolerances(psd_eps=1e-4)
+        with pytest.raises(RadiusTooLarge):
+            mr.ando_decompose(1.00002 * mr.shift(4) / np.cos(np.pi / 5), loose)
+        with pytest.raises(RadiusTooLarge):
+            mr.two_dilation(2.00004 * E21, 8, loose)
+        with pytest.raises(NotContraction):
+            mr.halmos_unitary(1.00002 * E21, loose)
 
 
 class TestUcpFromE21:

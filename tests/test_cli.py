@@ -292,6 +292,21 @@ class TestCommands:
         assert code == 0 and loose["psd"]
 
 
+class TestE21VerdictAtLooseTolerance:
+    def test_one_verdict_just_above_one_half(self, tmp_path, capsys):
+        # --tol loosens the witness's PSD check, not the threshold w <= 1/2
+        path = write_json(tmp_path, "t.json", matrix_to_json(1.00002 * E21))
+        loose = ["--input", path, "--tol", "1e-4"]
+        code, out = run_captured(capsys, ["member", "--set", "e21", *loose])
+        assert code == 2 and out["member"] is False and out["unverified"] is False
+        code, out = run_captured(capsys, ["lmi", *loose])
+        assert code == 2 and out["feasible"] is False
+        code, out = run_captured(capsys, ["ucp-e21", *loose])
+        assert code == 1
+        assert out["error"] == {"name": "RadiusTooLarge",
+                                "message": "numerical radius 0.500010000000 exceeds 1/2"}
+
+
 class TestBadTolerance:
     """A --tol that is not a finite positive number is an error object
     with exit 1, not a traceback or a solver failure."""

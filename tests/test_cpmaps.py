@@ -193,12 +193,19 @@ class TestStinespring:
         with pytest.raises(NotUnital, match="unital defect 1.000e"):
             mr.stinespring(mr.map_from_choi(mr.ChoiMat(n=2, m=2,
                                                        block=2 * mr.choi(mr.identity_map(2)).block)))
-        # min eigenvalue -1e-10 is inside psd_eps (1 + |C|) but outside
-        # psd_slack (1 + |C|): NotPSD, from the Kraus step
+        # one PSD verdict, with slack psd_eps (1 + |C|): min eigenvalue -1e-10
+        # passes at the default 1e-9 and fails at 1e-11, as NotCP from
+        # stinespring and NotPSD from kraus_from_choi
         C = mr.choi(mr.identity_map(2)).block.copy()
         C[1, 1] = -1e-10
+        C = mr.ChoiMat(n=2, m=2, block=C)
+        assert mr.stinespring(mr.map_from_choi(C)).r == 1
+        assert len(mr.kraus_from_choi(C).operators) == 1
+        tight = mr.Tolerances(psd_eps=1e-11)
+        with pytest.raises(NotCP, match="Choi min eigenvalue -1.000e-10"):
+            mr.stinespring(mr.map_from_choi(C), tight)
         with pytest.raises(NotPSD, match="Choi min eigenvalue -1.000e-10 below tolerance"):
-            mr.stinespring(mr.map_from_choi(mr.ChoiMat(n=2, m=2, block=C)), psd_slack=1e-11)
+            mr.kraus_from_choi(C, tight)
 
 
 class TestCstarConvex:

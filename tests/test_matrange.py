@@ -6,7 +6,7 @@ import pytest
 
 import mrange as mr
 from mrange.cpmaps import Feasible
-from mrange.errors import BadShape, BoundaryBand, VerificationFailed
+from mrange.errors import BadShape, BoundaryBand, RadiusTooLarge, VerificationFailed
 from mrange.rng import split
 
 from helpers import E21, random_partition_of_identity, random_ucp_map, random_with_radius
@@ -46,6 +46,20 @@ class TestMemberE21:
         v = mr.member_e21(T)
         assert v.member and v.witness is not None
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("excess", [1e-6, 1e-5, 5e-5])
+    def test_loose_tolerance_keeps_the_radius_threshold(self, d, excess):
+        # psd_eps loosens the witness's PSD check, not w <= 1/2: just above
+        # it no witness exists, and the verdict, the LMI and the UCP map all
+        # say so without an unverified flag
+        T = random_with_radius(d, 0.5 + excess, split(71, d))
+        loose = mr.Tolerances(psd_eps=1e-4)
+        v = mr.member_e21(T, loose)
+        assert not v.member and v.witness is None and not v.unverified
+        assert mr.radius_lmi(T, loose) == (False, None)
+        with pytest.raises(RadiusTooLarge, match="exceeds 1/2"):
+            mr.ucp_from_e21(T, loose)
 
 
 def solver_shift_ball(X, nodes):
@@ -331,6 +345,23 @@ class TestEquivalenceSuite:
         rep = mr.equivalence_suite(0.3 * E21 + 0.1 * np.eye(2))
         assert all(rep.all_conditions())
         assert len(calls) == 2
+
+    def test_each_block_checked_once(self, monkeypatch):
+        # the LMIs of X(T) and X(T*), then the halved LMI block, which is
+        # also the UCP map's Choi matrix: three checks, no block twice
+        checked = []
+        psd_check = mr.ando.psd_check
+
+        def traced(H, tol=None):
+            checked.append(H.copy())
+            return psd_check(H, tol)
+
+        monkeypatch.setattr(mr.ando, "psd_check", traced)
+        rep = mr.equivalence_suite(random_with_radius(3, 0.6, 11))
+        assert all(rep.all_conditions())
+        assert len(checked) == 3
+        assert not any(np.array_equal(H, G) for i, H in enumerate(checked)
+                       for G in checked[:i])
 
 
 class TestKnownSetClosure:

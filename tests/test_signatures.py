@@ -86,3 +86,59 @@ def test_every_library_import_is_used():
     unused = {path.name: unused_imports(path.read_text())
               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def unset_defaults(sources, exempt=("tol",)):
+    """(function name, parameter) for each defaulted parameter of a function
+    in ``sources`` that no call in them sets, by position or by keyword: a
+    setting that no caller sets is a constant. A call to a class is a call
+    to its __new__ or __init__; a call through an attribute (mod.f, self.f)
+    matches by the attribute's name, and one that unpacks *args or **kwargs
+    sets every parameter."""
+    trees = [ast.parse(source) for source in sources]
+    calls = {}
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            calls.setdefault(getattr(f, "id", getattr(f, "attr", None)), []).append(node)
+    # a method's calls go by the class name (__new__, __init__) or its own,
+    # and leave out its first parameter (self, cls)
+    owner = {f: cls.name if f.name in ("__new__", "__init__") else f.name
+             for cls in (n for tree in trees for n in ast.walk(tree))
+             if isinstance(cls, ast.ClassDef)
+             for f in cls.body if isinstance(f, ast.FunctionDef)}
+    out = []
+    for fn in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+        a = fn.args
+        positional = [p.arg for p in a.posonlyargs + a.args][int(fn in owner):]
+        name = owner.get(fn, fn.name)
+        defaulted = positional[len(positional) - len(a.defaults):] if a.defaults else []
+        defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+        def sets(call, p):
+            if any(isinstance(x, ast.Starred) for x in call.args) or \
+                    any(k.arg in (None, p) for k in call.keywords):
+                return True
+            return p in positional and positional.index(p) < len(call.args)
+
+        out += [(name, p) for p in defaulted if p not in exempt
+                and not any(sets(call, p) for call in calls.get(name, ()))]
+    return out
+
+
+def test_detects_an_unset_default():
+    source = ("class R(float):\n    def __new__(cls, v, m=()):\n        return v\n\n"
+              "def f(a, b=1, *, c=2, tol=None):\n    return R(a, ())\n\n"
+              "def g(x, y=0):\n    return f(x, c=3), x.g(1, 2)\n")
+    assert unset_defaults([source]) == [("f", "b")]
+    assert unset_defaults([source + "\nf(1, 2)\n"]) == []
+    assert unset_defaults([source + "\nf(*x)\n"]) == []
+    assert unset_defaults([source.replace("R(a, ())", "R(a)")]) == [("f", "b"), ("R", "m")]
+    assert unset_defaults([source.replace("x.g(1, 2)", "x.g(1)")]) == [("f", "b"), ("g", "y")]
+
+
+def test_every_library_default_is_set_by_a_caller():
+    # solve_feasibility's start is set only by a test's starting point
+    unset = unset_defaults([path.read_text() for path in sorted(SRC.glob("*.py"))],
+                           exempt=("tol", "start"))
+    assert unset == []
