@@ -42,6 +42,7 @@ from scipy.linalg import lapack
 
 from .errors import NoConvergence, RadiusTooLarge, RangeViolation, verify
 from .linalg import (
+    BAND,
     FIXPOINT_EPS,
     RANK_REL,
     _defect_roots,
@@ -228,7 +229,7 @@ def _boundary_shift(A, w, maxima):
 def ando_X(T, tol=None):
     """Extremal positive contraction X for T with w(T) <= 1.
 
-    Returns (X, iterations). Raises RadiusTooLarge when w(T) > 1 + 1e-9 or
+    Returns (X, iterations). Raises RadiusTooLarge when w(T) > 1 + BAND or
     the iteration does not settle at w(T) > 1, RangeViolation when X maps T
     outside its column space (the defining infimum would be -infinity), and
     NoConvergence when the iteration fails to settle or its limit fails the
@@ -254,7 +255,7 @@ def _extremal_X(A, w, t, maxima=()):
     At w = 1 the shifted cyclic reduction runs first; when it fails (a
     wrong shift) the unshifted one does, and the iteration count adds the
     rejected run's whole budget of _SHIFT_STEPS."""
-    if w > 1.0 + 1e-9:
+    if w > 1.0 + BAND:
         raise RadiusTooLarge(f"numerical radius {w:.12f} exceeds 1")
     I = np.eye(A.shape[0], dtype=complex)
     A1 = dagger(A) / 2.0
@@ -378,7 +379,7 @@ def radius_lmi(T, tol=None):
 
     (True, A) with 0 <= A <= I and [[A, T*], [T, I-A]] PSD within psd_eps
     when A = ando_X((2T)*), the extremal operator of the adjoint problem at
-    doubled scale, exists, which needs w(T) <= 1/2 + 5e-10 whatever
+    doubled scale, exists, which needs w(T) <= (1 + BAND)/2 whatever
     psd_eps. Otherwise (False, None).
     """
     t = _tol(tol)
@@ -388,17 +389,17 @@ def radius_lmi(T, tol=None):
 
 def _radius_lmi(M, w, t, A=None):
     """radius_lmi for a square M whose numerical radius w is already known;
-    A, when given, is ando_X((2M)*) (an ando_decompose's Xstar of 2M). The
-    one decider of the E21 verdict: False exactly when _extremal_X raises
-    RadiusTooLarge."""
+    A, when given, is ando_X((2M)*) (an ando_decompose's Xstar of 2M), so it
+    always comes from _extremal_X. The one decider of the E21 verdict: False
+    exactly when _extremal_X raises RadiusTooLarge. The block needs no check
+    of its own: _extremal_X has checked its LMI for (2M)*,
+    [[I - A, M], [M*, A]], which is this block with its block rows and
+    columns swapped."""
     if A is None:
         try:
             A = _extremal_X(dagger(2.0 * M), 2.0 * w, t, -_maxima(w))[0]
         except RadiusTooLarge:
             return False, None
-    block = np.block([[A, dagger(M)], [M, np.eye(M.shape[0]) - A]])
-    ok, min_eig = psd_check(block, t)
-    verify(ok, f"radius LMI block not PSD (min eig {min_eig:.3e})")
     return True, A
 
 
@@ -416,7 +417,8 @@ def ucp_from_e21(T, tol=None):
 def _ucp_from_e21(M, w, t, A=None):
     """ucp_from_e21 for a square M whose numerical radius w is already known;
     A as for _radius_lmi. The map is CP because its Choi matrix is the block
-    that _radius_lmi has just checked PSD."""
+    that _extremal_X has checked PSD, up to the swap of its block rows and
+    columns."""
     from .cpmaps import map_on_units
 
     ok, A = _radius_lmi(M, w, t, A)

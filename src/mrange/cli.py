@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BadJson, MrangeError, UnknownCommand
-from .linalg import Tolerances, as_cmat, op_norm
+from .linalg import BAND, Tolerances, as_cmat, op_norm
 
 COMMANDS = (
     "numrad", "boundary", "ando", "lmi", "ucp-e21", "dilate2", "bilateral",
@@ -100,7 +100,8 @@ def build_parser():
         description="numerical radius / matricial range / dilation toolkit")
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--input", required=False, help="input JSON file")
-    p.add_argument("--tol", type=float, default=None, help="psd tolerance override")
+    p.add_argument("--tol", type=float, default=None,
+                   help="PSD-check slack; threshold verdicts keep a fixed band")
     p.add_argument("--seed", type=int, default=2024, help="random seed")
     p.add_argument("--order", type=int, default=2, help="nilpotent order / subspace size")
     p.add_argument("--window", type=int, default=8, help="dilation window half-width")
@@ -122,7 +123,7 @@ def _run_command(cmd, args):
     from .cpmaps import choi, is_cp
 
     # BadTolerance unless --tol is a finite positive number
-    tol = Tolerances() if args.tol is None else Tolerances(psd_eps=args.tol)
+    tol = Tolerances() if args.tol is None else Tolerances(args.tol)
     payload = _load_input(args.input) if args.input else None
 
     if cmd == "numrad":
@@ -195,12 +196,12 @@ def _run_command(cmd, args):
     if cmd == "nilpotent-cond":
         T = _require_matrix(payload)
         margin = dilation.nilpotent_condition(T, args.order)
-        ok = margin >= -tol.psd_eps
+        ok = margin >= -BAND
         return {"order": args.order, "margin": margin, "holds": ok}, 0 if ok else 2
 
     if cmd == "nilpotent-dilate":
         T = _require_matrix(payload)
-        nd = dilation.nilpotent_dilation(T, args.order, tol)
+        nd = dilation.nilpotent_dilation(T, args.order)
         return {
             "order": nd.order,
             "multiplicity": nd.r,   # r = dim T: V comes from a d x d spectral factor

@@ -32,6 +32,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import (
+    _pinv_sqrt,
     _psd_verdict,
     _rank_mask,
     _tol,
@@ -194,8 +195,7 @@ def stinespring(phi, tol=None):
     # polar correction: V <- V (V*V)^{-1/2}
     G = dagger(V) @ V
     w, Q = np.linalg.eigh(herm_part(G))
-    w = np.clip(w, np.finfo(float).tiny, None)
-    V = V @ ((Q * (1.0 / np.sqrt(w))) @ dagger(Q))
+    V = V @ ((Q * _pinv_sqrt(w)) @ dagger(Q))
     return StinespringForm(V=V, r=r)
 
 

@@ -27,6 +27,7 @@ from .errors import (
     verify,
 )
 from .linalg import (
+    BAND,
     RANK_REL,
     _defect_roots,
     _norm_within,
@@ -53,7 +54,7 @@ def halmos_unitary(C, tol=None):
     A = require_square(C, "halmos_unitary")
     svd = np.linalg.svd(A)
     nrm = float(svd[1].max(initial=0.0))
-    if nrm > 1.0 + 1e-9:
+    if nrm > 1.0 + BAND:
         raise NotContraction(f"operator norm {nrm:.12f} exceeds 1")
     top, bot = _defect_roots(A, max(t.psd_eps, _DEFECT_EPS), svd)
     U0 = np.block([[A, top], [bot, -dagger(A)]])
@@ -117,7 +118,7 @@ def two_dilation(T, M, tol=None):
 
     t = _tol(tol)
     A = require_square(T, "two_dilation")
-    # raises RadiusTooLarge when w(T) > 1 + 1e-9
+    # raises RadiusTooLarge when w(T) > 1 + BAND
     return _two_dilation(A, ando_decompose(A, t).C, M, t)
 
 
@@ -231,10 +232,10 @@ def halved_power_blocks(T, N):
 def nilpotent_condition(T, n):
     """min over the circle of lambda_min(I + 2 Re sum_{k=1}^{n-1} l^k T^k).
 
-    The condition of order n holds iff the returned margin is >= -psd_eps.
-    The margin is 1 - max lambda_max(Re p(l)) for p(z) = -2 sum_k z^k T^k,
-    computed by the level-set method of :mod:`mrange.numrange`, which needs
-    no tolerance.
+    The condition of order n holds iff the returned margin is >= -BAND,
+    whatever psd_eps. The margin is 1 - max lambda_max(Re p(l)) for
+    p(z) = -2 sum_k z^k T^k, computed by the level-set method of
+    :mod:`mrange.numrange`, which needs no tolerance.
     """
     A = require_square(T, "nilpotent_condition")
     if n < 2:
@@ -257,7 +258,7 @@ class NilpotentDilation:
     residuals: dict
 
 
-def nilpotent_dilation(T, n, tol=None):
+def nilpotent_dilation(T, n):
     """Power dilation of T to a direct sum of order-n shift blocks, r = dim T.
 
     The order-n condition says Q(l) = I + 2 Re sum_{k=1}^{n-1} l^k T^k >= 0
@@ -267,11 +268,10 @@ def nilpotent_dilation(T, n, tol=None):
     V* (S_n (x) I)^j V = sum_k P_k* P_{k+j} = T^j. All invariants are
     verified before returning.
     """
-    t = _tol(tol)
     A = require_square(T, "nilpotent_dilation")
     d = A.shape[0]
     cond = nilpotent_condition(A, n)
-    if cond < -t.psd_eps:
+    if cond < -BAND:
         raise ConditionFails(
             f"order-{n} condition margin {cond:.3e} is negative")
 
@@ -292,7 +292,7 @@ def nilpotent_dilation(T, n, tol=None):
         Nj = Nj @ N
     verify(errs[0] <= 1e-10, f"isometry defect {errs[0]:.3e}")
     for j in range(1, n):
-        # the lift moves this by at most 10 RANK_REL + psd_eps near zero
+        # the lift moves this by at most 10 RANK_REL + BAND near zero
         # margin; interior instances land at the rounding floor
         verify(errs[j] <= 1e-7, f"compression mismatch at power {j}: {errs[j]:.3e}")
     return NilpotentDilation(order=n, N=N, V=V, r=d,

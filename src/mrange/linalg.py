@@ -6,7 +6,8 @@ every operation (inputs are never written to, outputs are fresh arrays).
 
 All positivity thresholds are *relative*: a Hermitian H counts as PSD when
 ``min_eig >= -psd_eps * (1 + op_norm(H))``, which keeps every test scale
-invariant.
+invariant. Threshold verdicts (a radius or norm against 1, a margin against
+0) round by the fixed ``BAND`` instead, whatever psd_eps.
 """
 
 from dataclasses import dataclass
@@ -22,12 +23,15 @@ from .rng import SplitMix64
 RANK_REL = 1e-10
 # stop on the fixed-point residual (operator norm), relative to max(1, |A0|_1)
 FIXPOINT_EPS = 1e-12
+# rounding band of every threshold verdict: w, |X| <= 1 + BAND, margin >= -BAND
+BAND = 1e-9
 
 
 @dataclass(frozen=True)
 class Tolerances:
     """The relative PSD slack ``psd_eps``, the toolkit's one numeric setting.
 
+    It loosens PSD checks only; threshold verdicts keep the fixed BAND.
     feas_eps, the joint residual the feasibility solver accepts, follows
     from it as max(psd_eps, 1e-7).
     """

@@ -18,6 +18,7 @@ from .errors import (
     verify,
 )
 from .linalg import (
+    BAND,
     _norm_within,
     _tol,
     dagger,
@@ -61,7 +62,8 @@ def member_e21(X, tol=None):
 
 def member_shift_ball(X, nodes=64, tol=None):
     """Membership in the matricial range of a proper isometry or
-    full-spectrum unitary: the closed unit norm ball.
+    full-spectrum unitary: the closed unit norm ball, norm <= 1 + BAND
+    whatever the PSD slack.
 
     For comfortably interior points (norm <= 0.95) a verified witness is
     produced: PSD weights H_k with sum_k H_k = I and sum_k omega^k H_k = X
@@ -80,7 +82,7 @@ def member_shift_ball(X, nodes=64, tol=None):
     t = _tol(tol)
     A = require_square(X, "member_shift_ball")
     nrm = op_norm(A)
-    member = nrm <= 1.0 + t.psd_eps
+    member = nrm <= 1.0 + BAND
     witness = None
     unverified = False
     if member and nrm <= 0.95:
@@ -190,20 +192,9 @@ def smith_ward_nu(T, n):
     d = A.shape[0]
     if n < 2 or n > d:
         raise BadShape(f"need 2 <= n <= dim, got n={n}, dim={d}")
-    U, s, Vh = np.linalg.svd(A)
-    xi = np.conj(Vh[0])  # top right singular vector
-    cols = [xi, A @ xi]
-    basis = []
-    for v in cols + [np.eye(d)[:, j] for j in range(d)]:
-        w = v.astype(complex).copy()
-        for u in basis:
-            w -= np.vdot(u, w) * u
-        norm = np.linalg.norm(w)
-        if norm > 1e-12:
-            basis.append(w / norm)
-        if len(basis) == n:
-            break
-    B = np.stack(basis, axis=1)
+    xi = np.conj(np.linalg.svd(A)[2][0])  # top right singular vector
+    # Householder QR: orthonormal columns, the first two spanning xi and T xi
+    B = np.linalg.qr(np.column_stack([xi, A @ xi, np.eye(d)]))[0][:, :n]
     comp = dagger(B) @ A @ B
     return op_norm(comp), comp
 
@@ -279,7 +270,7 @@ def equivalence_suite(T, tol=None):
 
     cond1 = w <= 1.0
 
-    cond2 = not _exceeds(A, 1.0 + t.psd_eps * (1.0 + op_norm(A)))
+    cond2 = not _exceeds(A, 1.0 + BAND * (1.0 + op_norm(A)))
 
     # one decomposition serves the dilation (3) and both factorizations (6), (8)
     cond3 = cond6 = cond8 = False
@@ -294,9 +285,9 @@ def equivalence_suite(T, tol=None):
     except (RadiusTooLarge, NoConvergence, VerificationFailed):
         pass
 
-    cond4 = nilpotent_condition(A / 2.0, 2) >= -t.psd_eps
+    cond4 = nilpotent_condition(A / 2.0, 2) >= -BAND
     try:
-        nilpotent_dilation(A / 2.0, 2, t)
+        nilpotent_dilation(A / 2.0, 2)
         cond5 = True
     except (ConditionFails, NoConvergence, VerificationFailed):
         cond5 = False

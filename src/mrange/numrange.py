@@ -43,7 +43,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BadShape, NoConvergence, verify
-from .linalg import _tol, dagger, herm_part, op_norm, require_square
+from .linalg import BAND, dagger, herm_part, op_norm, require_square
 
 # a spurious near-unimodular eigenvalue only adds a midpoint, while a missed
 # one can lose the global maximum: near a tangency the computed eigenvalues
@@ -335,20 +335,19 @@ class RadiusReport:
     worst_margin: float
 
 
-def radius_characterizations(T, tol=None):
+def radius_characterizations(T):
     """Decide the four radius-at-most-one conditions.
 
     Conditions (2) to (4) come from one level-set test at level
-    1 + psd_eps * (1 + |T|): lambda -> -lambda maps the circle onto itself,
-    so (2) is (3), and the open-disk condition (4) holds iff its boundary
-    limit (3) does. Condition (1) comes from the radius. When the radius is
+    1 + BAND * (1 + |T|), BAND the fixed rounding band of every threshold
+    verdict: lambda -> -lambda maps the circle onto itself, so (2) is (3),
+    and the open-disk condition (4) holds iff its boundary limit (3) does. Condition (1) comes from the radius. When the radius is
     not within 1e-6 of the threshold, the four booleans are verified to
     agree with ``num_radius(T) <= 1``.
     """
-    t = _tol(tol)
     A = require_square(T, "radius_characterizations")
     radius, angle = _radius_and_angle(A)
-    level = 1.0 + t.psd_eps * (1.0 + op_norm(A))
+    level = 1.0 + BAND * (1.0 + op_norm(A))
     on_circle = not _exceeds(A, level)
     conds = (radius <= level, on_circle, on_circle, on_circle)
     if abs(radius - 1.0) > 1e-6:

@@ -10,8 +10,7 @@ import pytest
 
 import mrange as mr
 from mrange.cpmaps import Feasible
-from mrange.errors import (NoConvergence, NotContraction, NotPSD, RadiusTooLarge,
-                           VerificationFailed)
+from mrange.errors import NoConvergence, NotContraction, NotPSD, RadiusTooLarge
 from mrange.rng import split
 
 from helpers import E21, ando_reference, random_with_radius, two_dilation_reference
@@ -552,6 +551,16 @@ class TestFixedRoundingBand:
         with pytest.raises(NotContraction):
             mr.halmos_unitary(1.00002 * E21, loose)
 
+    def test_threshold_verdicts_keep_it(self):
+        # the norm <= 1 of member_shift_ball and the w <= 1 and nilpotent
+        # margin >= 0 conditions of the suite round by the same fixed band:
+        # at psd_eps = 0.05, w = 1.02 fails all nine conditions instead of
+        # letting (2) and (4) disagree with the rest
+        loose = mr.Tolerances(psd_eps=1e-4)
+        assert not mr.member_shift_ball(1.00002 * E21, 64, loose).member
+        rep = mr.equivalence_suite(2.04 * E21, mr.Tolerances(psd_eps=0.05))
+        assert rep.all_conditions() == (False,) * 9
+
 
 class TestUcpFromE21:
     def test_lower_unit_witness(self):
@@ -580,15 +589,17 @@ class TestUcpFromE21:
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_choi_block_checked_once_by_the_lmi(self, d, monkeypatch):
-        # the witness map's Choi matrix is the block _radius_lmi checks PSD,
-        # bit for bit, and no second check of it runs
+        # the call's one PSD check is _extremal_X's LMI for (2T)*,
+        # [[I - A, T], [T*, A]]: the witness map's Choi matrix
+        # [[A, T*], [T, I - A]] with its block rows and columns swapped,
+        # bit for bit
         checked, inside = [], []
-        radius_lmi, psd_check = mr.ando._radius_lmi, mr.linalg.psd_check
+        extremal_X, psd_check = mr.ando._extremal_X, mr.linalg.psd_check
 
-        def traced_lmi(*args):
+        def traced_X(*args, **kwargs):
             inside.append(True)
             try:
-                return radius_lmi(*args)
+                return extremal_X(*args, **kwargs)
             finally:
                 inside.pop()
 
@@ -596,23 +607,18 @@ class TestUcpFromE21:
             checked.append((bool(inside), H.copy()))
             return psd_check(H, tol)
 
-        monkeypatch.setattr(mr.ando, "_radius_lmi", traced_lmi)
+        monkeypatch.setattr(mr.ando, "_extremal_X", traced_X)
         monkeypatch.setattr(mr.ando, "psd_check", traced_check)
         monkeypatch.setattr(mr.cpmaps, "psd_check", traced_check)
         phi = mr.ucp_from_e21(random_with_radius(d, 0.4, split(53, d)))
-        block = mr.choi(phi).block
-        assert [lmi for lmi, H in checked
-                if H.shape == block.shape and np.array_equal(H, block)] == [True]
+        swap = np.roll(np.arange(2 * d), d)
+        block = mr.choi(phi).block[np.ix_(swap, swap)]
+        assert len(checked) == 1
+        assert checked[0][0] and np.array_equal(checked[0][1], block)
 
     def test_non_psd_block_raises(self, monkeypatch):
-        # an A that leaves [[A, T*], [T, I - A]] indefinite is caught by the
-        # LMI check, which the witness map relies on
-        extremal_X = mr.ando._extremal_X
-
-        def shifted_X(*args, **kwargs):
-            X, *rest = extremal_X(*args, **kwargs)
-            return (X + 0.5 * np.eye(X.shape[0]), *rest)
-
-        monkeypatch.setattr(mr.ando, "_extremal_X", shifted_X)
-        with pytest.raises(VerificationFailed, match="radius LMI block not PSD"):
+        # the witness map relies on that one check: when it fails, no map
+        # is built
+        monkeypatch.setattr(mr.ando, "psd_check", lambda H, tol=None: (False, -1.0))
+        with pytest.raises(NoConvergence, match="limit violates the defining LMI"):
             mr.ucp_from_e21(random_with_radius(3, 0.4, split(53, 3)))

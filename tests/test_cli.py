@@ -306,6 +306,20 @@ class TestE21VerdictAtLooseTolerance:
         assert out["error"] == {"name": "RadiusTooLarge",
                                 "message": "numerical radius 0.500010000000 exceeds 1/2"}
 
+    def test_shift_ball_and_nilpotent_verdicts_just_outside(self, tmp_path, capsys):
+        # norm 1.00002 and order-2 margin -2e-5 lie outside the fixed
+        # rounding band of threshold verdicts, which --tol does not widen
+        path = write_json(tmp_path, "t.json", matrix_to_json(1.00002 * E21))
+        loose = ["--input", path, "--tol", "1e-4"]
+        code, out = run_captured(capsys, ["member", "--set", "shift", *loose])
+        assert code == 2 and out["member"] is False
+        code, out = run_captured(capsys, ["nilpotent-cond", "--order", "2", *loose])
+        assert code == 2 and out["holds"] is False
+        code, out = run_captured(capsys, ["nilpotent-dilate", "--order", "2", *loose])
+        assert code == 1
+        assert out["error"] == {"name": "ConditionFails",
+                                "message": "order-2 condition margin -2.000e-05 is negative"}
+
 
 class TestBadTolerance:
     """A --tol that is not a finite positive number is an error object

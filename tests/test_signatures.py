@@ -142,3 +142,37 @@ def test_every_library_default_is_set_by_a_caller():
     unset = unset_defaults([path.read_text() for path in sorted(SRC.glob("*.py"))],
                            exempt=("tol", "start"))
     assert unset == []
+
+
+def psd_eps_readers(source):
+    """Names of the top-level functions and classes in ``source`` whose
+    bodies read an attribute ``psd_eps``; the reads of nested functions
+    and methods count for the definition that holds them."""
+    return sorted(node.name for node in ast.parse(source).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and any(isinstance(n, ast.Attribute) and n.attr == "psd_eps"
+                          for n in ast.walk(node)))
+
+
+def test_detects_a_psd_eps_reader():
+    source = ("class T:\n    def f(self):\n        return self.psd_eps\n\n"
+              "def g(t):\n    def h():\n        return t.psd_eps\n    return h\n\n"
+              "def k(t):\n    return T(psd_eps=1), t.feas_eps\n")
+    assert psd_eps_readers(source) == ["T", "g"]
+
+
+# psd_eps is the slack of PSD checks, so only the functions that make one
+# read it; threshold verdicts round by linalg.BAND
+PSD_EPS_READERS = {
+    "ando.py": ["_ando_decompose", "_extremal_X"],
+    "cpmaps.py": ["kraus_from_choi", "stinespring"],
+    "dilation.py": ["_two_dilation", "halmos_unitary"],
+    "linalg.py": ["Tolerances", "psd_check", "sqrt_psd"],
+    "toeplitz.py": ["_unitary_measure"],
+}
+
+
+def test_only_psd_checks_read_psd_eps():
+    readers = {path.name: psd_eps_readers(path.read_text())
+               for path in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in readers.items() if v} == PSD_EPS_READERS
