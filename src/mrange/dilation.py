@@ -269,8 +269,12 @@ def nilpotent_dilation(T, n):
     verified before returning.
     """
     A = require_square(T, "nilpotent_dilation")
+    return _nilpotent_dilation(A, n, nilpotent_condition(A, n))
+
+
+def _nilpotent_dilation(A, n, cond):
+    """nilpotent_dilation for a square A whose order-n margin cond is known."""
     d = A.shape[0]
-    cond = nilpotent_condition(A, n)
     if cond < -BAND:
         raise ConditionFails(
             f"order-{n} condition margin {cond:.3e} is negative")

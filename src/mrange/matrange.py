@@ -65,35 +65,32 @@ def member_shift_ball(X, nodes=64, tol=None):
     full-spectrum unitary: the closed unit norm ball, norm <= 1 + BAND
     whatever the PSD slack.
 
-    For comfortably interior points (norm <= 0.95) a verified witness is
-    produced: PSD weights H_k with sum_k H_k = I and sum_k omega^k H_k = X
+    A witness is PSD weights H_k with sum_k H_k = I and sum_k omega^k H_k = X
     at the nodes-th roots of unity omega^k, i.e. X realized as the image of
     a normal unitary surrogate. Up to norm c = cos(pi / nodes), the radius
     of the disk inscribed in their polygon (nodes >= 3), the weights come
     in closed form from the block moment measure of [[I, X*/c], [X/c, I]]
     (_dilation_weights). Only in the band c < norm <= 0.95, which needs
-    nodes <= 9, does member_normal solve for them. Its own ``unverified``
-    is passed on: a solver still undetermined after cpmaps.MAX_ITER
-    iterations leaves the verdict intact and flags the witness as
-    unverified, while a checked non-member of the surrogate (no Hermitian
-    weights on nodes <= 2 match a non-Hermitian X) leaves it without a
-    witness and unflagged.
+    nodes <= 9, does member_normal solve for them; other members get no
+    witness. Its own ``unverified`` is passed on: a solver still
+    undetermined after cpmaps.MAX_ITER iterations leaves the verdict intact
+    and flags the witness as unverified, while a checked non-member of the
+    surrogate (no Hermitian weights on nodes <= 2 match a non-Hermitian X)
+    leaves it without a witness and unflagged.
     """
     t = _tol(tol)
     A = require_square(X, "member_shift_ball")
     nrm = op_norm(A)
-    member = nrm <= 1.0 + BAND
-    witness = None
-    unverified = False
-    if member and nrm <= 0.95:
-        th = 2.0 * np.pi * np.arange(nodes) / nodes
-        omega = np.exp(1j * th)
-        if nodes >= 3 and nrm <= np.cos(np.pi / nodes):
+    witness, unverified = None, False
+    closed_form = nodes >= 3 and nrm <= np.cos(np.pi / nodes)
+    if closed_form or nrm <= 0.95:
+        omega = np.exp(1j * (2.0 * np.pi * np.arange(nodes) / nodes))
+        if closed_form:
             witness = _verified_weights(omega, _dilation_weights(A, omega, t), A)
         else:
             surrogate = member_normal(omega, A, t)
             witness, unverified = surrogate.witness, surrogate.unverified
-    return MembershipVerdict(member=member, margin=1.0 - nrm,
+    return MembershipVerdict(member=nrm <= 1.0 + BAND, margin=1.0 - nrm,
                              witness=witness, unverified=unverified)
 
 
@@ -255,22 +252,22 @@ class EquivalenceReport:
 def equivalence_suite(T, tol=None):
     """Evaluate all nine radius-one characterizations and verify agreement.
 
-    Inputs with radius within 1e-2 of 1 are rejected (BoundaryBand): each
-    condition is an inequality with its own discretization error, and inside
-    that band they may legitimately disagree.
+    BoundaryBand for |w - 1| <= BAND (1 + |T|), the rounding band of every
+    threshold verdict, where (1) and the band-rounded (2), (4), (5) split.
     """
     from .ando import _ando_decompose, _ucp_from_e21
-    from .dilation import _two_dilation, nilpotent_condition, nilpotent_dilation
+    from .dilation import _nilpotent_dilation, _two_dilation, nilpotent_condition
 
     t = _tol(tol)
     A = require_square(T, "equivalence_suite")
     w = num_radius(A)
-    if abs(w - 1.0) <= 1e-2:
-        raise BoundaryBand(f"radius {w:.6f} within 1e-2 of the threshold")
+    band = BAND * (1.0 + op_norm(A))
+    if abs(w - 1.0) <= band:
+        raise BoundaryBand(f"radius {w:.12f} within the rounding band {band:.1e} of 1")
 
     cond1 = w <= 1.0
 
-    cond2 = not _exceeds(A, 1.0 + BAND * (1.0 + op_norm(A)))
+    cond2 = not _exceeds(A, 1.0 + band)
 
     # one decomposition serves the dilation (3) and both factorizations (6), (8)
     cond3 = cond6 = cond8 = False
@@ -285,9 +282,10 @@ def equivalence_suite(T, tol=None):
     except (RadiusTooLarge, NoConvergence, VerificationFailed):
         pass
 
-    cond4 = nilpotent_condition(A / 2.0, 2) >= -BAND
+    margin = nilpotent_condition(A / 2.0, 2)   # decides (4) and admits (5)
+    cond4 = margin >= -BAND
     try:
-        nilpotent_dilation(A / 2.0, 2)
+        _nilpotent_dilation(A / 2.0, 2, margin)
         cond5 = True
     except (ConditionFails, NoConvergence, VerificationFailed):
         cond5 = False

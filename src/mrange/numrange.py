@@ -341,16 +341,16 @@ def radius_characterizations(T):
     Conditions (2) to (4) come from one level-set test at level
     1 + BAND * (1 + |T|), BAND the fixed rounding band of every threshold
     verdict: lambda -> -lambda maps the circle onto itself, so (2) is (3),
-    and the open-disk condition (4) holds iff its boundary limit (3) does. Condition (1) comes from the radius. When the radius is
-    not within 1e-6 of the threshold, the four booleans are verified to
-    agree with ``num_radius(T) <= 1``.
+    and the open-disk condition (4) holds iff its boundary limit (3) does.
+    Condition (1) comes from the radius. Outside that band, for
+    |radius - 1| > level - 1, the four are verified to agree with w <= 1.
     """
     A = require_square(T, "radius_characterizations")
     radius, angle = _radius_and_angle(A)
     level = 1.0 + BAND * (1.0 + op_norm(A))
     on_circle = not _exceeds(A, level)
     conds = (radius <= level, on_circle, on_circle, on_circle)
-    if abs(radius - 1.0) > 1e-6:
+    if abs(radius - 1.0) > level - 1.0:
         expected = radius <= 1.0
         verify(all(c == expected for c in conds),
                f"radius conditions disagree: radius={radius}, conditions={conds}")

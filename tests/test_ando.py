@@ -34,12 +34,14 @@ class TestAndoX:
         with pytest.raises(RadiusTooLarge):
             mr.ando_X(random_with_radius(3, 1.2, 0))
 
-    @pytest.mark.parametrize("dim", [2, 5])
+    @pytest.mark.parametrize("dim", [2, 5, 16, 64])
     def test_radius_just_above_one(self, dim):
         # inside the 1e-9 admission band no maximal solution exists, so the
-        # iteration cannot settle; the radius is what is wrong with the input
+        # iteration cannot settle: its C_k turns indefinite, and the radius
+        # is what is wrong with the input
         T = random_with_radius(dim, 1.0 + 1e-10, split(83, dim))
-        with pytest.raises(RadiusTooLarge, match="numerical radius 1.0000000001"):
+        with pytest.raises(RadiusTooLarge,
+                           match="numerical radius 1.0000000001.*lost definiteness"):
             mr.ando_X(T)
 
     def test_fixed_point_consistency(self):
@@ -308,6 +310,13 @@ class TestResidualGate:
         monkeypatch.setattr(mr.ando, "_RESIDUAL_GATE", np.inf)
         X_every, k_every = mr.ando._cyclic_reduction(A0, A1, polish=True)
         assert k == k_every == steps and np.array_equal(X, X_every)
+
+    def test_indefinite_polishing_step_keeps_the_stopped_X(self):
+        # for 2 E21 the first step meets the stop with X = diag(0, 1) exactly
+        # and leaves C_1 = 0, so the polishing step has no Cholesky factor
+        X, k = mr.ando._cyclic_reduction(np.eye(2, dtype=complex), (2 * E21).T / 2,
+                                         polish=True)
+        assert k == 1 and np.array_equal(X, np.diag([0.0, 1.0]))
 
     def test_no_convergence_names_last_residual(self, monkeypatch):
         monkeypatch.setattr(mr.ando, "_MAX_STEPS", 2)

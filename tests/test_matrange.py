@@ -1,5 +1,9 @@
 import cProfile
+import os
 import pstats
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -63,14 +67,17 @@ class TestMemberE21:
 
 
 def solver_shift_ball(X, nodes):
-    """Reference verdict: member_normal's solver weights, and its own
-    unverified flag, at every point of norm <= 0.95, with no closed-form
-    witness."""
+    """Reference verdict: the closed-form weights up to norm cos(pi / nodes)
+    (nodes >= 3), and beyond that member_normal's solver weights, and its
+    own unverified flag, at every point of norm <= 0.95."""
     nrm = mr.op_norm(X)
+    omega = np.exp(1j * (2.0 * np.pi * np.arange(nodes) / nodes))
     surrogate = mr.MembershipVerdict(member=False, margin=0.0)
-    if nrm <= 0.95:
-        th = 2.0 * np.pi * np.arange(nodes) / nodes
-        surrogate = mr.member_normal(np.exp(1j * th), X)
+    if nodes >= 3 and nrm <= np.cos(np.pi / nodes):
+        weights = mr.matrange._dilation_weights(X, omega, mr.default_tolerances())
+        surrogate = mr.MembershipVerdict(member=True, margin=0.0, witness=weights)
+    elif nrm <= 0.95:
+        surrogate = mr.member_normal(omega, X)
     return mr.MembershipVerdict(member=nrm <= 1.0 + 1e-9, margin=1.0 - nrm,
                                 witness=surrogate.witness,
                                 unverified=surrogate.unverified)
@@ -140,6 +147,19 @@ class TestMemberShiftBall:
         if nodes < 3 or norm > np.cos(np.pi / nodes):
             # outside the closed-form region the solver's weights are returned as they are
             np.testing.assert_array_equal(np.array(v.witness), np.array(ref.witness))
+
+    @pytest.mark.parametrize("norm", [0.96, 0.99, 0.998])
+    def test_closed_form_witness_up_to_the_inscribed_disk(self, norm):
+        # cos(pi / 64) = 0.9988: the closed form serves above the solver
+        # band's 0.95 too, so these members carry a verified witness
+        G = mr.random_matrix(3, 3, split(53, int(1000 * norm)))
+        X = norm * G / mr.op_norm(G)
+        v = mr.member_shift_ball(X, nodes=64)
+        assert v.member and not v.unverified and len(v.witness) == 64
+        omega = np.exp(2j * np.pi * np.arange(64) / 64)
+        assert mr.op_norm(sum(v.witness) - np.eye(3)) <= 1e-12
+        assert mr.op_norm(np.tensordot(omega, v.witness, axes=1) - X) <= 1e-12
+        assert np.linalg.eigvalsh(np.array(v.witness))[:, 0].min() >= -1e-13
 
     def test_checked_surrogate_non_member_is_not_unverified(self):
         # nodes = 2: no Hermitian weights on +-1 match a non-Hermitian X, a
@@ -306,8 +326,51 @@ class TestEquivalenceSuite:
         assert not any(rep.all_conditions())
 
     def test_boundary_band_rejected(self):
-        with pytest.raises(BoundaryBand):
-            mr.equivalence_suite(random_with_radius(2, 1.005, 3))
+        # |w - 1| <= BAND (1 + |T|): radius one to rounding
+        for T in [2 * E21, mr.shift(4) / np.cos(np.pi / 5),
+                  random_with_radius(3, 1.0 + 1e-10, 4)]:
+            with pytest.raises(BoundaryBand, match="rounding band"):
+                mr.equivalence_suite(T)
+
+    def test_just_outside_the_old_window_decided(self):
+        # w = 1.005 lay inside the former 1e-2 window
+        rep = mr.equivalence_suite(random_with_radius(2, 1.005, 3))
+        assert not any(rep.all_conditions())
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_decided_up_to_the_rounding_band(self, d, real):
+        # w = 1 +- 10^-k for k = 2..8 and 1 +- 1.5 BAND (1 + |T|): nine
+        # equal answers, w <= 1, on both sides of the threshold
+        for seed in range(3):
+            G = mr.random_matrix(d, d, split(97, 100 * d + 10 * real + seed))
+            if real:
+                G = G.real.astype(complex)
+            U = G / mr.num_radius(G)
+            band = mr.linalg.BAND * (1.0 + mr.op_norm(U))
+            for delta in [10.0 ** -k for k in range(2, 9)] + [1.5 * band]:
+                for sign in (1, -1):
+                    rep = mr.equivalence_suite(U * (1.0 + sign * delta))
+                    assert rep.all_conditions() == (sign < 0,) * 9, (seed, sign * delta)
+
+    def test_disagreement_raises_under_optimize(self):
+        # condition (2) patched to fail on an interior input: the agreement
+        # check must not vanish with assert statements under python -O
+        code = textwrap.dedent("""
+            import numpy as np
+            from mrange import matrange
+            from mrange.errors import VerificationFailed
+            matrange._exceeds = lambda A, level: True
+            try:
+                matrange.equivalence_suite(0.5 * np.eye(2, dtype=complex))
+            except VerificationFailed as exc:
+                print(__debug__, exc.name)
+        """)
+        src = os.path.dirname(os.path.dirname(mr.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == ["False", "VerificationFailed"], out.stderr
 
     @pytest.mark.parametrize("T", [0.3 * E21 + 0.1 * np.eye(2), 2.1 * E21])
     def test_one_radius_and_one_decomposition(self, T, monkeypatch):
@@ -330,6 +393,23 @@ class TestEquivalenceSuite:
         rep = mr.equivalence_suite(T)
         assert len(set(rep.all_conditions())) == 1
         assert calls == {"radius": 1, "decompose": 1}
+
+    @pytest.mark.parametrize("T", [0.3 * E21 + 0.1 * np.eye(2), 2.1 * E21])
+    def test_two_level_set_solves(self, T, monkeypatch):
+        # the radius, and one order-2 margin for both the condition (4) and
+        # the dilation (5)
+        shapes = []
+        solve = mr.numrange._level_set_max
+
+        def counted(D):
+            shapes.append(np.shape(D))
+            return solve(D)
+
+        monkeypatch.setattr(mr.numrange, "_level_set_max", counted)
+        monkeypatch.setattr(mr.dilation, "_level_set_max", counted)
+        rep = mr.equivalence_suite(T)
+        assert len(set(rep.all_conditions())) == 1
+        assert shapes == [(2, 2), (1, 2, 2)]
 
     def test_extremal_X_twice(self, monkeypatch):
         # X(T) and X(T*) for the decomposition; the halved LMI and UCP map

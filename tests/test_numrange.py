@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mrange as mr
-from mrange.errors import NonSquare
+from mrange.errors import NonSquare, VerificationFailed
 from mrange.rng import split
 
 from helpers import E21, radius_bruteforce, random_with_radius, support_residual
@@ -213,6 +213,14 @@ class TestRadiusCharacterizations:
         rep = mr.radius_characterizations(T)
         expected = target <= 1.0
         assert all(c == expected for c in rep.conditions)
+
+    def test_agreement_checked_next_to_the_band(self, monkeypatch):
+        # |w - 1| = 5e-7 lies outside the rounding band: a radius reported
+        # on the wrong side of 1 makes (1) disagree with (2) to (4)
+        T = random_with_radius(3, 1.0 - 5e-7, 29)
+        monkeypatch.setattr(mr.numrange, "_radius_and_angle", lambda A: (1.0 + 5e-7, 0.0))
+        with pytest.raises(VerificationFailed, match="radius conditions disagree"):
+            mr.radius_characterizations(T)
 
     def test_disagreement_raises_under_optimize(self):
         # a wrong radius makes the conditions disagree; the check must not
