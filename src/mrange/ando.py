@@ -19,10 +19,10 @@ reduction (Meini, Math. Comp. 71, 2002): from X_0 = C_0 = A0, B_0 = A1*,
     C_{k+1} = C_k - B_k C_k^{-1} B_k* - B_k* C_k^{-1} B_k,
     B_{k+1} = -B_k C_k^{-1} B_k,
 
-each step through one Cholesky factor of C_k; an indefinite C_k (as at
-w(T) > 1, where no X exists) ends the run. The iterates decrease to X,
-quadratically when w(T) < 1. The loop stops on the fixed-point residual;
-the step size only decides when that residual is evaluated.
+each step through one Cholesky factor of C_k, or one eigendecomposition
+where C_k is singular but PSD; an indefinite C_k (w(T) > 1) ends the run.
+The iterates decrease to X, quadratically when w(T) < 1. The loop stops on
+the fixed-point residual; the step size only decides when it is evaluated.
 
 At w(T) = 1 the minimal solvent G of A1* + G + A1 G^2 = 0 (X = I + A1 G)
 has unimodular eigenvalues, and the iteration converges only linearly with
@@ -122,8 +122,8 @@ def _cyclic_reduction(A0, A1, polish=False, shift=None):
 
     from Ah = A_0, and G = -Ah^{-1} A_{-1} (the initial A_{-1}) in the
     limit. Unshifted, A_{-1} = A_1* = A1* keeps every iterate Hermitian and
-    Ah is X itself; a step takes one Cholesky factor of A_0, and an
-    indefinite A_0 raises NoConvergence.
+    Ah is X itself; a step takes one Cholesky factor of A_0 (one eigh when
+    A_0 is singular but PSD), and an indefinite A_0 raises NoConvergence.
 
     ``shift`` = (S, P) = (V diag(z) W*, V W*), with G V = V diag(z) and
     W* V = I, runs it instead on Brauer's shifted equation for G - S:
@@ -162,15 +162,15 @@ def _cyclic_reduction(A0, A1, polish=False, shift=None):
         if done and not polish:
             break
         if shift is None:
+            BB = np.hstack([Am, dagger(Am)])   # B = A_{-1} and B*
             L, info = lapack.zpotrf(C, lower=1)
-            if info != 0:
-                if done:   # an indefinite polishing step: keep the X that met the stop
-                    break
-                raise NoConvergence(f"cyclic reduction lost definiteness at step {k}")
-            # C^{-1} = L^{-*} L^{-1}: each product pairs W = L^{-1} B, V = L^{-1} B*
-            # for B = A_{-1}
-            W, V = np.split(lapack.ztrtrs(L, np.hstack([Am, dagger(Am)]), lower=1)[0], 2,
-                            axis=1)
+            if info == 0:   # C^{-1} = F* F for F = L^{-1}; W = F B, V = F B*
+                W, V = np.split(lapack.ztrtrs(L, BB, lower=1)[0], 2, axis=1)
+            else:   # C = U c U* singular (a summand at its fixed point): F = c^{-1/2} U*
+                c, U = np.linalg.eigh(C)
+                if c[0] < -RANK_REL * c[-1]:   # beyond the rank cutoff
+                    raise NoConvergence(f"cyclic reduction lost definiteness at step {k}")
+                W, V = np.split((_pinv_sqrt(c)[:, None] * dagger(U)) @ BB, 2, axis=1)
             BCB, BCBs, BCB2 = dagger(W) @ W, dagger(V) @ V, dagger(V) @ W
             update = np.linalg.norm(BCB)
             X = herm_part(X - BCB)

@@ -26,6 +26,13 @@ class TestAndoX:
         X, _ = mr.ando_X(2 * E21)
         np.testing.assert_allclose(X, np.diag([0.0, 1.0]), atol=1e-12)
 
+    def test_constant_support_summand_beside_an_interior_block(self):
+        # w = 1 on the whole circle: no shift, and C_1 = 0 + 7/8 is singular
+        # but PSD, so the 2 E21 summand stays at its fixed point diag(0, 1)
+        X, _ = mr.ando_X(mr.direct_sum([2 * E21, np.array([[0.5]])]))
+        x = (1.0 + np.sqrt(0.75)) / 2.0   # x + 1/(16 x) = 1
+        np.testing.assert_allclose(X, np.diag([0.0, 1.0, x]), atol=1e-12)
+
     def test_zero(self):
         X, _ = mr.ando_X(np.zeros((2, 2)))
         np.testing.assert_allclose(X, np.eye(2), atol=1e-14)
@@ -311,13 +318,6 @@ class TestResidualGate:
         X_every, k_every = mr.ando._cyclic_reduction(A0, A1, polish=True)
         assert k == k_every == steps and np.array_equal(X, X_every)
 
-    def test_indefinite_polishing_step_keeps_the_stopped_X(self):
-        # for 2 E21 the first step meets the stop with X = diag(0, 1) exactly
-        # and leaves C_1 = 0, so the polishing step has no Cholesky factor
-        X, k = mr.ando._cyclic_reduction(np.eye(2, dtype=complex), (2 * E21).T / 2,
-                                         polish=True)
-        assert k == 1 and np.array_equal(X, np.diag([0.0, 1.0]))
-
     def test_no_convergence_names_last_residual(self, monkeypatch):
         monkeypatch.setattr(mr.ando, "_MAX_STEPS", 2)
         T = _two_step_input()
@@ -352,6 +352,13 @@ class TestRelativeStop:
         Q = scale * _seeded_moments(8, 3)
         P = mr.toeplitz._spectral_factor(Q)
         assert np.abs(_factor_moments(P) - Q).max() <= 1e-13 * np.abs(Q).max()
+
+    def test_Q_singular_on_the_whole_circle_factors(self):
+        # A0 = Q_0 has a zero block, so the first step's C is singular but PSD
+        U = mr.random_isometry(2, 2, 3)
+        Q = np.array([U @ np.diag([q, 0.0]) @ U.conj().T for q in (3.0, 1.0)])
+        P = mr.toeplitz._spectral_factor(Q)
+        assert np.abs(_factor_moments(P) - Q).max() <= 1e-13
 
     @pytest.mark.parametrize("degree", [256, 384])
     def test_high_degree_fejer_riesz(self, degree):

@@ -24,6 +24,14 @@ class TestMemberE21:
         assert v.witness is not None
         assert mr.is_cp(v.witness)[0]
 
+    def test_constant_support_summand_beside_an_interior_block(self):
+        # w = 1/2; the doubled LMI's cyclic reduction meets a singular, PSD
+        # C_1 on the 2 E21 summand
+        T = mr.direct_sum([E21, np.array([[0.25]])])
+        v = mr.member_e21(T)
+        assert v.member and v.witness is not None
+        assert mr.op_norm(v.witness.value(2, 1) - T) <= 1e-12
+
     def test_scaled_identity_outside(self):
         v = mr.member_e21(0.6 * np.eye(2))
         assert not v.member and v.witness is None
@@ -375,10 +383,13 @@ class TestEquivalenceSuite:
     @pytest.mark.parametrize("T", [0.3 * E21 + 0.1 * np.eye(2), 2.1 * E21])
     def test_one_radius_and_one_decomposition(self, T, monkeypatch):
         # the dilation, the factorizations and the halved LMI and UCP map all
-        # reuse the suite's radius and its single decomposition
+        # reuse the suite's radius and its single decomposition; one order-2
+        # margin serves both the condition (4) and the dilation (5)
         calls = {"radius": 0, "decompose": 0}
+        shapes = []
         solve = mr.numrange._radius_and_angle
         decompose = mr.ando._ando_decompose
+        level_set_max = mr.numrange._level_set_max
 
         def counted_solve(A):
             calls["radius"] += 1
@@ -388,27 +399,17 @@ class TestEquivalenceSuite:
             calls["decompose"] += 1
             return decompose(A, w, t)
 
+        def counted_level_set_max(D):
+            shapes.append(np.shape(D))
+            return level_set_max(D)
+
         monkeypatch.setattr(mr.numrange, "_radius_and_angle", counted_solve)
         monkeypatch.setattr(mr.ando, "_ando_decompose", counted_decompose)
+        monkeypatch.setattr(mr.numrange, "_level_set_max", counted_level_set_max)
+        monkeypatch.setattr(mr.dilation, "_level_set_max", counted_level_set_max)
         rep = mr.equivalence_suite(T)
         assert len(set(rep.all_conditions())) == 1
         assert calls == {"radius": 1, "decompose": 1}
-
-    @pytest.mark.parametrize("T", [0.3 * E21 + 0.1 * np.eye(2), 2.1 * E21])
-    def test_two_level_set_solves(self, T, monkeypatch):
-        # the radius, and one order-2 margin for both the condition (4) and
-        # the dilation (5)
-        shapes = []
-        solve = mr.numrange._level_set_max
-
-        def counted(D):
-            shapes.append(np.shape(D))
-            return solve(D)
-
-        monkeypatch.setattr(mr.numrange, "_level_set_max", counted)
-        monkeypatch.setattr(mr.dilation, "_level_set_max", counted)
-        rep = mr.equivalence_suite(T)
-        assert len(set(rep.all_conditions())) == 1
         assert shapes == [(2, 2), (1, 2, 2)]
 
     def test_extremal_X_twice(self, monkeypatch):
