@@ -271,10 +271,11 @@ def _run_command(cmd, args):
     if cmd == "spatial":
         T = _require_matrix(payload)
         mats = matrange.spatial_samples(T, args.order, args.count, args.seed)
-        radii = [numrange.num_radius(M) for M in mats]
+        # W(A + B) is the hull of W(A) and W(B): the largest radius is that
+        # of the samples' direct sum, one level-set solve
         return {
             "count": len(mats),
-            "max_radius": max(radii) if radii else 0.0,
+            "max_radius": numrange._level_set_max(mats[:, None])[0] if len(mats) else 0.0,
             "samples": [matrix_to_json(M) for M in mats[:8]],
         }, 0
 

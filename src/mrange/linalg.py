@@ -222,20 +222,22 @@ def shift(n):
 
 
 def random_matrix(n, m, seed):
-    """Seeded complex standard Gaussian matrix."""
+    """Seeded complex standard Gaussian matrix; an array of seeds gives a
+    stack of them, each bit-identical to its own seed's."""
     return SplitMix64(seed).complex_matrix(n, m)
 
 
 def random_isometry(n, m, seed):
-    """n x m matrix with V*V = I_m, from QR of a seeded complex Gaussian."""
+    """n x m matrix with V*V = I_m, from QR of a seeded complex Gaussian; an
+    array of seeds gives a stack of them from one batched QR."""
     if m > n:
         raise BadShape(f"isometry needs m <= n, got ({n},{m})")
     G = random_matrix(n, m, seed)
     Q, R = np.linalg.qr(G)
     # fix column phases so the result is independent of LAPACK sign choices
-    d = np.diagonal(R)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
     phase = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)
-    return Q * np.conj(phase)
+    return Q * np.conj(phase)[..., None, :]
 
 
 def random_hermitian(n, seed):

@@ -28,7 +28,7 @@ from .linalg import (
     require_square,
 )
 from .numrange import _exceeds, num_radius
-from .rng import split
+from .rng import children
 from .toeplitz import _block_toeplitz, _unitary_measure
 
 
@@ -164,17 +164,22 @@ def member_normal(spectrum, X, tol=None):
     return MembershipVerdict(member=True, margin=outcome.residual, witness=weights)
 
 
+def _check_samples(n, count, dim=np.inf):
+    """BadShape unless 1 <= n <= dim and count >= 0."""
+    if not 1 <= n <= dim or count < 0:
+        raise BadShape(f"need 1 <= size <= {dim} and count >= 0, got size {n} "
+                       f"and count {count}")
+
+
 def spatial_samples(T, n, count, seed):
-    """Compressions V*TV for seeded random isometries V, one child seed per
-    sample index so parallel evaluation stays deterministic."""
+    """Compressions V*TV for seeded random isometries V, as a (count, n, n)
+    array. Sample i takes the child seed split(seed, i), so it does not
+    depend on the count; all the children's Gaussians come from one batched
+    draw and one batched QR, bit-identical to drawing each seed alone."""
     A = require_square(T, "spatial_samples")
-    if n > A.shape[0]:
-        raise BadShape(f"compression size {n} exceeds dim {A.shape[0]}")
-    out = []
-    for i in range(count):
-        V = random_isometry(A.shape[0], n, split(seed, i))
-        out.append(dagger(V) @ A @ V)
-    return out
+    _check_samples(n, count, A.shape[0])
+    V = random_isometry(A.shape[0], n, children(seed, count))
+    return dagger(V) @ A @ V
 
 
 def smith_ward_nu(T, n):
@@ -212,9 +217,9 @@ class ProbeReport:
 def opsys_probe(S, T, n, samples, seed):
     A1 = require_square(S, "opsys_probe")
     A2 = require_square(T, "opsys_probe")
-    children = [split(seed, i) for i in range(samples)]
-    A = np.array([random_matrix(n, n, split(c, 0)) for c in children]).reshape(samples, n, n)
-    B = np.array([random_matrix(n, n, split(c, 1)) for c in children]).reshape(samples, n, n)
+    _check_samples(n, samples)
+    # sample i draws A_i and B_i from split(split(seed, i), 0) and (.., 1)
+    A, B = np.moveaxis(random_matrix(n, n, children(children(seed, samples), 2)), 1, 0)
 
     def norms(M):
         # kron(A_i, I) + kron(B_i, M) for every sample i, then their operator norms

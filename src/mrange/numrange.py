@@ -31,12 +31,19 @@ midpoints that attain the maximum are the angles where it is attained;
 ``num_radius`` returns them with the radius, for the boundary shift of
 :mod:`mrange.ando`.
 
+lambda_max of a direct sum is the largest of its summands', and its level
+pencil is the direct sum of theirs. So one solve on a (B, m, n, n) stack
+gives the largest maximum of B polynomials, w(M_1 + ... + M_B) =
+max_b w(M_b) for p(z) = z M_b: each level solves the B pencils of size
+2mn as one batch, and the ascent climbs the summand on top.
+
 The boundary is sampled by Johnson's support points (SIAM J. Numer. Anal.
 15, 1978): <Tv, v> for a top eigenvector v of Re(e^{-i theta} T) at each
 angle. The top end at theta + pi is the bottom end at theta, so an even
 number of angles takes one tridiagonal reduction per antipodal pair.
 """
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,58 +79,74 @@ _EPS = np.finfo(float).eps
 def _support_grid(D, thetas):
     """lambda_max(Re p(e^{i theta})) at many angles through one batched
     eigensolve, for p(z) = sum_k z^k D_k with D = D_1..D_m stacked as an
-    (m, n, n) array; a single n x n matrix T stands for p(z) = z T."""
-    D = np.reshape(D, (-1,) + np.shape(D)[-2:])
+    (m, n, n) array; a single n x n matrix T stands for p(z) = z T. A stack
+    (B, m, n, n) of summands gives each one's values, as a (B, angles) array."""
+    D = _polynomial(D)
     lam = np.exp(1j * thetas)[:, None, None]
-    stack = lam * D[0]
-    for k in range(2, D.shape[0] + 1):
-        stack = stack + lam ** k * D[k - 1]
-    stack = (stack + np.conj(np.swapaxes(stack, 1, 2))) / 2.0
-    return np.linalg.eigvalsh(stack)[:, -1]
+    stack = lam * D[..., None, 0, :, :]
+    for k in range(2, D.shape[-3] + 1):
+        stack = stack + lam ** k * D[..., None, k - 1, :, :]
+    return np.linalg.eigvalsh(herm_part(stack))[..., -1]
+
+
+def _polynomial(D):
+    """D as an (..., m, n, n) stack of coefficients; an n x n T is p(z) = z T."""
+    return D.reshape((1,) * (3 - D.ndim) + D.shape)
 
 
 def _pencil_eigenvalues(P, Q):
-    """Finite eigenvalues of the pencil P - z Q, all those near the unit
-    circle among them.
+    """Finite eigenvalues of the pencils P - z Q of a stack, all those near
+    the unit circle among them, as one flat array.
 
     They are z = z0 + 1 / mu for the eigenvalues mu of (P - z0 Q)^{-1} Q, one
-    LU solve and one standard eigensolve; an infinite eigenvalue (Q singular)
-    is mu = 0 and is dropped. QZ is only the fallback, for P - z0 Q singular
-    or nearly so, which every singular pencil makes it.
+    batched LU solve and one batched standard eigensolve; an infinite
+    eigenvalue (Q singular) is mu = 0 and is dropped. QZ is only the
+    fallback, pencil by pencil, for P - z0 Q singular or nearly so, which
+    every singular pencil makes it.
     """
+    P, Q = P.reshape((-1,) + P.shape[-2:]), Q.reshape((-1,) + Q.shape[-2:])
     try:
         M = np.linalg.solve(P - _SHIFT * Q, Q)
     except np.linalg.LinAlgError:
-        M = None
-    if M is None or not np.linalg.norm(M) <= _SHIFTED_NORM_MAX:
-        z = scipy.linalg.eig(P, Q, right=False)
-        return z[np.isfinite(z)]
-    mu = np.linalg.eigvals(M)
+        # some P - z0 Q is exactly singular: solve the others one by one
+        M = np.full(P.shape, np.nan, dtype=complex)
+        for b in range(len(P)):
+            with suppress(np.linalg.LinAlgError):
+                M[b] = np.linalg.solve(P[b] - _SHIFT * Q[b], Q[b])
+    shifted = np.linalg.norm(M, axis=(1, 2)) <= _SHIFTED_NORM_MAX
+    mu = np.linalg.eigvals(M[shifted])
     # every z with |z| <= 1 + _UNIMODULAR has |z - z0| < |z0| + 2
-    mu = mu[np.abs(mu) * (abs(_SHIFT) + 2.0) > 1.0]
-    return _SHIFT + 1.0 / mu
+    z = _SHIFT + 1.0 / mu[np.abs(mu) * (abs(_SHIFT) + 2.0) > 1.0]
+    if shifted.all():
+        return z
+    qz = [scipy.linalg.eig(P[b], Q[b], right=False) for b in np.flatnonzero(~shifted)]
+    return np.concatenate([z] + [zb[np.isfinite(zb)] for zb in qz])
 
 
 def _level_pencil(D, r):
     """The 2mn x 2mn first companion pencil (P, Q) of
-    z^m (p(z) + p(z)* - 2r I); its top block row holds the coefficients of
+    z^m (p(z) + p(z)* - 2r I), for D as in ``_support_grid`` (one pencil
+    per summand of a stack); its top block row holds the coefficients of
     z^{2m-1} down to z^0, negated."""
-    D = np.reshape(D, (-1,) + np.shape(D)[-2:])
-    m, n = D.shape[:2]
-    P = np.zeros((2 * m * n, 2 * m * n), dtype=complex)
-    P[:n] = np.hstack([-Dk for Dk in D[:-1][::-1]] + [2.0 * r * np.eye(n)]
-                      + [-dagger(Dk) for Dk in D])
-    P[n:, :-n] = np.eye((2 * m - 1) * n)
-    Q = np.eye(2 * m * n, dtype=complex)
-    Q[:n, :n] = D[-1]
+    D = _polynomial(D)
+    *lead, m, n, _ = D.shape
+    P = np.zeros((*lead, 2 * m * n, 2 * m * n), dtype=complex)
+    P[..., :n, :] = np.concatenate([-D[..., k, :, :] for k in range(m - 2, -1, -1)]
+                                   + [2.0 * r * np.eye(n) + np.zeros_like(D[..., 0, :, :])]
+                                   + [-dagger(D[..., k, :, :]) for k in range(m)], axis=-1)
+    P[..., n:, :-n] = np.eye((2 * m - 1) * n)
+    Q = np.zeros_like(P)
+    Q[...] = np.eye(2 * m * n)
+    Q[..., :n, :n] = D[..., -1, :, :]
     return P, Q
 
 
 def _level_midpoints(D, r):
     """Midpoints between consecutive angles where an eigenvalue of
-    Re p(e^{i theta}) equals r, or angle 0 when there is no such angle.
+    Re p(e^{i theta}) equals r, or angle 0 when there is no such angle; for
+    a stack of summands, the angles of any of them.
 
-    The angles are those of the pencil's eigenvalues within _UNIMODULAR of
+    The angles are those of the pencils' eigenvalues within _UNIMODULAR of
     the unit circle, found by shift-and-invert (``_pencil_eigenvalues``)
     with QZ only as its fallback."""
     z = _pencil_eigenvalues(*_level_pencil(D, r))
@@ -157,35 +180,45 @@ def _ascend(AB, theta):
 
     H(theta) = sum_k Re(e^{i k theta}) A_k + Im(e^{i k theta}) B_k, with AB
     the (2m, n, n) stack A_1, B_1, ..., A_m, B_m of A_k = Re D_k and
-    B_k = Re(i D_k), so that H(theta) = Re p(e^{i theta}). At a simple top
-    eigenpair (lambda_n, v) of H, with the other eigenpairs (lambda_j, u_j),
+    B_k = Re(i D_k), so that H(theta) = Re p(e^{i theta}); a (B, 2m, n, n)
+    stack is the direct sum of B such H, and the ascent climbs the summand
+    on top. At a simple top eigenpair (lambda_n, v) of H, with the other
+    eigenpairs (lambda_j, u_j),
 
         f'  = v* H' v,
         f'' = v* H'' v + 2 sum_j |u_j* H' v|^2 / (lambda_n - lambda_j).
 
-    Each step is one Hermitian eigensolve. A Newton step is taken only while
-    f'' < 0 and lambda_n is apart from lambda_{n-1} by more than the
+    Each step is one Hermitian eigensolve per summand. A Newton step is
+    taken only while f'' < 0 and lambda_n is apart from the runner-up, the
+    next eigenvalue of its summand or the top of another, by more than the
     rounding floor, and the ascent stops once a rise, taken or predicted by
     the Newton model, is within that floor.
     """
-    k = np.arange(1.0, AB.shape[0] // 2 + 1.0)
-    n = AB.shape[1]
-    flat = AB.reshape(AB.shape[0], -1)
+    AB = AB.reshape((-1,) + AB.shape[-3:])
+    k = np.arange(1.0, AB.shape[1] // 2 + 1.0)
+    n = AB.shape[2]
+    flat = AB.reshape(AB.shape[:2] + (-1,))
     heevd = scipy.linalg.get_lapack_funcs("heevd", (flat,))
     best, best_theta = -np.inf, theta
     for _ in range(_MAX_LEVELS):
         e = np.exp(1j * theta * k)
-        lam, U, info = heevd((e.view(float) @ flat).reshape(n, n))
-        if info != 0:
-            raise NoConvergence(f"?heevd failed at angle {theta} (info={info})")
+        eigs = [heevd((e.view(float) @ F).reshape(n, n)) for F in flat]
+        if any(info for _, _, info in eigs):
+            raise NoConvergence(f"?heevd failed at angle {theta} "
+                                f"(info={[info for _, _, info in eigs]})")
+        tops = [lam[-1] for lam, _, _ in eigs]
+        b = tops.index(max(tops))
+        lam, U, _ = eigs[b]
+        # the runner-up: the next eigenvalue of summand b or another's top
+        tops[b] = lam[-2] if n > 1 else -np.inf
         top = float(lam[-1])
         rise, floor = top - best, _floor(top)
         if rise > 0.0:
             best, best_theta = top, theta
-        if rise <= floor or n > 1 and top - lam[-2] <= floor:
+        if rise <= floor or top - max(tops) <= floor:
             break
         v = U[:, -1]
-        X = AB @ v
+        X = AB[b] @ v
         # H' v in the eigenbasis of H: its last entry is f'
         W = U.conj().T @ ((1j * k * e).view(float) @ X)
         f1 = W[-1].real
@@ -206,15 +239,20 @@ def _level_set_max(D):
     eigenvalue branch, whose pencils are singular), and no maxima are
     reported.
 
+    A (B, m, n, n) array D is the direct sum of B such polynomials. Each
+    level solves their B pencils of size 2mn as one batch, never the dense
+    one of size 2Bmn, which for B = 8 is slower than 8 solves from n = 2 on.
+
     A Newton ascent (``_ascend``) climbs from the best of 8 sampled angles,
     and again from the best midpoint of any level that one beats, so each
     pencil solve mostly just certifies the top already reached. It works on
     D scaled by _pow2_scale: the rounding floor is relative to |D|."""
     scale = _pow2_scale(D)
-    D = scale * np.reshape(D, (-1,) + np.shape(D)[-2:])
-    AB = np.stack([herm_part(D), herm_part(1j * D)], axis=1).reshape((-1,) + D.shape[1:])
+    D = scale * np.reshape(D, (1,) * (4 - np.ndim(D)) + np.shape(D))
+    AB = np.stack([herm_part(D), herm_part(1j * D)], axis=2).reshape(
+        D.shape[:1] + (-1,) + D.shape[2:])
     thetas = 2.0 * np.pi * np.arange(8) / 8
-    vals = _support_grid(D, thetas)
+    vals = _support_grid(D, thetas).max(axis=0)
     lowest = float(vals.min())
     for _ in range(_MAX_LEVELS):
         i = int(np.argmax(vals))
@@ -224,7 +262,7 @@ def _level_set_max(D):
         if vals[i] > r:
             r, angle = float(vals[i]), float(thetas[i])
         thetas = _level_midpoints(D, r)
-        vals = _support_grid(D, thetas)
+        vals = _support_grid(D, thetas).max(axis=0)
         i = int(np.argmax(vals))
         if vals[i] <= r + _floor(r):
             if vals[i] > r:

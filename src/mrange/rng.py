@@ -14,7 +14,11 @@ though floating-point rounding may differ in the last bits:
 * complex standard normal: ``(x + iy) / sqrt(2)``
 
 ``split(seed, k)`` derives independent child seeds for per-sample
-parallel determinism.
+parallel determinism. It is output k of the stream of ``seed``, so
+``children(seed, count)`` draws the first ``count`` at once, and a
+``SplitMix64`` built on an array of seeds draws all their streams side by
+side, each bit-identical to drawing it alone: the output j of seed s is the
+mix of s + (j + 1) * 0x9E3779B97F4A7C15, a counter.
 """
 
 import numpy as np
@@ -44,25 +48,36 @@ def _mix_array(z):
     return z
 
 
+# int() of a seed or of each seed in an array, as Python integers
+_INT = np.frompyfunc(int, 1, 1)
+
+
 def split(seed, k):
     """Derive the k-th child seed of ``seed`` (order-independent fan-out)."""
     return _mix((seed + (k + 1) * _GOLDEN) & _MASK)
 
 
+def children(seed, count):
+    """split(seed, k) for k < count as a uint64 array, in one batch; an
+    array of seeds gives one row of children each."""
+    return SplitMix64(seed)._draw(count)
+
+
 class SplitMix64:
     """Minimal splitmix64 stream with uniform / normal / complex draws, each
     batch computed over numpy uint64 arrays: bit-identical to drawing one
-    value at a time by the recurrence above."""
+    value at a time by the recurrence above. Built on an array of seeds, it
+    runs one stream per seed and every draw gains their leading axes."""
 
     def __init__(self, seed):
-        self._state = int(seed) & _MASK
+        self._state = np.array(_INT(seed) & _MASK, dtype=np.uint64)
 
     def _draw(self, count):
-        """The next ``count`` outputs, as a uint64 array."""
+        """The next ``count`` outputs of each stream, as a uint64 array."""
         states = np.arange(1, count + 1, dtype=np.uint64)
         states *= _U64[_GOLDEN]
-        states += np.array(self._state, dtype=np.uint64)
-        self._state = (self._state + count * _GOLDEN) & _MASK
+        states = states + self._state[..., None]
+        np.add(self._state, np.uint64((count * _GOLDEN) & _MASK), out=self._state)
         return _mix_array(states)
 
     def next_u64(self):
@@ -79,34 +94,38 @@ class SplitMix64:
         return float(self.uniforms(1)[0])
 
     def _box_muller(self, pairs):
-        """Box-Muller on ``pairs`` pairs of uniforms, as a (2, pairs) array:
-        row 0 holds r cos(angle), row 1 r sin(angle)."""
+        """Box-Muller on ``pairs`` pairs of uniforms, as a (..., 2, pairs)
+        array: row 0 holds r cos(angle), row 1 r sin(angle)."""
         u = self.uniforms(2 * pairs)
-        r = np.maximum(u[0::2], 2.0 ** -53)
+        r = np.maximum(u[..., 0::2], 2.0 ** -53)
         np.log(r, out=r)
         r *= -2.0
         np.sqrt(r, out=r)
-        angle = 2.0 * np.pi * u[1::2]
-        out = np.empty((2, pairs))
-        np.cos(angle, out=out[0])
-        np.sin(angle, out=out[1])
-        out *= r
+        angle = 2.0 * np.pi * u[..., 1::2]
+        out = np.empty(u.shape[:-1] + (2, pairs))
+        np.cos(angle, out=out[..., 0, :])
+        np.sin(angle, out=out[..., 1, :])
+        out *= r[..., None, :]
         return out
 
     def normals(self, count):
         """Array of ``count`` standard normals via Box-Muller."""
-        return self._box_muller((count + 1) // 2).T.reshape(-1)[:count]
+        pairs = np.swapaxes(self._box_muller((count + 1) // 2), -1, -2)
+        return pairs.reshape(pairs.shape[:-2] + (-1,))[..., :count]
 
     def complex_normals(self, count):
         """(x + iy) / sqrt(2) for x = normals(count) and y = normals(count)
         drawn next: normal pairs 0..h-1 fill x, pairs h..2h-1 fill y."""
         h = (count + 1) // 2
-        z = np.empty(2 * h, dtype=complex)
+        polar = self._box_muller(2 * h)
+        lead = polar.shape[:-2]
+        z = np.empty(lead + (2 * h,), dtype=complex)
         # z as floats is indexed [pair, cos / sin, real / imag]
-        polar = self._box_muller(2 * h).reshape(2, 2, h)
-        z.view(float).reshape(h, 2, 2)[...] = polar.transpose(2, 0, 1)
+        z.view(float).reshape(lead + (h, 2, 2))[...] = np.moveaxis(
+            polar.reshape(lead + (2, 2, h)), -1, -3)
         z /= np.sqrt(2.0)
-        return z[:count]
+        return z[..., :count]
 
     def complex_matrix(self, rows, cols):
-        return self.complex_normals(rows * cols).reshape(rows, cols)
+        z = self.complex_normals(rows * cols)
+        return z.reshape(z.shape[:-1] + (rows, cols))

@@ -166,6 +166,42 @@ class TestCommands:
         assert code == 0
         assert out["max_gap"] > 0.4
 
+    @pytest.mark.parametrize("argv", [
+        ["spatial", "--order", "0", "--count", "8"],
+        ["spatial", "--order", "2", "--count", "-1"],
+        ["probe", "--order", "0", "--count", "4"],
+        ["probe", "--order", "2", "--count", "-1"],
+    ])
+    def test_bad_sample_arguments(self, tmp_path, capsys, argv):
+        payload = {"S": E21_JSON, "T": E21_JSON} if argv[0] == "probe" else E21_JSON
+        path = write_json(tmp_path, "in.json", payload)
+        code, out = run_captured(capsys, argv[:1] + ["--input", path] + argv[1:])
+        assert code == 1
+        assert out["error"]["name"] == "BadShape"
+
+    def test_spatial_is_one_level_set_solve(self, tmp_path, capsys, monkeypatch):
+        # the largest sample radius is that of the samples' direct sum
+        calls = []
+        level_set_max = mr.numrange._level_set_max
+
+        def counted(D):
+            calls.append(np.shape(D))
+            return level_set_max(D)
+
+        monkeypatch.setattr(mr.numrange, "_level_set_max", counted)
+        T = mr.random_matrix(4, 4, 12)
+        path = write_json(tmp_path, "t.json", matrix_to_json(T))
+        code, out = run_captured(capsys, ["spatial", "--input", path, "--order", "2",
+                                          "--count", "8", "--seed", "3"])
+        assert code == 0 and calls == [(8, 1, 2, 2)]
+        radii = [mr.num_radius(M) for M in mr.spatial_samples(T, 2, 8, 3)]
+        assert out["max_radius"] == pytest.approx(max(radii), rel=1e-14)
+        calls.clear()
+        code, out = run_captured(capsys, ["spatial", "--input", path, "--order", "2",
+                                          "--count", "0"])
+        assert code == 0 and out["max_radius"] == 0.0 and out["samples"] == []
+        assert calls == []
+
     def test_smith_ward(self, tmp_path, capsys):
         path = write_json(tmp_path, "t.json", matrix_to_json(np.diag([3.0, 1.0])))
         code, out = run_captured(capsys, ["smith-ward", "--input", path,

@@ -9,7 +9,8 @@ from scipy.linalg import eig as qz
 
 import mrange as mr
 from mrange import numrange
-from mrange.numrange import _ascend, _level_pencil, _pencil_eigenvalues, _support_grid
+from mrange.numrange import (_ascend, _floor, _level_pencil, _level_set_max,
+                             _pencil_eigenvalues, _support_grid)
 from mrange.rng import split
 
 from helpers import E21, nilpotent_margin_bracket, radius_bruteforce, random_with_radius
@@ -62,11 +63,12 @@ class TestShiftAndInvert:
 
 @pytest.fixture
 def pencil_calls(monkeypatch):
-    """Counts the level-set pencil solves."""
+    """Counts the level-set pencil solves, each one batch of the summands'
+    pencils; records the stack shape of each."""
     calls = []
 
     def counted(P, Q):
-        calls.append(P.shape[0])
+        calls.append(P.shape[:-2])
         return _pencil_eigenvalues(P, Q)
 
     monkeypatch.setattr(numrange, "_pencil_eigenvalues", counted)
@@ -247,6 +249,73 @@ class TestCharacterizationsByLevelSet:
                 radius_solves = len(pencil_calls)
                 mr.radius_characterizations(T)
                 assert len(pencil_calls) - radius_solves == radius_solves + 1
+
+
+def _summands(seed):
+    """B = 1..8 seeded k x k summands, k = 1..4, complex or real, mixed with
+    zero, 2 S_k and Jordan summands (singular pencils at their own radius)
+    and with ties: a repeated summand and e^{i phi} M beside M."""
+    B, k = 1 + seed % 8, 1 + (seed // 8) % 4
+    Ms = [mr.random_matrix(k, k, split(seed, b)) for b in range(B)]
+    if seed % 5 == 1:
+        Ms = [M.real.astype(complex) for M in Ms]
+    special = [np.zeros((k, k)), 2.0 * mr.shift(k), 3.0 * np.exp(0.4j) * mr.shift(k).T]
+    if seed % 4 == 2:
+        Ms[seed % B] = special[seed % 3]
+    if seed % 6 == 3 and B > 1:
+        Ms[1] = Ms[0]
+    if seed % 6 == 4 and B > 1:
+        Ms[-1] = np.exp(0.9j) * Ms[0]
+    return np.array(Ms, dtype=complex)
+
+
+class TestDirectSum:
+    """A (B, 1, k, k) stack is the direct sum of its B summands:
+    w(M_1 + ... + M_B) = max_b w(M_b), from one batched solve."""
+
+    @pytest.mark.parametrize("seed", range(64))
+    def test_radius_is_the_largest_summand_radius(self, seed):
+        Ms = _summands(3000 + seed)
+        w = _level_set_max(Ms[:, None])[0]
+        ref = max(mr.num_radius(M) for M in Ms)
+        assert abs(w - ref) <= 4.0 * _floor(ref)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_qz_only_for_the_singular_summand(self, k, qz_calls, pencil_calls):
+        # 2 S_k is on top, and at its radius only its pencil is singular
+        Ms = np.array([2.0 * mr.shift(k)]
+                      + [0.3 * mr.random_matrix(k, k, split(3100 + k, b)) for b in range(5)])
+        w = _level_set_max(Ms[:, None])[0]
+        assert w == pytest.approx(2.0 * np.cos(np.pi / (k + 1)), abs=1e-12)
+        assert 1 <= len(qz_calls) <= len(pencil_calls)
+        assert all(shape == (6,) for shape in pencil_calls)
+        assert all(P.shape == (2 * k, 2 * k) for P, _ in qz_calls)
+
+    def test_exact_ties(self):
+        # the same summand twice and rotated copies tie at every angle or at
+        # their crossings, where the ascent stops and the pencil decides
+        M = mr.random_matrix(3, 3, split(3200, 0))
+        ref = mr.num_radius(M)
+        for Ms in ([M, M], [M, M, M, M], [M, np.exp(0.5j) * M, np.exp(-2.0j) * M]):
+            w = _level_set_max(np.array(Ms)[:, None])[0]
+            assert abs(w - ref) <= 4.0 * _floor(ref)
+
+    def test_exactly_singular_summand_goes_to_qz(self, qz_calls):
+        # P - z0 Q is exactly singular for T = 0 at level 0, which fails the
+        # batched LU solve; the other pencil is still shift-and-inverted
+        T = mr.random_matrix(3, 3, split(3400, 0))
+        r = _attained(T, 1.0)
+        (P0, Q0), (P1, Q1) = _level_pencil(np.zeros((3, 3)), 0.0), _level_pencil(T, r)
+        z = _pencil_eigenvalues(np.array([P0, P1]), np.array([Q0, Q1]))
+        assert len(qz_calls) == 1
+        ref = np.concatenate([_pencil_eigenvalues(P1, Q1), _pencil_eigenvalues(P0, Q0)])
+        assert len(qz_calls) == 2
+        np.testing.assert_array_equal(np.sort_complex(z), np.sort_complex(ref))
+
+    def test_single_summand_matches_num_radius_bit_for_bit(self):
+        for k in range(8):
+            T = mr.random_matrix(5, 5, split(3300, k))
+            assert _level_set_max(T[None, None])[0] == mr.num_radius(T)
 
 
 def _margins_at(T, n, thetas):

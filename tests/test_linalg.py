@@ -273,3 +273,18 @@ def test_complex_normals_pair_two_normal_draws(seed, count):
     x, y = gen.normals(count), gen.normals(count)
     np.testing.assert_array_equal(SplitMix64(seed).complex_normals(count),
                                   (x + 1j * y) / np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (3, 2), (4, 4), (5, 3)])
+@pytest.mark.parametrize("count", [0, 1, 16])
+def test_batched_draws_match_each_seed_alone(n, m, count):
+    # odd and even n * m; one batch over the child seeds of 11
+    from mrange.rng import children, split
+
+    seeds = children(11, count)
+    assert seeds.tolist() == [split(11, k) for k in range(count)]
+    G, V = mr.random_matrix(n, m, seeds), mr.random_isometry(n, m, seeds)
+    assert G.shape == V.shape == (count, n, m)
+    for k, seed in enumerate(seeds.tolist()):
+        assert G[k].tobytes() == mr.random_matrix(n, m, seed).tobytes()
+        assert V[k].tobytes() == mr.random_isometry(n, m, seed).tobytes()

@@ -268,6 +268,18 @@ class TestSpatialSamples:
         with pytest.raises(BadShape):
             mr.spatial_samples(E21, 3, 1, 0)
 
+    @pytest.mark.parametrize("n, count", [(0, 1), (-1, 1), (2, -1)])
+    def test_rejects_empty_size_and_negative_count(self, n, count):
+        with pytest.raises(BadShape):
+            mr.spatial_samples(E21, n, count, 0)
+
+    def test_zero_count(self):
+        assert mr.spatial_samples(E21, 2, 0, 5).shape == (0, 2, 2)
+
+    def test_sample_depends_on_its_index_alone(self):
+        few, many = mr.spatial_samples(E21, 1, 3, 9), mr.spatial_samples(E21, 1, 16, 9)
+        assert few.tobytes() == many[:3].tobytes()
+
 
 class TestSmithWard:
     def test_lower_unit(self):
@@ -312,6 +324,15 @@ class TestOpsysProbe:
     def test_transposed_units_indistinguishable(self):
         rep = mr.opsys_probe(E21, E21.T.copy(), 2, 50, 13)
         assert rep.max_gap <= 1e-9
+
+    @pytest.mark.parametrize("n, count", [(0, 1), (2, -1)])
+    def test_rejects_empty_size_and_negative_count(self, n, count):
+        with pytest.raises(BadShape):
+            mr.opsys_probe(E21, E21, n, count, 0)
+
+    def test_zero_count(self):
+        rep = mr.opsys_probe(E21, 2 * E21, 2, 0, 1)
+        assert rep.samples == 0 and rep.max_gap == 0.0 and rep.gaps.shape == (0,)
 
     def test_deterministic_under_seed(self):
         a = mr.opsys_probe(E21, 2 * E21, 2, 10, 99)
