@@ -35,7 +35,7 @@ lambda_max of a direct sum is the largest of its summands', and its level
 pencil is the direct sum of theirs. So one solve on a (B, m, n, n) stack
 gives the largest maximum of B polynomials, w(M_1 + ... + M_B) =
 max_b w(M_b) for p(z) = z M_b: each level solves the B pencils of size
-2mn as one batch, and the ascent climbs the summand on top.
+2mn as one batch, and the ascent climbs the summand on top at its start.
 
 The boundary is sampled by Johnson's support points (SIAM J. Numer. Anal.
 15, 1978): <Tv, v> for a top eigenvector v of Re(e^{-i theta} T) at each
@@ -123,33 +123,42 @@ def _pencil_eigenvalues(P, Q):
     return np.concatenate([z] + [zb[np.isfinite(zb)] for zb in qz])
 
 
-def _level_pencil(D, r):
+def _level_pencil(D):
     """The 2mn x 2mn first companion pencil (P, Q) of
-    z^m (p(z) + p(z)* - 2r I), for D as in ``_support_grid`` (one pencil
-    per summand of a stack); its top block row holds the coefficients of
-    z^{2m-1} down to z^0, negated."""
+    z^m (p(z) + p(z)* - 2r I) as a function of the level r, for D as in
+    ``_support_grid`` (one pencil per summand of a stack); its top block row
+    holds the coefficients of z^{2m-1} down to z^0, negated. Only the block
+    2r I depends on r, so the rest is built once per solve."""
     D = _polynomial(D)
     *lead, m, n, _ = D.shape
     P = np.zeros((*lead, 2 * m * n, 2 * m * n), dtype=complex)
     P[..., :n, :] = np.concatenate([-D[..., k, :, :] for k in range(m - 2, -1, -1)]
-                                   + [2.0 * r * np.eye(n) + np.zeros_like(D[..., 0, :, :])]
+                                   + [np.zeros_like(D[..., 0, :, :])]
                                    + [-dagger(D[..., k, :, :]) for k in range(m)], axis=-1)
     P[..., n:, :-n] = np.eye((2 * m - 1) * n)
     Q = np.zeros_like(P)
     Q[...] = np.eye(2 * m * n)
     Q[..., :n, :n] = D[..., -1, :, :]
-    return P, Q
+    eye = np.eye(n)
+
+    def at(r):
+        Pr = P.copy()
+        Pr[..., :n, (m - 1) * n:m * n] = 2.0 * r * eye
+        return Pr, Q
+
+    return at
 
 
-def _level_midpoints(D, r):
+def _level_midpoints(pencil, r):
     """Midpoints between consecutive angles where an eigenvalue of
     Re p(e^{i theta}) equals r, or angle 0 when there is no such angle; for
-    a stack of summands, the angles of any of them.
+    a stack of summands, the angles of any of them. ``pencil`` is
+    ``_level_pencil(D)``.
 
     The angles are those of the pencils' eigenvalues within _UNIMODULAR of
     the unit circle, found by shift-and-invert (``_pencil_eigenvalues``)
     with QZ only as its fallback."""
-    z = _pencil_eigenvalues(*_level_pencil(D, r))
+    z = _pencil_eigenvalues(*pencil(r))
     th = np.sort(np.angle(z[np.abs(np.abs(z) - 1.0) <= _UNIMODULAR]) % (2.0 * np.pi))
     if th.size == 0:
         return np.zeros(1)
@@ -166,7 +175,7 @@ def _exceeds(A, level):
     """Whether lambda_max(Re(e^{i theta} A)) > level for some theta."""
     s = _pow2_scale(A)
     B, level = s * A, s * level
-    return bool(_support_grid(B, _level_midpoints(B, level)).max() > level)
+    return bool(_support_grid(B, _level_midpoints(_level_pencil(B), level)).max() > level)
 
 
 def _floor(r):
@@ -180,45 +189,35 @@ def _ascend(AB, theta):
 
     H(theta) = sum_k Re(e^{i k theta}) A_k + Im(e^{i k theta}) B_k, with AB
     the (2m, n, n) stack A_1, B_1, ..., A_m, B_m of A_k = Re D_k and
-    B_k = Re(i D_k), so that H(theta) = Re p(e^{i theta}); a (B, 2m, n, n)
-    stack is the direct sum of B such H, and the ascent climbs the summand
-    on top. At a simple top eigenpair (lambda_n, v) of H, with the other
-    eigenpairs (lambda_j, u_j),
+    B_k = Re(i D_k), so that H(theta) = Re p(e^{i theta}). At a simple top
+    eigenpair (lambda_n, v) of H, with the other eigenpairs (lambda_j, u_j),
 
         f'  = v* H' v,
         f'' = v* H'' v + 2 sum_j |u_j* H' v|^2 / (lambda_n - lambda_j).
 
-    Each step is one Hermitian eigensolve per summand. A Newton step is
-    taken only while f'' < 0 and lambda_n is apart from the runner-up, the
-    next eigenvalue of its summand or the top of another, by more than the
+    Each step is one Hermitian eigensolve. A Newton step is taken only while
+    f'' < 0 and lambda_n is apart from lambda_{n-1} by more than the
     rounding floor, and the ascent stops once a rise, taken or predicted by
     the Newton model, is within that floor.
     """
-    AB = AB.reshape((-1,) + AB.shape[-3:])
-    k = np.arange(1.0, AB.shape[1] // 2 + 1.0)
-    n = AB.shape[2]
-    flat = AB.reshape(AB.shape[:2] + (-1,))
+    k = np.arange(1.0, AB.shape[0] // 2 + 1.0)
+    n = AB.shape[1]
+    flat = AB.reshape(AB.shape[0], -1)
     heevd = scipy.linalg.get_lapack_funcs("heevd", (flat,))
     best, best_theta = -np.inf, theta
     for _ in range(_MAX_LEVELS):
         e = np.exp(1j * theta * k)
-        eigs = [heevd((e.view(float) @ F).reshape(n, n)) for F in flat]
-        if any(info for _, _, info in eigs):
-            raise NoConvergence(f"?heevd failed at angle {theta} "
-                                f"(info={[info for _, _, info in eigs]})")
-        tops = [lam[-1] for lam, _, _ in eigs]
-        b = tops.index(max(tops))
-        lam, U, _ = eigs[b]
-        # the runner-up: the next eigenvalue of summand b or another's top
-        tops[b] = lam[-2] if n > 1 else -np.inf
+        lam, U, info = heevd((e.view(float) @ flat).reshape(n, n))
+        if info != 0:
+            raise NoConvergence(f"?heevd failed at angle {theta} (info={info})")
         top = float(lam[-1])
         rise, floor = top - best, _floor(top)
         if rise > 0.0:
             best, best_theta = top, theta
-        if rise <= floor or top - max(tops) <= floor:
+        if rise <= floor or n > 1 and top - lam[-2] <= floor:
             break
         v = U[:, -1]
-        X = AB[b] @ v
+        X = AB @ v
         # H' v in the eigenbasis of H: its last entry is f'
         W = U.conj().T @ ((1j * k * e).view(float) @ X)
         f1 = W[-1].real
@@ -241,7 +240,8 @@ def _level_set_max(D):
 
     A (B, m, n, n) array D is the direct sum of B such polynomials. Each
     level solves their B pencils of size 2mn as one batch, never the dense
-    one of size 2Bmn, which for B = 8 is slower than 8 solves from n = 2 on.
+    one of size 2Bmn, which for B = 8 is slower than 8 solves from n = 2 on,
+    and each ascent climbs the one summand on top at its start angle.
 
     A Newton ascent (``_ascend``) climbs from the best of 8 sampled angles,
     and again from the best midpoint of any level that one beats, so each
@@ -251,24 +251,28 @@ def _level_set_max(D):
     D = scale * np.reshape(D, (1,) * (4 - np.ndim(D)) + np.shape(D))
     AB = np.stack([herm_part(D), herm_part(1j * D)], axis=2).reshape(
         D.shape[:1] + (-1,) + D.shape[2:])
+    pencil = _level_pencil(D)
     thetas = 2.0 * np.pi * np.arange(8) / 8
-    vals = _support_grid(D, thetas).max(axis=0)
-    lowest = float(vals.min())
+    vals = _support_grid(D, thetas)
+    lowest = float(vals.max(axis=0).min())
     for _ in range(_MAX_LEVELS):
-        i = int(np.argmax(vals))
-        r, angle = _ascend(AB, float(thetas[i]))
+        # climb the summand on top at the best angle; one that rises above
+        # it elsewhere is found by the pencil, as any higher basin is
+        b, i = divmod(int(np.argmax(vals)), len(thetas))
+        r, angle = _ascend(AB[b], float(thetas[i]))
         # the midpoint values and the ascent come from different eigensolvers;
         # a level below the value that raised it would be solved again
-        if vals[i] > r:
-            r, angle = float(vals[i]), float(thetas[i])
-        thetas = _level_midpoints(D, r)
-        vals = _support_grid(D, thetas).max(axis=0)
-        i = int(np.argmax(vals))
-        if vals[i] <= r + _floor(r):
-            if vals[i] > r:
-                r, angle = float(vals[i]), float(thetas[i])
+        if vals[b, i] > r:
+            r, angle = float(vals[b, i]), float(thetas[i])
+        thetas = _level_midpoints(pencil, r)
+        vals = _support_grid(D, thetas)
+        top = vals.max(axis=0)
+        i = int(np.argmax(top))
+        if top[i] <= r + _floor(r):
+            if top[i] > r:
+                r, angle = float(top[i]), float(thetas[i])
             near = r - _MAXIMA_FLOORS * _floor(r)
-            maxima = thetas[vals >= near] % (2.0 * np.pi) if lowest < near else np.empty(0)
+            maxima = thetas[top >= near] % (2.0 * np.pi) if lowest < near else np.empty(0)
             return r / scale, angle % (2.0 * np.pi), maxima
     raise NoConvergence(f"level set still rising after {_MAX_LEVELS} levels")
 

@@ -121,8 +121,8 @@ class SplitMix64:
         lead = polar.shape[:-2]
         z = np.empty(lead + (2 * h,), dtype=complex)
         # z as floats is indexed [pair, cos / sin, real / imag]
-        z.view(float).reshape(lead + (h, 2, 2))[...] = np.moveaxis(
-            polar.reshape(lead + (2, 2, h)), -1, -3)
+        z.view(float).reshape(lead + (h, 2, 2)).swapaxes(-1, -2)[...] = \
+            polar.reshape(lead + (2, 2, h)).swapaxes(-1, -3)
         z /= np.sqrt(2.0)
         return z[..., :count]
 

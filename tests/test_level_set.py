@@ -40,7 +40,7 @@ class TestShiftAndInvert:
             D = np.array([mr.random_matrix(5, 5, split(900 + m, m * k + j)) for j in range(m)])
             # the support value at one angle is a level with crossings
             r = _attained(D, 0.4 + 1.3 * k)
-            P, Q = _level_pencil(D, r)
+            P, Q = _level_pencil(D)(r)
             ref = qz(P, Q, right=False)
             ref = ref[np.abs(np.abs(ref) - 1.0) <= 1e-4]
             z = _pencil_eigenvalues(P, Q)
@@ -293,7 +293,8 @@ class TestDirectSum:
 
     def test_exact_ties(self):
         # the same summand twice and rotated copies tie at every angle or at
-        # their crossings, where the ascent stops and the pencil decides
+        # their crossings; the ascent climbs one of them and the pencil
+        # certifies the maximum over all
         M = mr.random_matrix(3, 3, split(3200, 0))
         ref = mr.num_radius(M)
         for Ms in ([M, M], [M, M, M, M], [M, np.exp(0.5j) * M, np.exp(-2.0j) * M]):
@@ -305,7 +306,7 @@ class TestDirectSum:
         # batched LU solve; the other pencil is still shift-and-inverted
         T = mr.random_matrix(3, 3, split(3400, 0))
         r = _attained(T, 1.0)
-        (P0, Q0), (P1, Q1) = _level_pencil(np.zeros((3, 3)), 0.0), _level_pencil(T, r)
+        (P0, Q0), (P1, Q1) = _level_pencil(np.zeros((3, 3)))(0.0), _level_pencil(T)(r)
         z = _pencil_eigenvalues(np.array([P0, P1]), np.array([Q0, Q1]))
         assert len(qz_calls) == 1
         ref = np.concatenate([_pencil_eigenvalues(P1, Q1), _pencil_eigenvalues(P0, Q0)])
