@@ -113,14 +113,18 @@ def _pencil_eigenvalues(P, Q):
         for b in range(len(P)):
             with suppress(np.linalg.LinAlgError):
                 M[b] = np.linalg.solve(P[b] - _SHIFT * Q[b], Q[b])
-    shifted = np.linalg.norm(M, axis=(1, 2)) <= _SHIFTED_NORM_MAX
-    mu = np.linalg.eigvals(M[shifted])
+    # squared Frobenius norms, from the float view without a temporary
+    F = M.view(float).reshape(len(M), -1)
+    qz = np.flatnonzero(~(np.einsum("bk,bk->b", F, F) <= _SHIFTED_NORM_MAX ** 2))
+    # zeroed, the pencils left to QZ give mu = 0, dropped below
+    M[qz] = 0.0
+    mu = np.linalg.eigvals(M)
     # every z with |z| <= 1 + _UNIMODULAR has |z - z0| < |z0| + 2
     z = _SHIFT + 1.0 / mu[np.abs(mu) * (abs(_SHIFT) + 2.0) > 1.0]
-    if shifted.all():
+    if not qz.size:
         return z
-    qz = [scipy.linalg.eig(P[b], Q[b], right=False) for b in np.flatnonzero(~shifted)]
-    return np.concatenate([z] + [zb[np.isfinite(zb)] for zb in qz])
+    zs = [scipy.linalg.eig(P[b], Q[b], right=False) for b in qz]
+    return np.concatenate([z] + [zb[np.isfinite(zb)] for zb in zs])
 
 
 def _level_pencil(D):
@@ -128,7 +132,8 @@ def _level_pencil(D):
     z^m (p(z) + p(z)* - 2r I) as a function of the level r, for D as in
     ``_support_grid`` (one pencil per summand of a stack); its top block row
     holds the coefficients of z^{2m-1} down to z^0, negated. Only the block
-    2r I depends on r, so the rest is built once per solve."""
+    2r I depends on r, so the rest is built once per solve, and each call
+    returns the same P, updated in place."""
     D = _polynomial(D)
     *lead, m, n, _ = D.shape
     P = np.zeros((*lead, 2 * m * n, 2 * m * n), dtype=complex)
@@ -142,9 +147,8 @@ def _level_pencil(D):
     eye = np.eye(n)
 
     def at(r):
-        Pr = P.copy()
-        Pr[..., :n, (m - 1) * n:m * n] = 2.0 * r * eye
-        return Pr, Q
+        P[..., :n, (m - 1) * n:m * n] = 2.0 * r * eye
+        return P, Q
 
     return at
 
