@@ -3,11 +3,13 @@ forms, and one PSD-affine feasibility solver.
 
 Conventions (frozen by round-trip tests):
 
-* A map phi: M_n -> M_m is stored by its values on matrix units,
-  ``values[i][j] = phi(E_{i+1,j+1})`` (0-based storage of 1-based units).
+* A map phi: M_n -> M_m is stored by its values on matrix units, one
+  (n, n, m, m) array ``values[i, j] = phi(E_{i+1,j+1})`` (0-based storage
+  of 1-based units), which every conversion reshapes.
 * The Choi matrix is the nm x nm block matrix whose (i, j) block of size
-  m x m equals phi(E_ij).
-* A Choi eigenvector v reshapes to an m x n Kraus operator K via
+  m x m equals phi(E_ij), the reshape of ``values.swapaxes(1, 2)``.
+* The Choi block factors as F*F (``linalg._psd_factor``); the conjugate v
+  of a row of F reshapes to an m x n Kraus operator K via
   ``v[i*m + a] = K[a, i]`` (blocks of length m indexed by the domain
   index i), and the map acts as ``phi(X) = sum_k K_k X K_k*``.
 * Stinespring: V: C^m -> C^n (x) C^r with row order (i, k) -> i*r + k,
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadShape,
     InconsistentAffine,
     NotCP,
     NotPartitionOfIdentity,
@@ -33,14 +36,11 @@ from .errors import (
 )
 from .linalg import (
     _pinv_sqrt,
-    _psd_verdict,
-    _rank_mask,
+    _psd_factor,
     _tol,
     as_cmat,
     dagger,
-    herm_eig,
     herm_part,
-    matrix_unit,
     op_norm,
     psd_check,
     psd_part,
@@ -49,40 +49,43 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class MapOnUnits:
-    """A linear map M_n -> M_m given by its values on matrix units."""
+    """A linear map M_n -> M_m given by its values on matrix units, stored
+    as one complex (n, n, m, m) array: ShapeMismatch for any other shape,
+    ragged blocks included, BadShape for non-finite entries."""
 
     n: int
     m: int
-    values: tuple  # values[i][j] = phi(E_{i+1,j+1}), each m x m
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) != self.n or any(len(row) != self.n for row in self.values):
-            raise ShapeMismatch("values must be an n x n array of blocks")
-        if any(as_cmat(B).shape != (self.m, self.m) for row in self.values for B in row):
-            raise ShapeMismatch("each value block must be m x m")
+        try:
+            values = np.asarray(self.values, dtype=complex)
+        except ValueError:   # ragged blocks
+            values = np.empty(0)
+        if values.shape != (self.n, self.n, self.m, self.m):
+            raise ShapeMismatch("values must be an n x n array of m x m blocks")
+        if not np.isfinite(values).all():
+            raise BadShape("matrix entries must be finite")
+        object.__setattr__(self, "values", values)
 
     def value(self, i, j):
         """phi(E_ij), 1-based indices."""
-        return np.asarray(self.values[i - 1][j - 1], dtype=complex)
+        return self.values[i - 1, j - 1]
 
     def unital_defect(self):
-        s = sum(np.asarray(self.values[i][i], dtype=complex) for i in range(self.n))
-        return op_norm(s - np.eye(self.m))
+        return op_norm(np.trace(self.values) - np.eye(self.m))
 
 
 def map_on_units(n, m, values):
-    return MapOnUnits(n=n, m=m,
-                      values=tuple(tuple(as_cmat(B) for B in row) for row in values))
+    return MapOnUnits(n=n, m=m, values=values)
 
 
 def identity_map(n):
-    return map_on_units(n, n, [[matrix_unit(n, i, j) for j in range(1, n + 1)]
-                               for i in range(1, n + 1)])
+    return map_on_units(n, n, np.eye(n * n).reshape(n, n, n, n))
 
 
 def transpose_map(n):
-    return map_on_units(n, n, [[matrix_unit(n, j, i) for j in range(1, n + 1)]
-                               for i in range(1, n + 1)])
+    return map_on_units(n, n, np.eye(n * n).reshape(n, n, n, n).swapaxes(2, 3))
 
 
 @dataclass(frozen=True)
@@ -93,21 +96,22 @@ class ChoiMat:
     m: int
     block: np.ndarray  # nm x nm
 
+    def __post_init__(self):
+        if np.shape(self.block) != (self.n * self.m, self.n * self.m):
+            raise ShapeMismatch(f"Choi block must be {self.n * self.m} square")
+
     def block_at(self, i, j):
-        m = self.m
-        return self.block[(i - 1) * m:i * m, (j - 1) * m:j * m]
+        return self.block[(i - 1) * self.m:i * self.m, (j - 1) * self.m:j * self.m]
 
 
 def choi(phi):
-    """Assemble the Choi matrix of a MapOnUnits."""
-    block = np.block([[np.asarray(B, dtype=complex) for B in row] for row in phi.values])
+    """The Choi matrix of a MapOnUnits, in a fresh array."""
+    block = np.array(phi.values.swapaxes(1, 2)).reshape(phi.n * phi.m, phi.n * phi.m)
     return ChoiMat(n=phi.n, m=phi.m, block=block)
 
 
 def map_from_choi(C):
-    vals = [[C.block[i * C.m:(i + 1) * C.m, j * C.m:(j + 1) * C.m]
-             for j in range(C.n)] for i in range(C.n)]
-    return map_on_units(C.n, C.m, vals)
+    return map_on_units(C.n, C.m, np.reshape(C.block, (C.n, C.m, C.n, C.m)).swapaxes(1, 2))
 
 
 def is_cp(phi, tol=None):
@@ -120,7 +124,7 @@ def apply_map(phi, X):
     A = as_cmat(X)
     if A.shape != (phi.n, phi.n):
         raise ShapeMismatch(f"argument must be {phi.n} x {phi.n}, got {A.shape}")
-    return np.einsum("ij,ijab->ab", A, np.asarray(phi.values, dtype=complex))
+    return np.einsum("ij,ijab->ab", A, phi.values)
 
 
 def amplify(phi, k, A):
@@ -129,8 +133,7 @@ def amplify(phi, k, A):
     if M.shape != (k * phi.n, k * phi.n):
         raise ShapeMismatch(f"amplification argument must be {k * phi.n} square")
     n, m = phi.n, phi.m
-    out = np.einsum("sitj,ijab->satb", M.reshape(k, n, k, n),
-                    np.asarray(phi.values, dtype=complex))
+    out = np.einsum("sitj,ijab->satb", M.reshape(k, n, k, n), phi.values)
     return out.reshape(k * m, k * m)
 
 
@@ -139,30 +142,17 @@ class KrausSet:
     operators: tuple  # m x n each; phi(X) = sum_k K X K*
 
     def reconstruct(self, n, m):
-        vals = [[sum(K[:, i][:, None] * np.conj(K[:, j])[None, :]
-                     for K in self.operators)
-                 if self.operators else np.zeros((m, m), dtype=complex)
-                 for j in range(n)] for i in range(n)]
-        return map_on_units(n, m, vals)
+        K = np.array(self.operators, dtype=complex) if self.operators else np.zeros((0, m, n))
+        return map_on_units(n, m, np.einsum("kai,kbj->ijab", K, np.conj(K)))
 
 
 def kraus_from_choi(C, tol=None):
-    """Kraus operators from the spectral decomposition of the Choi block,
-    PSD within psd_eps (NotPSD otherwise), whose slack gives no operator."""
-    eig = herm_eig(C.block)
-    ok, min_eig = _psd_verdict(eig.eigenvalues, _tol(tol).psd_eps)
-    if not ok:
-        raise NotPSD(f"Choi min eigenvalue {min_eig:.3e} below tolerance")
-    return _kraus_from_eig(eig, C)
-
-
-def _kraus_from_eig(eig, C):
-    """Kraus operators, one per eigenvalue above the rank cutoff, from the
-    eigendecomposition ``eig`` of C.block, already judged PSD."""
-    w = eig.eigenvalues
-    keep = _rank_mask(w)
-    vecs = eig.eigenvectors[:, keep] * np.sqrt(w[keep])
-    return KrausSet(operators=tuple(v.reshape(C.n, C.m).T.copy() for v in vecs.T))
+    """Kraus operators, one per Choi eigenvalue above the rank cutoff: the
+    conjugated rows of the factor C = F*F of the Choi block, which must be
+    PSD within psd_eps (NotPSD otherwise); its slack gives no operator."""
+    F = _psd_factor(C.block, _tol(tol).psd_eps, NotPSD,
+                    "Choi min eigenvalue {:.3e} below tolerance")
+    return KrausSet(operators=tuple(np.conj(F).reshape(-1, C.n, C.m).swapaxes(1, 2)))
 
 
 @dataclass(frozen=True)
@@ -174,27 +164,19 @@ class StinespringForm:
 def stinespring(phi, tol=None):
     """Stinespring form V*(X (x) I_r)V = phi(X) of a unital CP map.
 
-    V is stacked from the Kraus operators and then polar-corrected so the
-    isometry identity holds to machine precision. One eigendecomposition of
-    the Choi block, and one PSD verdict on it with slack psd_eps (NotCP
-    otherwise), serve the CP check and the Kraus operators.
+    V is the factor C = F*F of the Choi block (one eigendecomposition, one
+    PSD verdict with slack psd_eps, NotCP otherwise) in Stinespring row
+    order, polar-corrected so the isometry identity holds to machine precision.
     """
-    C = choi(phi)
-    eig = herm_eig(C.block)
-    okcp, min_eig = _psd_verdict(eig.eigenvalues, _tol(tol).psd_eps)
-    if not okcp:
-        raise NotCP(f"Choi min eigenvalue {min_eig:.3e}")
+    F = _psd_factor(choi(phi).block, _tol(tol).psd_eps, NotCP, "Choi min eigenvalue {:.3e}")
     defect = phi.unital_defect()
     if defect > 1e-6:
         raise NotUnital(f"unital defect {defect:.3e}")
-    ops = _kraus_from_eig(eig, C).operators
-    ops = ops or (np.zeros((phi.m, phi.n), dtype=complex),)
-    r = len(ops)
-    # row i r + k of V is conj(K_k[:, i])
-    V = np.conj(np.array(ops)).transpose(2, 0, 1).reshape(phi.n * r, phi.m)
+    r = F.shape[0]
+    # row i r + k of V is conj(K_k[:, i]), the i-th block of row k of F
+    V = F.reshape(r, phi.n, phi.m).swapaxes(0, 1).reshape(phi.n * r, phi.m)
     # polar correction: V <- V (V*V)^{-1/2}
-    G = dagger(V) @ V
-    w, Q = np.linalg.eigh(herm_part(G))
+    w, Q = np.linalg.eigh(herm_part(dagger(V) @ V))
     V = V @ ((Q * _pinv_sqrt(w)) @ dagger(Q))
     return StinespringForm(V=V, r=r)
 
@@ -205,11 +187,9 @@ def cstar_convex(Xs, As):
         raise ShapeMismatch("need equally many operators and coefficients")
     As = [as_cmat(A) for A in As]
     Xs = [as_cmat(X) for X in Xs]
-    m = As[0].shape[1]
-    total = sum(dagger(A) @ A for A in As)
-    if op_norm(total - np.eye(m)) > 1e-9:
-        raise NotPartitionOfIdentity(
-            f"sum A_k* A_k differs from identity by {op_norm(total - np.eye(m)):.3e}")
+    defect = op_norm(sum(dagger(A) @ A for A in As) - np.eye(As[0].shape[1]))
+    if defect > 1e-9:
+        raise NotPartitionOfIdentity(f"sum A_k* A_k differs from identity by {defect:.3e}")
     return sum(dagger(A) @ X @ A for A, X in zip(As, Xs))
 
 

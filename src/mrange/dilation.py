@@ -290,10 +290,8 @@ def _nilpotent_dilation(A, n, cond):
     N = kron(shift(n), np.eye(d, dtype=complex))
 
     verify(op_norm(np.linalg.matrix_power(N, n)) == 0.0, "N^n must vanish exactly")
-    Vh, Nj, errs = dagger(V), np.eye(n * d, dtype=complex), []
-    for j in range(n):
-        errs.append(op_norm(Vh @ Nj @ V - powers[j]))
-        Nj = Nj @ N
+    # N^j moves block k of V to block k + j: V* N^j V = V[jd:]* V[:(n-j)d]
+    errs = [op_norm(dagger(V[j * d:]) @ V[:(n - j) * d] - powers[j]) for j in range(n)]
     verify(errs[0] <= 1e-10, f"isometry defect {errs[0]:.3e}")
     for j in range(1, n):
         # the lift moves this by at most 10 RANK_REL + BAND near zero

@@ -134,6 +134,18 @@ def _psd_verdict(w, eps):
     return bool(min_eig >= -eps * (1.0 + float(np.abs(w).max(initial=0.0)))), min_eig
 
 
+def _psd_factor(H, eps, error, what):
+    """F = diag(sqrt w) U* over the eigenvalues w of H above the rank cutoff,
+    so F*F = H, from one herm_eig: error(what.format(min_eig)) unless H is
+    PSD within -eps * (1 + max|w|)."""
+    eig = herm_eig(H)
+    ok, min_eig = _psd_verdict(eig.eigenvalues, eps)
+    if not ok:
+        raise error(what.format(min_eig))
+    keep = _rank_mask(eig.eigenvalues)
+    return np.sqrt(eig.eigenvalues[keep])[:, None] * dagger(eig.eigenvectors[:, keep])
+
+
 def _sqrt_eigenvalues(w, eps):
     """Square roots of the eigenvalues w of a PSD operator, those within
     -eps * (1 + max|w|) of zero clipped to 0; NotPSD below that."""

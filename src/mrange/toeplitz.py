@@ -18,12 +18,10 @@ from .errors import (
 )
 from .linalg import (
     _pinv_sqrt,
-    _psd_verdict,
-    _rank_mask,
+    _psd_factor,
     _tol,
     as_cmat,
     dagger,
-    herm_eig,
     herm_part,
     op_norm,
     psd_check,
@@ -210,22 +208,24 @@ def toeplitz_psd(spec, tol=None):
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """Atoms on the circle: angles plus nonnegative scalar weights, or PSD
-    matrix weights in the block case."""
+    """Atoms on the circle: angles plus weights, stored as one array of r
+    nonnegative scalars, shape (r,), or of r PSD d x d matrices, (r, d, d)."""
 
     nodes: np.ndarray
-    weights: object  # 1-D array (scalar case), or a stack or tuple of PSD matrices
+    weights: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", np.asarray(self.weights))
 
     @property
     def is_block(self):
-        return not isinstance(self.weights, np.ndarray) or \
-            np.asarray(self.weights).ndim != 1
+        return self.weights.ndim != 1
 
     def moment(self, k):
         phases = np.exp(1j * k * np.asarray(self.nodes))
         if not self.is_block:
-            return complex(np.sum(np.asarray(self.weights) * phases))
-        return np.tensordot(phases, np.asarray(self.weights), axes=1)
+            return complex(np.sum(self.weights * phases))
+        return np.tensordot(phases, self.weights, axes=1)
 
 
 def _unitary_measure(T, d, t):
@@ -235,8 +235,9 @@ def _unitary_measure(T, d, t):
     quadrature (Jones, Njastad & Thron, 1989; Gragg, 1993).
 
     T = F*F for F = diag(sqrt w) U* over T's eigenvalues above
-    RANK_REL * w_max, so F_i* F_j = A_{i-j} for its column blocks, and
-    F_a = [F_0..F_{n-2}], F_b = [F_1..F_{n-1}] share a Gram matrix. The
+    RANK_REL * w_max (linalg._psd_factor), so F_i* F_j = A_{i-j} for its
+    column blocks, and F_a = [F_0..F_{n-2}], F_b = [F_1..F_{n-1}] share a
+    Gram matrix. The
     polar factor W of F_b F_a* is then unitary with W F_a = F_b, also for a
     rank-deficient F_a, and A_k = F_0* W^{-k} F_0. The complex Schur form
     W = Z diag(l) Z* keeps Z unitary for clustered l: theta_j = -angle(l_j)
@@ -244,13 +245,7 @@ def _unitary_measure(T, d, t):
     MomentResidualTooLarge beyond 1e-6 (1 + max|A_k|) in a moment entry.
     """
     n = T.shape[0] // d
-    eig = herm_eig(T)
-    w, U = eig.eigenvalues, eig.eigenvectors
-    ok, min_eig = _psd_verdict(w, t.psd_eps)
-    if not ok:
-        raise NotPSD(f"Toeplitz matrix min eigenvalue {min_eig:.3e}")
-    keep = _rank_mask(w)
-    F = np.sqrt(w[keep])[:, None] * dagger(U[:, keep])
+    F = _psd_factor(T, t.psd_eps, NotPSD, "Toeplitz matrix min eigenvalue {:.3e}")
     # at n = 1 F_a is empty and any unitary, such as this one, extends it
     X, _, Yh = np.linalg.svd(F[:, d:] @ dagger(F[:, :-d]))
     L, Z = scipy.linalg.schur(X @ Yh, output="complex")
@@ -269,8 +264,7 @@ def _unitary_measure(T, d, t):
 def measure_from_toeplitz(spec, tol=None):
     """At most rank T nonnegative atoms with the coefficients of a PSD
     Toeplitz spec as moments: the scalar case of _unitary_measure."""
-    T = toeplitz_assemble(spec)
-    nodes, weights = _unitary_measure(T, T.shape[0] // spec.n, _tol(tol))
+    nodes, weights = _unitary_measure(toeplitz_assemble(spec), 1, _tol(tol))
     return AtomicMeasure(nodes=nodes, weights=weights[:, 0, 0].real)
 
 
@@ -286,6 +280,4 @@ def toeplitz_from_measure(mu, n):
 def block_measure_from_toeplitz(spec, tol=None):
     """An (r, d, d) stack of r <= rank T rank-one PSD weights with
     sum_j e^{i k theta_j} G_j = A_k (_unitary_measure)."""
-    T = toeplitz_assemble(spec)
-    nodes, weights = _unitary_measure(T, T.shape[0] // spec.n, _tol(tol))
-    return AtomicMeasure(nodes=nodes, weights=weights)
+    return AtomicMeasure(*_unitary_measure(toeplitz_assemble(spec), spec.block_dim, _tol(tol)))

@@ -1,4 +1,8 @@
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
+
+import mrange as mr
 
 # numeric property tests: no wall-clock deadlines, and a fixed example set so
 # the suite is reproducible run to run
@@ -9,3 +13,18 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("mrange")
+
+
+@pytest.fixture
+def herm_eig_calls(monkeypatch):
+    """The shapes of the matrices passed to linalg.herm_eig, in call order;
+    ``mrange.herm_eig``, the package's own name for it, is left unpatched
+    for reference computations."""
+    calls = []
+    herm_eig = mr.linalg.herm_eig
+
+    def counted(H):
+        calls.append(np.shape(H))
+        return herm_eig(H)
+    monkeypatch.setattr(mr.linalg, "herm_eig", counted)
+    return calls

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +10,15 @@ from hypothesis import strategies as st
 
 import mrange as mr
 from mrange.cpmaps import Feasible, Undetermined
-from mrange.errors import InconsistentAffine, NotCP, NotPartitionOfIdentity, NotPSD, NotUnital
+from mrange.errors import (
+    BadShape,
+    InconsistentAffine,
+    NotCP,
+    NotPartitionOfIdentity,
+    NotPSD,
+    NotUnital,
+    ShapeMismatch,
+)
 from mrange.rng import split
 
 from helpers import E21, random_ucp_map
@@ -46,6 +59,67 @@ class TestChoi:
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 assert mr.op_norm(back.value(i, j) - phi.value(i, j)) <= 1e-10
+
+
+class TestMapValues:
+    """A map's values are one (n, n, m, m) array, checked once."""
+
+    @pytest.mark.parametrize("n, m, values", [
+        (2, 2, [[np.eye(2), np.eye(2)], [np.eye(2)]]),              # ragged rows
+        (2, 2, [[np.eye(2), np.eye(2)], [np.eye(2), np.eye(3)]]),   # ragged blocks
+        (2, 3, [[np.eye(2), np.eye(2)], [np.eye(2), np.eye(2)]]),   # wrong block size
+        (3, 2, [[np.eye(2), np.eye(2)], [np.eye(2), np.eye(2)]]),   # wrong n
+    ])
+    def test_wrong_shapes_raise_shape_mismatch(self, n, m, values):
+        with pytest.raises(ShapeMismatch):
+            mr.map_on_units(n, m, values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_entries_raise_bad_shape(self, bad):
+        B = np.eye(2, dtype=complex)
+        B[1, 0] = bad
+        with pytest.raises(BadShape, match="finite"):
+            mr.map_on_units(2, 2, [[np.eye(2), B], [B, np.eye(2)]])
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (2, 1), (2, 3), (3, 2)])
+    def test_choi_round_trip_is_exact(self, n, m):
+        vals = [[mr.random_matrix(m, m, split(7 * n + m, i * n + j)) for j in range(n)]
+                for i in range(n)]
+        phi = mr.map_on_units(n, m, vals)
+        back = mr.map_from_choi(mr.choi(phi))
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                np.testing.assert_array_equal(back.value(i, j), vals[i - 1][j - 1])
+                np.testing.assert_array_equal(mr.choi(phi).block_at(i, j), vals[i - 1][j - 1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_identity_and_transpose_on_matrix_units(self, n):
+        ident, trans = mr.identity_map(n), mr.transpose_map(n)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                np.testing.assert_array_equal(ident.value(i, j), mr.matrix_unit(n, i, j))
+                np.testing.assert_array_equal(trans.value(i, j), mr.matrix_unit(n, j, i))
+
+    @pytest.mark.parametrize("n, m, rank", [(2, 2, 1), (2, 3, 4), (3, 2, 6), (1, 2, 2)])
+    def test_kraus_reconstruct_gives_back_the_choi_block(self, n, m, rank):
+        G = mr.random_matrix(n * m, rank, 100 * n + 10 * m + rank)
+        C = mr.ChoiMat(n=n, m=m, block=G @ np.conj(G).T)
+        back = mr.choi(mr.kraus_from_choi(C).reconstruct(n, m)).block
+        np.testing.assert_allclose(back, C.block, rtol=0, atol=1e-12 * mr.op_norm(C.block))
+
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_choi_block_of_the_wrong_size_raises_shape_mismatch(self, size):
+        with pytest.raises(ShapeMismatch):
+            mr.map_from_choi(mr.ChoiMat(n=2, m=2, block=np.eye(size)))
+
+    def test_kraus_operators_of_the_wrong_shape_raise_shape_mismatch(self):
+        ops = mr.kraus_from_choi(mr.choi(mr.identity_map(2))).operators
+        with pytest.raises(ShapeMismatch):
+            mr.KrausSet(operators=ops).reconstruct(1, 4)
+
+    def test_empty_kraus_set_is_the_zero_map(self):
+        phi = mr.KrausSet(operators=()).reconstruct(2, 3)
+        np.testing.assert_array_equal(mr.choi(phi).block, np.zeros((6, 6)))
 
 
 class TestIsCp:
@@ -135,6 +209,22 @@ class TestKraus:
             for j in range(1, 3):
                 assert mr.op_norm(back.value(i, j) - C.block_at(i, j)) <= 1e-8
 
+    @pytest.mark.parametrize("n, m, rank", [(2, 2, 1), (2, 3, 4), (3, 2, 5)])
+    def test_one_eigendecomposition_per_kraus_set(self, herm_eig_calls, n, m, rank):
+        G = mr.random_matrix(n * m, rank, 10 * n + m)
+        C = mr.ChoiMat(n=n, m=m, block=G @ np.conj(G).T)
+        # reference: the Kraus operators as sqrt(w) times eigenvectors, reshaped
+        eig = mr.herm_eig(C.block)
+        keep = mr.linalg._rank_mask(eig.eigenvalues)
+        vecs = eig.eigenvectors[:, keep] * np.sqrt(eig.eigenvalues[keep])
+        expect = [v.reshape(n, m).T for v in vecs.T]
+
+        ops = mr.kraus_from_choi(C).operators
+        assert herm_eig_calls == [(n * m, n * m)]
+        assert len(ops) == len(expect) == rank
+        for K, E in zip(ops, expect):
+            np.testing.assert_array_equal(K, E)
+
 
 class TestStinespring:
     def test_identity_map(self):
@@ -181,7 +271,6 @@ class TestStinespring:
             calls.append(np.shape(H))
             return herm_eig(H)
         monkeypatch.setattr(mr.linalg, "herm_eig", counted)
-        monkeypatch.setattr(mr.cpmaps, "herm_eig", counted)
         st_form = mr.stinespring(phi)
         assert calls == [(6, 6)]
         assert st_form.r == len(ops)
@@ -206,6 +295,36 @@ class TestStinespring:
             mr.stinespring(mr.map_from_choi(C), tight)
         with pytest.raises(NotPSD, match="Choi min eigenvalue -1.000e-10 below tolerance"):
             mr.kraus_from_choi(C, tight)
+
+
+def test_rejections_hold_under_python_O():
+    """The PSD verdict of the Choi and Toeplitz factors, and the check of a
+    map's values, are runtime checks: they raise under python -O too."""
+    code = textwrap.dedent("""
+        import numpy as np
+        import mrange as mr
+
+        def name(call):
+            try:
+                call()
+            except mr.errors.MrangeError as exc:
+                return exc.name
+            return "none"
+
+        T = mr.transpose_map(2)
+        print(__debug__)
+        print(name(lambda: mr.stinespring(T)))
+        print(name(lambda: mr.kraus_from_choi(mr.choi(T))))
+        spec = mr.ToeplitzSpec(coeffs=np.array([1.0, 0.9, 0.9j]))
+        print(name(lambda: mr.measure_from_toeplitz(spec)))
+        print(name(lambda: mr.map_on_units(2, 2, [[np.eye(2), np.eye(2)], [np.eye(2)]])))
+    """)
+    src = os.path.dirname(os.path.dirname(mr.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == ["False", "NotCP", "NotPSD", "NotPSD", "ShapeMismatch"], \
+        out.stderr
 
 
 class TestCstarConvex:

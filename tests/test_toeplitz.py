@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -171,6 +172,14 @@ class TestToeplitzFromMeasure:
         spec = mr.toeplitz_from_measure(mu, 3)
         np.testing.assert_allclose(mr.toeplitz_assemble(spec), np.ones((3, 3)),
                                    atol=1e-14)
+
+    def test_list_of_scalar_weights_is_a_scalar_measure(self):
+        # a list of numbers is read as the (r,) weight array, as a 1-D array is
+        mu = mr.AtomicMeasure(nodes=[0.0, np.pi], weights=[0.5, 0.5])
+        assert not mu.is_block and mu.weights.shape == (2,)
+        spec = mr.toeplitz_from_measure(mu, 3)
+        assert isinstance(spec, mr.ToeplitzSpec)
+        np.testing.assert_allclose(spec.coeffs, [1.0, 0.0, 1.0], atol=1e-15)
 
     def test_roots_of_unity_give_identity(self):
         G = 8
@@ -356,6 +365,33 @@ class TestUnitaryExtension:
             blocks=tuple(np.array([[c]]) for c in spec.coeffs)))
         assert np.array_equal(bmu.nodes, mu.nodes)
         assert np.array_equal(np.array(bmu.weights)[:, 0, 0].real, mu.weights)
+
+    @pytest.mark.parametrize("block", [False, True])
+    def test_one_eigendecomposition_per_measure(self, herm_eig_calls, block):
+        rng = np.random.default_rng(5)
+        d, n, atoms = (2, 5, 4) if block else (1, 6, 3)
+        spec = _moment_spec(2 * np.pi * rng.random(atoms), _rank_one_stack(rng, atoms, d), n)
+        if not block:
+            spec = mr.ToeplitzSpec(coeffs=np.array([B[0, 0] for B in spec.blocks]))
+        # reference: the atoms read off F = diag(sqrt w) U* as a separate
+        # eigendecomposition, PSD verdict and rank cutoff give it
+        T = mr.toeplitz_assemble(spec)
+        eig = mr.herm_eig(T)
+        assert mr.linalg._psd_verdict(eig.eigenvalues, 1e-9)[0]
+        keep = mr.linalg._rank_mask(eig.eigenvalues)
+        F = np.sqrt(eig.eigenvalues[keep])[:, None] * np.conj(eig.eigenvectors[:, keep]).T
+        X, _, Yh = np.linalg.svd(F[:, d:] @ np.conj(F[:, :-d]).T)
+        L, Z = scipy.linalg.schur(X @ Yh, output="complex")
+        g = np.conj(Z).T @ F[:, :d]
+        weights = np.conj(g)[:, :, None] * g[:, None, :]
+
+        if block:
+            mu = mr.block_measure_from_toeplitz(spec)
+        else:
+            mu, weights = mr.measure_from_toeplitz(spec), weights[:, 0, 0].real
+        assert herm_eig_calls == [(n * d, n * d)]
+        np.testing.assert_array_equal(mu.nodes, -np.angle(np.diagonal(L)))
+        np.testing.assert_array_equal(mu.weights, weights)
 
     def test_import_leaves_out_scipy_optimize(self):
         src = os.path.dirname(os.path.dirname(mr.__file__))
