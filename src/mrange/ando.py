@@ -33,6 +33,9 @@ shift, built from the angles where w(T) is attained, moves those
 eigenvalues to 0: quadratic, 4 to 10 steps, and at the maximal solution
 itself. A shifted run that misses the stop falls back to the plain one.
 The result is verified against the defining LMI and X <= I.
+
+X of T* (``_adjoint_X``) gives Y_min and, for 2T, the E21 witness of T: the
+Choi matrix [[X, T*], [T, I - X]] of the unital CP map sending E21 to T.
 """
 
 from dataclasses import dataclass
@@ -40,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
+from .cpmaps import map_on_units
 from .errors import NoConvergence, RadiusTooLarge, RangeViolation, verify
 from .linalg import (
     BAND,
@@ -241,12 +245,11 @@ def ando_X(T, tol=None):
 
 
 def _maxima(w):
-    """The angles where a radius from num_radius is attained; none for a
-    plain float, such as a scaled radius."""
-    return np.asarray(getattr(w, "maxima", ()), dtype=float)
+    """The angles where a radius from num_radius is attained."""
+    return w.maxima
 
 
-def _extremal_X(A, w, t, maxima=()):
+def _extremal_X(A, w, t, maxima):
     """ando_X for a square A whose numerical radius w is already known, and
     the angles ``maxima`` where it is attained (none: no shift is tried);
     also returns X's eigendecomposition (x, U) and the LMI's min eigenvalue.
@@ -289,6 +292,12 @@ def _extremal_X(A, w, t, maxima=()):
     return X, k, (x, U), min_eig
 
 
+def _adjoint_X(A, w, t):
+    """(X, iterations) of ando_X(A*) for A of numerical radius w, which A* attains
+    at the negated angles. It gives Y_min's X(T*) and, at A = 2T, T's E21 witness."""
+    return _extremal_X(dagger(A), w, t, -_maxima(w))[:2]
+
+
 @dataclass(frozen=True)
 class AndoDecomposition:
     """Extremal factorization data for one input T.
@@ -325,8 +334,7 @@ def _ando_decompose(A, w, t):
     one eigendecomposition X = U diag(x) U* that _extremal_X checked."""
     I = np.eye(A.shape[0], dtype=complex)
     X, iters, (x, U), lmi_min = _extremal_X(A, w, t, _maxima(w))
-    # w(T*) = w(T), attained at the negated angles: Re(e^{i theta} T*) = Re(e^{-i theta} T)
-    Xstar, iters2, _, _ = _extremal_X(dagger(A), w, t, -_maxima(w))
+    Xstar, iters2 = _adjoint_X(A, w, t)
     Y_max = 2.0 * X - I
     Y_min = -(2.0 * Xstar - I)
 
@@ -382,24 +390,11 @@ def radius_lmi(T, tol=None):
     psd_eps. Otherwise (False, None).
     """
     t = _tol(tol)
-    M = require_square(T, "radius_lmi")
-    return _radius_lmi(M, num_radius(M), t)
-
-
-def _radius_lmi(M, w, t, A=None):
-    """radius_lmi for a square M whose numerical radius w is already known;
-    A, when given, is ando_X((2M)*) (an ando_decompose's Xstar of 2M), so it
-    always comes from _extremal_X. The one decider of the E21 verdict: False
-    exactly when _extremal_X raises RadiusTooLarge. The block needs no check
-    of its own: _extremal_X has checked its LMI for (2M)*,
-    [[I - A, M], [M*, A]], which is this block with its block rows and
-    columns swapped."""
-    if A is None:
-        try:
-            A = _extremal_X(dagger(2.0 * M), 2.0 * w, t, -_maxima(w))[0]
-        except RadiusTooLarge:
-            return False, None
-    return True, A
+    D = 2.0 * require_square(T, "radius_lmi")
+    try:
+        return True, _adjoint_X(D, num_radius(D), t)[0]
+    except RadiusTooLarge:
+        return False, None
 
 
 def ucp_from_e21(T, tol=None):
@@ -410,17 +405,16 @@ def ucp_from_e21(T, tol=None):
     """
     t = _tol(tol)
     M = require_square(T, "ucp_from_e21")
-    return _ucp_from_e21(M, num_radius(M), t)
+    D = 2.0 * M
+    w = num_radius(D)
+    try:
+        X = _adjoint_X(D, w, t)[0]
+    except RadiusTooLarge:
+        raise RadiusTooLarge(f"numerical radius {w / 2.0:.12f} exceeds 1/2") from None
+    return _e21_map(M, X)
 
 
-def _ucp_from_e21(M, w, t, A=None):
-    """ucp_from_e21 for a square M whose numerical radius w is already known;
-    A as for _radius_lmi. The map is CP because its Choi matrix is the block
-    that _extremal_X has checked PSD, up to the swap of its block rows and
-    columns."""
-    from .cpmaps import map_on_units
-
-    ok, A = _radius_lmi(M, w, t, A)
-    if not ok:
-        raise RadiusTooLarge(f"numerical radius {w:.12f} exceeds 1/2")
-    return map_on_units(2, M.shape[0], [[A, dagger(M)], [M, np.eye(M.shape[0]) - A]])
+def _e21_map(M, X):
+    """The unital map sending E_21 to M, for X = ando_X((2M)*): its Choi matrix is
+    _extremal_X's checked LMI block for (2M)*, block rows and columns swapped."""
+    return map_on_units(2, M.shape[0], [[X, dagger(M)], [M, np.eye(M.shape[0]) - X]])

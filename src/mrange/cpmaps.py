@@ -35,6 +35,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import (
+    _check_unit_indices,
     _pinv_sqrt,
     _psd_factor,
     _tol,
@@ -69,7 +70,8 @@ class MapOnUnits:
         object.__setattr__(self, "values", values)
 
     def value(self, i, j):
-        """phi(E_ij), 1-based indices."""
+        """phi(E_ij), 1-based indices: BadShape outside 1..n."""
+        _check_unit_indices(self.n, i, j)
         return self.values[i - 1, j - 1]
 
     def unital_defect(self):
@@ -101,6 +103,8 @@ class ChoiMat:
             raise ShapeMismatch(f"Choi block must be {self.n * self.m} square")
 
     def block_at(self, i, j):
+        """The m x m block phi(E_ij), 1-based indices: BadShape outside 1..n."""
+        _check_unit_indices(self.n, i, j)
         return self.block[(i - 1) * self.m:i * self.m, (j - 1) * self.m:j * self.m]
 
 

@@ -219,10 +219,15 @@ def direct_sum(mats):
     return scipy.linalg.block_diag(*mats)
 
 
-def matrix_unit(n, k, j):
-    """E_kj in M_n (1-based indices): maps the j-th basis vector to the k-th."""
+def _check_unit_indices(n, k, j):
+    """BadShape unless E_kj is a matrix unit of M_n, 1 <= k, j <= n."""
     if not (1 <= k <= n and 1 <= j <= n):
         raise BadShape(f"matrix unit indices ({k},{j}) out of range for n={n}")
+
+
+def matrix_unit(n, k, j):
+    """E_kj in M_n (1-based indices): maps the j-th basis vector to the k-th."""
+    _check_unit_indices(n, k, j)
     E = np.zeros((n, n), dtype=complex)
     E[k - 1, j - 1] = 1.0
     return E

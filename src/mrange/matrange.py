@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ando
 from .errors import (
     BadShape,
     BoundaryBand,
@@ -48,16 +49,15 @@ def member_e21(X, tol=None):
     """Membership in the matricial range of the 2x2 lower shift: exactly
     the operators with numerical radius at most 1/2. The verdict is the
     existence of its witness, ucp_from_e21's map, so never unverified."""
-    from .ando import _ucp_from_e21
-
     t = _tol(tol)
     A = require_square(X, "member_e21")
-    w = num_radius(A)
+    D = 2.0 * A
+    w = num_radius(D)
     try:
-        witness = _ucp_from_e21(A, w, t)
+        witness = ando._e21_map(A, ando._adjoint_X(D, w, t)[0])
     except RadiusTooLarge:
         witness = None
-    return MembershipVerdict(member=witness is not None, margin=0.5 - w, witness=witness)
+    return MembershipVerdict(member=witness is not None, margin=0.5 - w / 2.0, witness=witness)
 
 
 def member_shift_ball(X, nodes=64, tol=None):
@@ -260,7 +260,6 @@ def equivalence_suite(T, tol=None):
     BoundaryBand for |w - 1| <= BAND (1 + |T|), the rounding band of every
     threshold verdict, where (1) and the band-rounded (2), (4), (5) split.
     """
-    from .ando import _ando_decompose, _ucp_from_e21
     from .dilation import _nilpotent_dilation, _two_dilation, nilpotent_condition
 
     t = _tol(tol)
@@ -276,10 +275,9 @@ def equivalence_suite(T, tol=None):
 
     # one decomposition serves the dilation (3) and both factorizations (6), (8)
     cond3 = cond6 = cond8 = False
-    Xstar = None
+    dec = None
     try:
-        dec = _ando_decompose(A, w, t)
-        Xstar = dec.Xstar
+        dec = ando._ando_decompose(A, w, t)
         cond6 = dec.residuals["reconstruction_ymax"] <= 1e-8
         cond8 = dec.residuals["reconstruction_c"] <= 1e-8
         _two_dilation(A, dec.C, 12, t)   # window 12: powers 1 to 5 verified
@@ -295,10 +293,9 @@ def equivalence_suite(T, tol=None):
     except (ConditionFails, NoConvergence, VerificationFailed):
         cond5 = False
 
-    # w(T/2) = w(T)/2, and ando_X((2 T/2)*) is the decomposition's Xstar:
-    # the halved LMI (7) holds exactly when the UCP map (9) exists
+    # the halved LMI (7) holds exactly when the UCP map (9) exists: X(T*) is its witness
     try:
-        _ucp_from_e21(A / 2.0, w / 2.0, t, Xstar)
+        ando._e21_map(A / 2.0, ando._adjoint_X(A, w, t)[0] if dec is None else dec.Xstar)
         cond7 = cond9 = True
     except RadiusTooLarge:
         cond7 = cond9 = False

@@ -27,19 +27,13 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix(z):
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
-
-
 # 0-d uint64 operands: numpy applies them faster than uint64 scalars
 _U64 = {k: np.array(k, dtype=np.uint64)
         for k in (11, 27, 30, 31, _GOLDEN, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)}
 
 
 def _mix_array(z):
-    """_mix elementwise, in place, on a uint64 array (products wrap mod 2^64)."""
+    """The output mix, in place on a uint64 array (products wrap mod 2^64)."""
     z ^= z >> _U64[30]
     z *= _U64[0xBF58476D1CE4E5B9]
     z ^= z >> _U64[27]
@@ -48,13 +42,9 @@ def _mix_array(z):
     return z
 
 
-# int() of a seed or of each seed in an array, as Python integers
-_INT = np.frompyfunc(int, 1, 1)
-
-
 def split(seed, k):
     """Derive the k-th child seed of ``seed`` (order-independent fan-out)."""
-    return _mix((seed + (k + 1) * _GOLDEN) & _MASK)
+    return int(_mix_array(np.array((int(seed) + (k + 1) * _GOLDEN) & _MASK, dtype=np.uint64)))
 
 
 def children(seed, count):
@@ -70,7 +60,9 @@ class SplitMix64:
     runs one stream per seed and every draw gains their leading axes."""
 
     def __init__(self, seed):
-        self._state = np.array(_INT(seed) & _MASK, dtype=np.uint64)
+        # a copy: every draw advances the state in place
+        self._state = (seed.astype(np.uint64) if isinstance(seed, np.ndarray)
+                       else np.array(int(seed) & _MASK, dtype=np.uint64))
 
     def _draw(self, count):
         """The next ``count`` outputs of each stream, as a uint64 array."""

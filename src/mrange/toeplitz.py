@@ -14,6 +14,7 @@ from .errors import (
     MomentResidualTooLarge,
     NotPSD,
     NotStrictlyPositive,
+    ShapeMismatch,
     verify,
 )
 from .linalg import (
@@ -208,14 +209,17 @@ def toeplitz_psd(spec, tol=None):
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """Atoms on the circle: angles plus weights, stored as one array of r
-    nonnegative scalars, shape (r,), or of r PSD d x d matrices, (r, d, d)."""
+    """Atoms on the circle: r = len(nodes) angles and one array of weights, r
+    nonnegative scalars (r,) or r PSD d x d matrices (r, d, d), else ShapeMismatch."""
 
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights))
+        weights, r = np.asarray(self.weights), len(self.nodes)
+        if weights.shape[:1] != (r,) or weights.shape[1:] not in ((), weights.shape[-1:] * 2):
+            raise ShapeMismatch(f"weights of shape {weights.shape} do not fit {r} nodes")
+        object.__setattr__(self, "weights", weights)
 
     @property
     def is_block(self):

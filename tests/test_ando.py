@@ -638,3 +638,63 @@ class TestUcpFromE21:
         monkeypatch.setattr(mr.ando, "psd_check", lambda H, tol=None: (False, -1.0))
         with pytest.raises(NoConvergence, match="limit violates the defining LMI"):
             mr.ucp_from_e21(random_with_radius(3, 0.4, split(53, 3)))
+
+
+class TestAdjointXIsTheE21Witness:
+    """Ando's X of T* is the E21 witness of T/2: ando_decompose's Xstar and
+    radius_lmi's A come from the one solve of the adjoint problem."""
+
+    @pytest.mark.parametrize("w", [0.3, 0.9, 1.0])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_xstar_is_the_halved_lmi_witness(self, w, d):
+        T = random_with_radius(d, w, split(67, 10 * d))
+        ok, A = mr.radius_lmi(T / 2.0)
+        assert ok and np.array_equal(mr.ando_decompose(T).Xstar, A)
+        # T* attains its radius at the negated angles: at w = 1 a shift from
+        # the wrong ones would fall back to the plain run, 4e-7 above X(T*)
+        np.testing.assert_allclose(A, mr.ando_X(np.conj(T).T)[0], rtol=0, atol=1e-12)
+        phi = mr.ucp_from_e21(T / 2.0)
+        assert np.array_equal(phi.value(1, 1), A)
+        assert np.array_equal(mr.member_e21(T / 2.0).witness.values, phi.values)
+
+    def test_doubling_keeps_the_radius_and_its_maxima(self):
+        # num_radius scales its input by a power of two first, so doubling T
+        # doubles the radius exactly and keeps the angles where it is attained
+        for d in (2, 3, 6):
+            T = random_with_radius(d, 1.0, split(61, d))
+            w, w2 = mr.num_radius(T), mr.num_radius(2.0 * T)
+            assert 2.0 * w == w2 and np.array_equal(w.maxima, w2.maxima)
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """The matrices _extremal_X is called on, in call order."""
+        calls = []
+        extremal = mr.ando._extremal_X
+
+        def counted(*args):
+            calls.append(args[0])
+            return extremal(*args)
+
+        monkeypatch.setattr(mr.ando, "_extremal_X", counted)
+        return calls
+
+    @pytest.mark.parametrize("call, solves", [
+        (mr.radius_lmi, 1), (mr.ucp_from_e21, 1), (mr.member_e21, 1), (mr.ando_decompose, 2)])
+    @pytest.mark.parametrize("w", [0.4, 1.0])
+    def test_one_extremal_solve_per_problem(self, call, solves, w, solved):
+        T = random_with_radius(3, w, split(71, 3))
+        call(T / 2.0 if call is not mr.ando_decompose else T)
+        assert len(solved) == solves
+        # the E21 solve and the decomposition's second one are on the adjoint
+        assert np.array_equal(solved[-1], np.conj(T).T)
+
+    def test_large_radius_is_refused_by_every_e21_entry_point(self, solved):
+        T = random_with_radius(3, 0.6, split(73, 3))
+        assert mr.radius_lmi(T) == (False, None)
+        verdict = mr.member_e21(T)
+        assert not verdict.member and verdict.witness is None
+        assert verdict.margin == 0.5 - mr.num_radius(T)
+        message = f"numerical radius {mr.num_radius(T):.12f} exceeds 1/2"
+        with pytest.raises(RadiusTooLarge, match=f"^{re.escape(message)}$"):
+            mr.ucp_from_e21(T)
+        assert len(solved) == 3

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -120,6 +121,18 @@ class TestMapValues:
     def test_empty_kraus_set_is_the_zero_map(self):
         phi = mr.KrausSet(operators=()).reconstruct(2, 3)
         np.testing.assert_array_equal(mr.choi(phi).block, np.zeros((6, 6)))
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (3, 1), (1, 0), (2, 3), (-1, 2)])
+    def test_indices_outside_one_to_n_raise_bad_shape(self, i, j):
+        # 1-based: numpy's negative indexing would read phi(E_21) at (0, 1),
+        # and a slice past the end an empty block
+        phi = mr.transpose_map(2)
+        with pytest.raises(BadShape) as unit:
+            mr.matrix_unit(2, i, j)
+        with pytest.raises(BadShape, match=f"^{re.escape(str(unit.value))}$"):
+            phi.value(i, j)
+        with pytest.raises(BadShape, match=f"^{re.escape(str(unit.value))}$"):
+            mr.choi(phi).block_at(i, j)
 
 
 class TestIsCp:
@@ -376,6 +389,21 @@ class TestSolveFeasibility:
         monkeypatch.setattr(mr.cpmaps, "MAX_ITER", 800)
         out = mr.solve_map_problem(2, 2, [(E21, 0.8 * np.eye(2, dtype=complex))])
         assert isinstance(out, Undetermined)
+
+    def test_best_iterate_within_feas_eps_is_feasible(self, monkeypatch):
+        # no iterate reaches the target feas_eps / 20, but the best one is
+        # within feas_eps: it is returned, with its residual, after MAX_ITER.
+        # The Choi problem of a unital map sending E21 to 0.8 I, which has no
+        # solution, keeps the residual of the first iterate away from 0
+        K, B = np.array([np.eye(2), E21])[:, None], np.array([np.eye(2), 0.8 * np.eye(2)])
+        first = mr.solve_feasibility(K, B, target=np.inf)
+        assert isinstance(first, Feasible) and first.residual > 0.0
+        monkeypatch.setattr(mr.cpmaps, "MAX_ITER", 1)
+        out = mr.solve_feasibility(K, B, mr.Tolerances(psd_eps=2.0 * first.residual))
+        assert isinstance(out, Feasible) and out.residual == first.residual
+        assert np.array_equal(out.matrix, first.matrix)
+        out = mr.solve_feasibility(K, B, mr.Tolerances(psd_eps=first.residual / 2.0))
+        assert isinstance(out, Undetermined) and out.residual == first.residual
 
     def test_block_cone_partition(self):
         # two 1x1 blocks forced to x and 1-x with x PSD: feasible

@@ -1,7 +1,7 @@
 """Every parameter of a library function is read by its body: a parameter
 that nothing reads is a setting that does nothing. Likewise every name a
 library module imports is used: an unused import is left over from code
-that has gone."""
+that has gone. And no library check is an assert, which python -O strips."""
 
 import ast
 import pathlib
@@ -86,6 +86,23 @@ def test_every_library_import_is_used():
     unused = {path.name: unused_imports(path.read_text())
               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def assert_lines(source):
+    """Line numbers of the assert statements in ``source``: python -O strips
+    them, so a check made by one does not run there."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+def test_detects_an_assert():
+    source = "def f(x):\n    assert x > 0, 'x'\n    return x\n\nassert f(1)\n"
+    assert assert_lines(source) == [2, 5]
+
+
+def test_no_library_check_is_an_assert():
+    found = {path.name: assert_lines(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
 
 
 def unset_defaults(sources, exempt=("tol",)):

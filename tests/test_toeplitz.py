@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mrange as mr
-from mrange.errors import BadShape, NotPSD, NotStrictlyPositive
+from mrange.errors import BadShape, NotPSD, NotStrictlyPositive, ShapeMismatch
 from mrange.rng import SplitMix64, split
 
 from helpers import E21
@@ -180,6 +180,17 @@ class TestToeplitzFromMeasure:
         spec = mr.toeplitz_from_measure(mu, 3)
         assert isinstance(spec, mr.ToeplitzSpec)
         np.testing.assert_allclose(spec.coeffs, [1.0, 0.0, 1.0], atol=1e-15)
+
+    @pytest.mark.parametrize("weights", [
+        [1.0, 2.0, 3.0],            # three weights for two nodes
+        np.ones((2, 2)),            # (r, d): neither scalar nor d x d blocks
+        np.ones((2, 2, 3)),         # non-square blocks
+        np.ones((3, 2, 2)),         # three blocks for two nodes
+        1.0,
+    ])
+    def test_weights_must_fit_the_nodes(self, weights):
+        with pytest.raises(ShapeMismatch, match="do not fit 2 nodes"):
+            mr.AtomicMeasure(nodes=[0.0, 1.0], weights=weights)
 
     def test_roots_of_unity_give_identity(self):
         G = 8
