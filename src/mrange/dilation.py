@@ -267,9 +267,15 @@ def nilpotent_dilation(T, n):
     V = [P_{n-1}; ...; P_0], gives V*V = sum_k P_k* P_k = I and
     V* (S_n (x) I)^j V = sum_k P_k* P_{k+j} = T^j. All invariants are
     verified before returning.
+
+    The margin is at least 1 - 2 sum_{0<k<n} |T|^k. From 10 RANK_REL on that
+    bound stands in for it, as both leave the factorization unlifted; it is
+    at most 0 from |T| = 1/2 on, where the norm is clipped to stay finite.
     """
     A = require_square(T, "nilpotent_dilation")
-    return _nilpotent_dilation(A, n, nilpotent_condition(A, n))
+    bound = 1.0 - 2.0 * sum(min(op_norm(A), 0.5) ** k for k in range(1, n))
+    return _nilpotent_dilation(A, n, bound if n > 1 and bound >= 10.0 * RANK_REL
+                               else nilpotent_condition(A, n))
 
 
 def _nilpotent_dilation(A, n, cond):

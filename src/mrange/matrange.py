@@ -265,13 +265,14 @@ def equivalence_suite(T, tol=None):
     t = _tol(tol)
     A = require_square(T, "equivalence_suite")
     w = num_radius(A)
-    band = BAND * (1.0 + op_norm(A))
+    norm = op_norm(A)
+    band = BAND * (1.0 + norm)
     if abs(w - 1.0) <= band:
         raise BoundaryBand(f"radius {w:.12f} within the rounding band {band:.1e} of 1")
 
     cond1 = w <= 1.0
 
-    cond2 = not _exceeds(A, 1.0 + band)
+    cond2 = not _exceeds(A, 1.0 + band, norm, w.maxima)
 
     # one decomposition serves the dilation (3) and both factorizations (6), (8)
     cond3 = cond6 = cond8 = False

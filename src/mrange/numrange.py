@@ -22,14 +22,14 @@ exceeds r somewhere exactly when it does at one of their midpoints.
 
 The pencils certify; n x n eigensolves climb. As in Mitchell's hybrid
 (SIAM J. Sci. Comput., 2023), a Newton ascent on lambda_max with its
-analytic first and second derivatives climbs from the best of 8 sampled
-angles to a local maximum r. One pencil solve at r then either certifies
-it, when no midpoint beats r by more than the rounding floor of 8 ulps of
-r, or hands the best midpoint, which lies in a higher basin, to the next
-ascent. A generic radius takes one pencil solve. The final level's
-midpoints that attain the maximum are the angles where it is attained;
-``num_radius`` returns them with the radius, for the boundary shift of
-:mod:`mrange.ando`.
+analytic first and second derivatives climbs from the best of 16 start
+angles (8 for m > 1) to a local maximum r. One pencil solve at r then
+either certifies it, when no midpoint beats r by more than the rounding
+floor of 8 ulps of r, or hands the best midpoint, which lies in a higher
+basin, to the next ascent. A generic radius takes one pencil solve. The
+final level's midpoints that attain the maximum are the angles where it is
+attained; ``num_radius`` returns them with the radius, for the boundary
+shift of :mod:`mrange.ando`.
 
 lambda_max of a direct sum is the largest of its summands', and its level
 pencil is the direct sum of theirs. So one solve on a (B, m, n, n) stack
@@ -175,16 +175,34 @@ def _pow2_scale(M):
     return float(np.ldexp(1.0, min(-int(np.frexp(np.abs(M).max(initial=0.0))[1]), 1023)))
 
 
-def _exceeds(A, level):
-    """Whether lambda_max(Re(e^{i theta} A)) > level for some theta."""
+def _exceeds(A, level, norm, angles):
+    """Whether lambda_max(Re(e^{i theta} A)) > level for some theta, for
+    norm = |A|: no if |A| <= level, yes if a fresh support value at a hint
+    angle exceeds it (a hint is never trusted), else as the level set says."""
+    if norm <= level:
+        return False
     s = _pow2_scale(A)
     B, level = s * A, s * level
+    if _support_grid(B, np.asarray(angles, dtype=float)).max(initial=-np.inf) > level:
+        return True
     return bool(_support_grid(B, _level_midpoints(_level_pencil(B), level)).max() > level)
 
 
 def _floor(r):
     """The rounding floor above a level r: _FLOOR_ULPS ulps of 1 + |r|."""
     return _FLOOR_ULPS * _EPS * (1.0 + abs(r))
+
+
+def _start_grid(D):
+    """Start angles and values of a level-set solve on a (B, m, n, n) stack:
+    8 angles, or for m = 1 16 from 8 eigensolves, as f(theta + pi) is minus
+    the bottom eigenvalue of Re(e^{i theta} T)."""
+    if D.shape[1] > 1:
+        thetas = np.pi * np.arange(8) / 4
+        return thetas, _support_grid(D, thetas)
+    thetas = np.pi * np.arange(16) / 8
+    lam = np.linalg.eigvalsh(herm_part(np.exp(1j * thetas[:8])[:, None, None] * D[:, None, 0]))
+    return thetas, np.concatenate([lam[..., -1], -lam[..., 0]], axis=-1)
 
 
 def _ascend(AB, theta):
@@ -237,27 +255,26 @@ def _level_set_max(D):
     """Max over theta of lambda_max(Re p(e^{i theta})), an angle where it
     is attained, and the maxima: the final level's midpoints that attain it
     to within _MAXIMA_FLOORS floors, for p(z) = sum_k z^k D_k as in
-    ``_support_grid``. A maximum attained that closely at all 8 sampled
-    angles is taken to be attained on the whole circle (a constant
-    eigenvalue branch, whose pencils are singular), and no maxima are
-    reported.
+    ``_support_grid``. A maximum attained that closely at all the start
+    angles (``_start_grid``) is taken to be attained on the whole circle (a
+    constant eigenvalue branch, whose pencils are singular), and no maxima
+    are reported.
 
     A (B, m, n, n) array D is the direct sum of B such polynomials. Each
     level solves their B pencils of size 2mn as one batch, never the dense
     one of size 2Bmn, which for B = 8 is slower than 8 solves from n = 2 on,
     and each ascent climbs the one summand on top at its start angle.
 
-    A Newton ascent (``_ascend``) climbs from the best of 8 sampled angles,
-    and again from the best midpoint of any level that one beats, so each
-    pencil solve mostly just certifies the top already reached. It works on
+    A Newton ascent (``_ascend``) climbs from the best start angle, and
+    again from the best midpoint of any level that one beats, so each pencil
+    solve mostly just certifies the top already reached. It works on
     D scaled by _pow2_scale: the rounding floor is relative to |D|."""
     scale = _pow2_scale(D)
     D = scale * np.reshape(D, (1,) * (4 - np.ndim(D)) + np.shape(D))
     AB = np.stack([herm_part(D), herm_part(1j * D)], axis=2).reshape(
         D.shape[:1] + (-1,) + D.shape[2:])
     pencil = _level_pencil(D)
-    thetas = 2.0 * np.pi * np.arange(8) / 8
-    vals = _support_grid(D, thetas)
+    thetas, vals = _start_grid(D)
     lowest = float(vals.max(axis=0).min())
     for _ in range(_MAX_LEVELS):
         # climb the summand on top at the best angle; one that rises above
@@ -384,7 +401,7 @@ class RadiusReport:
 def radius_characterizations(T):
     """Decide the four radius-at-most-one conditions.
 
-    Conditions (2) to (4) come from one level-set test at level
+    Conditions (2) to (4) come from one level test (``_exceeds``) at level
     1 + BAND * (1 + |T|), BAND the fixed rounding band of every threshold
     verdict: lambda -> -lambda maps the circle onto itself, so (2) is (3),
     and the open-disk condition (4) holds iff its boundary limit (3) does.
@@ -393,8 +410,9 @@ def radius_characterizations(T):
     """
     A = require_square(T, "radius_characterizations")
     radius, angle = _radius_and_angle(A)
-    level = 1.0 + BAND * (1.0 + op_norm(A))
-    on_circle = not _exceeds(A, level)
+    norm = op_norm(A)
+    level = 1.0 + BAND * (1.0 + norm)
+    on_circle = not _exceeds(A, level, norm, [angle])
     conds = (radius <= level, on_circle, on_circle, on_circle)
     if abs(radius - 1.0) > level - 1.0:
         expected = radius <= 1.0

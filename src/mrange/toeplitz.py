@@ -56,8 +56,8 @@ def _store_coeffs(spec, name):
     """Validate spec.coeffs as one-sided coefficients a_0..a_N with a_0 real,
     and store them as a complex array."""
     c = np.asarray(spec.coeffs, dtype=complex)
-    if c.ndim != 1 or c.size == 0:
-        raise BadShape(f"{name} needs a 1-D, nonempty coefficient array")
+    if c.ndim != 1 or c.size == 0 or not np.isfinite(c).all():
+        raise BadShape(f"{name} needs a 1-D, nonempty, finite coefficient array")
     if abs(c[0].imag) > 1e-12 * (1.0 + np.abs(c).max()):
         raise BadShape("a_0 must be real")
     object.__setattr__(spec, "coeffs", c)
@@ -209,14 +209,17 @@ def toeplitz_psd(spec, tol=None):
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """Atoms on the circle: r = len(nodes) angles and one array of weights, r
-    nonnegative scalars (r,) or r PSD d x d matrices (r, d, d), else ShapeMismatch."""
+    """Atoms on the circle: r finite angles (else BadShape) and r nonnegative
+    weights (r,) or PSD d x d weights (r, d, d) (else ShapeMismatch)."""
 
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        weights, r = np.asarray(self.weights), len(self.nodes)
+        nodes, weights = np.asarray(self.nodes), np.asarray(self.weights)
+        if nodes.ndim != 1 or not np.isfinite(nodes).all():
+            raise BadShape(f"nodes must be a 1-D array of finite angles, got shape {nodes.shape}")
+        r = len(nodes)
         if weights.shape[:1] != (r,) or weights.shape[1:] not in ((), weights.shape[-1:] * 2):
             raise ShapeMismatch(f"weights of shape {weights.shape} do not fit {r} nodes")
         object.__setattr__(self, "weights", weights)

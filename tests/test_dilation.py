@@ -293,6 +293,38 @@ class TestNilpotentDilation:
             assert mr.op_norm(np.conj(nd.V).T @ nd.V - np.eye(n)) <= 1e-10
             assert mr.op_norm(np.conj(nd.V).T @ nd.N @ nd.V - T) <= 1e-8
 
+    @pytest.mark.parametrize("n, norm", [(2, 0.45), (3, 0.3), (5, 0.2)])
+    def test_norm_bound_replaces_the_margin_solve(self, n, norm, monkeypatch):
+        # 1 - 2 sum_{0<k<n} |T|^k > 10 RANK_REL admits the dilation with no
+        # lift, as the exact margin does: the same V and N, no level set
+        T = mr.random_matrix(3, 3, split(92, n))
+        T *= norm / mr.op_norm(T)
+        ref = mr.dilation._nilpotent_dilation(T, n, mr.nilpotent_condition(T, n))
+
+        def forbidden(*args):
+            raise AssertionError("nilpotent_condition called")
+
+        monkeypatch.setattr(mr.dilation, "nilpotent_condition", forbidden)
+        nd = mr.nilpotent_dilation(T, n)
+        np.testing.assert_array_equal(nd.V, ref.V)
+        np.testing.assert_array_equal(nd.N, ref.N)
+        assert nd.residuals == ref.residuals
+
+    def test_margin_solved_where_the_bound_says_nothing(self, monkeypatch):
+        calls = []
+        condition = mr.dilation.nilpotent_condition
+
+        def counted(A, n):
+            calls.append(n)
+            return condition(A, n)
+
+        monkeypatch.setattr(mr.dilation, "nilpotent_condition", counted)
+        # |0.9 E21| = 0.9 bounds nothing at order 2; its margin is 1 - 0.9
+        assert mr.nilpotent_dilation(0.9 * E21, 2).order == 2
+        assert calls == [2]
+        with pytest.raises(BadShape):
+            mr.nilpotent_dilation(0.1 * E21, 1)
+
     def test_no_feasibility_solve(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("solve_feasibility called")

@@ -9,8 +9,9 @@ from scipy.linalg import eig as qz
 
 import mrange as mr
 from mrange import numrange
-from mrange.numrange import (_ascend, _floor, _level_pencil, _level_set_max,
-                             _pencil_eigenvalues, _support_grid)
+from mrange.linalg import BAND
+from mrange.numrange import (_ascend, _exceeds, _floor, _level_pencil, _level_set_max,
+                             _pencil_eigenvalues, _start_grid, _support_grid)
 from mrange.rng import split
 
 from helpers import E21, nilpotent_margin_bracket, radius_bruteforce, random_with_radius
@@ -240,15 +241,100 @@ class TestCharacterizationsByLevelSet:
         assert rep.worst_margin == pytest.approx(1.0 - 1.0 / 0.9, abs=1e-8)
 
     def test_one_level_solve_beyond_the_radius(self, pencil_calls):
-        # conditions (2) to (4) share one level-set test
+        # conditions (2) to (4) share one level-set test, which solves a pencil
+        # only for r <= level < |T|: |T| <= level settles it as no, and the
+        # support value at the radius's angle as yes
+        settled = []
         for n in (2, 4, 16):
-            for target in (0.8, 1.2):
+            for target in (0.6, 0.95, 1.2):
                 T = random_with_radius(n, target, split(960, n))
                 pencil_calls.clear()
                 mr.num_radius(T)
                 radius_solves = len(pencil_calls)
-                mr.radius_characterizations(T)
-                assert len(pencil_calls) - radius_solves == radius_solves + 1
+                rep = mr.radius_characterizations(T)
+                level = 1.0 + BAND * (1.0 + mr.op_norm(T))
+                settled.append(mr.op_norm(T) <= level or rep.radius > level)
+                assert len(pencil_calls) - radius_solves == radius_solves + (not settled[-1])
+        assert set(settled) == {True, False}
+
+    @pytest.mark.parametrize("target", [0.6, 1.4])
+    def test_radius_scan_inputs_take_only_the_radius_pencils(self, target, pencil_calls):
+        # n = 16 Gaussians have |T| <= 1.5 w, so |T| < 1 at w = 0.6, and at
+        # w = 1.4 the radius's own angle shows the level exceeded
+        for k in range(8):
+            T = random_with_radius(16, target, split(970, k))
+            pencil_calls.clear()
+            mr.num_radius(T)
+            radius_solves = len(pencil_calls)
+            mr.radius_characterizations(T)
+            assert len(pencil_calls) == 2 * radius_solves
+
+
+class TestLevelCertificates:
+    """``_exceeds`` settles "lambda_max(Re(e^{i theta} A)) > level somewhere"
+    by a certificate where one holds: |A| <= level says no, a support value
+    above the level at a hint angle says yes. Both must give the verdict of
+    the level set alone, which norm = inf and no hint angles force."""
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+    def test_same_verdict_as_the_level_set(self, n, real, pencil_calls):
+        G = mr.random_matrix(n, n, split(980 + n, real))
+        if real:
+            G = G.real.astype(complex)
+        U = G / mr.num_radius(G)
+        band = BAND * (1.0 + mr.op_norm(U))
+        settled = 0
+        for delta in [10.0 ** -k for k in range(3, 9)] + [1.5 * band]:
+            for sign in (1, -1):
+                A = U * (1.0 + sign * delta)
+                norm = mr.op_norm(A)
+                w, angle = numrange._radius_and_angle(A)
+                # w = 1 +- delta against the band-rounded level, and |A| exactly
+                # at the level, where only the norm certificate's <= decides
+                for level, expected in ((1.0 + BAND * (1.0 + norm), sign > 0), (norm, False)):
+                    assert _exceeds(A, level, np.inf, []) == expected, (delta, sign, level)
+                    for hints in ([angle], w.maxima, []):
+                        pencil_calls.clear()
+                        assert _exceeds(A, level, norm, hints) == expected, (delta, sign, level)
+                        settled += not pencil_calls
+        # every w > level given a hint, and every level = |A|, settles
+        # without a pencil
+        assert settled >= 7 * 2 + 14 * 3
+
+
+class TestAntipodalStart:
+    """For p(z) = z T, Re(e^{i(theta + pi)} T) = -Re(e^{i theta} T): the
+    eigensolves at 8 angles give the support values at 16."""
+
+    def test_sixteen_start_values_from_eight_eigensolves(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        sizes = []
+
+        def counted(H):
+            sizes.append(int(np.prod(np.shape(H)[:-2])))
+            return eigvalsh(H)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        for n in (1, 2, 5, 16):
+            for real in (False, True):
+                T = mr.random_matrix(n, n, split(3500 + n, real))
+                if real:
+                    T = T.real.astype(complex)
+                sizes.clear()
+                _level_set_max(T)
+                # the first eigensolve batch of a solve is its start
+                assert sizes[0] == 8
+                thetas, vals = _start_grid(T[None, None])
+                np.testing.assert_array_equal(thetas, np.pi * np.arange(16) / 8)
+                ref = _support_grid(T, thetas)
+                assert np.abs(vals[0] - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_higher_degree_keeps_eight_angles(self):
+        D = np.array([mr.random_matrix(4, 4, split(3600, j)) for j in range(2)])
+        thetas, vals = _start_grid(D[None])
+        np.testing.assert_array_equal(thetas, 2.0 * np.pi * np.arange(8) / 8)
+        np.testing.assert_array_equal(vals[0], _support_grid(D, thetas))
 
 
 def _summands(seed):

@@ -240,3 +240,23 @@ class TestRadiusCharacterizations:
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, text=True, timeout=120)
         assert out.stdout.split() == ["False", "VerificationFailed"], out.stderr
+
+    def test_false_certificate_raises_under_optimize(self):
+        # the level test patched to claim "exceeds" on E21, whose |E21| = 1
+        # certifies the opposite: (2) to (4) then disagree with w = 1/2 <= 1,
+        # and the check must not vanish with assert statements under python -O
+        code = textwrap.dedent("""
+            import numpy as np
+            from mrange import numrange
+            from mrange.errors import VerificationFailed
+            numrange._exceeds = lambda *args: True
+            try:
+                numrange.radius_characterizations(np.array([[0, 0], [1, 0]], dtype=complex))
+            except VerificationFailed as exc:
+                print(__debug__, exc.name)
+        """)
+        src = os.path.dirname(os.path.dirname(mr.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == ["False", "VerificationFailed"], out.stderr

@@ -192,6 +192,17 @@ class TestToeplitzFromMeasure:
         with pytest.raises(ShapeMismatch, match="do not fit 2 nodes"):
             mr.AtomicMeasure(nodes=[0.0, 1.0], weights=weights)
 
+    @pytest.mark.parametrize("nodes", [np.zeros((2, 3)), [0.0, np.nan], [np.inf, 1.0]])
+    def test_nodes_must_be_finite_angles(self, nodes):
+        with pytest.raises(BadShape, match="nodes must be a 1-D array of finite angles"):
+            mr.AtomicMeasure(nodes=nodes, weights=[0.5, 0.5])
+
+    @pytest.mark.parametrize("spec", [mr.ToeplitzSpec, mr.TrigPoly])
+    def test_coefficients_must_be_finite(self, spec):
+        for coeffs in ([1.0, np.nan], [1.0, 0.5 + 1j * np.inf], [np.inf]):
+            with pytest.raises(BadShape, match="finite coefficient array"):
+                spec(coeffs=np.array(coeffs))
+
     def test_roots_of_unity_give_identity(self):
         G = 8
         mu = mr.AtomicMeasure(nodes=2 * np.pi * np.arange(G) / G,
