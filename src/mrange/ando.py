@@ -53,7 +53,6 @@ from .linalg import (
     _norm_within,
     _pinv_sqrt,
     _rank_mask,
-    _sqrt_eigenvalues,
     _tol,
     dagger,
     herm_part,
@@ -331,7 +330,8 @@ def _ando_decompose(A, w, t):
     """ando_decompose for a square A whose numerical radius w is already known.
 
     Every operator of the factorization is a function of X, taken from the
-    one eigendecomposition X = U diag(x) U* that _extremal_X checked."""
+    one eigendecomposition X = U diag(x) U* that _extremal_X checked, which
+    settled 0 <= X <= I: the square roots of x and 1 - x clip at 0."""
     I = np.eye(A.shape[0], dtype=complex)
     X, iters, (x, U), lmi_min = _extremal_X(A, w, t, _maxima(w))
     Xstar, iters2 = _adjoint_X(A, w, t)
@@ -346,12 +346,12 @@ def _ando_decompose(A, w, t):
     # Z maps range(I - X) into range(X) as it is
     inv_sq_ix = _pinv_sqrt(1.0 - x)
     Z = of_X(_pinv_sqrt(x)) @ (A / 2.0) @ of_X(inv_sq_ix)
-    C = Z @ of_X(_sqrt_eigenvalues(1.0 - x, t.psd_eps))
+    x0, ix0 = np.clip(x, 0.0, None), np.clip(1.0 - x, 0.0, None)
+    C = Z @ of_X(np.sqrt(ix0))
 
-    # I + Y_max = 2X and I - Y_max = 2(I - X)
-    rec_y = op_norm(of_X(_sqrt_eigenvalues(2.0 * x, t.psd_eps)) @ Z
-                    @ of_X(_sqrt_eigenvalues(2.0 * (1.0 - x), t.psd_eps)) - A)
-    rec_c = op_norm(2.0 * _defect_roots(C, t.psd_eps)[1] @ C - A)
+    # I + Y_max = 2X, I - Y_max = 2(I - X); |C| <= |Z| <= 1 + 1e-8 is verified below
+    rec_y = op_norm(of_X(np.sqrt(2.0 * x0)) @ Z @ of_X(np.sqrt(2.0 * ix0)) - A)
+    rec_c = op_norm(2.0 * _defect_roots(C)[1] @ C - A)
     fixres = op_norm(_fixpoint_defect(I, dagger(A) / 2.0, X))
     ymin_gap = float(np.linalg.eigvalsh(Y_max - Y_min)[0])
 

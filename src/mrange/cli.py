@@ -98,7 +98,7 @@ def build_parser():
     p = argparse.ArgumentParser(
         prog="mrange",
         description="numerical radius / matricial range / dilation toolkit")
-    p.add_argument("command", choices=COMMANDS)
+    p.add_argument("command", help="one of " + ", ".join(COMMANDS))
     p.add_argument("--input", required=False, help="input JSON file")
     p.add_argument("--tol", type=float, default=None,
                    help="PSD-check slack; threshold verdicts keep a fixed band")
@@ -122,6 +122,8 @@ def _run_command(cmd, args):
     from . import dilation, matrange, numrange, toeplitz
     from .cpmaps import choi, is_cp
 
+    if cmd not in COMMANDS:
+        raise UnknownCommand(cmd)
     # BadTolerance unless --tol is a finite positive number
     tol = Tolerances() if args.tol is None else Tolerances(args.tol)
     payload = _load_input(args.input) if args.input else None
@@ -304,8 +306,6 @@ def _run_command(cmd, args):
             "all_true": all(conds),
         }, 0 if all(conds) else 2
 
-    raise UnknownCommand(cmd)
-
 
 def _toeplitz_spec(payload):
     from .toeplitz import BlockToeplitzSpec, ToeplitzSpec
@@ -318,13 +318,8 @@ def _toeplitz_spec(payload):
 
 
 def run(argv):
-    head = next((a for a in argv if not a.startswith("-")), None)
-    if head is not None and head not in COMMANDS:
-        _emit({"error": {"name": "UnknownCommand", "message": head}}, None)
-        return 1
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     started = time.perf_counter()

@@ -31,7 +31,6 @@ from .linalg import (
     RANK_REL,
     _defect_roots,
     _norm_within,
-    _tol,
     as_cmat,
     dagger,
     kron,
@@ -43,20 +42,15 @@ from .linalg import (
 from .numrange import _level_set_max
 from .toeplitz import _block_toeplitz, _spectral_factor
 
-# least PSD slack of the defect operators' eigenvalues 1 - s^2: rounding can
-# push them marginally negative for near-extreme contractions
-_DEFECT_EPS = 1e-8
 
-
-def halmos_unitary(C, tol=None):
-    """Unitary [[C, (I-CC*)^{1/2}], [(I-C*C)^{1/2}, -C*]] of a contraction."""
-    t = _tol(tol)
+def halmos_unitary(C):
+    """Unitary [[C, (I-CC*)^{1/2}], [(I-C*C)^{1/2}, -C*]] of a contraction, |C| <= 1 + BAND."""
     A = require_square(C, "halmos_unitary")
     svd = np.linalg.svd(A)
     nrm = float(svd[1].max(initial=0.0))
     if nrm > 1.0 + BAND:
         raise NotContraction(f"operator norm {nrm:.12f} exceeds 1")
-    top, bot = _defect_roots(A, max(t.psd_eps, _DEFECT_EPS), svd)
+    top, bot = _defect_roots(A, svd)
     U0 = np.block([[A, top], [bot, -dagger(A)]])
     defect = dagger(U0) @ U0 - np.eye(2 * A.shape[0])
     if not _norm_within(defect, 1e-8):
@@ -116,19 +110,18 @@ def two_dilation(T, M, tol=None):
     """
     from .ando import ando_decompose
 
-    t = _tol(tol)
     A = require_square(T, "two_dilation")
     # raises RadiusTooLarge when w(T) > 1 + BAND
-    return _two_dilation(A, ando_decompose(A, t).C, M, t)
+    return _two_dilation(A, ando_decompose(A, tol).C, M)
 
 
-def _two_dilation(A, C, M, t):
-    """two_dilation for a square A whose decomposition's C is already known."""
+def _two_dilation(A, C, M):
+    """two_dilation for a square A and its decomposition's C, |C| <= |Z| <= 1 + 1e-8."""
     if M < 4:
         raise WindowTooSmall(f"window M >= 4 required, got {M}")
     d = A.shape[0]
     I = np.eye(d, dtype=complex)
-    DCs, DC = _defect_roots(C, max(t.psd_eps, _DEFECT_EPS))   # (I-CC*)^{1/2}, (I-C*C)^{1/2}
+    DCs, DC = _defect_roots(C)   # (I-CC*)^{1/2}, (I-C*C)^{1/2}
 
     blocks = {(k, k - 1): I.copy() for k in range(1 - M, M + 1) if abs(k) >= 2}
     blocks[(1, 0)] = DC
@@ -225,6 +218,8 @@ def _powers(A, n):
 
 def halved_power_blocks(T, N):
     """Blocks {I, T/2, T^2/2, ..., T^N/2} for the positive-definiteness bridge."""
+    if N < 0:
+        raise BadShape(f"power count N >= 0 required, got {N}")
     P = _powers(require_square(T, "halved_power_blocks"), N)
     return [P[0], *(P[1:] / 2.0)]
 

@@ -73,6 +73,8 @@ def require_square(M, op=""):
     A = as_cmat(M)
     if A.shape[0] != A.shape[1]:
         raise NonSquare(f"{op or 'operation'} requires a square matrix, got {A.shape}")
+    if A.size == 0:
+        raise BadShape(f"{op or 'operation'} requires a nonempty matrix, got {A.shape}")
     return A
 
 
@@ -146,21 +148,12 @@ def _psd_factor(H, eps, error, what):
     return np.sqrt(eig.eigenvalues[keep])[:, None] * dagger(eig.eigenvectors[:, keep])
 
 
-def _sqrt_eigenvalues(w, eps):
-    """Square roots of the eigenvalues w of a PSD operator, those within
-    -eps * (1 + max|w|) of zero clipped to 0; NotPSD below that."""
-    ok, min_eig = _psd_verdict(w, eps)
-    if not ok:
-        raise NotPSD(f"min eigenvalue {min_eig:.3e} below PSD tolerance")
-    return np.sqrt(np.clip(w, 0.0, None))
-
-
-def _defect_roots(C, eps, svd=None):
+def _defect_roots(C, svd=None):
     """(I - CC*)^{1/2} and (I - C*C)^{1/2} from one SVD C = W diag(s) Vh
     (``svd``, when the caller has taken it): both have the eigenvalues
-    1 - s^2, checked with slack eps."""
+    1 - s^2, clipped at 0: each caller has already bounded |C| by 1 + rounding."""
     W, s, Vh = np.linalg.svd(C) if svd is None else svd
-    r = _sqrt_eigenvalues((1.0 - s) * (1.0 + s), eps)
+    r = np.sqrt(np.clip((1.0 - s) * (1.0 + s), 0.0, None))
     return (W * r) @ dagger(W), (dagger(Vh) * r) @ Vh
 
 
@@ -204,8 +197,11 @@ def _pinv_sqrt(w):
 def sqrt_psd(H, tol=None):
     """PSD square root; eigenvalues within -psd_eps of zero are clipped to 0."""
     eig = herm_eig(H)
+    ok, min_eig = _psd_verdict(eig.eigenvalues, _tol(tol).psd_eps)
+    if not ok:
+        raise NotPSD(f"min eigenvalue {min_eig:.3e} below PSD tolerance")
     V = eig.eigenvectors
-    return (V * _sqrt_eigenvalues(eig.eigenvalues, _tol(tol).psd_eps)) @ dagger(V)
+    return (V * np.sqrt(np.clip(eig.eigenvalues, 0.0, None))) @ dagger(V)
 
 
 def kron(A, B):

@@ -78,6 +78,8 @@ def member_shift_ball(X, nodes=64, tol=None):
     surrogate (no Hermitian weights on nodes <= 2 match a non-Hermitian X)
     leaves it without a witness and unflagged.
     """
+    if nodes < 1:
+        raise BadShape(f"nodes >= 1 required, got {nodes}")
     t = _tol(tol)
     A = require_square(X, "member_shift_ball")
     nrm = op_norm(A)
@@ -281,7 +283,7 @@ def equivalence_suite(T, tol=None):
         dec = ando._ando_decompose(A, w, t)
         cond6 = dec.residuals["reconstruction_ymax"] <= 1e-8
         cond8 = dec.residuals["reconstruction_c"] <= 1e-8
-        _two_dilation(A, dec.C, 12, t)   # window 12: powers 1 to 5 verified
+        _two_dilation(A, dec.C, 12)   # window 12: powers 1 to 5 verified
         cond3 = True
     except (RadiusTooLarge, NoConvergence, VerificationFailed):
         pass

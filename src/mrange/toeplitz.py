@@ -20,6 +20,7 @@ from .errors import (
 from .linalg import (
     _pinv_sqrt,
     _psd_factor,
+    _psd_verdict,
     _tol,
     as_cmat,
     dagger,
@@ -209,8 +210,8 @@ def toeplitz_psd(spec, tol=None):
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """Atoms on the circle: r finite angles (else BadShape) and r nonnegative
-    weights (r,) or PSD d x d weights (r, d, d) (else ShapeMismatch)."""
+    """Atoms on the circle: r finite angles (else BadShape) and r weights (r,) or (r, d, d)
+    (else ShapeMismatch), finite, Hermitian and PSD within the default psd_eps (else NotPSD)."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -222,6 +223,11 @@ class AtomicMeasure:
         r = len(nodes)
         if weights.shape[:1] != (r,) or weights.shape[1:] not in ((), weights.shape[-1:] * 2):
             raise ShapeMismatch(f"weights of shape {weights.shape} do not fit {r} nodes")
+        G = weights.reshape(r, *(weights.shape[1:] or (1, 1)))
+        if not (np.isfinite(G).all() and np.abs(G - dagger(G)).max(initial=0.0)
+                <= 1e-12 * (1.0 + np.abs(G).max(initial=0.0))
+                and _psd_verdict(np.linalg.eigvalsh(G), _tol(None).psd_eps)[0]):
+            raise NotPSD("weights must be finite nonnegative numbers or PSD matrices")
         object.__setattr__(self, "weights", weights)
 
     @property
@@ -278,6 +284,8 @@ def measure_from_toeplitz(spec, tol=None):
 def toeplitz_from_measure(mu, n):
     """Coefficients a_k = sum_j w_j e^{i k theta_j} (blockwise for matrix
     weights); the resulting spec is PSD by construction."""
+    if n < 1:
+        raise BadShape(f"coefficient count n >= 1 required, got {n}")
     moments = [mu.moment(k) for k in range(n)]
     if not mu.is_block:
         return ToeplitzSpec(coeffs=np.array([moments[0].real] + moments[1:]))

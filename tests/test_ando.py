@@ -10,7 +10,8 @@ import pytest
 
 import mrange as mr
 from mrange.cpmaps import Feasible
-from mrange.errors import NoConvergence, NotContraction, NotPSD, RadiusTooLarge
+from mrange.errors import (NoConvergence, NotContraction, RadiusTooLarge,
+                           VerificationFailed)
 from mrange.rng import split
 
 from helpers import E21, ando_reference, random_with_radius, two_dilation_reference
@@ -515,14 +516,38 @@ class TestOneFactorizationPerOperator:
         assert np.abs(U - ref).max() <= 1e-12 * scale
 
     def test_defect_outside_slack_is_not_psd(self):
-        # 1 - s^2 below -1e-8 (1 + max|1 - s^2|): the defect operators do not exist
+        # 1 - s^2 = -2e-7: the defect operators do not exist, and their roots,
+        # clipped to zero, leave a unitarity defect past its 1e-7 bound
         C = (1 + 1e-7) * E21
-        with pytest.raises(NotPSD):
-            mr.dilation._two_dilation(2 * C, C, 8, mr.default_tolerances())
-        # within the slack they are clipped to zero
+        with pytest.raises(VerificationFailed, match="interior unitarity defect"):
+            mr.dilation._two_dilation(2 * C, C, 8)
+        # within the rounding of a verified |C| <= 1 + 1e-8 they are clipped to zero
         C = (1 + 1e-9) * E21
-        win = mr.dilation._two_dilation(2 * C, C, 8, mr.default_tolerances())
+        win = mr.dilation._two_dilation(2 * C, C, 8)
         np.testing.assert_allclose(win.blocks[(1, 0)], np.diag([0.0, 1.0]), atol=1e-15)
+
+    @pytest.mark.parametrize("excess", [2.5e-9, 3.1e-9])
+    def test_x_past_the_identity_is_decided_by_the_extremal_check(self, excess, monkeypatch):
+        # for 2 E21 the LMI check of _extremal_X admits X's top eigenvalue up
+        # to about 1 + 3e-9 at the default psd_eps; the roots of I - X then
+        # clip to 0 rather than check again with a tighter slack of their own
+        reduce = mr.ando._cyclic_reduction
+
+        def pushed(*args, **kwargs):
+            X, steps = reduce(*args, **kwargs)
+            u = np.linalg.eigh(X)[1][:, -1]
+            return X + excess * np.outer(u, u.conj()), steps
+
+        monkeypatch.setattr(mr.ando, "_cyclic_reduction", pushed)
+        if excess > 3e-9:
+            with pytest.raises(NoConvergence, match="defining LMI"):
+                mr.ando_decompose(2 * E21)
+            return
+        dec = mr.ando_decompose(2 * E21)
+        x, U = np.linalg.eigh(dec.X)
+        assert x[-1] - 1 == pytest.approx(excess, rel=1e-6)
+        assert np.linalg.norm(dec.C @ U[:, -1]) <= 1e-15   # (1 - x)^{1/2} clipped
+        assert dec.residuals["reconstruction_c"] <= 1e-8
 
 
 class TestRadiusLmi:
@@ -555,17 +580,17 @@ class TestRadiusLmi:
 
 class TestFixedRoundingBand:
     def test_loose_tolerance_does_not_widen_it(self):
-        # the w <= 1 + 1e-9 of _extremal_X and the norm <= 1 + 1e-9 of
-        # halmos_unitary ignore psd_eps: widened to 1e-4, these inputs just
-        # outside fail verification ("Y_min above Y_max", "interior
-        # unitarity defect") instead of being refused
+        # the w <= 1 + 1e-9 of _extremal_X ignores psd_eps: widened to 1e-4,
+        # these inputs just outside fail verification ("Y_min above Y_max",
+        # "interior unitarity defect") instead of being refused; halmos_unitary
+        # takes no tolerance, and its norm <= 1 + 1e-9 refuses the same way
         loose = mr.Tolerances(psd_eps=1e-4)
         with pytest.raises(RadiusTooLarge):
             mr.ando_decompose(1.00002 * mr.shift(4) / np.cos(np.pi / 5), loose)
         with pytest.raises(RadiusTooLarge):
             mr.two_dilation(2.00004 * E21, 8, loose)
         with pytest.raises(NotContraction):
-            mr.halmos_unitary(1.00002 * E21, loose)
+            mr.halmos_unitary(1.00002 * E21)
 
     def test_threshold_verdicts_keep_it(self):
         # the norm <= 1 of member_shift_ball and the w <= 1 and nilpotent

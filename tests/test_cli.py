@@ -303,6 +303,29 @@ class TestCommands:
         assert code == 1
         assert out["error"]["name"] == "UnknownCommand"
 
+    @pytest.mark.parametrize("argv", [["--seed", "3", "frobnicate"],
+                                      ["frobnicate", "--input", "no-such-file.json"]])
+    def test_unknown_command_after_options_or_before_bad_input(self, capsys, argv):
+        code, out = run_captured(capsys, argv)
+        assert code == 1
+        assert out["error"] == {"name": "UnknownCommand", "message": "frobnicate"}
+
+    @pytest.mark.parametrize("cmd", ["numrad", "ando", "member", "boundary", "suite",
+                                     "nilpotent-cond"])
+    def test_empty_matrix_is_a_bad_shape(self, tmp_path, capsys, cmd):
+        path = write_json(tmp_path, "empty.json", {"rows": 0, "cols": 0, "data": []})
+        code, out = run_captured(capsys, [cmd, "--input", path])
+        assert code == 1
+        assert out["error"]["name"] == "BadShape"
+        assert "requires a nonempty matrix" in out["error"]["message"]
+
+    @pytest.mark.parametrize("X", [0.5 * E21, 0.97 * np.eye(2)])
+    def test_shift_member_needs_a_node(self, tmp_path, capsys, X):
+        path = write_json(tmp_path, "x.json", matrix_to_json(X))
+        code, out = run_captured(capsys, ["member", "--input", path,
+                                          "--set", "shift", "--nodes", "0"])
+        assert code == 1 and out["error"]["name"] == "BadShape"
+
     def test_verification_failure_is_machine_readable(self, tmp_path, capsys,
                                                       monkeypatch):
         from mrange import numrange
@@ -397,6 +420,22 @@ class TestMissingFields:
         assert code == 1
         assert out["error"]["name"] == "BadJson"
         assert out["command"] == argv[0]
+
+
+class TestArgumentOrder:
+    @pytest.mark.parametrize("cmd, options", [
+        ("numrad", []),
+        ("member", ["--set", "shift", "--nodes", "32"]),
+        ("spatial", ["--order", "2", "--count", "6", "--seed", "3"]),
+    ])
+    def test_options_before_the_command(self, tmp_path, capsys, cmd, options):
+        path = write_json(tmp_path, "x.json", matrix_to_json(0.5 * E21))
+        outputs = []
+        for argv in ([cmd, "--input", path, *options], ["--input", path, *options, cmd],
+                     [*options, cmd, "--input", path]):
+            outputs.append((run(argv), capsys.readouterr().out))
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 class TestDeterminism:

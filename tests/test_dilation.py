@@ -150,8 +150,8 @@ class TestTwoDilationBand:
     def test_scaled_defect_root_fails_unitarity(self, monkeypatch):
         roots = mr.dilation._defect_roots
 
-        def scaled(C, eps):
-            DCs, DC = roots(C, eps)
+        def scaled(C):
+            DCs, DC = roots(C)
             return DCs, DC * (1 + 1e-6)
 
         monkeypatch.setattr(mr.dilation, "_defect_roots", scaled)
@@ -162,7 +162,7 @@ class TestTwoDilationBand:
         T = random_with_radius(3, 0.9, 5)
         C = mr.ando_decompose(T).C
         with pytest.raises(VerificationFailed, match="compression identity"):
-            mr.dilation._two_dilation(T + 1e-6 * np.eye(3), C, 8, mr.default_tolerances())
+            mr.dilation._two_dilation(T + 1e-6 * np.eye(3), C, 8)
 
 
 class TestBilateralModel:
@@ -191,6 +191,12 @@ class TestPdFunctionCheck:
         blocks = mr.halved_power_blocks(2 * E21, 3)
         ok, mn = mr.pd_function_check(blocks)  # 8x8 Gram matrix
         assert ok and mn >= -1e-12
+
+    @pytest.mark.parametrize("N", [-1, -2])
+    def test_negative_power_count_is_a_bad_shape(self, N):
+        with pytest.raises(BadShape, match="N >= 0"):
+            mr.halved_power_blocks(E21, N)
+        assert len(mr.halved_power_blocks(E21, 0)) == 1
 
     def test_scalar_failure(self):
         ok, mn = mr.pd_function_check([np.eye(1), 1.2 * np.eye(1)])

@@ -135,6 +135,20 @@ class TestOpNorm:
         assert mr.op_norm(np.array([[0, 2], [0, 0]])) == pytest.approx(2.0)
 
 
+class TestEmptyMatrix:
+    @pytest.mark.parametrize("call", [
+        mr.num_radius, lambda A: mr.range_boundary(A, 8), mr.ando_X, mr.member_e21,
+        lambda A: mr.nilpotent_condition(A, 2), mr.sqrt_psd,
+    ])
+    def test_square_operations_reject_it(self, call):
+        with pytest.raises(BadShape, match="requires a nonempty matrix"):
+            call(np.zeros((0, 0)))
+
+    def test_norm_and_pseudo_inverse_keep_their_empty_case(self):
+        assert mr.op_norm(np.zeros((0, 0))) == 0.0
+        assert mr.pinv(np.zeros((0, 3))).shape == (3, 0)
+
+
 class TestRandomIsometry:
     def test_square_is_unitary(self):
         V = mr.random_isometry(2, 2, 1)

@@ -123,6 +123,12 @@ class TestMemberShiftBall:
     def test_outside(self):
         assert not mr.member_shift_ball(1.05 * np.eye(2)).member
 
+    @pytest.mark.parametrize("nodes", [0, -3])
+    @pytest.mark.parametrize("scale", [0.5, 0.97, 1.05])
+    def test_nodes_must_be_positive_whatever_the_norm(self, nodes, scale):
+        with pytest.raises(BadShape, match="nodes >= 1"):
+            mr.member_shift_ball(scale * np.eye(2), nodes)
+
     @pytest.mark.parametrize("nodes", [3, 4, 10, 16, 64])
     @pytest.mark.parametrize("d", range(1, 17))
     def test_dilation_weights(self, nodes, d):

@@ -183,9 +183,8 @@ def test_detects_a_psd_eps_reader():
 PSD_EPS_READERS = {
     "ando.py": ["_ando_decompose", "_extremal_X"],
     "cpmaps.py": ["kraus_from_choi", "stinespring"],
-    "dilation.py": ["_two_dilation", "halmos_unitary"],
     "linalg.py": ["Tolerances", "psd_check", "sqrt_psd"],
-    "toeplitz.py": ["_unitary_measure"],
+    "toeplitz.py": ["AtomicMeasure", "_unitary_measure"],
 }
 
 

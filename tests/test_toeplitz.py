@@ -197,6 +197,35 @@ class TestToeplitzFromMeasure:
         with pytest.raises(BadShape, match="nodes must be a 1-D array of finite angles"):
             mr.AtomicMeasure(nodes=nodes, weights=[0.5, 0.5])
 
+    @pytest.mark.parametrize("weights", [
+        [-1.0, 0.5],                              # a negative atom
+        [1.0 + 0.5j, 0.5],                        # a complex atom
+        [np.inf, 0.5], [np.nan, 0.5],
+        [np.diag([1.0, -1e-3]), np.eye(2)],       # an indefinite block
+        [np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2)],   # a non-Hermitian block
+    ])
+    def test_weights_must_be_psd(self, weights):
+        with pytest.raises(NotPSD, match="weights must be"):
+            mr.AtomicMeasure(nodes=[0.0, 1.0], weights=weights)
+
+    def test_weights_within_the_psd_slack_pass(self):
+        mr.AtomicMeasure(nodes=[0.0, 1.0], weights=[-1e-10, 0.5])
+        mr.AtomicMeasure(nodes=[0.0, 1.0], weights=[np.diag([1.0, -1e-10]), np.eye(2)])
+
+    def test_block_measure_round_trip_keeps_its_weights(self):
+        blocks = mr.halved_power_blocks(2 * E21, 2)
+        mu = mr.block_measure_from_toeplitz(mr.BlockToeplitzSpec(blocks=tuple(blocks)))
+        again = mr.AtomicMeasure(nodes=mu.nodes, weights=mu.weights)
+        spec = mr.toeplitz_from_measure(again, 3)
+        for k in range(3):
+            assert mr.op_norm(spec.blocks[k] - blocks[k]) <= 1e-6
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_coefficient_count_must_be_positive(self, n):
+        mu = mr.AtomicMeasure(nodes=[0.0], weights=[1.0])
+        with pytest.raises(BadShape, match="n >= 1"):
+            mr.toeplitz_from_measure(mu, n)
+
     @pytest.mark.parametrize("spec", [mr.ToeplitzSpec, mr.TrigPoly])
     def test_coefficients_must_be_finite(self, spec):
         for coeffs in ([1.0, np.nan], [1.0, 0.5 + 1j * np.inf], [np.inf]):
