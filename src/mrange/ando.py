@@ -240,12 +240,7 @@ def ando_X(T, tol=None):
     t = _tol(tol)
     A = require_square(T, "ando_X")
     w = num_radius(A)
-    return _extremal_X(A, w, t, _maxima(w))[:2]
-
-
-def _maxima(w):
-    """The angles where a radius from num_radius is attained."""
-    return w.maxima
+    return _extremal_X(A, w, t, w.maxima)[:2]
 
 
 def _extremal_X(A, w, t, maxima):
@@ -294,7 +289,17 @@ def _extremal_X(A, w, t, maxima):
 def _adjoint_X(A, w, t):
     """(X, iterations) of ando_X(A*) for A of numerical radius w, which A* attains
     at the negated angles. It gives Y_min's X(T*) and, at A = 2T, T's E21 witness."""
-    return _extremal_X(dagger(A), w, t, -_maxima(w))[:2]
+    return _extremal_X(dagger(A), w, t, -w.maxima)[:2]
+
+
+def _e21_witness(M, t):
+    """(w(2M), X) for M's E21 witness X = ando_X((2M)*), or X = None when none exists."""
+    D = 2.0 * M
+    w = num_radius(D)
+    try:
+        return w, _adjoint_X(D, w, t)[0]
+    except RadiusTooLarge:
+        return w, None
 
 
 @dataclass(frozen=True)
@@ -333,7 +338,7 @@ def _ando_decompose(A, w, t):
     one eigendecomposition X = U diag(x) U* that _extremal_X checked, which
     settled 0 <= X <= I: the square roots of x and 1 - x clip at 0."""
     I = np.eye(A.shape[0], dtype=complex)
-    X, iters, (x, U), lmi_min = _extremal_X(A, w, t, _maxima(w))
+    X, iters, (x, U), lmi_min = _extremal_X(A, w, t, w.maxima)
     Xstar, iters2 = _adjoint_X(A, w, t)
     Y_max = 2.0 * X - I
     Y_min = -(2.0 * Xstar - I)
@@ -389,12 +394,8 @@ def radius_lmi(T, tol=None):
     doubled scale, exists, which needs w(T) <= (1 + BAND)/2 whatever
     psd_eps. Otherwise (False, None).
     """
-    t = _tol(tol)
-    D = 2.0 * require_square(T, "radius_lmi")
-    try:
-        return True, _adjoint_X(D, num_radius(D), t)[0]
-    except RadiusTooLarge:
-        return False, None
+    A = _e21_witness(require_square(T, "radius_lmi"), _tol(tol))[1]
+    return A is not None, A
 
 
 def ucp_from_e21(T, tol=None):
@@ -403,14 +404,10 @@ def ucp_from_e21(T, tol=None):
     Exists exactly when radius_lmi's witness does (RadiusTooLarge otherwise):
     its Choi matrix is that verified block [[A, T*], [T, I-A]].
     """
-    t = _tol(tol)
     M = require_square(T, "ucp_from_e21")
-    D = 2.0 * M
-    w = num_radius(D)
-    try:
-        X = _adjoint_X(D, w, t)[0]
-    except RadiusTooLarge:
-        raise RadiusTooLarge(f"numerical radius {w / 2.0:.12f} exceeds 1/2") from None
+    w, X = _e21_witness(M, _tol(tol))
+    if X is None:
+        raise RadiusTooLarge(f"numerical radius {w / 2.0:.12f} exceeds 1/2")
     return _e21_map(M, X)
 
 

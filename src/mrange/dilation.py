@@ -29,6 +29,7 @@ from .errors import (
 from .linalg import (
     BAND,
     RANK_REL,
+    _count,
     _defect_roots,
     _norm_within,
     as_cmat,
@@ -117,7 +118,7 @@ def two_dilation(T, M, tol=None):
 
 def _two_dilation(A, C, M):
     """two_dilation for a square A and its decomposition's C, |C| <= |Z| <= 1 + 1e-8."""
-    if M < 4:
+    if _count(M) < 4:
         raise WindowTooSmall(f"window M >= 4 required, got {M}")
     d = A.shape[0]
     I = np.eye(d, dtype=complex)
@@ -172,7 +173,7 @@ class BilateralModelReport:
 
 def bilateral_e21_model(M):
     """Compress the bilateral shift (truncated to -M..M) to a 2-dim corner."""
-    if M < 3:
+    if _count(M) < 3:
         raise BadShape(f"need M >= 3, got {M}")
     U = shift(2 * M + 1)
     corner = np.ix_([M, M + 1], [M, M + 1])  # the positions of e_0 and e_1
@@ -218,7 +219,7 @@ def _powers(A, n):
 
 def halved_power_blocks(T, N):
     """Blocks {I, T/2, T^2/2, ..., T^N/2} for the positive-definiteness bridge."""
-    if N < 0:
+    if _count(N) < 0:
         raise BadShape(f"power count N >= 0 required, got {N}")
     P = _powers(require_square(T, "halved_power_blocks"), N)
     return [P[0], *(P[1:] / 2.0)]
@@ -233,7 +234,7 @@ def nilpotent_condition(T, n):
     :mod:`mrange.numrange`, which needs no tolerance.
     """
     A = require_square(T, "nilpotent_condition")
-    if n < 2:
+    if _count(n) < 2:
         raise BadShape(f"order n >= 2 required, got {n}")
     return 1.0 - _level_set_max(-2.0 * _powers(A, n - 1)[1:])[0]
 
@@ -268,7 +269,7 @@ def nilpotent_dilation(T, n):
     at most 0 from |T| = 1/2 on, where the norm is clipped to stay finite.
     """
     A = require_square(T, "nilpotent_dilation")
-    bound = 1.0 - 2.0 * sum(min(op_norm(A), 0.5) ** k for k in range(1, n))
+    bound = 1.0 - 2.0 * sum(min(op_norm(A), 0.5) ** k for k in range(1, _count(n)))
     return _nilpotent_dilation(A, n, bound if n > 1 and bound >= 10.0 * RANK_REL
                                else nilpotent_condition(A, n))
 

@@ -10,6 +10,7 @@ invariant. Threshold verdicts (a radius or norm against 1, a margin against
 0) round by the fixed ``BAND`` instead, whatever psd_eps.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,14 @@ def as_cmat(M):
     if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
         raise BadShape("matrix entries must be finite")
     return A
+
+
+def _count(n):
+    """n as an int; BadShape unless it is an integer (numpy integers are)."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise BadShape(f"count must be an integer, got {n!r}") from None
 
 
 def require_square(M, op=""):

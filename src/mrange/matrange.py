@@ -20,6 +20,7 @@ from .errors import (
 )
 from .linalg import (
     BAND,
+    _count,
     _norm_within,
     _tol,
     dagger,
@@ -30,13 +31,13 @@ from .linalg import (
 )
 from .numrange import _exceeds, num_radius
 from .rng import children
-from .toeplitz import _block_toeplitz, _unitary_measure
+from .toeplitz import AtomicMeasure, _block_toeplitz, _unitary_measure
 
 
 @dataclass(frozen=True)
 class MembershipVerdict:
     """member/margin plus, when the defining theorem is constructive, a
-    verified witness. ``unverified``: member_normal's feasibility solver
+    verified witness. ``unverified`` (set by member_normal alone): its solver
     stopped undetermined, so the verdict stands without a checked witness."""
 
     member: bool
@@ -49,15 +50,10 @@ def member_e21(X, tol=None):
     """Membership in the matricial range of the 2x2 lower shift: exactly
     the operators with numerical radius at most 1/2. The verdict is the
     existence of its witness, ucp_from_e21's map, so never unverified."""
-    t = _tol(tol)
-    A = require_square(X, "member_e21")
-    D = 2.0 * A
-    w = num_radius(D)
-    try:
-        witness = ando._e21_map(A, ando._adjoint_X(D, w, t)[0])
-    except RadiusTooLarge:
-        witness = None
-    return MembershipVerdict(member=witness is not None, margin=0.5 - w / 2.0, witness=witness)
+    M = require_square(X, "member_e21")
+    w, A = ando._e21_witness(M, _tol(tol))
+    witness = None if A is None else ando._e21_map(M, A)
+    return MembershipVerdict(member=A is not None, margin=0.5 - w / 2.0, witness=witness)
 
 
 def member_shift_ball(X, nodes=64, tol=None):
@@ -65,35 +61,30 @@ def member_shift_ball(X, nodes=64, tol=None):
     full-spectrum unitary: the closed unit norm ball, norm <= 1 + BAND
     whatever the PSD slack.
 
-    A witness is PSD weights H_k with sum_k H_k = I and sum_k omega^k H_k = X
-    at the nodes-th roots of unity omega^k, i.e. X realized as the image of
-    a normal unitary surrogate. Up to norm c = cos(pi / nodes), the radius
-    of the disk inscribed in their polygon (nodes >= 3), the weights come
-    in closed form from the block moment measure of [[I, X*/c], [X/c, I]]
-    (_dilation_weights). Only in the band c < norm <= 0.95, which needs
-    nodes <= 9, does member_normal solve for them; other members get no
-    witness. Its own ``unverified`` is passed on: a solver still
-    undetermined after cpmaps.MAX_ITER iterations leaves the verdict intact
-    and flags the witness as unverified, while a checked non-member of the
-    surrogate (no Hermitian weights on nodes <= 2 match a non-Hermitian X)
-    leaves it without a witness and unflagged.
+    Each member X is the first moment of a unitary dilation's spectral
+    measure: the block moment measure of [[I, X*/s], [X/s, I]]
+    (toeplitz._unitary_measure, checked there), PSD G_j with sum_j G_j = I
+    and sum_j e^{i theta_j} G_j = X/s. For nodes >= 3 and norm at most
+    c = cos(pi / nodes), the radius of the disk inscribed in the polygon of
+    the nodes-th roots of unity omega^k, s = c and _dilation_weights splits
+    it into PSD weights H_k with sum_k H_k = I and sum_k omega^k H_k = X.
+    Every other member gets the measure itself for s = max(1, norm), an
+    AtomicMeasure within BAND of X. No verdict is unverified.
     """
-    if nodes < 1:
+    if _count(nodes) < 1:
         raise BadShape(f"nodes >= 1 required, got {nodes}")
     t = _tol(tol)
     A = require_square(X, "member_shift_ball")
     nrm = op_norm(A)
-    witness, unverified = None, False
-    closed_form = nodes >= 3 and nrm <= np.cos(np.pi / nodes)
-    if closed_form or nrm <= 0.95:
+    witness = None
+    if nodes >= 3 and nrm <= np.cos(np.pi / nodes):
         omega = np.exp(1j * (2.0 * np.pi * np.arange(nodes) / nodes))
-        if closed_form:
-            witness = _verified_weights(omega, _dilation_weights(A, omega, t), A)
-        else:
-            surrogate = member_normal(omega, A, t)
-            witness, unverified = surrogate.witness, surrogate.unverified
-    return MembershipVerdict(member=nrm <= 1.0 + BAND, margin=1.0 - nrm,
-                             witness=witness, unverified=unverified)
+        witness = _verified_weights(omega, _dilation_weights(A, omega, t), A)
+    elif nrm <= 1.0 + BAND:
+        d = A.shape[0]
+        T = _block_toeplitz(np.array([np.eye(d), A / max(1.0, nrm)]), 2)
+        witness = AtomicMeasure(*_unitary_measure(T, d, t))
+    return MembershipVerdict(member=nrm <= 1.0 + BAND, margin=1.0 - nrm, witness=witness)
 
 
 def _dilation_weights(A, omega, t):
@@ -168,7 +159,7 @@ def member_normal(spectrum, X, tol=None):
 
 def _check_samples(n, count, dim=np.inf):
     """BadShape unless 1 <= n <= dim and count >= 0."""
-    if not 1 <= n <= dim or count < 0:
+    if not 1 <= _count(n) <= dim or _count(count) < 0:
         raise BadShape(f"need 1 <= size <= {dim} and count >= 0, got size {n} "
                        f"and count {count}")
 
@@ -194,7 +185,7 @@ def smith_ward_nu(T, n):
     """
     A = require_square(T, "smith_ward_nu")
     d = A.shape[0]
-    if n < 2 or n > d:
+    if _count(n) < 2 or n > d:
         raise BadShape(f"need 2 <= n <= dim, got n={n}, dim={d}")
     xi = np.conj(np.linalg.svd(A)[2][0])  # top right singular vector
     # Householder QR: orthonormal columns, the first two spanning xi and T xi

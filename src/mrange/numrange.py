@@ -50,7 +50,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BadShape, NoConvergence, verify
-from .linalg import BAND, dagger, herm_part, op_norm, require_square
+from .linalg import BAND, _count, dagger, herm_part, op_norm, require_square
 
 # a spurious near-unimodular eigenvalue only adds a midpoint, while a missed
 # one can lose the global maximum: near a tangency the computed eigenvalues
@@ -340,7 +340,7 @@ def range_boundary(T, K):
     both vectors. The K points then come from one product.
     """
     A = require_square(T, "range_boundary")
-    if K < 3:
+    if _count(K) < 3:
         raise BadShape(f"range_boundary needs K >= 3, got {K}")
     n = A.shape[0]
     if n == 1:

@@ -18,6 +18,7 @@ from .errors import (
     verify,
 )
 from .linalg import (
+    _count,
     _pinv_sqrt,
     _psd_factor,
     _psd_verdict,
@@ -284,7 +285,7 @@ def measure_from_toeplitz(spec, tol=None):
 def toeplitz_from_measure(mu, n):
     """Coefficients a_k = sum_j w_j e^{i k theta_j} (blockwise for matrix
     weights); the resulting spec is PSD by construction."""
-    if n < 1:
+    if _count(n) < 1:
         raise BadShape(f"coefficient count n >= 1 required, got {n}")
     moments = [mu.moment(k) for k in range(n)]
     if not mu.is_block:

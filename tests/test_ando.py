@@ -134,7 +134,7 @@ class TestBoundaryShift:
                                            (_direct_sum(random_with_radius(3, 1.0, 5)), 2)],
                              ids=["real-pm", "real-pi", "direct-sum"])
     def test_one_maximum_per_angle(self, T, maxima):
-        assert len(mr.ando._maxima(mr.num_radius(T))) == maxima
+        assert len(mr.num_radius(T).maxima) == maxima
 
     @pytest.mark.parametrize("n", [4, 16, 64])
     @pytest.mark.parametrize("real", [False, True])
@@ -155,7 +155,7 @@ class TestBoundaryShift:
     def test_constant_support_function_unshifted(self, T, X):
         # the maximum is attained on the whole circle: no maxima, no shift,
         # and the closed forms come out exactly as before
-        assert len(mr.ando._maxima(mr.num_radius(T))) == 0
+        assert len(mr.num_radius(T).maxima) == 0
         out, steps = mr.ando_X(T)
         plain, plain_steps = _unshifted_X(T)
         assert np.array_equal(out, plain) and steps == plain_steps
@@ -171,6 +171,18 @@ class TestBoundaryShift:
         assert np.array_equal(X, plain) and steps == plain_steps
         G = -np.linalg.solve(X, T / 2)
         assert np.abs(np.linalg.eigvals(G)).max() <= 1 + 1e-8
+
+    def test_ill_conditioned_gram_takes_no_shift(self, monkeypatch):
+        # a Gram matrix V*V under _SHIFT_RCOND_MIN gives no shift: at w = 1
+        # the unshifted X, bit for bit
+        T = random_with_radius(4, 1.0, split(61, 3))
+        w = mr.num_radius(T)
+        assert mr.ando._boundary_shift(T, w, w.maxima) is not None
+        monkeypatch.setattr(mr.ando, "_SHIFT_RCOND_MIN", np.inf)
+        assert mr.ando._boundary_shift(T, w, w.maxima) is None
+        X, steps = mr.ando_X(T)
+        plain, plain_steps = _unshifted_X(T)
+        assert np.array_equal(X, plain) and steps == plain_steps
 
     def test_wrong_shifts_fall_back_under_optimize(self):
         # a shift at angles 0.1 away from the maxima never meets the stop, and
@@ -189,10 +201,8 @@ class TestBoundaryShift:
 
             T = mr.random_matrix(4, 4, 7)
             T = T / mr.num_radius(T)
-            maxima = ando._maxima
-            ando._maxima = lambda w: maxima(w) + 0.1
-            X, steps = mr.ando_X(T)
-            ando._maxima = maxima
+            w = mr.num_radius(T)
+            X, steps = ando._extremal_X(T, w, mr.default_tolerances(), w.maxima + 0.1)[:2]
             print(__debug__, np.array_equal(X, plain(T)[0]), steps == ando._SHIFT_STEPS + plain(T)[1])
 
             T = mr.random_matrix(4, 4, 0)

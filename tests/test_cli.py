@@ -298,6 +298,19 @@ class TestCommands:
                                           "--set", "shift", "--nodes", "32"])
         assert code == 0 and out["member"] and out["witness_verified"]
 
+    def test_member_shift_beyond_the_inscribed_disk(self, tmp_path, capsys):
+        # 0.999 > cos(pi / 64): the unitary dilation's measure is the witness
+        U = np.linalg.qr(mr.random_matrix(3, 3, 17))[0]
+        path = write_json(tmp_path, "x.json", matrix_to_json(0.999 * U))
+        argv = ["member", "--input", path, "--set", "shift", "--nodes", "64"]
+        outs = []
+        for _ in range(2):
+            assert run(argv) == 0
+            outs.append(capsys.readouterr().out)
+        out = json.loads(outs[0])
+        assert out["member"] and out["witness_verified"] and not out["unverified"]
+        assert outs[0] == outs[1]
+
     def test_unknown_command(self, capsys):
         code, out = run_captured(capsys, ["frobnicate"])
         assert code == 1

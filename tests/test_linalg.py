@@ -302,3 +302,40 @@ def test_batched_draws_match_each_seed_alone(n, m, count):
     for k, seed in enumerate(seeds.tolist()):
         assert G[k].tobytes() == mr.random_matrix(n, m, seed).tobytes()
         assert V[k].tobytes() == mr.random_isometry(n, m, seed).tobytes()
+
+
+_POINT = mr.AtomicMeasure(nodes=[0.0], weights=[1.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mr.halved_power_blocks(E21, 2.5),
+    lambda: mr.toeplitz_from_measure(_POINT, 2.5),
+    lambda: mr.two_dilation(E21, 4.5),
+    lambda: mr.bilateral_e21_model(3.5),
+    lambda: mr.spatial_samples(E21, 1, 2.5, 0),
+    lambda: mr.spatial_samples(E21, 1.5, 2, 0),
+    lambda: mr.opsys_probe(E21, E21, 1, 2.5, 0),
+    lambda: mr.range_boundary(E21, 4.5),
+    lambda: mr.nilpotent_condition(E21 / 4, 2.5),
+    lambda: mr.nilpotent_dilation(E21 / 4, 2.5),
+    lambda: mr.smith_ward_nu(np.eye(3), 2.5),
+    lambda: mr.member_shift_ball(E21 / 2, 2.5),
+], ids=["halved_power_blocks", "toeplitz_from_measure", "two_dilation",
+        "bilateral_e21_model", "spatial_samples-count", "spatial_samples-size",
+        "opsys_probe", "range_boundary", "nilpotent_condition", "nilpotent_dilation",
+        "smith_ward_nu", "member_shift_ball"])
+def test_non_integer_counts_are_bad_shapes(call):
+    # a library error, not a bare TypeError or an answer on nodes off the roots of unity
+    with pytest.raises(BadShape, match=r"^count must be an integer, got \d\.5$"):
+        call()
+
+
+def test_numpy_integer_counts_keep_their_range_checks():
+    from mrange.errors import WindowTooSmall
+
+    assert len(mr.range_boundary(E21, np.int64(4))) == 4
+    assert mr.member_shift_ball(E21 / 2, np.int32(16)).member
+    with pytest.raises(WindowTooSmall, match=r"^window M >= 4 required, got 3$"):
+        mr.two_dilation(E21, np.int64(3))
+    with pytest.raises(BadShape, match=r"^nodes >= 1 required, got 0$"):
+        mr.member_shift_ball(E21 / 2, np.int64(0))

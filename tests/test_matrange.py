@@ -48,16 +48,24 @@ class TestMemberE21:
             assert mr.op_norm(v.witness.value(2, 1) - T) <= 1e-12
             assert mr.is_cp(v.witness)[0]
 
-    def test_radius_computed_once(self, monkeypatch):
-        # the witness constructor and its LMI reuse the verdict's radius
+    @pytest.mark.parametrize("name", ["member_e21", "radius_lmi", "ucp_from_e21"])
+    def test_radius_computed_once(self, name, monkeypatch):
+        # each E21 entry point reads ando._e21_witness, whose solve of the
+        # doubled LMI reuses the radius it took
         T = random_with_radius(8, 0.4, 3)
-        calls = []
-        solve = mr.numrange._radius_and_angle
+        calls, found = [], []
+        solve, witness = mr.numrange._radius_and_angle, mr.ando._e21_witness
+
+        def traced_witness(M, t):
+            out = witness(M, t)
+            found.append(out[1] is not None)
+            return out
+
         monkeypatch.setattr(mr.numrange, "_radius_and_angle",
                             lambda T: calls.append(1) or solve(T))
-        v = mr.member_e21(T)
-        assert v.member and v.witness is not None
-        assert len(calls) == 1
+        monkeypatch.setattr(mr.ando, "_e21_witness", traced_witness)
+        getattr(mr, name)(T)
+        assert found == [True] and len(calls) == 1
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("excess", [1e-6, 1e-5, 5e-5])
@@ -74,21 +82,19 @@ class TestMemberE21:
             mr.ucp_from_e21(T, loose)
 
 
-def solver_shift_ball(X, nodes):
-    """Reference verdict: the closed-form weights up to norm cos(pi / nodes)
-    (nodes >= 3), and beyond that member_normal's solver weights, and its
-    own unverified flag, at every point of norm <= 0.95."""
+def reference_shift_ball(X, nodes):
+    """Reference verdict: the N-gon weights up to norm cos(pi / nodes)
+    (nodes >= 3), and beyond that, for every member, the block moment
+    measure of X / max(1, |X|); never unverified."""
     nrm = mr.op_norm(X)
     omega = np.exp(1j * (2.0 * np.pi * np.arange(nodes) / nodes))
-    surrogate = mr.MembershipVerdict(member=False, margin=0.0)
+    witness = None
     if nodes >= 3 and nrm <= np.cos(np.pi / nodes):
-        weights = mr.matrange._dilation_weights(X, omega, mr.default_tolerances())
-        surrogate = mr.MembershipVerdict(member=True, margin=0.0, witness=weights)
-    elif nrm <= 0.95:
-        surrogate = mr.member_normal(omega, X)
-    return mr.MembershipVerdict(member=nrm <= 1.0 + 1e-9, margin=1.0 - nrm,
-                                witness=surrogate.witness,
-                                unverified=surrogate.unverified)
+        witness = mr.matrange._dilation_weights(X, omega, mr.default_tolerances())
+    elif nrm <= 1.0 + 1e-9:
+        spec = mr.BlockToeplitzSpec(blocks=(np.eye(len(X)), X / max(1.0, nrm)))
+        witness = mr.block_measure_from_toeplitz(spec)
+    return mr.MembershipVerdict(member=nrm <= 1.0 + 1e-9, margin=1.0 - nrm, witness=witness)
 
 
 def zero_feasible(K, B, *args, **kwargs):
@@ -148,18 +154,20 @@ class TestMemberShiftBall:
 
     @pytest.mark.parametrize("nodes,norm,d", [
         (1, 0.5, 2), (2, 0.0, 2), (2, 0.5, 2), (2, 0.5, 3),  # nodes <= 2
-        (3, 0.6, 2), (4, 0.8, 2), (8, 0.94, 2), (9, 0.95, 3),  # cos(pi/nodes) < |X| <= 0.95
-        (16, 0.97, 2), (64, 1.0, 2), (64, 1.2, 3),  # |X| > 0.95
-        (16, 0.7, 2), (64, 0.7, 3),  # closed-form witness
+        (3, 0.6, 2), (4, 0.8, 2), (8, 0.94, 2), (9, 0.95, 3),  # |X| > cos(pi/nodes)
+        (16, 0.97, 2), (64, 1.0, 2), (64, 1.2, 3),  # the same, or outside
+        (16, 0.7, 2), (64, 0.7, 3),  # N-gon weights
     ])
     def test_verdict_matches_solver_reference(self, nodes, norm, d):
         G = mr.random_matrix(d, d, split(11, 10 * nodes + d))
         X = norm * G / mr.op_norm(G)
-        v, ref = mr.member_shift_ball(X, nodes), solver_shift_ball(X, nodes)
-        assert (v.member, v.margin, v.unverified) == (ref.member, ref.margin, ref.unverified)
-        assert (v.witness is None) == (ref.witness is None)
-        if nodes < 3 or norm > np.cos(np.pi / nodes):
-            # outside the closed-form region the solver's weights are returned as they are
+        v, ref = mr.member_shift_ball(X, nodes), reference_shift_ball(X, nodes)
+        assert (v.member, v.margin, v.unverified) == (ref.member, ref.margin, False)
+        assert type(v.witness) is type(ref.witness)
+        if isinstance(ref.witness, mr.AtomicMeasure):
+            np.testing.assert_array_equal(v.witness.nodes, ref.witness.nodes)
+            np.testing.assert_array_equal(v.witness.weights, ref.witness.weights)
+        elif ref.witness is not None:
             np.testing.assert_array_equal(np.array(v.witness), np.array(ref.witness))
 
     @pytest.mark.parametrize("norm", [0.96, 0.99, 0.998])
@@ -177,13 +185,14 @@ class TestMemberShiftBall:
 
     def test_checked_surrogate_non_member_is_not_unverified(self):
         # nodes = 2: no Hermitian weights on +-1 match a non-Hermitian X, a
-        # checked verdict of the surrogate, not solver non-convergence
+        # checked verdict of the surrogate, not solver non-convergence; the
+        # ball's own witness is the unitary dilation's measure, on no nodes
         G = mr.random_matrix(2, 2, split(11, 22))
         X = 0.5 * G / mr.op_norm(G)
         surrogate = mr.member_normal([1.0, -1.0], X)
         assert not surrogate.member and not surrogate.unverified
         v = mr.member_shift_ball(X, nodes=2)
-        assert v.member and not v.unverified and v.witness is None
+        assert v.member and not v.unverified and isinstance(v.witness, mr.AtomicMeasure)
 
     def test_closed_form_takes_two_svds(self):
         # one for |X|, one for the polar factor of the block moment measure
@@ -208,6 +217,51 @@ class TestMemberShiftBall:
         assert v.member and not v.unverified and len(v.witness) == nodes
         omega = np.exp(2j * np.pi * np.arange(nodes) / nodes)
         assert mr.op_norm(np.tensordot(omega, v.witness, axes=1) - X) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("nodes", [1, 2, 3, 8, 9, 16, 64])
+    def test_every_member_has_a_witness_without_the_solver(self, nodes, d, monkeypatch):
+        # up to cos(pi / nodes) the N-gon weights, beyond it the unitary
+        # dilation's measure of X / max(1, |X|): never the feasibility solver
+        def no_solver(*args, **kwargs):
+            raise AssertionError("solver called")
+        monkeypatch.setattr(mr.cpmaps, "solve_feasibility", no_solver)
+        monkeypatch.setattr(mr.matrange, "member_normal", no_solver)
+        G = mr.random_matrix(d, d, split(59, 10 * nodes + d))
+        for norm in [0.0, 0.5, 0.94, 0.97, 0.999, 1.0 - 1e-6, 1.0, 1.0 + 0.5 * mr.linalg.BAND]:
+            X = norm * G / mr.op_norm(G)
+            v = mr.member_shift_ball(X, nodes)
+            assert v.member and not v.unverified and v.witness is not None
+            if isinstance(v.witness, mr.AtomicMeasure):
+                assert nodes < 3 or norm > np.cos(np.pi / nodes)
+                assert mr.op_norm(v.witness.moment(0) - np.eye(d)) <= 1e-12
+                target = X / max(1.0, mr.op_norm(X))
+                assert mr.op_norm(v.witness.moment(1) - target) <= 1e-12
+            else:
+                omega = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+                assert mr.op_norm(np.tensordot(omega, v.witness, axes=1) - X) <= 1e-12
+
+    def test_measure_witness_checked_under_optimize(self):
+        # the dilation's measure is checked inside toeplitz._unitary_measure
+        # alone: a factor off by 1% must still fail its moments under python -O
+        code = textwrap.dedent("""
+            import numpy as np
+            import mrange as mr
+            from mrange import toeplitz
+            from mrange.errors import MomentResidualTooLarge
+            factor = toeplitz._psd_factor
+            toeplitz._psd_factor = lambda *args: 1.01 * factor(*args)
+            U = np.linalg.qr(mr.random_matrix(3, 3, 5))[0]
+            try:
+                mr.member_shift_ball(0.999 * U, 64)
+            except MomentResidualTooLarge as exc:
+                print(__debug__, exc.name)
+        """)
+        src = os.path.dirname(os.path.dirname(mr.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == ["False", "MomentResidualTooLarge"], out.stderr
 
 
 class TestMemberNormal:
@@ -240,9 +294,7 @@ class TestMemberNormal:
 
     @pytest.mark.parametrize("member", [
         lambda: mr.member_normal([0.0, 1.0], np.eye(2) / 2),
-        # |X| = 0.94 > cos(pi / 8): the solver path
-        lambda: mr.member_shift_ball(0.94 * E21, nodes=8),
-        # |X| = 0.5 <= cos(pi / 8): the closed-form path
+        # |X| = 0.5 <= cos(pi / 8): the N-gon weights
         lambda: mr.member_shift_ball(0.5 * E21, nodes=8),
     ])
     def test_witness_is_verified(self, member, monkeypatch):
