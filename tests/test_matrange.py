@@ -294,6 +294,9 @@ class TestMemberNormal:
 
     @pytest.mark.parametrize("member", [
         lambda: mr.member_normal([0.0, 1.0], np.eye(2) / 2),
+        # the solver's weights on the 8th roots of unity at |X| = 0.94 >
+        # cos(pi / 8), where member_shift_ball takes the measure instead
+        lambda: mr.member_normal(np.exp(2j * np.pi * np.arange(8) / 8), 0.94 * E21),
         # |X| = 0.5 <= cos(pi / 8): the N-gon weights
         lambda: mr.member_shift_ball(0.5 * E21, nodes=8),
     ])
