@@ -331,43 +331,49 @@ def ando_decompose(T, tol=None):
     return _ando_decompose(A, num_radius(A), t)
 
 
+def _of_X(U, fx):
+    """f(X) = U diag(fx) U* for the eigenvalues fx = f(x) of X = U diag(x) U*."""
+    return (U * fx) @ dagger(U)
+
+
+def _ando_factor(A, x, U):
+    """(Z, C, |Z|) from X = U diag(x) U*, which _extremal_X checked, 0 <= X <= I (the
+    root of 1 - x clips at 0); verifies |C| <= |Z| <= 1 + 1e-8."""
+    Z = _of_X(U, _pinv_sqrt(x)) @ (A / 2.0) @ _of_X(U, _pinv_sqrt(1.0 - x))
+    z_norm = op_norm(Z)
+    verify(z_norm <= 1.0 + 1e-8, f"Z norm {z_norm:.12f}")
+    return Z, Z @ _of_X(U, np.sqrt(np.clip(1.0 - x, 0.0, None))), z_norm
+
+
 def _ando_decompose(A, w, t):
     """ando_decompose for a square A whose numerical radius w is already known.
 
-    Every operator of the factorization is a function of X, taken from the
-    one eigendecomposition X = U diag(x) U* that _extremal_X checked, which
-    settled 0 <= X <= I: the square roots of x and 1 - x clip at 0."""
+    Every operator is a function of X from the one eigendecomposition that
+    _extremal_X checked; Z and C (|Z| checked first) come from _ando_factor,
+    which the two-dilation shares, as it needs X(T) alone. One stacked SVD
+    gives |A| and the reconstruction, C-form and fixed-point residuals."""
     I = np.eye(A.shape[0], dtype=complex)
     X, iters, (x, U), lmi_min = _extremal_X(A, w, t, w.maxima)
     Xstar, iters2 = _adjoint_X(A, w, t)
     Y_max = 2.0 * X - I
     Y_min = -(2.0 * Xstar - I)
+    Z, C, z_norm = _ando_factor(A, x, U)
 
-    def of_X(fx):
-        """f(X) for the eigenvalues fx = f(x)."""
-        return (U * fx) @ dagger(U)
-
-    # X^{+1/2} and (I - X)^{+1/2} vanish off range(X) and range(I - X), so
-    # Z maps range(I - X) into range(X) as it is
-    inv_sq_ix = _pinv_sqrt(1.0 - x)
-    Z = of_X(_pinv_sqrt(x)) @ (A / 2.0) @ of_X(inv_sq_ix)
+    # I + Y_max = 2X, I - Y_max = 2(I - X)
     x0, ix0 = np.clip(x, 0.0, None), np.clip(1.0 - x, 0.0, None)
-    C = Z @ of_X(np.sqrt(ix0))
-
-    # I + Y_max = 2X, I - Y_max = 2(I - X); |C| <= |Z| <= 1 + 1e-8 is verified below
-    rec_y = op_norm(of_X(np.sqrt(2.0 * x0)) @ Z @ of_X(np.sqrt(2.0 * ix0)) - A)
-    rec_c = op_norm(2.0 * _defect_roots(C)[1] @ C - A)
-    fixres = op_norm(_fixpoint_defect(I, dagger(A) / 2.0, X))
+    defects = np.array([_of_X(U, np.sqrt(2.0 * x0)) @ Z @ _of_X(U, np.sqrt(2.0 * ix0)) - A,
+                        2.0 * _defect_roots(C)[1] @ C - A,
+                        _fixpoint_defect(I, dagger(A) / 2.0, X), A])
+    rec_y, rec_c, fixres, a_norm = np.linalg.svd(defects, compute_uv=False).max(axis=-1).tolist()
     ymin_gap = float(np.linalg.eigvalsh(Y_max - Y_min)[0])
 
     # Z is isometric on range(I - Y_max): | |Z v| - |v| | on its eigenvectors
     # v = 2(1 - x_j) u_j
-    on = inv_sq_ix > 0.0
+    on = _rank_mask(1.0 - x)
     iso_defect = float((2.0 * (1.0 - x[on]) * np.abs(np.linalg.norm(Z @ U[:, on], axis=0)
                                                      - 1.0)).max(initial=0.0))
 
-    scale = 1.0 + op_norm(A)
-    z_norm = op_norm(Z)
+    scale = 1.0 + a_norm
     residuals = {
         "reconstruction_ymax": rec_y,
         "reconstruction_c": rec_c,
@@ -379,7 +385,6 @@ def _ando_decompose(A, w, t):
     }
     verify(rec_y <= 1e-8 * scale, f"factorization residual {rec_y:.3e}")
     verify(rec_c <= 1e-8 * scale, f"C-form residual {rec_c:.3e}")
-    verify(z_norm <= 1.0 + 1e-8, f"Z norm {z_norm:.12f}")
     verify(iso_defect <= 1e-7, f"Z isometry defect {iso_defect:.3e}")
     verify(ymin_gap >= -t.psd_eps * scale, f"Y_min above Y_max by {-ymin_gap:.3e}")
     return AndoDecomposition(X=X, Xstar=Xstar, Y_max=Y_max, Y_min=Y_min, Z=Z, C=C,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ando
 from .errors import (
     BadShape,
     ConditionFails,
@@ -32,6 +33,7 @@ from .linalg import (
     _count,
     _defect_roots,
     _norm_within,
+    _tol,
     as_cmat,
     dagger,
     kron,
@@ -40,7 +42,7 @@ from .linalg import (
     require_square,
     shift,
 )
-from .numrange import _level_set_max
+from .numrange import _level_set_max, num_radius
 from .toeplitz import _block_toeplitz, _spectral_factor
 
 
@@ -83,43 +85,48 @@ class WindowedOperator:
 
     def center_blocks_of_powers(self, k):
         """Blocks (0, 0) of U, ..., U^k: block 0 of X_n = U^n E_0, X_{n+1} = U X_n."""
-        X = {0: np.eye(self.block_dim, dtype=complex)}
+        if _count(k) < 0:
+            raise BadShape(f"power index >= 0 required, got {k}")
+        X, out = {0: np.eye(self.block_dim, dtype=complex)}, []
         for _ in range(k):
             Y = defaultdict(float)
             for (i, j), B in self.blocks.items():
                 if j in X:
                     Y[i] += B @ X[j]
             X = Y
-            yield X[0]
+            out.append(X[0])
+        return out
 
     def center_block_of_power(self, n):
-        """Block (0, 0) of the n-th matrix power."""
+        """Block (0, 0) of the n-th matrix power, n >= 0."""
         return [np.eye(self.block_dim, dtype=complex), *self.center_blocks_of_powers(n)][-1]
 
 
 def two_dilation(T, M, tol=None):
     """Banded unitary U on the window -M..M with (U^n)_{0,0} = T^n / 2.
 
-    Requires w(T) <= 1 and M >= 4; the compression identity is verified for
-    1 <= n <= M // 2 - 1, where the truncation provably cannot leak into the
-    center block, on the block column U^n E_0. Rows and columns at the two
-    outer edges are incomplete, so unitarity holds away from them; it is
-    checked on the 3d x 3d core W = U[block rows -1..1, block columns -2..0],
-    exactly: every other block column is one identity block in a row holding
-    no other block, so U*U - I vanishes, in floating point too, outside
-    columns -2..0, and those meet rows -1..1 only.
+    Requires M >= 4 (checked first) and w(T) <= 1. U is built from Ando's
+    C = Z (I - X)^{1/2}, which needs X(T) alone: its LMI and X <= I checks,
+    then |Z| <= 1 + 1e-8 (``ando._ando_factor``). The compression identity
+    is verified for 1 <= n <= M // 2 - 1, where the truncation provably
+    cannot leak into the center block, on the block column U^n E_0, by one
+    stacked SVD. Rows and columns at the two outer edges are incomplete, so
+    unitarity holds away from them; it is checked on the 3d x 3d core
+    W = U[block rows -1..1, block columns -2..0], exactly: every other block
+    column is one identity block in a row holding no other block, so
+    U*U - I vanishes, in floating point too, outside columns -2..0, and
+    those meet rows -1..1 only.
     """
-    from .ando import ando_decompose
-
     A = require_square(T, "two_dilation")
-    # raises RadiusTooLarge when w(T) > 1 + BAND
-    return _two_dilation(A, ando_decompose(A, tol).C, M)
+    if _count(M) < 4:
+        raise WindowTooSmall(f"window M >= 4 required, got {M}")
+    w = num_radius(A)   # _extremal_X raises RadiusTooLarge when w > 1 + BAND
+    x, U = ando._extremal_X(A, w, _tol(tol), w.maxima)[2]
+    return _two_dilation(A, ando._ando_factor(A, x, U)[1], M)
 
 
 def _two_dilation(A, C, M):
-    """two_dilation for a square A and its decomposition's C, |C| <= |Z| <= 1 + 1e-8."""
-    if _count(M) < 4:
-        raise WindowTooSmall(f"window M >= 4 required, got {M}")
+    """two_dilation for a square A, its C (|C| <= 1 + 1e-8) and a checked M >= 4."""
     d = A.shape[0]
     I = np.eye(d, dtype=complex)
     DCs, DC = _defect_roots(C)   # (I-CC*)^{1/2}, (I-C*C)^{1/2}
@@ -136,14 +143,13 @@ def _two_dilation(A, C, M):
     unit_defect = _core_unitarity_defect(blocks, d)
     verify(unit_defect <= 1e-7, f"interior unitarity defect {unit_defect:.3e}")
 
-    residuals = {"unitarity": unit_defect}
-    win = WindowedOperator(block_dim=d, window=M, blocks=blocks, residuals=residuals)
+    win = WindowedOperator(d, M, blocks, {"unitarity": unit_defect})
     halves = _powers(A, M // 2 - 1)[1:] / 2.0
-    errs = [op_norm(block - half)
-            for block, half in zip(win.center_blocks_of_powers(len(halves)), halves)]
+    errs = np.linalg.svd(np.array(win.center_blocks_of_powers(len(halves))) - halves,
+                         compute_uv=False).max(axis=-1).tolist()
     for n, err in enumerate(errs, 1):
         verify(err <= 1e-9, f"compression identity fails at power {n}: {err:.3e}")
-    residuals["compression"] = max(errs)
+    win.residuals["compression"] = max(errs)
     return win
 
 

@@ -473,7 +473,7 @@ class TestOneFactorizationPerOperator:
 
     @pytest.mark.parametrize("run, bound", [
         (lambda T: mr.ando_decompose(T), 11),
-        (lambda T: mr.two_dilation(T, 12), 12),
+        (lambda T: mr.two_dilation(T, 12), 7),
         (lambda T: mr.equivalence_suite(T / 2), 24),
     ], ids=["ando_decompose", "two_dilation", "equivalence_suite"])
     def test_decomposition_count(self, run, bound, monkeypatch):

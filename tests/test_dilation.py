@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -81,6 +86,129 @@ class TestTwoDilation:
     def test_radius_too_large(self):
         with pytest.raises(RadiusTooLarge):
             mr.two_dilation(random_with_radius(2, 1.3, 1), 8)
+
+    def test_window_is_checked_before_any_solve(self, monkeypatch):
+        T = random_with_radius(3, 0.9, 5)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solver called")
+
+        monkeypatch.setattr(mr.numrange, "_radius_and_angle", forbidden)
+        monkeypatch.setattr(mr.ando, "_cyclic_reduction", forbidden)
+        with pytest.raises(WindowTooSmall, match=r"^window M >= 4 required, got 3$"):
+            mr.two_dilation(T, 3)
+        with pytest.raises(BadShape, match=r"^count must be an integer, got 4\.5$"):
+            mr.two_dilation(T, 4.5)
+
+    @pytest.mark.parametrize("T", [2 * E21, random_with_radius(3, 1.0, 9),
+                                   random_with_radius(5, 0.9, 10)])
+    def test_one_radius_and_one_extremal_solve(self, T, monkeypatch):
+        # the dilation needs X(T) alone: no X(T*) and no decomposition
+        calls = []
+
+        def counted(module, name):
+            solver = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args: calls.append(name) or solver(*args))
+
+        counted(mr.numrange, "_radius_and_angle")
+        for name in ("_extremal_X", "_adjoint_X", "_ando_decompose"):
+            counted(mr.ando, name)
+        mr.two_dilation(T, 8)
+        assert calls == ["_radius_and_angle", "_extremal_X"]
+
+    @pytest.mark.parametrize("n", [-3, -1])
+    def test_negative_power_index_is_a_bad_shape(self, n):
+        # non-integer indices are test_linalg's test_non_integer_counts_are_bad_shapes
+        win = mr.two_dilation(2 * E21, 8)
+        with pytest.raises(BadShape, match=f"^power index >= 0 required, got {n}$"):
+            win.center_block_of_power(n)
+        with pytest.raises(BadShape, match=f"^power index >= 0 required, got {n}$"):
+            win.center_blocks_of_powers(n)
+        assert win.center_blocks_of_powers(0) == []
+        np.testing.assert_array_equal(win.center_block_of_power(0), np.eye(2))
+
+
+def _parity_inputs():
+    yield 2 * E21
+    yield mr.shift(4) / np.cos(np.pi / 5)   # w(S_n) = cos(pi / (n + 1))
+    yield mr.shift(8) / np.cos(np.pi / 9)
+    for w in (1.0, 0.9):
+        for d in (1, 2, 3, 5, 8):
+            yield random_with_radius(d, w, split(3307, 10 * d + int(10 * w)))
+
+
+class TestDilationFromXAlone:
+    """two_dilation builds C from X(T) alone, through the same ando._ando_factor
+    that ando_decompose calls, and takes its compression norms, like the
+    decomposition's residual norms, from one stacked SVD."""
+
+    @pytest.mark.parametrize("T", list(_parity_inputs()))
+    def test_matches_the_dilation_of_the_decomposition(self, T, monkeypatch):
+        stacks = []
+        svd = np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            values = svd(a, *args, **kwargs)
+            if np.ndim(a) == 3:
+                stacks.append((np.array(a), values))
+            return values
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        A = np.asarray(T, dtype=complex)
+        win = mr.two_dilation(A, 12)
+        dec = mr.ando_decompose(A)
+        ref = mr.dilation._two_dilation(A, dec.C, 12)
+        assert win.dense().tobytes() == ref.dense().tobytes()
+        assert win.residuals == ref.residuals
+        # powers 1 to 5, the decomposition's three residuals and |A|, powers 1 to 5
+        assert [len(stack) for stack, _ in stacks] == [5, 4, 5]
+        for stack, values in stacks:
+            assert values.max(axis=-1).tolist() == [mr.op_norm(R) for R in stack]
+        np.testing.assert_array_equal(stacks[1][0][3], A)
+        assert stacks[1][1].max(axis=-1)[:3].tolist() == [
+            dec.residuals[k] for k in ("reconstruction_ymax", "reconstruction_c", "fixed_point")]
+        assert win.residuals["compression"] == max(stacks[0][1].max(axis=-1))
+
+    def test_checks_run_under_optimize(self):
+        # the |Z| <= 1 + 1e-8 check of ando._ando_factor, and the batched
+        # compression check, must not vanish with assert statements
+        code = textwrap.dedent("""
+            import numpy as np
+            import mrange as mr
+            from mrange import ando, dilation
+            from mrange.errors import VerificationFailed
+            E21 = np.array([[0, 0], [1, 0]], dtype=complex)
+            T = mr.random_matrix(3, 3, 5)
+            T /= mr.num_radius(T)
+            of_X = ando._of_X
+            ando._of_X = lambda U, fx: (1 + 1e-6) * of_X(U, fx)
+            try:
+                mr.two_dilation(2 * E21, 8)
+            except VerificationFailed as exc:
+                print(__debug__, exc.name, str(exc).split()[:2])
+            ando._of_X = of_X
+            blocks = dilation.WindowedOperator.center_blocks_of_powers
+
+            def moved(self, k):
+                out = blocks(self, k)
+                out[-1] = out[-1] + 1e-6 * np.eye(self.block_dim)
+                return out
+
+            dilation.WindowedOperator.center_blocks_of_powers = moved
+            try:
+                mr.two_dilation(T, 8)
+            except VerificationFailed as exc:
+                print(__debug__, exc.name, str(exc).split()[:6])
+        """)
+        src = os.path.dirname(os.path.dirname(mr.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.splitlines() == [
+            "False VerificationFailed ['Z', 'norm']",
+            "False VerificationFailed ['compression', 'identity', 'fails', 'at', 'power', '3:']",
+        ], out.stderr
 
 
 class TestTwoDilationBand:

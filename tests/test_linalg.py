@@ -320,10 +320,13 @@ _POINT = mr.AtomicMeasure(nodes=[0.0], weights=[1.0])
     lambda: mr.nilpotent_dilation(E21 / 4, 2.5),
     lambda: mr.smith_ward_nu(np.eye(3), 2.5),
     lambda: mr.member_shift_ball(E21 / 2, 2.5),
+    lambda: mr.two_dilation(2 * E21, 8).center_block_of_power(2.5),
+    lambda: mr.two_dilation(2 * E21, 8).center_blocks_of_powers(2.5),
 ], ids=["halved_power_blocks", "toeplitz_from_measure", "two_dilation",
         "bilateral_e21_model", "spatial_samples-count", "spatial_samples-size",
         "opsys_probe", "range_boundary", "nilpotent_condition", "nilpotent_dilation",
-        "smith_ward_nu", "member_shift_ball"])
+        "smith_ward_nu", "member_shift_ball", "center_block_of_power",
+        "center_blocks_of_powers"])
 def test_non_integer_counts_are_bad_shapes(call):
     # a library error, not a bare TypeError or an answer on nodes off the roots of unity
     with pytest.raises(BadShape, match=r"^count must be an integer, got \d\.5$"):
