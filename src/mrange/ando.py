@@ -60,7 +60,7 @@ from .linalg import (
     psd_check,
     require_square,
 )
-from .numrange import num_radius
+from .numrange import _radius_or_bound, num_radius
 
 # at w(T) = 1 the residual falls like 4^-k and reaches FIXPOINT_EPS in about
 # 20 steps; elsewhere convergence is quadratic
@@ -81,6 +81,8 @@ _SHIFT_RCOND_MIN = 1e-8
 # error halves per step, the update falls under it about two steps before the
 # residual passes. A late gate would only add a step, never accept an X
 _RESIDUAL_GATE = np.sqrt(FIXPOINT_EPS)
+# how NoConvergence names an indefinite step, which refutes positivity
+_INDEFINITE = "cyclic reduction lost definiteness"
 
 
 def _congruence_pinv(X, A1):
@@ -172,7 +174,7 @@ def _cyclic_reduction(A0, A1, polish=False, shift=None):
             else:   # C = U c U* singular (a summand at its fixed point): F = c^{-1/2} U*
                 c, U = np.linalg.eigh(C)
                 if c[0] < -RANK_REL * c[-1]:   # beyond the rank cutoff
-                    raise NoConvergence(f"cyclic reduction lost definiteness at step {k}")
+                    raise NoConvergence(f"{_INDEFINITE} at step {k}")
                 W, V = np.split((_pinv_sqrt(c)[:, None] * dagger(U)) @ BB, 2, axis=1)
             BCB, BCBs, BCB2 = dagger(W) @ W, dagger(V) @ V, dagger(V) @ W
             update = np.linalg.norm(BCB)
@@ -247,6 +249,10 @@ def _extremal_X(A, w, t, maxima):
     """ando_X for a square A whose numerical radius w is already known, and
     the angles ``maxima`` where it is attained (none: no shift is tried);
     also returns X's eigendecomposition (x, U) and the LMI's min eigenvalue.
+    w is read only by the gate w > 1 + BAND, the shift (at |w - 1| <=
+    _SHIFT_BAND) and RadiusTooLarge, raised by a failed run at w > 1 only.
+    So a proven bound under 1 - BAND (``numrange._radius_or_bound``) may
+    stand in for w, with no maxima, and gives the same X, count and errors.
 
     At w = 1 the shifted cyclic reduction runs first; when it fails (a
     wrong shift) the unshifted one does, and the iteration count adds the
@@ -292,10 +298,11 @@ def _adjoint_X(A, w, t):
     return _extremal_X(dagger(A), w, t, -w.maxima)[:2]
 
 
-def _e21_witness(M, t):
-    """(w(2M), X) for M's E21 witness X = ando_X((2M)*), or X = None when none exists."""
+def _e21_witness(M, t, radius=_radius_or_bound):
+    """(w, X) for M's E21 witness X = ando_X((2M)*), or X = None when none exists;
+    w = radius(2M), w(2M) itself only when ``radius`` is num_radius."""
     D = 2.0 * M
-    w = num_radius(D)
+    w = radius(D)
     try:
         return w, _adjoint_X(D, w, t)[0]
     except RadiusTooLarge:
@@ -328,7 +335,7 @@ class AndoDecomposition:
 def ando_decompose(T, tol=None):
     t = _tol(tol)
     A = require_square(T, "ando_decompose")
-    return _ando_decompose(A, num_radius(A), t)
+    return _ando_decompose(A, _radius_or_bound(A), t)
 
 
 def _of_X(U, fx):

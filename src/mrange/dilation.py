@@ -42,7 +42,7 @@ from .linalg import (
     require_square,
     shift,
 )
-from .numrange import _level_set_max, num_radius
+from .numrange import _level_set_max, _radius_or_bound
 from .toeplitz import _block_toeplitz, _spectral_factor
 
 
@@ -107,20 +107,21 @@ def two_dilation(T, M, tol=None):
 
     Requires M >= 4 (checked first) and w(T) <= 1. U is built from Ando's
     C = Z (I - X)^{1/2}, which needs X(T) alone: its LMI and X <= I checks,
-    then |Z| <= 1 + 1e-8 (``ando._ando_factor``). The compression identity
-    is verified for 1 <= n <= M // 2 - 1, where the truncation provably
-    cannot leak into the center block, on the block column U^n E_0, by one
-    stacked SVD. Rows and columns at the two outer edges are incomplete, so
-    unitarity holds away from them; it is checked on the 3d x 3d core
-    W = U[block rows -1..1, block columns -2..0], exactly: every other block
-    column is one identity block in a row holding no other block, so
-    U*U - I vanishes, in floating point too, outside columns -2..0, and
-    those meet rows -1..1 only.
+    then |Z| <= 1 + 1e-8 (``ando._ando_factor``). No radius is printed, so
+    an interior T skips the level set (``numrange._radius_or_bound``). The
+    compression identity is verified for 1 <= n <= M // 2 - 1, where the
+    truncation provably cannot leak into the center block, on the block
+    column U^n E_0, by one stacked SVD. Rows and columns at the two outer
+    edges are incomplete, so unitarity holds away from them; it is checked
+    on the 3d x 3d core W = U[block rows -1..1, block columns -2..0],
+    exactly: every other block column is one identity block in a row
+    holding no other block, so U*U - I vanishes, in floating point too,
+    outside columns -2..0, and those meet rows -1..1 only.
     """
     A = require_square(T, "two_dilation")
     if _count(M) < 4:
         raise WindowTooSmall(f"window M >= 4 required, got {M}")
-    w = num_radius(A)   # _extremal_X raises RadiusTooLarge when w > 1 + BAND
+    w = _radius_or_bound(A)   # _extremal_X raises RadiusTooLarge when w > 1 + BAND
     x, U = ando._extremal_X(A, w, _tol(tol), w.maxima)[2]
     return _two_dilation(A, ando._ando_factor(A, x, U)[1], M)
 

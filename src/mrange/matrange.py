@@ -51,7 +51,7 @@ def member_e21(X, tol=None):
     the operators with numerical radius at most 1/2. The verdict is the
     existence of its witness, ucp_from_e21's map, so never unverified."""
     M = require_square(X, "member_e21")
-    w, A = ando._e21_witness(M, _tol(tol))
+    w, A = ando._e21_witness(M, _tol(tol), num_radius)
     witness = None if A is None else ando._e21_map(M, A)
     return MembershipVerdict(member=A is not None, margin=0.5 - w / 2.0, witness=witness)
 

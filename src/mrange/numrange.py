@@ -251,12 +251,13 @@ def _ascend(AB, theta):
     return best, best_theta
 
 
-def _level_set_max(D):
+def _level_set_max(D, start=None):
     """Max over theta of lambda_max(Re p(e^{i theta})), an angle where it
     is attained, and the maxima: the final level's midpoints that attain it
     to within _MAXIMA_FLOORS floors, for p(z) = sum_k z^k D_k as in
     ``_support_grid``. A maximum attained that closely at all the start
-    angles (``_start_grid``) is taken to be attained on the whole circle (a
+    angles (``_start_grid``, or ``start`` when a caller already took it on
+    D scaled by _pow2_scale) is taken to be attained on the whole circle (a
     constant eigenvalue branch, whose pencils are singular), and no maxima
     are reported.
 
@@ -274,7 +275,7 @@ def _level_set_max(D):
     AB = np.stack([herm_part(D), herm_part(1j * D)], axis=2).reshape(
         D.shape[:1] + (-1,) + D.shape[2:])
     pencil = _level_pencil(D)
-    thetas, vals = _start_grid(D)
+    thetas, vals = _start_grid(D) if start is None else start
     lowest = float(vals.max(axis=0).min())
     for _ in range(_MAX_LEVELS):
         # climb the summand on top at the best angle; one that rises above
@@ -314,6 +315,24 @@ def _radius_and_angle(T):
     attained."""
     r, angle, maxima = _level_set_max(require_square(T, "num_radius"))
     return _Radius(r, maxima), angle
+
+
+def _radius_or_bound(A):
+    """num_radius(A) for a square A, or, with no maxima, a proven upper bound
+    under 1 - BAND in its place when the start values give one: at the angle
+    theta* where w is attained, with top unit vector v, f(theta) >=
+    Re(e^{i theta} v*Av) = w cos(theta - theta*), and a start angle lies
+    within pi/16 of theta*, so w <= l sec(pi/16) for the largest start value
+    l; (1 + 8 n eps) covers its rounding, about n eps |A| <= 2 n eps w. Only
+    callers that print no radius take it, for ``ando._extremal_X``, which it
+    serves as w would. Otherwise the level set starts from these values."""
+    scale = _pow2_scale(A)
+    start = _start_grid(scale * A[None, None])
+    bound = float(start[1].max()) / scale / np.cos(np.pi / 16) * (1.0 + 8.0 * A.shape[0] * _EPS)
+    if bound < 1.0 - BAND:
+        return _Radius(bound, np.empty(0))
+    r, _, maxima = _level_set_max(A, start)
+    return _Radius(r, maxima)
 
 
 def num_radius(T):

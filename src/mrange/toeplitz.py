@@ -8,10 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .ando import _cyclic_reduction
+from .ando import _INDEFINITE, _cyclic_reduction
 from .errors import (
     BadShape,
     MomentResidualTooLarge,
+    NoConvergence,
     NotPSD,
     NotStrictlyPositive,
     ShapeMismatch,
@@ -122,9 +123,13 @@ def _spectral_factor(Q):
 def fejer_riesz(tau):
     """Spectral factor p (lowest-first) with |p|^2 = tau on the circle.
 
-    tau must be strictly positive on a 4096-point grid. The scalar case of
-    _spectral_factor, on tau / a_0, gives the outer factor, with its roots
-    outside the unit disk; p is its conjugate reversal
+    NotStrictlyPositive when a sample of tau on a 4096-point grid is at most
+    1e-8, or when the factorization loses definiteness: every Toeplitz
+    section [tau_{i-j}] of a nonnegative tau is PSD, and so is each Schur
+    complement that cyclic reduction takes of them, so an indefinite one
+    (beyond the RANK_REL cutoff) shows tau < 0 between the samples. The
+    scalar case of _spectral_factor, on tau / a_0, gives the outer factor,
+    with its roots outside the unit disk; p is its conjugate reversal
     l^N conj(p(1/conj(l))), which collects the roots inside the disk and has
     a real positive leading coefficient. It is verified by the exact
     coefficient identity conv(p, conj(p[::-1])) = tau, to a bound that
@@ -145,7 +150,12 @@ def fejer_riesz(tau):
     if N == 0:
         return np.array([np.sqrt(a[0].real)], dtype=complex)
 
-    outer = _spectral_factor((a / a[0].real)[:, None, None])[:, 0, 0]
+    try:
+        outer = _spectral_factor((a / a[0].real)[:, None, None])[:, 0, 0]
+    except NoConvergence as exc:
+        if not str(exc).startswith(_INDEFINITE):
+            raise
+        raise NotStrictlyPositive(f"tau is not positive between the grid samples: {exc}") from exc
     p = np.sqrt(a[0].real) * np.conj(outer[::-1])
     # |tau - |p|^2| on the circle is at most |e_0| + 2 sum_{k>=1} |e_k|
     e = np.abs(np.convolve(p, np.conj(p[::-1]))[N:] - a)

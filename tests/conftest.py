@@ -28,3 +28,19 @@ def herm_eig_calls(monkeypatch):
         return herm_eig(H)
     monkeypatch.setattr(mr.linalg, "herm_eig", counted)
     return calls
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, name) wraps module.name for the test and returns
+    a list that grows by the positional arguments of each call."""
+    def count(module, name):
+        calls = []
+        target = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return target(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+        return calls
+    return count

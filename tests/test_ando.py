@@ -409,13 +409,13 @@ class TestAndoDecompose:
         np.testing.assert_allclose(dec.Z, E21, atol=1e-12)
         np.testing.assert_allclose(dec.C, E21, atol=1e-12)
 
-    def test_radius_computed_once(self, monkeypatch):
-        # w(T*) = w(T), so the adjoint problem reuses the radius
-        calls = []
-        radius = mr.ando.num_radius
-        monkeypatch.setattr(mr.ando, "num_radius", lambda T: calls.append(1) or radius(T))
-        mr.ando_decompose(E21)
-        assert len(calls) == 1
+    def test_radius_computed_once(self, count_calls):
+        # at w = 1 the start values settle nothing: one level set, started
+        # from them, and w(T*) = w(T), so the adjoint problem reuses it
+        starts = count_calls(mr.numrange, "_start_grid")
+        levels = count_calls(mr.numrange, "_level_set_max")
+        mr.ando_decompose(2 * E21)
+        assert len(starts) == len(levels) == 1
 
     def test_zero(self):
         dec = mr.ando_decompose(np.zeros((2, 2)))
@@ -701,17 +701,9 @@ class TestAdjointXIsTheE21Witness:
             assert 2.0 * w == w2 and np.array_equal(w.maxima, w2.maxima)
 
     @pytest.fixture
-    def solved(self, monkeypatch):
-        """The matrices _extremal_X is called on, in call order."""
-        calls = []
-        extremal = mr.ando._extremal_X
-
-        def counted(*args):
-            calls.append(args[0])
-            return extremal(*args)
-
-        monkeypatch.setattr(mr.ando, "_extremal_X", counted)
-        return calls
+    def solved(self, count_calls):
+        """The arguments of each _extremal_X call, in call order."""
+        return count_calls(mr.ando, "_extremal_X")
 
     @pytest.mark.parametrize("call, solves", [
         (mr.radius_lmi, 1), (mr.ucp_from_e21, 1), (mr.member_e21, 1), (mr.ando_decompose, 2)])
@@ -721,7 +713,7 @@ class TestAdjointXIsTheE21Witness:
         call(T / 2.0 if call is not mr.ando_decompose else T)
         assert len(solved) == solves
         # the E21 solve and the decomposition's second one are on the adjoint
-        assert np.array_equal(solved[-1], np.conj(T).T)
+        assert np.array_equal(solved[-1][0], np.conj(T).T)
 
     def test_large_radius_is_refused_by_every_e21_entry_point(self, solved):
         T = random_with_radius(3, 0.6, split(73, 3))

@@ -93,7 +93,7 @@ class TestTwoDilation:
         def forbidden(*args, **kwargs):
             raise AssertionError("solver called")
 
-        monkeypatch.setattr(mr.numrange, "_radius_and_angle", forbidden)
+        monkeypatch.setattr(mr.numrange, "_start_grid", forbidden)
         monkeypatch.setattr(mr.ando, "_cyclic_reduction", forbidden)
         with pytest.raises(WindowTooSmall, match=r"^window M >= 4 required, got 3$"):
             mr.two_dilation(T, 3)
@@ -102,20 +102,19 @@ class TestTwoDilation:
 
     @pytest.mark.parametrize("T", [2 * E21, random_with_radius(3, 1.0, 9),
                                    random_with_radius(5, 0.9, 10)])
-    def test_one_radius_and_one_extremal_solve(self, T, monkeypatch):
-        # the dilation needs X(T) alone: no X(T*) and no decomposition
-        calls = []
-
-        def counted(module, name):
-            solver = getattr(module, name)
-            monkeypatch.setattr(module, name,
-                                lambda *args: calls.append(name) or solver(*args))
-
-        counted(mr.numrange, "_radius_and_angle")
-        for name in ("_extremal_X", "_adjoint_X", "_ando_decompose"):
-            counted(mr.ando, name)
+    def test_one_radius_and_one_extremal_solve(self, T, count_calls):
+        # the dilation needs X(T) alone: no X(T*) and no decomposition. The
+        # radius is one level set at w = 1, and none at w = 0.9, where the
+        # start values bound it below 1
+        interior = mr.num_radius(T) < 0.95
+        starts = count_calls(mr.numrange, "_start_grid")
+        levels = count_calls(mr.numrange, "_level_set_max")
+        solves = {name: count_calls(mr.ando, name)
+                  for name in ("_extremal_X", "_adjoint_X", "_ando_decompose")}
         mr.two_dilation(T, 8)
-        assert calls == ["_radius_and_angle", "_extremal_X"]
+        assert (len(starts), len(levels)) == (1, 0 if interior else 1)
+        assert {name: len(c) for name, c in solves.items()} == \
+            {"_extremal_X": 1, "_adjoint_X": 0, "_ando_decompose": 0}
 
     @pytest.mark.parametrize("n", [-3, -1])
     def test_negative_power_index_is_a_bad_shape(self, n):

@@ -49,23 +49,19 @@ class TestMemberE21:
             assert mr.is_cp(v.witness)[0]
 
     @pytest.mark.parametrize("name", ["member_e21", "radius_lmi", "ucp_from_e21"])
-    def test_radius_computed_once(self, name, monkeypatch):
+    def test_radius_computed_once(self, name, count_calls):
         # each E21 entry point reads ando._e21_witness, whose solve of the
-        # doubled LMI reuses the radius it took
-        T = random_with_radius(8, 0.4, 3)
-        calls, found = [], []
-        solve, witness = mr.numrange._radius_and_angle, mr.ando._e21_witness
-
-        def traced_witness(M, t):
-            out = witness(M, t)
-            found.append(out[1] is not None)
-            return out
-
-        monkeypatch.setattr(mr.numrange, "_radius_and_angle",
-                            lambda T: calls.append(1) or solve(T))
-        monkeypatch.setattr(mr.ando, "_e21_witness", traced_witness)
-        getattr(mr, name)(T)
-        assert found == [True] and len(calls) == 1
+        # doubled LMI reuses the radius it took; at w(2T) = 1 the start
+        # values settle nothing, so all three solve one level set from them
+        T = random_with_radius(8, 0.5, 3)
+        witnesses = count_calls(mr.ando, "_e21_witness")
+        starts = count_calls(mr.numrange, "_start_grid")
+        levels = count_calls(mr.numrange, "_level_set_max")
+        out = getattr(mr, name)(T)
+        assert len(witnesses) == len(starts) == len(levels) == 1
+        # each found its witness (ucp_from_e21 raises RadiusTooLarge without)
+        assert {"member_e21": lambda: out.member, "radius_lmi": lambda: out[0],
+                "ucp_from_e21": lambda: True}[name]()
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("excess", [1e-6, 1e-5, 5e-5])

@@ -62,6 +62,22 @@ class TestFejerRiesz:
         with pytest.raises(NotStrictlyPositive):
             mr.fejer_riesz(mr.TrigPoly(coeffs=np.array([2.0, 1.0])))
 
+    @pytest.mark.parametrize("N, delta, grid_min", [(256, -5e-3, 4.6e-3), (512, -3e-2, 8.1e-3)])
+    def test_dip_between_the_grid_samples(self, N, delta, grid_min):
+        # tau = 1/2 + delta - cos(N theta - phi)/2 dips to delta < 0 half a
+        # grid step off the grid, where every sample is positive: the lost
+        # definiteness of the factorization refutes it
+        a = np.zeros(N + 1, dtype=complex)
+        a[0], a[N] = 0.5 + delta, -0.25 * np.exp(-1j * N * np.pi / 4096)
+        tau = mr.TrigPoly(coeffs=a)
+        th = 2 * np.pi * np.arange(4096) / 4096
+        assert tau.eval_at_angle(th).min() == pytest.approx(grid_min, abs=1e-4)
+        assert tau.eval_at_angle(np.pi / 4096) == pytest.approx(delta, abs=1e-12)
+        with pytest.raises(NotStrictlyPositive, match="^tau is not positive between the grid "
+                                                      "samples: cyclic reduction lost "
+                                                      "definiteness at step [0-9]+$"):
+            mr.fejer_riesz(tau)
+
     def test_degree_five_round_trip(self):
         tau = random_trig_poly(5, 42)
         p = mr.fejer_riesz(tau)
