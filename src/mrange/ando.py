@@ -60,7 +60,7 @@ from .linalg import (
     psd_check,
     require_square,
 )
-from .numrange import _radius_or_bound, num_radius
+from .numrange import _Radius, _radius_or_bound, num_radius
 
 # at w(T) = 1 the residual falls like 4^-k and reaches FIXPOINT_EPS in about
 # 20 steps; elsewhere convergence is quadratic
@@ -239,19 +239,17 @@ def ando_X(T, tol=None):
     NoConvergence when the iteration fails to settle or its limit fails the
     defining LMI.
     """
-    t = _tol(tol)
     A = require_square(T, "ando_X")
-    w = num_radius(A)
-    return _extremal_X(A, w, t, w.maxima)[:2]
+    return _extremal_X(A, num_radius(A), _tol(tol))[:2]
 
 
-def _extremal_X(A, w, t, maxima):
-    """ando_X for a square A whose numerical radius w is already known, and
-    the angles ``maxima`` where it is attained (none: no shift is tried);
-    also returns X's eigendecomposition (x, U) and the LMI's min eigenvalue.
-    w is read only by the gate w > 1 + BAND, the shift (at |w - 1| <=
-    _SHIFT_BAND) and RadiusTooLarge, raised by a failed run at w > 1 only.
-    So a proven bound under 1 - BAND (``numrange._radius_or_bound``) may
+def _extremal_X(A, w, t):
+    """ando_X for a square A whose numerical radius w is already known, a _Radius
+    whose ``maxima`` are the angles where it is attained (none: no shift is
+    tried); also returns X's eigendecomposition (x, U) and the LMI's min
+    eigenvalue. w is read only by the gate w > 1 + BAND, the shift (at
+    |w - 1| <= _SHIFT_BAND) and RadiusTooLarge, raised by a failed run at
+    w > 1 only. So a proven bound under 1 - BAND (``_radius_or_bound``) may
     stand in for w, with no maxima, and gives the same X, count and errors.
 
     At w = 1 the shifted cyclic reduction runs first; when it fails (a
@@ -262,7 +260,7 @@ def _extremal_X(A, w, t, maxima):
     I = np.eye(A.shape[0], dtype=complex)
     A1 = dagger(A) / 2.0
     X, k = None, 0
-    shift = _boundary_shift(A, w, maxima)
+    shift = _boundary_shift(A, w, w.maxima)
     if shift is not None:
         try:
             # a wrong shift can also overflow: that falls back as well
@@ -295,7 +293,7 @@ def _extremal_X(A, w, t, maxima):
 def _adjoint_X(A, w, t):
     """(X, iterations) of ando_X(A*) for A of numerical radius w, which A* attains
     at the negated angles. It gives Y_min's X(T*) and, at A = 2T, T's E21 witness."""
-    return _extremal_X(dagger(A), w, t, -w.maxima)[:2]
+    return _extremal_X(dagger(A), _Radius(w, -w.maxima), t)[:2]
 
 
 def _e21_witness(M, t, radius=_radius_or_bound):
@@ -344,12 +342,17 @@ def _of_X(U, fx):
 
 
 def _ando_factor(A, x, U):
-    """(Z, C, |Z|) from X = U diag(x) U*, which _extremal_X checked, 0 <= X <= I (the
-    root of 1 - x clips at 0); verifies |C| <= |Z| <= 1 + 1e-8."""
-    Z = _of_X(U, _pinv_sqrt(x)) @ (A / 2.0) @ _of_X(U, _pinv_sqrt(1.0 - x))
-    z_norm = op_norm(Z)
+    """(Z, C, |Z|) from X = U diag(x) U*, which _extremal_X checked, 0 <= X <= I;
+    verifies |Z| <= 1 + 1e-8. C = X^{+1/2} (A/2) on range(I - X) takes no division.
+    Z's columns C u_j / sqrt(1 - x_j) are unit vectors in exact arithmetic, but the
+    division amplifies the Riccati residual, so any above norm 1 is scaled to 1."""
+    iroot = _pinv_sqrt(1.0 - x)
+    CU = _of_X(U, _pinv_sqrt(x)) @ (A / 2.0) @ U * (iroot > 0.0)
+    ZU = CU * iroot
+    ZU /= np.maximum(1.0, np.linalg.norm(ZU, axis=0))
+    z_norm = op_norm(ZU)
     verify(z_norm <= 1.0 + 1e-8, f"Z norm {z_norm:.12f}")
-    return Z, Z @ _of_X(U, np.sqrt(np.clip(1.0 - x, 0.0, None))), z_norm
+    return ZU @ dagger(U), CU @ dagger(U), z_norm
 
 
 def _ando_decompose(A, w, t):
@@ -360,7 +363,7 @@ def _ando_decompose(A, w, t):
     which the two-dilation shares, as it needs X(T) alone. One stacked SVD
     gives |A| and the reconstruction, C-form and fixed-point residuals."""
     I = np.eye(A.shape[0], dtype=complex)
-    X, iters, (x, U), lmi_min = _extremal_X(A, w, t, w.maxima)
+    X, iters, (x, U), lmi_min = _extremal_X(A, w, t)
     Xstar, iters2 = _adjoint_X(A, w, t)
     Y_max = 2.0 * X - I
     Y_min = -(2.0 * Xstar - I)

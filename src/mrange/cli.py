@@ -105,7 +105,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=2024, help="random seed")
     p.add_argument("--order", type=int, default=2, help="nilpotent order / subspace size")
     p.add_argument("--window", type=int, default=8, help="dilation window half-width")
-    p.add_argument("--nodes", type=int, default=64, help="witness node count")
     p.add_argument("--count", type=int, default=100, help="sample count")
     p.add_argument("--set", dest="target_set", choices=("e21", "shift", "normal"),
                    default="e21", help="membership target set")
@@ -258,7 +257,7 @@ def _run_command(cmd, args):
         if args.target_set == "e21":
             verdict = matrange.member_e21(X, tol)
         elif args.target_set == "shift":
-            verdict = matrange.member_shift_ball(X, args.nodes, tol)
+            verdict = matrange.member_shift_ball(X, tol=tol)
         else:
             spectrum = _field(payload, "spectrum", complex_from_json, many=True)
             verdict = matrange.member_normal(spectrum, X, tol)

@@ -122,7 +122,7 @@ def two_dilation(T, M, tol=None):
     if _count(M) < 4:
         raise WindowTooSmall(f"window M >= 4 required, got {M}")
     w = _radius_or_bound(A)   # _extremal_X raises RadiusTooLarge when w > 1 + BAND
-    x, U = ando._extremal_X(A, w, _tol(tol), w.maxima)[2]
+    x, U = ando._extremal_X(A, w, _tol(tol))[2]
     return _two_dilation(A, ando._ando_factor(A, x, U)[1], M)
 
 
@@ -288,14 +288,21 @@ def _nilpotent_dilation(A, n, cond):
         raise ConditionFails(
             f"order-{n} condition margin {cond:.3e} is negative")
 
-    powers = _powers(A, n - 1)
     # below a margin of 10 RANK_REL, factor Q + (10 RANK_REL - margin) I instead:
     # its X >= 10 RANK_REL I stays clear of the pseudo-inverse cutoff, so the
     # residual stop can be met. V, scaled back to an isometry, then moves the
     # compressions by at most that lift (|T^j| <= 1 under the condition)
     lift = 1.0 + max(0.0, 10.0 * RANK_REL - cond)
-    Q = np.concatenate([lift * powers[:1], powers[1:]])
+    Q = _powers(A, n - 1)
+    Q[0] *= lift
     V = _spectral_factor(Q)[::-1].reshape(n * d, d) / np.sqrt(lift)
+    return _verified_dilation(A, V, n)
+
+
+def _verified_dilation(A, V, n):
+    """NilpotentDilation of A by V once V*V = I within 1e-10 and V* N^j V = A^j within 1e-7."""
+    d = A.shape[0]
+    powers = _powers(A, n - 1)
     N = kron(shift(n), np.eye(d, dtype=complex))
 
     verify(op_norm(np.linalg.matrix_power(N, n)) == 0.0, "N^n must vanish exactly")
@@ -303,8 +310,6 @@ def _nilpotent_dilation(A, n, cond):
     errs = [op_norm(dagger(V[j * d:]) @ V[:(n - j) * d] - powers[j]) for j in range(n)]
     verify(errs[0] <= 1e-10, f"isometry defect {errs[0]:.3e}")
     for j in range(1, n):
-        # the lift moves this by at most 10 RANK_REL + BAND near zero
-        # margin; interior instances land at the rounding floor
         verify(errs[j] <= 1e-7, f"compression mismatch at power {j}: {errs[j]:.3e}")
     return NilpotentDilation(order=n, N=N, V=V, r=d,
                              residuals={"isometry": errs[0], "compression": max(errs)})

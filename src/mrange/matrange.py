@@ -3,7 +3,7 @@ sampling, the compression lower bound for the range radius, operator-system
 norm probes, and the nine-way equivalence suite for the radius-one ball.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -11,7 +11,6 @@ from . import ando
 from .errors import (
     BadShape,
     BoundaryBand,
-    ConditionFails,
     InconsistentAffine,
     NoConvergence,
     RadiusTooLarge,
@@ -242,9 +241,7 @@ class EquivalenceReport:
     ucp_halved: bool
 
     def all_conditions(self):
-        return (self.radius_leq_one, self.grid_real_part, self.power_dilation,
-                self.order2_condition, self.order2_dilation, self.factorization,
-                self.lmi_halved, self.c_form, self.ucp_halved)
+        return tuple(getattr(self, f.name) for f in fields(self)[1:])
 
 
 def equivalence_suite(T, tol=None):
@@ -252,8 +249,12 @@ def equivalence_suite(T, tol=None):
 
     BoundaryBand for |w - 1| <= BAND (1 + |T|), the rounding band of every
     threshold verdict, where (1) and the band-rounded (2), (4), (5) split.
+
+    One level set gives w and (4)'s margin 1 - w; (2) is a level test. One
+    decomposition, X(T) and X(T*), gives the rest: (5) is Ando's isometry
+    [C; X^{1/2}], so (5) and (8) share one solve.
     """
-    from .dilation import _nilpotent_dilation, _two_dilation, nilpotent_condition
+    from .dilation import _two_dilation, _verified_dilation
 
     t = _tol(tol)
     A = require_square(T, "equivalence_suite")
@@ -263,29 +264,23 @@ def equivalence_suite(T, tol=None):
     if abs(w - 1.0) <= band:
         raise BoundaryBand(f"radius {w:.12f} within the rounding band {band:.1e} of 1")
 
-    cond1 = w <= 1.0
-
+    cond1, cond4 = w <= 1.0, 1.0 - w >= -BAND
     cond2 = not _exceeds(A, 1.0 + band, norm, w.maxima)
 
-    # one decomposition serves the dilation (3) and both factorizations (6), (8)
-    cond3 = cond6 = cond8 = False
+    cond3 = cond5 = cond6 = cond8 = False
     dec = None
     try:
         dec = ando._ando_decompose(A, w, t)
         cond6 = dec.residuals["reconstruction_ymax"] <= 1e-8
         cond8 = dec.residuals["reconstruction_c"] <= 1e-8
+        x, U = np.linalg.eigh(dec.X)   # 0 <= X <= I is checked: its root clips at 0
+        root = (U * np.sqrt(np.clip(x, 0.0, None))) @ dagger(U)
+        _verified_dilation(A / 2.0, np.vstack([dec.C, root]), 2)
+        cond5 = True
         _two_dilation(A, dec.C, 12)   # window 12: powers 1 to 5 verified
         cond3 = True
     except (RadiusTooLarge, NoConvergence, VerificationFailed):
         pass
-
-    margin = nilpotent_condition(A / 2.0, 2)   # decides (4) and admits (5)
-    cond4 = margin >= -BAND
-    try:
-        _nilpotent_dilation(A / 2.0, 2, margin)
-        cond5 = True
-    except (ConditionFails, NoConvergence, VerificationFailed):
-        cond5 = False
 
     # the halved LMI (7) holds exactly when the UCP map (9) exists: X(T*) is its witness
     try:
@@ -294,10 +289,7 @@ def equivalence_suite(T, tol=None):
     except RadiusTooLarge:
         cond7 = cond9 = False
 
-    report = EquivalenceReport(
-        radius=w, radius_leq_one=cond1, grid_real_part=cond2,
-        power_dilation=cond3, order2_condition=cond4, order2_dilation=cond5,
-        factorization=cond6, lmi_halved=cond7, c_form=cond8, ucp_halved=cond9)
+    report = EquivalenceReport(w, cond1, cond2, cond3, cond4, cond5, cond6, cond7, cond8, cond9)
     conds = report.all_conditions()
     verify(all(c == cond1 for c in conds),
            f"equivalence conditions disagree at radius {w:.6f}: {conds}")

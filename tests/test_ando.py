@@ -202,7 +202,8 @@ class TestBoundaryShift:
             T = mr.random_matrix(4, 4, 7)
             T = T / mr.num_radius(T)
             w = mr.num_radius(T)
-            X, steps = ando._extremal_X(T, w, mr.default_tolerances(), w.maxima + 0.1)[:2]
+            X, steps = ando._extremal_X(T, mr.numrange._Radius(w, w.maxima + 0.1),
+                                        mr.default_tolerances())[:2]
             print(__debug__, np.array_equal(X, plain(T)[0]), steps == ando._SHIFT_STEPS + plain(T)[1])
 
             T = mr.random_matrix(4, 4, 0)
@@ -435,6 +436,22 @@ class TestAndoDecompose:
                               @ dec.C - T) <= 1e-8 * scale
             assert mr.op_norm(dec.Z) <= 1 + 1e-8
             assert np.linalg.eigvalsh(dec.Y_max - dec.Y_min)[0] >= -1e-9
+
+    def test_z_column_next_to_the_rank_cutoff(self):
+        # I - X has an eigenvalue of 2.4e-10, just above the RANK_REL cutoff.
+        # Z's column there, X^{+1/2} (T/2) u / sqrt(1 - x), divides the Riccati
+        # residual by it and came out 6e-7 above norm 1; every entry point
+        # that builds Z failed its |Z| <= 1 + 1e-8 check
+        T = mr.random_matrix(21, 21, 21763).real
+        T = T * (0.2 / mr.num_radius(T))
+        scale = 1 + mr.op_norm(T)
+        dec = mr.ando_decompose(T)
+        assert dec.residuals["z_norm_excess"] <= 1e-8
+        assert dec.residuals["reconstruction_ymax"] <= 1e-8 * scale
+        assert dec.residuals["reconstruction_c"] <= 1e-8 * scale
+        assert dec.residuals["z_isometry_defect"] <= 1e-7
+        assert mr.two_dilation(T, 8).residuals["compression"] <= 1e-9
+        assert all(mr.equivalence_suite(T).all_conditions())
 
     def test_adjoint_symmetry_by_construction(self):
         T = random_with_radius(3, 0.8, 17)

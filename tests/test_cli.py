@@ -295,14 +295,14 @@ class TestCommands:
     def test_member_shift(self, tmp_path, capsys):
         path = write_json(tmp_path, "x.json", matrix_to_json(0.5 * E21))
         code, out = run_captured(capsys, ["member", "--input", path,
-                                          "--set", "shift", "--nodes", "32"])
+                                          "--set", "shift"])
         assert code == 0 and out["member"] and out["witness_verified"]
 
     def test_member_shift_beyond_the_inscribed_disk(self, tmp_path, capsys):
         # 0.999 > cos(pi / 64): the unitary dilation's measure is the witness
         U = np.linalg.qr(mr.random_matrix(3, 3, 17))[0]
         path = write_json(tmp_path, "x.json", matrix_to_json(0.999 * U))
-        argv = ["member", "--input", path, "--set", "shift", "--nodes", "64"]
+        argv = ["member", "--input", path, "--set", "shift"]
         outs = []
         for _ in range(2):
             assert run(argv) == 0
@@ -331,13 +331,6 @@ class TestCommands:
         assert code == 1
         assert out["error"]["name"] == "BadShape"
         assert "requires a nonempty matrix" in out["error"]["message"]
-
-    @pytest.mark.parametrize("X", [0.5 * E21, 0.97 * np.eye(2)])
-    def test_shift_member_needs_a_node(self, tmp_path, capsys, X):
-        path = write_json(tmp_path, "x.json", matrix_to_json(X))
-        code, out = run_captured(capsys, ["member", "--input", path,
-                                          "--set", "shift", "--nodes", "0"])
-        assert code == 1 and out["error"]["name"] == "BadShape"
 
     def test_verification_failure_is_machine_readable(self, tmp_path, capsys,
                                                       monkeypatch):
@@ -438,7 +431,7 @@ class TestMissingFields:
 class TestArgumentOrder:
     @pytest.mark.parametrize("cmd, options", [
         ("numrad", []),
-        ("member", ["--set", "shift", "--nodes", "32"]),
+        ("member", ["--set", "shift"]),
         ("spatial", ["--order", "2", "--count", "6", "--seed", "3"]),
     ])
     def test_options_before_the_command(self, tmp_path, capsys, cmd, options):
@@ -478,7 +471,7 @@ class TestDeterminism:
         argvs = [
             ["nilpotent-cond", "--input", e21, "--order", "3", "--tol", "1e-6"],
             ["nilpotent-cond", "--input", e21],
-            ["member", "--input", e21, "--set", "shift", "--nodes", "16"],
+            ["member", "--input", e21, "--set", "shift"],
             ["member", "--input", e21],
             ["toeplitz-measure", "--input", spec, "--tol", "1e-6"],
             ["toeplitz-measure", "--input", spec],

@@ -171,19 +171,20 @@ class TestDilationFromXAlone:
 
     def test_checks_run_under_optimize(self):
         # the |Z| <= 1 + 1e-8 check of ando._ando_factor, and the batched
-        # compression check, must not vanish with assert statements
+        # compression check, must not vanish with assert statements. Z's
+        # columns are capped at norm 1, so X^{+1/2} is scaled unevenly, which
+        # leaves them unit but no longer orthogonal
         code = textwrap.dedent("""
             import numpy as np
             import mrange as mr
             from mrange import ando, dilation
             from mrange.errors import VerificationFailed
-            E21 = np.array([[0, 0], [1, 0]], dtype=complex)
             T = mr.random_matrix(3, 3, 5)
             T /= mr.num_radius(T)
             of_X = ando._of_X
-            ando._of_X = lambda U, fx: (1 + 1e-6) * of_X(U, fx)
+            ando._of_X = lambda U, fx: of_X(U, fx * (1 + 1e-6 * np.arange(fx.size)))
             try:
-                mr.two_dilation(2 * E21, 8)
+                mr.two_dilation(T, 8)
             except VerificationFailed as exc:
                 print(__debug__, exc.name, str(exc).split()[:2])
             ando._of_X = of_X
@@ -368,6 +369,17 @@ class TestNilpotentCondition:
 
 
 class TestNilpotentDilation:
+    @pytest.mark.parametrize("w", [0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_order_two_bottom_block_is_ando_X(self, n, w):
+        # the spectral factor of I + 2 Re(l T/2) is Ando's pair: its bottom
+        # block P_0 has P_0* P_0 = X(T), so the order-2 dilation of T/2 is
+        # [C; X^{1/2}] up to a unitary
+        for seed in (1, 2):
+            T = random_with_radius(n, w, seed)
+            P0 = mr.nilpotent_dilation(T / 2, 2).V[n:]
+            assert mr.op_norm(np.conj(P0).T @ P0 - mr.ando_X(T)[0]) <= 1e-10
+
     def test_lower_unit(self):
         nd = mr.nilpotent_dilation(E21, 2)
         assert mr.op_norm(np.conj(nd.V).T @ nd.N @ nd.V - E21) <= 1e-7

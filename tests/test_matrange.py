@@ -460,14 +460,20 @@ class TestEquivalenceSuite:
 
     @pytest.mark.parametrize("T", [0.3 * E21 + 0.1 * np.eye(2), 2.1 * E21])
     def test_one_radius_and_one_decomposition(self, T, monkeypatch):
-        # the dilation, the factorizations and the halved LMI and UCP map all
-        # reuse the suite's radius and its single decomposition; one order-2
-        # margin serves both the condition (4) and the dilation (5)
-        calls = {"radius": 0, "decompose": 0}
-        shapes = []
+        # the dilations, the factorizations and the halved LMI and UCP map all
+        # reuse the suite's radius and its single decomposition: X(T) and
+        # X(T*), two cyclic reductions inside the radius, none beyond it. The
+        # order-2 margin (4) is 1 - w and the order-2 dilation (5) is Ando's
+        # [C; X^{1/2}], so the one level set is the radius's, and only the
+        # radius and the level test (2) solve pencils
+        reductions = 2 if mr.num_radius(T) < 1.0 else 0
+        calls = {"radius": 0, "decompose": 0, "reduce": 0}
+        shapes, pencil_callers = [], []
         solve = mr.numrange._radius_and_angle
         decompose = mr.ando._ando_decompose
         level_set_max = mr.numrange._level_set_max
+        reduce = mr.ando._cyclic_reduction
+        pencil = mr.numrange._pencil_eigenvalues
 
         def counted_solve(A):
             calls["radius"] += 1
@@ -481,14 +487,30 @@ class TestEquivalenceSuite:
             shapes.append(np.shape(D))
             return level_set_max(D)
 
+        def counted_reduce(*args, **kwargs):
+            calls["reduce"] += 1
+            return reduce(*args, **kwargs)
+
+        def traced_pencil(*args):
+            frame, names = sys._getframe(1), set()
+            while frame is not None:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            pencil_callers.append(names & {"num_radius", "_exceeds"})
+            return pencil(*args)
+
         monkeypatch.setattr(mr.numrange, "_radius_and_angle", counted_solve)
         monkeypatch.setattr(mr.ando, "_ando_decompose", counted_decompose)
         monkeypatch.setattr(mr.numrange, "_level_set_max", counted_level_set_max)
         monkeypatch.setattr(mr.dilation, "_level_set_max", counted_level_set_max)
+        monkeypatch.setattr(mr.ando, "_cyclic_reduction", counted_reduce)
+        monkeypatch.setattr(mr.toeplitz, "_cyclic_reduction", counted_reduce)
+        monkeypatch.setattr(mr.numrange, "_pencil_eigenvalues", traced_pencil)
         rep = mr.equivalence_suite(T)
         assert len(set(rep.all_conditions())) == 1
-        assert calls == {"radius": 1, "decompose": 1}
-        assert shapes == [(2, 2), (1, 2, 2)]
+        assert calls == {"radius": 1, "decompose": 1, "reduce": reductions}
+        assert shapes == [(2, 2)]
+        assert pencil_callers and all(pencil_callers)
 
     def test_extremal_X_twice(self, monkeypatch):
         # X(T) and X(T*) for the decomposition; the halved LMI and UCP map

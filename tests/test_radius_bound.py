@@ -43,7 +43,7 @@ def _outcome(run):
 
 def _two_dilation_reference(A, t):
     w = mr.num_radius(A)
-    x, U = ando._extremal_X(A, w, t, w.maxima)[2]
+    x, U = ando._extremal_X(A, w, t)[2]
     return _two_dilation(A, ando._ando_factor(A, x, U)[1], _WINDOW)
 
 

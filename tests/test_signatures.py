@@ -155,9 +155,11 @@ def test_detects_an_unset_default():
 
 
 def test_every_library_default_is_set_by_a_caller():
-    # solve_feasibility's start is set only by a test's starting point
+    # solve_feasibility's start is set only by a test's starting point, and
+    # member_shift_ball's nodes only by the benchmark and the tests: the CLI
+    # prints no witness, so it takes the default
     unset = unset_defaults([path.read_text() for path in sorted(SRC.glob("*.py"))],
-                           exempt=("tol", "start"))
+                           exempt=("tol", "start", "nodes"))
     assert unset == []
 
 
