@@ -44,7 +44,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .cpmaps import map_on_units
-from .errors import NoConvergence, RadiusTooLarge, RangeViolation, verify
+from .errors import LostDefiniteness, NoConvergence, RadiusTooLarge, RangeViolation, verify
 from .linalg import (
     BAND,
     FIXPOINT_EPS,
@@ -81,8 +81,6 @@ _SHIFT_RCOND_MIN = 1e-8
 # error halves per step, the update falls under it about two steps before the
 # residual passes. A late gate would only add a step, never accept an X
 _RESIDUAL_GATE = np.sqrt(FIXPOINT_EPS)
-# how NoConvergence names an indefinite step, which refutes positivity
-_INDEFINITE = "cyclic reduction lost definiteness"
 
 
 def _congruence_pinv(X, A1):
@@ -128,7 +126,7 @@ def _cyclic_reduction(A0, A1, polish=False, shift=None):
     from Ah = A_0, and G = -Ah^{-1} A_{-1} (the initial A_{-1}) in the
     limit. Unshifted, A_{-1} = A_1* = A1* keeps every iterate Hermitian and
     Ah is X itself; a step takes one Cholesky factor of A_0 (one eigh when
-    A_0 is singular but PSD), and an indefinite A_0 raises NoConvergence.
+    A_0 is singular but PSD), and an indefinite A_0 raises LostDefiniteness.
 
     ``shift`` = (S, P) = (V diag(z) W*, V W*), with G V = V diag(z) and
     W* V = I, runs it instead on Brauer's shifted equation for G - S:
@@ -174,7 +172,7 @@ def _cyclic_reduction(A0, A1, polish=False, shift=None):
             else:   # C = U c U* singular (a summand at its fixed point): F = c^{-1/2} U*
                 c, U = np.linalg.eigh(C)
                 if c[0] < -RANK_REL * c[-1]:   # beyond the rank cutoff
-                    raise NoConvergence(f"{_INDEFINITE} at step {k}")
+                    raise LostDefiniteness(f"cyclic reduction lost definiteness at step {k}")
                 W, V = np.split((_pinv_sqrt(c)[:, None] * dagger(U)) @ BB, 2, axis=1)
             BCB, BCBs, BCB2 = dagger(W) @ W, dagger(V) @ V, dagger(V) @ W
             update = np.linalg.norm(BCB)

@@ -30,6 +30,11 @@ COMMANDS = (
     "toeplitz-check", "toeplitz-measure", "block-measure", "member",
     "spatial", "smith-ward", "probe", "suite",
 )
+# the commands whose input is one matrix, and those whose input is a Toeplitz spec
+MATRIX_COMMANDS = frozenset((
+    "numrad", "boundary", "ando", "lmi", "ucp-e21", "dilate2", "nilpotent-cond",
+    "nilpotent-dilate", "member", "spatial", "smith-ward", "suite"))
+TOEPLITZ_COMMANDS = frozenset(("toeplitz-check", "toeplitz-measure", "block-measure"))
 
 
 def matrix_to_json(M):
@@ -126,18 +131,17 @@ def _run_command(cmd, args):
     # BadTolerance unless --tol is a finite positive number
     tol = Tolerances() if args.tol is None else Tolerances(args.tol)
     payload = _load_input(args.input) if args.input else None
+    T = _require_matrix(payload) if cmd in MATRIX_COMMANDS else None
+    spec = _toeplitz_spec(payload) if cmd in TOEPLITZ_COMMANDS else None
 
     if cmd == "numrad":
-        T = _require_matrix(payload)
         return {"radius": numrange.num_radius(T)}, 0
 
     if cmd == "boundary":
-        T = _require_matrix(payload)
         pts = numrange.range_boundary(T, args.count)
         return {"points": [complex_to_json(z) for z in pts]}, 0
 
     if cmd == "ando":
-        T = _require_matrix(payload)
         dec = ando_mod.ando_decompose(T, tol)
         return {
             "X": matrix_to_json(dec.X),
@@ -150,7 +154,6 @@ def _run_command(cmd, args):
         }, 0
 
     if cmd == "lmi":
-        T = _require_matrix(payload)
         ok, A = ando_mod.radius_lmi(T, tol)
         out = {"feasible": ok}
         if ok:
@@ -158,7 +161,6 @@ def _run_command(cmd, args):
         return out, 0 if ok else 2
 
     if cmd == "ucp-e21":
-        T = _require_matrix(payload)
         phi = ando_mod.ucp_from_e21(T, tol)
         cp_ok, min_eig = is_cp(phi, tol)
         return {
@@ -170,7 +172,6 @@ def _run_command(cmd, args):
         }, 0
 
     if cmd == "dilate2":
-        T = _require_matrix(payload)
         win = dilation.two_dilation(T, args.window, tol)
         return {
             "window": args.window,
@@ -195,13 +196,11 @@ def _run_command(cmd, args):
         return {"positive_definite": ok, "min_eig": min_eig}, 0 if ok else 2
 
     if cmd == "nilpotent-cond":
-        T = _require_matrix(payload)
         margin = dilation.nilpotent_condition(T, args.order)
         ok = margin >= -BAND
         return {"order": args.order, "margin": margin, "holds": ok}, 0 if ok else 2
 
     if cmd == "nilpotent-dilate":
-        T = _require_matrix(payload)
         nd = dilation.nilpotent_dilation(T, args.order)
         return {
             "order": nd.order,
@@ -225,12 +224,10 @@ def _run_command(cmd, args):
         }, 0
 
     if cmd == "toeplitz-check":
-        spec = _toeplitz_spec(payload)
         ok, min_eig = toeplitz.toeplitz_psd(spec, tol)
         return {"psd": ok, "min_eig": min_eig}, 0 if ok else 2
 
     if cmd == "toeplitz-measure":
-        spec = _toeplitz_spec(payload)
         mu = toeplitz.measure_from_toeplitz(spec, tol)
         moments = [mu.moment(k) for k in range(spec.n)]
         return {
@@ -242,7 +239,6 @@ def _run_command(cmd, args):
         }, 0
 
     if cmd == "block-measure":
-        spec = _toeplitz_spec(payload)
         mu = toeplitz.block_measure_from_toeplitz(spec, tol)
         resid = max(op_norm(mu.moment(k) - spec.blocks[k])
                     for k in range(spec.n))
@@ -253,14 +249,13 @@ def _run_command(cmd, args):
         }, 0
 
     if cmd == "member":
-        X = _require_matrix(payload)
         if args.target_set == "e21":
-            verdict = matrange.member_e21(X, tol)
+            verdict = matrange.member_e21(T, tol)
         elif args.target_set == "shift":
-            verdict = matrange.member_shift_ball(X, tol=tol)
+            verdict = matrange.member_shift_ball(T, tol=tol)
         else:
             spectrum = _field(payload, "spectrum", complex_from_json, many=True)
-            verdict = matrange.member_normal(spectrum, X, tol)
+            verdict = matrange.member_normal(spectrum, T, tol)
         return {
             "set": args.target_set,
             "member": verdict.member,
@@ -270,7 +265,6 @@ def _run_command(cmd, args):
         }, 0 if verdict.member else 2
 
     if cmd == "spatial":
-        T = _require_matrix(payload)
         mats = matrange.spatial_samples(T, args.order, args.count, args.seed)
         # W(A + B) is the hull of W(A) and W(B): the largest radius is that
         # of the samples' direct sum, one level-set solve
@@ -281,7 +275,6 @@ def _run_command(cmd, args):
         }, 0
 
     if cmd == "smith-ward":
-        T = _require_matrix(payload)
         nu, comp = matrange.smith_ward_nu(T, args.order)
         return {
             "nu_lower": nu,
@@ -296,7 +289,6 @@ def _run_command(cmd, args):
         return {"samples": rep.samples, "max_gap": rep.max_gap}, 0
 
     if cmd == "suite":
-        T = _require_matrix(payload)
         rep = matrange.equivalence_suite(T, tol)
         conds = rep.all_conditions()
         return {

@@ -57,6 +57,12 @@ class NoConvergence(MrangeError):
     pass
 
 
+class LostDefiniteness(NoConvergence):
+    """An indefinite cyclic-reduction step: it refutes positivity."""
+
+    name = "NoConvergence"   # the name the CLI reports
+
+
 class NotContraction(MrangeError):
     pass
 

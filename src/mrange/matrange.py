@@ -251,8 +251,8 @@ def equivalence_suite(T, tol=None):
     threshold verdict, where (1) and the band-rounded (2), (4), (5) split.
 
     One level set gives w and (4)'s margin 1 - w; (2) is a level test. One
-    decomposition, X(T) and X(T*), gives the rest: (5) is Ando's isometry
-    [C; X^{1/2}], so (5) and (8) share one solve.
+    decomposition, X(T) and X(T*), checks (6) and (8) itself and gives (5),
+    Ando's isometry [C; X^{1/2}]; (7) and (9) ask whether X(T*) exists.
     """
     from .dilation import _two_dilation, _verified_dilation
 
@@ -267,12 +267,10 @@ def equivalence_suite(T, tol=None):
     cond1, cond4 = w <= 1.0, 1.0 - w >= -BAND
     cond2 = not _exceeds(A, 1.0 + band, norm, w.maxima)
 
-    cond3 = cond5 = cond6 = cond8 = False
+    cond3 = cond5 = False
     dec = None
     try:
         dec = ando._ando_decompose(A, w, t)
-        cond6 = dec.residuals["reconstruction_ymax"] <= 1e-8
-        cond8 = dec.residuals["reconstruction_c"] <= 1e-8
         x, U = np.linalg.eigh(dec.X)   # 0 <= X <= I is checked: its root clips at 0
         root = (U * np.sqrt(np.clip(x, 0.0, None))) @ dagger(U)
         _verified_dilation(A / 2.0, np.vstack([dec.C, root]), 2)
@@ -282,12 +280,14 @@ def equivalence_suite(T, tol=None):
     except (RadiusTooLarge, NoConvergence, VerificationFailed):
         pass
 
-    # the halved LMI (7) holds exactly when the UCP map (9) exists: X(T*) is its witness
-    try:
-        ando._e21_map(A / 2.0, ando._adjoint_X(A, w, t)[0] if dec is None else dec.Xstar)
-        cond7 = cond9 = True
-    except RadiusTooLarge:
-        cond7 = cond9 = False
+    # (6) and (8) are the decomposition's own checks; X(T*) is the witness of (7) and (9)
+    cond6 = cond7 = cond8 = cond9 = dec is not None
+    if dec is None:
+        try:
+            ando._adjoint_X(A, w, t)
+            cond7 = cond9 = True
+        except RadiusTooLarge:
+            pass
 
     report = EquivalenceReport(w, cond1, cond2, cond3, cond4, cond5, cond6, cond7, cond8, cond9)
     conds = report.all_conditions()

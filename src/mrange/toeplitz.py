@@ -8,11 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .ando import _INDEFINITE, _cyclic_reduction
+from .ando import _cyclic_reduction
 from .errors import (
     BadShape,
+    LostDefiniteness,
     MomentResidualTooLarge,
-    NoConvergence,
     NotPSD,
     NotStrictlyPositive,
     ShapeMismatch,
@@ -152,9 +152,7 @@ def fejer_riesz(tau):
 
     try:
         outer = _spectral_factor((a / a[0].real)[:, None, None])[:, 0, 0]
-    except NoConvergence as exc:
-        if not str(exc).startswith(_INDEFINITE):
-            raise
+    except LostDefiniteness as exc:
         raise NotStrictlyPositive(f"tau is not positive between the grid samples: {exc}") from exc
     p = np.sqrt(a[0].real) * np.conj(outer[::-1])
     # |tau - |p|^2| on the circle is at most |e_0| + 2 sum_{k>=1} |e_k|

@@ -1,8 +1,16 @@
-import numpy as np
-import pytest
-from hypothesis import HealthCheck, settings
+import os
 
-import mrange as mr
+# one BLAS thread, as the benchmark runs: on few cores the default thread
+# count makes the small dense solves of the suite several times slower.
+# These must be set before numpy is first imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from hypothesis import HealthCheck, settings  # noqa: E402
+
+import mrange as mr  # noqa: E402
 
 # numeric property tests: no wall-clock deadlines, and a fixed example set so
 # the suite is reproducible run to run

@@ -10,7 +10,7 @@ import pytest
 
 import mrange as mr
 from mrange.cpmaps import Feasible
-from mrange.errors import (NoConvergence, NotContraction, RadiusTooLarge,
+from mrange.errors import (LostDefiniteness, NoConvergence, NotContraction, RadiusTooLarge,
                            VerificationFailed)
 from mrange.rng import split
 
@@ -51,6 +51,15 @@ class TestAndoX:
         with pytest.raises(RadiusTooLarge,
                            match="numerical radius 1.0000000001.*lost definiteness"):
             mr.ando_X(T)
+
+    def test_indefinite_step_is_typed(self):
+        # lost definiteness is its own NoConvergence subclass, which callers
+        # catch by type; error reports keep the base class's name
+        with pytest.raises(LostDefiniteness,
+                           match="^cyclic reduction lost definiteness at step 0$") as info:
+            mr.ando._cyclic_reduction(np.diag([1.0, -1.0]).astype(complex),
+                                      0.5 * np.eye(2, dtype=complex))
+        assert isinstance(info.value, NoConvergence) and info.value.name == "NoConvergence"
 
     def test_fixed_point_consistency(self):
         for seed in range(5):

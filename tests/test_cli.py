@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +49,8 @@ class TestMatrixJson:
         {"rows": 1, "cols": 1, "data": [["0.5", "0"]]},
         {"rows": 1, "cols": 1, "data": [[0.5, 0.0, 1.0]]},
         {"rows": 1, "cols": 1, "data": [[None, 0.0]]},
+        {"rows": 1, "cols": 1, "data": [[float("nan"), 0.0]]},
+        {"rows": 1, "cols": 2, "data": [[0.0, 0.0], [0.0, float("-inf")]]},
     ])
     def test_rejects_malformed(self, obj):
         from mrange.errors import BadJson
@@ -248,6 +253,26 @@ class TestCommands:
         U = matrix_from_json(out["U"])
         assert U.shape == (34, 34)
 
+    def test_bilateral_as_a_module(self):
+        # through ``python -m mrange``: the entry point and its exit code
+        src = os.path.dirname(os.path.dirname(mr.__file__))
+        proc = subprocess.run([sys.executable, "-m", "mrange", "bilateral", "--window", "8"],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["model_verified"] is True
+        assert np.array_equal(matrix_from_json(out["compression"]), E21)
+
+    def test_lmi_feasible(self, tmp_path, capsys):
+        T = 0.4 * E21
+        path = write_json(tmp_path, "t.json", matrix_to_json(T))
+        code, out = run_captured(capsys, ["lmi", "--input", path])
+        assert code == 0 and out["feasible"] is True
+        A = matrix_from_json(out["A"])
+        assert np.array_equal(A, mr.radius_lmi(T)[1])
+        assert mr.psd_check(np.block([[A, T.conj().T], [T, np.eye(2) - A]]))[0]
+
     def test_ucp_e21(self, tmp_path, capsys):
         path = write_json(tmp_path, "e21.json", E21_JSON)
         code, out = run_captured(capsys, ["ucp-e21", "--input", path])
@@ -427,6 +452,24 @@ class TestMissingFields:
         assert out["error"]["name"] == "BadJson"
         assert out["command"] == argv[0]
 
+    @pytest.mark.parametrize("text", [None, "", "{\"rows\": 1,", "[1, 2"],
+                             ids=["missing", "empty", "truncated", "unclosed"])
+    def test_unreadable_input_file(self, tmp_path, capsys, text):
+        path = tmp_path / "in.json"
+        if text is not None:
+            path.write_text(text)
+        code, out = run_captured(capsys, ["numrad", "--input", str(path)])
+        assert code == 1 and out["error"]["name"] == "BadJson"
+        assert out["error"]["message"].startswith("cannot read input JSON: ")
+
+    def test_non_finite_entry(self, tmp_path, capsys):
+        # Python's json reads NaN and Infinity; a matrix entry must still be finite
+        path = tmp_path / "in.json"
+        path.write_text('{"rows": 1, "cols": 1, "data": [[Infinity, 0.0]]}')
+        code, out = run_captured(capsys, ["numrad", "--input", str(path)])
+        assert code == 1
+        assert out["error"] == {"name": "BadJson", "message": "matrix entries must be finite"}
+
 
 class TestArgumentOrder:
     @pytest.mark.parametrize("cmd, options", [
@@ -446,14 +489,14 @@ class TestArgumentOrder:
 
 class TestDeterminism:
     def test_byte_identical_output(self, tmp_path, capsys):
-        path = write_json(tmp_path, "e21.json", E21_JSON)
-        run(["spatial", "--input", path, "--order", "2",
-             "--count", "10", "--seed", "5"])
-        first = capsys.readouterr().out
-        run(["spatial", "--input", path, "--order", "2",
-             "--count", "10", "--seed", "5"])
-        second = capsys.readouterr().out
-        assert first == second
+        e21 = write_json(tmp_path, "e21.json", E21_JSON)
+        t = write_json(tmp_path, "t.json", matrix_to_json(0.4 * E21))
+        for argv in (["spatial", "--input", e21, "--order", "2", "--count", "10", "--seed", "5"],
+                     ["bilateral", "--window", "8"],
+                     ["lmi", "--input", t]):
+            first = (run(argv), capsys.readouterr().out)
+            second = (run(argv), capsys.readouterr().out)
+            assert first[0] == 0 and first == second, argv
 
     def test_matrices_reparse_exactly(self, tmp_path, capsys):
         path = write_json(tmp_path, "e21.json", E21_JSON)

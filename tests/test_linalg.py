@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mrange as mr
-from mrange.errors import BadShape, NonSquare, NotHermitian, NotPSD
+from mrange.errors import BadShape, NonSquare, NotHermitian, NotPSD, ShapeMismatch
 
 from helpers import E21
 
@@ -205,6 +207,9 @@ class TestStructuredMatrices:
         np.testing.assert_array_equal(D[:2, :2], A)
         np.testing.assert_array_equal(D[2:, 2:], B)
         assert np.count_nonzero(D[:2, 2:]) == 0
+        # no summands: the 0 x 0 matrix (scipy's block_diag() would give 1 x 0)
+        empty = mr.direct_sum([])
+        assert empty.shape == (0, 0) and empty.dtype == complex
 
 
 class TestTolerances:
@@ -342,3 +347,41 @@ def test_numpy_integer_counts_keep_their_range_checks():
         mr.two_dilation(E21, np.int64(3))
     with pytest.raises(BadShape, match=r"^nodes >= 1 required, got 0$"):
         mr.member_shift_ball(E21 / 2, np.int64(0))
+    with pytest.raises(BadShape, match=r"^range_boundary needs K >= 3, got 2$"):
+        mr.range_boundary(E21, np.int64(2))
+
+
+_ID2 = mr.identity_map(2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: mr.linalg.as_cmat(np.ones(3)), BadShape, "expected a 2-D matrix, got ndim=1"),
+    (lambda: mr.linalg.as_cmat(np.ones((1, 2, 2))), BadShape,
+     "expected a 2-D matrix, got ndim=3"),
+    (lambda: mr.linalg.as_cmat([[1.0, np.nan]]), BadShape, "matrix entries must be finite"),
+    (lambda: mr.linalg.as_cmat([[complex(0.0, np.inf)]]), BadShape,
+     "matrix entries must be finite"),
+    (lambda: mr.apply_map(_ID2, np.eye(3)), ShapeMismatch, "argument must be 2 x 2, got (3, 3)"),
+    (lambda: mr.amplify(_ID2, 2, np.eye(2)), ShapeMismatch,
+     "amplification argument must be 4 square"),
+    (lambda: mr.cstar_convex([E21], []), ShapeMismatch,
+     "need equally many operators and coefficients"),
+    (lambda: mr.cstar_convex([], []), ShapeMismatch,
+     "need equally many operators and coefficients"),
+    (lambda: mr.pd_function_check([]), BadShape, "need at least the k = 0 block"),
+    (lambda: mr.pd_function_check([np.eye(2), np.eye(3)]), BadShape,
+     "all blocks must share one square dimension"),
+    (lambda: mr.BlockToeplitzSpec(blocks=()), BadShape, "need at least one block"),
+    (lambda: mr.BlockToeplitzSpec(blocks=(np.eye(2), np.eye(3))), BadShape,
+     "all blocks must be square of one size"),
+    (lambda: mr.BlockToeplitzSpec(blocks=(np.ones((2, 3)),)), BadShape,
+     "all blocks must be square of one size"),
+    (lambda: mr.BlockToeplitzSpec(blocks=(E21,)), BadShape, "A_0 must be Hermitian"),
+], ids=["as_cmat-1d", "as_cmat-3d", "as_cmat-nan", "as_cmat-inf", "apply_map", "amplify",
+        "cstar_convex-unequal", "cstar_convex-empty", "pd_function_check-empty",
+        "pd_function_check-ragged", "BlockToeplitzSpec-empty", "BlockToeplitzSpec-ragged",
+        "BlockToeplitzSpec-non-square", "BlockToeplitzSpec-non-hermitian"])
+def test_malformed_inputs_are_library_errors(call, error, message):
+    # each input check raises its own error, not a numpy exception or an answer
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -512,6 +512,14 @@ class TestEquivalenceSuite:
         assert shapes == [(2, 2)]
         assert pencil_callers and all(pencil_callers)
 
+    @pytest.mark.parametrize("T", [0.3 * E21 + 0.1 * np.eye(2), 2.1 * E21])
+    def test_halved_lmi_and_ucp_map_build_no_map(self, T, monkeypatch):
+        # (7) and (9) read whether X(T*) exists; no UCP map is built and dropped
+        built = []
+        monkeypatch.setattr(mr.ando, "_e21_map", lambda *args: built.append(args))
+        rep = mr.equivalence_suite(T)
+        assert len(set(rep.all_conditions())) == 1 and built == []
+
     def test_extremal_X_twice(self, monkeypatch):
         # X(T) and X(T*) for the decomposition; the halved LMI and UCP map
         # take the decomposition's X(T*) instead of solving for it again

@@ -30,6 +30,10 @@ class TestTrigPoly:
         vals = tau.eval_at_angle(np.linspace(0, 2 * np.pi, 64))
         assert np.isrealobj(vals)
 
+    def test_degree_is_the_top_coefficient_index(self):
+        assert mr.TrigPoly(coeffs=np.array([1.0])).degree == 0
+        assert mr.TrigPoly(coeffs=np.array([2.0, 0.5j, 0.0])).degree == 2
+
     def test_rejects_complex_mean(self):
         with pytest.raises(BadShape):
             mr.TrigPoly(coeffs=np.array([1j, 0.0]))
@@ -77,6 +81,29 @@ class TestFejerRiesz:
                                                       "samples: cyclic reduction lost "
                                                       "definiteness at step [0-9]+$"):
             mr.fejer_riesz(tau)
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(16, 128), depth=st.floats(0.0, 1.0), positive=st.booleans())
+    def test_off_grid_dip_refuted_or_factored(self, N, depth, positive):
+        # the input of test_dip_between_the_grid_samples for any N: its minimum
+        # is exactly delta, half a grid step off the grid, and its grid minimum
+        # lies above delta by at most lift (by lift itself when N is a power of
+        # two). delta in [-lift, -1e-8] is refuted, by the grid check only
+        # where a sample is at most 1e-8; delta in [1e-6, 1e-1] gets a
+        # verified factor
+        lift = 0.5 * (1.0 - np.cos(N * np.pi / 4096))
+        delta = 10.0 ** (-6.0 + 5.0 * depth) if positive else -1e-8 * (lift / 1e-8) ** depth
+        a = np.zeros(N + 1, dtype=complex)
+        a[0], a[N] = 0.5 + delta, -0.25 * np.exp(-1j * N * np.pi / 4096)
+        tau = mr.TrigPoly(coeffs=a)
+        if positive:
+            assert mr.fejer_riesz(tau).size == N + 1
+        else:
+            on_grid = tau.eval_at_angle(2 * np.pi * np.arange(4096) / 4096).min() <= 1e-8
+            with pytest.raises(NotStrictlyPositive, match="^min over grid" if on_grid else
+                               "^tau is not positive between the grid samples: cyclic "
+                               "reduction lost definiteness"):
+                mr.fejer_riesz(tau)
 
     def test_degree_five_round_trip(self):
         tau = random_trig_poly(5, 42)
