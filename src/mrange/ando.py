@@ -49,7 +49,9 @@ from .linalg import (
     BAND,
     FIXPOINT_EPS,
     RANK_REL,
+    _blocks,
     _defect_roots,
+    _fro_norm,
     _norm_within,
     _pinv_sqrt,
     _rank_mask,
@@ -147,47 +149,46 @@ def _cyclic_reduction(A0, A1, polish=False, shift=None):
     to the rounding floor: a spectral factor read off X needs that accuracy.
     Raises NoConvergence after _MAX_STEPS steps.
     """
-    Am, C, Ap, X = dagger(A1), A0.copy(), A1, A0.copy()
-    steps = _MAX_STEPS
+    Am, C, Ap, X, steps = dagger(A1), A0.copy(), A1, A0.copy(), _MAX_STEPS
     if shift is not None:
-        S, P = shift
-        steps = _SHIFT_STEPS
+        (S, P), steps = shift, _SHIFT_STEPS
         Am0 = Am = Am - Am @ P
         C = Ah = A0 + A1 @ S
         X = herm_part(Ah)
     # |A0|_1 bounds |A0| for Hermitian A0
     scale = max(1.0, np.abs(A0).sum(axis=0).max())
     gate = _RESIDUAL_GATE * np.sqrt(scale)
-    update = np.inf
+    update, n = np.inf, A0.shape[0]
     for k in range(steps):
-        done = (update <= gate or np.linalg.norm(Am) <= gate) and \
+        done = (update <= gate or _fro_norm(Am) <= gate) and \
             _norm_within(_fixpoint_defect(A0, A1, X), FIXPOINT_EPS * scale)
         if done and not polish:
             break
         if shift is None:
-            BB = np.hstack([Am, dagger(Am)])   # B = A_{-1} and B*
+            BB = np.concatenate([Am, dagger(Am)], axis=1)   # B = A_{-1} and B*
             L, info = lapack.zpotrf(C, lower=1)
-            if info == 0:   # C^{-1} = F* F for F = L^{-1}; W = F B, V = F B*
-                W, V = np.split(lapack.ztrtrs(L, BB, lower=1)[0], 2, axis=1)
+            if info == 0:   # C^{-1} = F* F for F = L^{-1}; FBB = [F B, F B*]
+                FBB = lapack.ztrtrs(L, BB, lower=1)[0]
             else:   # C = U c U* singular (a summand at its fixed point): F = c^{-1/2} U*
                 c, U = np.linalg.eigh(C)
                 if c[0] < -RANK_REL * c[-1]:   # beyond the rank cutoff
                     raise LostDefiniteness(f"cyclic reduction lost definiteness at step {k}")
-                W, V = np.split((_pinv_sqrt(c)[:, None] * dagger(U)) @ BB, 2, axis=1)
-            BCB, BCBs, BCB2 = dagger(W) @ W, dagger(V) @ V, dagger(V) @ W
-            update = np.linalg.norm(BCB)
+                FBB = (_pinv_sqrt(c)[:, None] * dagger(U)) @ BB
+            W, V = FBB[:, :n], FBB[:, n:]
+            BCB, BCBs, Am = dagger(W) @ W, dagger(V) @ V, -(dagger(V) @ W)
+            update = _fro_norm(BCB)
             X = herm_part(X - BCB)
             C = herm_part(C - BCBs - BCB)
-            Am = -BCB2
         else:
             try:
-                KAm, KAp = np.split(_lu_solve(C, np.hstack([Am, Ap])), 2, axis=1)
+                K = _lu_solve(C, np.concatenate([Am, Ap], axis=1))
             except NoConvergence:
                 if done:   # a singular polishing step: keep the X that met the stop
                     break
                 raise
+            KAm, KAp = K[:, :n], K[:, n:]
             ApKAm = Ap @ KAm
-            update = np.linalg.norm(ApKAm)
+            update = _fro_norm(ApKAm)
             Ah = Ah - ApKAm
             X = herm_part(Ah)
             C = C - Am @ KAp - ApKAm
@@ -280,10 +281,10 @@ def _extremal_X(A, w, t):
     kernel = U[:, ~_rank_mask(x)]
     if op_norm(dagger(kernel) @ A) > 1e-6:
         raise RangeViolation("X no longer covers the range of T")
-    ok, min_eig = psd_check(np.block([[I - X, dagger(A) / 2.0], [A / 2.0, X]]), t)
+    ok, min_eig = psd_check(_blocks([[I - X, A1], [A / 2.0, X]]), t)
     if not ok:
         raise NoConvergence(f"limit violates the defining LMI (min eig {min_eig:.3e})")
-    if float(x[-1]) > 1.0 + t.psd_eps * (1.0 + op_norm(A)):
+    if x[-1] > 1.0 + t.psd_eps and x[-1] > 1.0 + t.psd_eps * (1.0 + op_norm(A)):
         raise NoConvergence("limit exceeds the identity")
     return X, k, (x, U), min_eig
 

@@ -36,6 +36,7 @@ from .errors import (
 )
 from .linalg import (
     _check_unit_indices,
+    _fro_norm,
     _pinv_sqrt,
     _psd_factor,
     _tol,
@@ -265,8 +266,8 @@ def solve_feasibility(K, B, tol=None, start=None, target=None):
     c = np.concatenate([Bf, dagger(B).reshape(count, m * m)])
     Lp = np.linalg.pinv(L, rcond=1e-12)
     x = Lp @ c
-    ls_res = float(np.linalg.norm(Kf @ x - Bf))
-    if ls_res > 1e-8 * (1.0 + float(np.linalg.norm(Bf))):
+    ls_res = float(_fro_norm(Kf @ x - Bf))
+    if ls_res > 1e-8 * (1.0 + float(_fro_norm(Bf))):
         raise InconsistentAffine(f"affine system unsolvable, residual {ls_res:.3e}",
                                  ls_res)
 

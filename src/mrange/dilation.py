@@ -30,6 +30,7 @@ from .errors import (
 from .linalg import (
     BAND,
     RANK_REL,
+    _blocks,
     _count,
     _defect_roots,
     _norm_within,
@@ -54,7 +55,7 @@ def halmos_unitary(C):
     if nrm > 1.0 + BAND:
         raise NotContraction(f"operator norm {nrm:.12f} exceeds 1")
     top, bot = _defect_roots(A, svd)
-    U0 = np.block([[A, top], [bot, -dagger(A)]])
+    U0 = _blocks([[A, top], [bot, -dagger(A)]])
     defect = dagger(U0) @ U0 - np.eye(2 * A.shape[0])
     if not _norm_within(defect, 1e-8):
         raise VerificationFailed(f"Halmos block not unitary (defect {op_norm(defect):.3e})")
@@ -156,8 +157,8 @@ def _two_dilation(A, C, M):
 
 def _core_unitarity_defect(blocks, d):
     """||W*W - I|| for the core W = U[block rows -1..1, block columns -2..0]."""
-    W = np.block([[blocks.get((i, j), np.zeros((d, d))) for j in (-2, -1, 0)]
-                  for i in (-1, 0, 1)])
+    W = _blocks([[blocks.get((i, j), np.zeros((d, d))) for j in (-2, -1, 0)]
+                 for i in (-1, 0, 1)])
     return op_norm(dagger(W) @ W - np.eye(3 * d))
 
 

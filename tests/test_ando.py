@@ -61,6 +61,28 @@ class TestAndoX:
                                       0.5 * np.eye(2, dtype=complex))
         assert isinstance(info.value, NoConvergence) and info.value.name == "NoConvergence"
 
+    @pytest.mark.parametrize("excess, refused", [
+        (lambda eps, a: 2.0 * eps * (1.0 + a), True),
+        (lambda eps, a: eps * (1.0 + a / 2.0), False),
+        (lambda eps, a: eps / 2.0, False),
+    ], ids=["past-the-bound", "between-eps-and-the-bound", "under-eps"])
+    def test_limit_above_the_identity(self, excess, refused, monkeypatch):
+        # with the LMI check patched to pass, a limit c I is refused exactly
+        # when c > 1 + psd_eps (1 + |T|); at or below 1 + psd_eps the check
+        # needs no |T|, and between the two it must still take it
+        T = random_with_radius(4, 0.7, 3)
+        eps = mr.default_tolerances().psd_eps
+        c = 1.0 + excess(eps, mr.op_norm(T))
+        monkeypatch.setattr(mr.ando, "psd_check", lambda H, tol=None: (True, 0.0))
+        monkeypatch.setattr(mr.ando, "_cyclic_reduction",
+                            lambda A0, A1, **kwargs: (c * np.eye(4, dtype=complex), 0))
+        if refused:
+            with pytest.raises(NoConvergence, match="^limit exceeds the identity$"):
+                mr.ando_X(T)
+            return
+        X, _ = mr.ando_X(T)
+        assert np.array_equal(X, c * np.eye(4))
+
     def test_fixed_point_consistency(self):
         for seed in range(5):
             T = random_with_radius(3, 0.9, seed)

@@ -137,6 +137,56 @@ class TestOpNorm:
         assert mr.op_norm(np.array([[0, 2], [0, 0]])) == pytest.approx(2.0)
 
 
+def _wide_range(rng, shape, dtype):
+    """Entries spread over 16 decades, so that a different summation order
+    would show in the last bits of a norm."""
+    M = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    if dtype is complex:
+        M = M + 1j * rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    return M
+
+
+_LAYOUTS = {
+    "C": lambda M: np.ascontiguousarray(M),
+    "F": lambda M: np.asfortranarray(M),
+    "transposed": lambda M: M.T,
+    "dagger": lambda M: mr.linalg.dagger(M),
+    "sliced": lambda M: M[1:, ::2],
+    "reversed": lambda M: M[::-1, ::-3],
+}
+
+
+class TestFroNorm:
+    """linalg._fro_norm computes np.linalg.norm(M) bit for bit, so every
+    gate that used the one takes the same branch with the other."""
+
+    @pytest.mark.parametrize("layout", list(_LAYOUTS))
+    @pytest.mark.parametrize("dtype", [complex, float], ids=["complex", "real"])
+    def test_equals_numpy_on_every_layout(self, layout, dtype):
+        rng = np.random.default_rng([7, list(_LAYOUTS).index(layout)])
+        for shape in [(9, 7), (16, 16), (1, 5)] * 4:
+            M = _LAYOUTS[layout](_wide_range(rng, shape, dtype))
+            assert mr.linalg._fro_norm(M) == np.linalg.norm(M)
+
+    def test_stack_and_its_views(self):
+        S = _wide_range(np.random.default_rng(11), (3, 6, 6), complex)
+        for M in [S, S.swapaxes(-1, -2), mr.linalg.dagger(S), S[::2, 1:], np.asfortranarray(S)]:
+            assert mr.linalg._fro_norm(M) == np.linalg.norm(M)
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_empty(self, dtype):
+        M = np.zeros((0, 0), dtype=dtype)
+        assert mr.linalg._fro_norm(M) == np.linalg.norm(M) == 0.0
+
+    def test_block_assembly_equals_numpy(self):
+        # float zero blocks beside complex ones, as in the dilation's core
+        rng = np.random.default_rng(5)
+        A, B = _wide_range(rng, (3, 3), complex), _wide_range(rng, (3, 2), complex)
+        rows = [[A, B], [np.zeros((1, 3)), _wide_range(rng, (1, 2), float)]]
+        got, want = mr.linalg._blocks(rows), np.block(rows)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 class TestEmptyMatrix:
     @pytest.mark.parametrize("call", [
         mr.num_radius, lambda A: mr.range_boundary(A, 8), mr.ando_X, mr.member_e21,

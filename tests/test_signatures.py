@@ -194,3 +194,39 @@ def test_only_psd_checks_read_psd_eps():
     readers = {path.name: psd_eps_readers(path.read_text())
                for path in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in readers.items() if v} == PSD_EPS_READERS
+
+
+# numpy wrappers whose Python-level dispatch costs as much as the work on the
+# small matrices of these modules: slices, np.concatenate, linalg._blocks and
+# linalg._fro_norm give the same bits without it
+_DISPATCH_FREE = ("ando.py", "linalg.py", "dilation.py")
+
+
+def numpy_dispatch_calls(source):
+    """(line, call) for each np.split, np.hstack or np.block call in
+    ``source``, and each np.linalg.norm call without ord or axis: the
+    Frobenius norm of the whole array."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        keywords = {k.arg for k in node.keywords}
+        if name in ("np.split", "np.hstack", "np.block") or (
+                name == "np.linalg.norm" and len(node.args) == 1
+                and not keywords & {"ord", "axis"}):
+            out.append((node.lineno, name))
+    return sorted(out)
+
+
+def test_detects_numpy_dispatch():
+    source = ("def f(A, B):\n    W, V = np.split(np.hstack([A, B]), 2, axis=1)\n"
+              "    M = np.block([[A, B]])\n"
+              "    return np.linalg.norm(W), np.linalg.norm(V, 2), np.linalg.norm(M, axis=0)\n")
+    assert numpy_dispatch_calls(source) == [(2, "np.hstack"), (2, "np.split"),
+                                            (3, "np.block"), (4, "np.linalg.norm")]
+
+
+def test_small_matrix_paths_avoid_numpy_dispatch():
+    found = {name: numpy_dispatch_calls((SRC / name).read_text()) for name in _DISPATCH_FREE}
+    assert {k: v for k, v in found.items() if v} == {}
