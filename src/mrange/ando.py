@@ -34,6 +34,12 @@ eigenvalues to 0: quadratic, 4 to 10 steps, and at the maximal solution
 itself. A shifted run that misses the stop falls back to the plain one.
 The result is verified against the defining LMI and X <= I.
 
+That LMI is also a certificate: LMI + (BAND/2) I PSD proves w(T) <= 1 + BAND.
+So the entry points that print no radius try X first at a provisional radius
+near w = 1, the first ascent of the level-set method (with its angle as the
+one maximum), and solve the level set only when that X fails
+(``numrange._radius_or_bound``).
+
 X of T* (``_adjoint_X``) gives Y_min and, for 2T, the E21 witness of T: the
 Choi matrix [[X, T*], [T, I - X]] of the unital CP map sending E21 to T.
 """
@@ -69,7 +75,10 @@ from .numrange import _Radius, _radius_or_bound, num_radius
 _MAX_STEPS = 100
 # the shifted iteration is quadratic and took at most 10 steps, polish
 # included, on every boundary input tried (n = 2 to 128); a run still going
-# after 12 has a wrong shift, and the unshifted iteration takes over
+# after 12 has a wrong shift, and the unshifted iteration takes over. A run
+# on a provisional radius has the same budget, shifted or not: one that
+# needs more is at w = 1 with a wrong shift, or plain within about 1e-6 of
+# it, where the level set is solved instead
 _SHIFT_STEPS = 12
 # the shift is taken only at w = 1 to within rounding: at 1 - w = 1e-12 its
 # unimodular z misses G's eigenvalue by enough to fail the stop
@@ -115,7 +124,7 @@ def _lu_solve(M, B):
     return lapack.zgetrs(lu, piv, B)[0]
 
 
-def _cyclic_reduction(A0, A1, polish=False, shift=None):
+def _cyclic_reduction(A0, A1, polish=False, shift=None, steps=None):
     """Maximal Hermitian solution X of X + A1 X^{-1} A1* = A0, and the step count.
 
     X = A0 + A1 G for the minimal solvent G of A1* + A0 G + A1 G^2 = 0. Each
@@ -136,9 +145,9 @@ def _cyclic_reduction(A0, A1, polish=False, shift=None):
     on V where G has z, so unimodular z no longer slow it down. A step then
     takes one LU factor. Ah tends to A_0 + A_1 (G - S) = A0 + A1 G = X, and
     herm(Ah) is the X checked and returned. The shifted run must stop within
-    _SHIFT_STEPS steps, polish included, with rho(G) <= 1 + 1e-8 for
-    G = S - Ah^{-1} A_{-1} (the minimal solvent's bound), or it raises
-    NoConvergence: a wrong shift never passes.
+    its budget (by default _SHIFT_STEPS steps, polish included) with
+    rho(G) <= 1 + 1e-8 for G = S - Ah^{-1} A_{-1} (the minimal solvent's
+    bound), or it raises NoConvergence: a wrong shift never passes.
 
     Either way the loop stops once op_norm(X - (A0 - A1 X^+ A1*)) <=
     FIXPOINT_EPS s, s = max(1, |A0|_1): the rounding floor of X grows with
@@ -147,11 +156,13 @@ def _cyclic_reduction(A0, A1, polish=False, shift=None):
     current A_{-1} has Frobenius norm at most sqrt(FIXPOINT_EPS s). With
     ``polish`` it takes one more step, which in the quadratic regime brings X
     to the rounding floor: a spectral factor read off X needs that accuracy.
-    Raises NoConvergence after _MAX_STEPS steps.
+    Raises NoConvergence after ``steps`` steps, by default _MAX_STEPS.
     """
-    Am, C, Ap, X, steps = dagger(A1), A0.copy(), A1, A0.copy(), _MAX_STEPS
+    Am, C, Ap, X = dagger(A1), A0.copy(), A1, A0.copy()
+    if steps is None:
+        steps = _MAX_STEPS if shift is None else _SHIFT_STEPS
     if shift is not None:
-        (S, P), steps = shift, _SHIFT_STEPS
+        S, P = shift
         Am0 = Am = Am - Am @ P
         C = Ah = A0 + A1 @ S
         X = herm_part(Ah)
@@ -205,15 +216,18 @@ def _cyclic_reduction(A0, A1, polish=False, shift=None):
     return X, k
 
 
-def _boundary_shift(A, w, maxima):
-    """The shift (S, P) of _cyclic_reduction at w(A) = 1, or None.
+def _boundary_shifts(A, w, maxima):
+    """The shifts (S, P) of _cyclic_reduction at w(A) = 1 for X(A) and for
+    X(A*), or None.
 
     At an angle theta where lambda_max(Re(e^{i theta} A)) = 1 with top
     eigenvector v, A1* + z I + z^2 A1 = -e^{-i theta} (I - Re(e^{i theta} A))
     for A1 = A*/2 and z = -e^{-i theta}, so v is an eigenvector of the
-    minimal solvent G for its unimodular eigenvalue z. None unless
-    |w - 1| <= _SHIFT_BAND and 1 <= len(maxima) <= n, or when the Gram
-    matrix V*V is too ill-conditioned to give W* = (V*V)^{-1} V*.
+    minimal solvent G for its unimodular eigenvalue z. A* attains w at
+    -theta, where Re(e^{-i theta} A*) is Re(e^{i theta} A) bit for bit: the
+    same V and W, and z = -e^{i theta}. None unless |w - 1| <= _SHIFT_BAND
+    and 1 <= len(maxima) <= n, or when the Gram matrix V*V is too
+    ill-conditioned to give W* = (V*V)^{-1} V*.
     """
     n = A.shape[0]
     if abs(w - 1.0) > _SHIFT_BAND or not 1 <= len(maxima) <= n:
@@ -226,7 +240,14 @@ def _boundary_shift(A, w, maxima):
     if info != 0 or not rcond >= _SHIFT_RCOND_MIN:
         return None
     Ws = lapack.zpotrs(L, dagger(V), lower=1)[0]
-    return (V * -np.exp(-1j * maxima)) @ Ws, V @ Ws
+    P = V @ Ws
+    return ((V * -np.exp(-1j * maxima)) @ Ws, P), ((V * -np.exp(1j * maxima)) @ Ws, P)
+
+
+def _boundary_shift(A, w, maxima):
+    """X(A)'s shift (S, P) of _boundary_shifts, or None."""
+    shifts = _boundary_shifts(A, w, maxima)
+    return shifts and shifts[0]
 
 
 def ando_X(T, tol=None):
@@ -242,7 +263,7 @@ def ando_X(T, tol=None):
     return _extremal_X(A, num_radius(A), _tol(tol))[:2]
 
 
-def _extremal_X(A, w, t):
+def _extremal_X(A, w, t, shift=None):
     """ando_X for a square A whose numerical radius w is already known, a _Radius
     whose ``maxima`` are the angles where it is attained (none: no shift is
     tried); also returns X's eigendecomposition (x, U) and the LMI's min
@@ -250,26 +271,38 @@ def _extremal_X(A, w, t):
     |w - 1| <= _SHIFT_BAND) and RadiusTooLarge, raised by a failed run at
     w > 1 only. So a proven bound under 1 - BAND (``_radius_or_bound``) may
     stand in for w, with no maxima, and gives the same X, count and errors.
+    ``shift`` is X's (S, P) when the caller built it (``_boundary_shifts``);
+    None builds it here.
 
     At w = 1 the shifted cyclic reduction runs first; when it fails (a
     wrong shift) the unshifted one does, and the iteration count adds the
-    rejected run's whole budget of _SHIFT_STEPS."""
+    rejected run's whole budget of _SHIFT_STEPS.
+
+    A provisional w (an ascent's value, which no pencil certified) takes no
+    fallback: the one run, shifted or plain, has _SHIFT_STEPS steps, and X is
+    accepted only when the LMI's min eigenvalue is at least -BAND/2, whatever
+    psd_eps. Then LMI + (BAND/2) I is PSD, which is the LMI of
+    A / (1 + BAND) for (X + (BAND/2) I) / (1 + BAND): so w(A) <= 1 + BAND.
+    Every failure raises MrangeError, on which the caller solves for w."""
     if w > 1.0 + BAND:
         raise RadiusTooLarge(f"numerical radius {w:.12f} exceeds 1")
     I = np.eye(A.shape[0], dtype=complex)
     A1 = dagger(A) / 2.0
     X, k = None, 0
-    shift = _boundary_shift(A, w, w.maxima)
+    if shift is None:
+        shift = _boundary_shift(A, w, w.maxima)
     if shift is not None:
         try:
             # a wrong shift can also overflow: that falls back as well
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 X, k = _cyclic_reduction(I, A1, polish=True, shift=shift)
-        except (NoConvergence, FloatingPointError, np.linalg.LinAlgError):
+        except (NoConvergence, FloatingPointError, np.linalg.LinAlgError) as exc:
+            if w.provisional:
+                raise NoConvergence(f"shifted cyclic reduction failed: {exc}")
             k = _SHIFT_STEPS
     if X is None:
         try:
-            X, k_plain = _cyclic_reduction(I, A1)
+            X, k_plain = _cyclic_reduction(I, A1, steps=_SHIFT_STEPS if w.provisional else None)
         except NoConvergence as exc:
             if w > 1.0:
                 raise RadiusTooLarge(f"numerical radius {w:.12f} exceeds 1: {exc}")
@@ -286,24 +319,33 @@ def _extremal_X(A, w, t):
         raise NoConvergence(f"limit violates the defining LMI (min eig {min_eig:.3e})")
     if x[-1] > 1.0 + t.psd_eps and x[-1] > 1.0 + t.psd_eps * (1.0 + op_norm(A)):
         raise NoConvergence("limit exceeds the identity")
+    if w.provisional and not min_eig >= -BAND / 2.0:
+        raise NoConvergence(f"LMI min eig {min_eig:.3e} certifies no w <= 1 + BAND")
     return X, k, (x, U), min_eig
 
 
-def _adjoint_X(A, w, t):
+def _adjoint_X(A, w, t, shift=None):
     """(X, iterations) of ando_X(A*) for A of numerical radius w, which A* attains
-    at the negated angles. It gives Y_min's X(T*) and, at A = 2T, T's E21 witness."""
-    return _extremal_X(dagger(A), _Radius(w, -w.maxima), t)[:2]
+    at the negated angles; ``shift`` as in _extremal_X. It gives Y_min's X(T*)
+    and, at A = 2T, T's E21 witness."""
+    return _extremal_X(dagger(A), _Radius(w, -w.maxima, w.provisional), t, shift)[:2]
 
 
-def _e21_witness(M, t, radius=_radius_or_bound):
+def _e21_witness(M, t, radius=None):
     """(w, X) for M's E21 witness X = ando_X((2M)*), or X = None when none exists;
-    w = radius(2M), w(2M) itself only when ``radius`` is num_radius."""
+    w = radius(2M), by default the radius or bound of
+    ``_radius_or_bound(2M, ...)``, which certifies X witness-first near 1."""
     D = 2.0 * M
-    w = radius(D)
-    try:
-        return w, _adjoint_X(D, w, t)[0]
-    except RadiusTooLarge:
-        return w, None
+
+    def witness(w):
+        try:
+            return w, _adjoint_X(D, w, t)[0]
+        except RadiusTooLarge:
+            if w.provisional:
+                raise
+            return w, None
+
+    return witness(radius(D)) if radius else _radius_or_bound(D, witness)
 
 
 @dataclass(frozen=True)
@@ -317,6 +359,7 @@ class AndoDecomposition:
     Z        contraction with T = (I+Y_max)^{1/2} Z (I-Y_max)^{1/2},
              supported on range(I-X) -> range(X)
     C        Z (I-X)^{1/2}, realizing T = 2 (I - C*C)^{1/2} C
+    X_eig    (x, U) with X = U diag(x) U*, the eigendecomposition X was checked on
     """
 
     X: np.ndarray
@@ -327,12 +370,13 @@ class AndoDecomposition:
     C: np.ndarray
     iterations: int
     residuals: dict
+    X_eig: tuple
 
 
 def ando_decompose(T, tol=None):
     t = _tol(tol)
     A = require_square(T, "ando_decompose")
-    return _ando_decompose(A, _radius_or_bound(A), t)
+    return _radius_or_bound(A, lambda w: _ando_decompose(A, w, t))
 
 
 def _of_X(U, fx):
@@ -362,8 +406,10 @@ def _ando_decompose(A, w, t):
     which the two-dilation shares, as it needs X(T) alone. One stacked SVD
     gives |A| and the reconstruction, C-form and fixed-point residuals."""
     I = np.eye(A.shape[0], dtype=complex)
-    X, iters, (x, U), lmi_min = _extremal_X(A, w, t)
-    Xstar, iters2 = _adjoint_X(A, w, t)
+    # X(T*)'s shift differs from X(T)'s in its phases only: both built at once
+    shift, adjoint_shift = _boundary_shifts(A, w, w.maxima) or (None, None)
+    X, iters, (x, U), lmi_min = _extremal_X(A, w, t, shift)
+    Xstar, iters2 = _adjoint_X(A, w, t, adjoint_shift)
     Y_max = 2.0 * X - I
     Y_min = -(2.0 * Xstar - I)
     Z, C, z_norm = _ando_factor(A, x, U)
@@ -397,7 +443,7 @@ def _ando_decompose(A, w, t):
     verify(iso_defect <= 1e-7, f"Z isometry defect {iso_defect:.3e}")
     verify(ymin_gap >= -t.psd_eps * scale, f"Y_min above Y_max by {-ymin_gap:.3e}")
     return AndoDecomposition(X=X, Xstar=Xstar, Y_max=Y_max, Y_min=Y_min, Z=Z, C=C,
-                             iterations=iters + iters2, residuals=residuals)
+                             iterations=iters + iters2, residuals=residuals, X_eig=(x, U))
 
 
 def radius_lmi(T, tol=None):

@@ -109,7 +109,9 @@ def two_dilation(T, M, tol=None):
     Requires M >= 4 (checked first) and w(T) <= 1. U is built from Ando's
     C = Z (I - X)^{1/2}, which needs X(T) alone: its LMI and X <= I checks,
     then |Z| <= 1 + 1e-8 (``ando._ando_factor``). No radius is printed, so
-    an interior T skips the level set (``numrange._radius_or_bound``). The
+    the level set runs only when neither the start values' bound nor X at
+    the first ascent's provisional radius settles w (``numrange._radius_or_bound``;
+    _extremal_X raises RadiusTooLarge when w > 1 + BAND). The
     compression identity is verified for 1 <= n <= M // 2 - 1, where the
     truncation provably cannot leak into the center block, on the block
     column U^n E_0, by one stacked SVD. Rows and columns at the two outer
@@ -122,8 +124,8 @@ def two_dilation(T, M, tol=None):
     A = require_square(T, "two_dilation")
     if _count(M) < 4:
         raise WindowTooSmall(f"window M >= 4 required, got {M}")
-    w = _radius_or_bound(A)   # _extremal_X raises RadiusTooLarge when w > 1 + BAND
-    x, U = ando._extremal_X(A, w, _tol(tol))[2]
+    t = _tol(tol)
+    x, U = _radius_or_bound(A, lambda w: ando._extremal_X(A, w, t))[2]
     return _two_dilation(A, ando._ando_factor(A, x, U)[1], M)
 
 

@@ -271,7 +271,7 @@ def equivalence_suite(T, tol=None):
     dec = None
     try:
         dec = ando._ando_decompose(A, w, t)
-        x, U = np.linalg.eigh(dec.X)   # 0 <= X <= I is checked: its root clips at 0
+        x, U = dec.X_eig   # 0 <= X <= I is checked: its root clips at 0
         root = (U * np.sqrt(np.clip(x, 0.0, None))) @ dagger(U)
         _verified_dilation(A / 2.0, np.vstack([dec.C, root]), 2)
         cond5 = True

@@ -28,8 +28,10 @@ either certifies it, when no midpoint beats r by more than the rounding
 floor of 8 ulps of r, or hands the best midpoint, which lies in a higher
 basin, to the next ascent. A generic radius takes one pencil solve. The
 final level's midpoints that attain the maximum are the angles where it is
-attained; ``num_radius`` returns them with the radius, for the boundary
-shift of :mod:`mrange.ando`.
+attained, the last ascent's own angle standing for its basin's midpoint;
+``num_radius`` returns them with the radius, for the boundary shift of
+:mod:`mrange.ando`, whose X certifies the first ascent alone as a
+provisional radius for callers that print none (``_radius_or_bound``).
 
 lambda_max of a direct sum is the largest of its summands', and its level
 pencil is the direct sum of theirs. So one solve on a (B, m, n, n) stack
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import BadShape, NoConvergence, verify
+from .errors import BadShape, MrangeError, NoConvergence, verify
 from .linalg import BAND, _count, dagger, herm_part, op_norm, require_square
 
 # a spurious near-unimodular eigenvalue only adds a midpoint, while a missed
@@ -251,62 +253,87 @@ def _ascend(AB, theta):
     return best, best_theta
 
 
-def _level_set_max(D, start=None):
+def _climb(D, thetas, vals):
+    """(value, angle) of the ascent (``_ascend``) from the best of these angles
+    and their values on a (B, m, n, n) stack D, on the summand on top there,
+    no lower than its value there."""
+    b, i = divmod(int(np.argmax(vals)), len(thetas))
+    AB = np.stack([herm_part(D[b]), herm_part(1j * D[b])], axis=1).reshape((-1,) + D.shape[2:])
+    r, angle = _ascend(AB, float(thetas[i]))
+    # the midpoint values and the ascent come from different eigensolvers;
+    # a level below the value that raised it would be solved again
+    if vals[b, i] > r:
+        r, angle = float(vals[b, i]), float(thetas[i])
+    return r, angle
+
+
+def _near(r):
+    """Values from here up attain a maximum r: within _MAXIMA_FLOORS floors."""
+    return r - _MAXIMA_FLOORS * _floor(r)
+
+
+def _level_set_max(D, start=None, ascent=None):
     """Max over theta of lambda_max(Re p(e^{i theta})), an angle where it
-    is attained, and the maxima: the final level's midpoints that attain it
+    is attained, and the maxima: the angles of the final level that attain it
     to within _MAXIMA_FLOORS floors, for p(z) = sum_k z^k D_k as in
-    ``_support_grid``. A maximum attained that closely at all the start
-    angles (``_start_grid``, or ``start`` when a caller already took it on
-    D scaled by _pow2_scale) is taken to be attained on the whole circle (a
-    constant eigenvalue branch, whose pencils are singular), and no maxima
-    are reported.
+    ``_support_grid``. They are the level's midpoints, except that the basin
+    the last ascent climbed gives the angle that ascent reached in place of
+    its midpoint (the one nearest that angle on the circle), as the
+    provisional radius of ``_radius_or_bound`` does. A maximum attained that
+    closely at all the start angles (``_start_grid``, or ``start`` when a
+    caller already took it on D scaled by _pow2_scale) is taken to be
+    attained on the whole circle (a constant eigenvalue branch, whose pencils
+    are singular), and no maxima are reported.
 
     A (B, m, n, n) array D is the direct sum of B such polynomials. Each
     level solves their B pencils of size 2mn as one batch, never the dense
     one of size 2Bmn, which for B = 8 is slower than 8 solves from n = 2 on,
     and each ascent climbs the one summand on top at its start angle.
 
-    A Newton ascent (``_ascend``) climbs from the best start angle, and
-    again from the best midpoint of any level that one beats, so each pencil
-    solve mostly just certifies the top already reached. It works on
-    D scaled by _pow2_scale: the rounding floor is relative to |D|."""
+    A Newton ascent (``_climb``) climbs from the best start angle, and again
+    from the best midpoint of any level that one beats, so each pencil solve
+    mostly just certifies the top already reached; ``ascent`` is the first
+    one's (value, angle) when a caller already took it from ``start``. It
+    works on D scaled by _pow2_scale: the rounding floor is relative to |D|."""
     scale = _pow2_scale(D)
     D = scale * np.reshape(D, (1,) * (4 - np.ndim(D)) + np.shape(D))
-    AB = np.stack([herm_part(D), herm_part(1j * D)], axis=2).reshape(
-        D.shape[:1] + (-1,) + D.shape[2:])
     pencil = _level_pencil(D)
     thetas, vals = _start_grid(D) if start is None else start
     lowest = float(vals.max(axis=0).min())
+    # climb the summand on top at the best angle; one that rises above it
+    # elsewhere is found by the pencil, as any higher basin is
+    r, angle = _climb(D, thetas, vals) if ascent is None else ascent
     for _ in range(_MAX_LEVELS):
-        # climb the summand on top at the best angle; one that rises above
-        # it elsewhere is found by the pencil, as any higher basin is
-        b, i = divmod(int(np.argmax(vals)), len(thetas))
-        r, angle = _ascend(AB[b], float(thetas[i]))
-        # the midpoint values and the ascent come from different eigensolvers;
-        # a level below the value that raised it would be solved again
-        if vals[b, i] > r:
-            r, angle = float(vals[b, i]), float(thetas[i])
         thetas = _level_midpoints(pencil, r)
         vals = _support_grid(D, thetas)
         top = vals.max(axis=0)
         i = int(np.argmax(top))
         if top[i] <= r + _floor(r):
+            climbed = angle % (2.0 * np.pi)
             if top[i] > r:
                 r, angle = float(top[i]), float(thetas[i])
-            near = r - _MAXIMA_FLOORS * _floor(r)
-            maxima = thetas[top >= near] % (2.0 * np.pi) if lowest < near else np.empty(0)
+            near, maxima = _near(r), np.empty(0)
+            if lowest < near:
+                maxima = thetas[top >= near] % (2.0 * np.pi)
+                if maxima.size:
+                    maxima[np.cos(maxima - climbed).argmax()] = climbed
+                else:
+                    maxima = np.array([climbed])
             return r / scale, angle % (2.0 * np.pi), maxima
+        r, angle = _climb(D, thetas, vals)
     raise NoConvergence(f"level set still rising after {_MAX_LEVELS} levels")
 
 
 class _Radius(float):
     """A numerical radius that also holds ``maxima``: the angles where the
     final level of its level-set solve attains it (``_level_set_max``).
-    Ando's extremal X takes its boundary shift from them."""
+    Ando's extremal X takes its boundary shift from them. A ``provisional``
+    one is an ascent's value and angle, which no pencil certified: see
+    ``_radius_or_bound``."""
 
-    def __new__(cls, value, maxima):
+    def __new__(cls, value, maxima, provisional=False):
         self = super().__new__(cls, value)
-        self.maxima = maxima
+        self.maxima, self.provisional = maxima, provisional
         return self
 
 
@@ -317,7 +344,7 @@ def _radius_and_angle(T):
     return _Radius(r, maxima), angle
 
 
-def _radius_or_bound(A):
+def _radius_or_bound(A, witness=None):
     """num_radius(A) for a square A, or, with no maxima, a proven upper bound
     under 1 - BAND in its place when the start values give one: at the angle
     theta* where w is attained, with top unit vector v, f(theta) >=
@@ -325,14 +352,33 @@ def _radius_or_bound(A):
     within pi/16 of theta*, so w <= l sec(pi/16) for the largest start value
     l; (1 + 8 n eps) covers its rounding, about n eps |A| <= 2 n eps w. Only
     callers that print no radius take it, for ``ando._extremal_X``, which it
-    serves as w would. Otherwise the level set starts from these values."""
+    serves as w would. Otherwise the level set starts from these values.
+
+    With ``witness``, returns witness(w) for that w instead, and where the
+    start values leave w at least 1 - BAND, first tries witness on a
+    provisional radius: the value r of the ascent that the level set would
+    take first (``_climb``), with its angle as the one maximum (none when the
+    start values are flat, as ``_level_set_max`` rules), for r <= 1 + BAND.
+    witness certifies r by its result or rejects it by raising MrangeError;
+    only then does the level set run, continuing from that ascent."""
     scale = _pow2_scale(A)
-    start = _start_grid(scale * A[None, None])
+    D = scale * A[None, None]
+    start = _start_grid(D)
     bound = float(start[1].max()) / scale / np.cos(np.pi / 16) * (1.0 + 8.0 * A.shape[0] * _EPS)
     if bound < 1.0 - BAND:
-        return _Radius(bound, np.empty(0))
-    r, _, maxima = _level_set_max(A, start)
-    return _Radius(r, maxima)
+        w = _Radius(bound, np.empty(0))
+    else:
+        ascent = None
+        if witness is not None:
+            ascent = r, angle = _climb(D, *start)
+            if r / scale <= 1.0 + BAND:
+                flat = float(start[1].max(axis=0).min()) >= _near(r)
+                maxima = np.empty(0) if flat else np.array([angle % (2.0 * np.pi)])
+                with suppress(MrangeError):
+                    return witness(_Radius(r / scale, maxima, provisional=True))
+        r, _, maxima = _level_set_max(A, start, ascent)
+        w = _Radius(r, maxima)
+    return w if witness is None else witness(w)
 
 
 def num_radius(T):

@@ -103,16 +103,16 @@ class TestTwoDilation:
     @pytest.mark.parametrize("T", [2 * E21, random_with_radius(3, 1.0, 9),
                                    random_with_radius(5, 0.9, 10)])
     def test_one_radius_and_one_extremal_solve(self, T, count_calls):
-        # the dilation needs X(T) alone: no X(T*) and no decomposition. The
-        # radius is one level set at w = 1, and none at w = 0.9, where the
-        # start values bound it below 1
-        interior = mr.num_radius(T) < 0.95
+        # the dilation needs X(T) alone: no X(T*) and no decomposition. No
+        # level set either: at w = 0.9 the start values bound the radius
+        # below 1, and at w = 1 X certifies the first ascent's provisional one
         starts = count_calls(mr.numrange, "_start_grid")
         levels = count_calls(mr.numrange, "_level_set_max")
+        pencils = count_calls(mr.numrange, "_pencil_eigenvalues")
         solves = {name: count_calls(mr.ando, name)
                   for name in ("_extremal_X", "_adjoint_X", "_ando_decompose")}
         mr.two_dilation(T, 8)
-        assert (len(starts), len(levels)) == (1, 0 if interior else 1)
+        assert (len(starts), len(levels), len(pencils)) == (1, 0, 0)
         assert {name: len(c) for name, c in solves.items()} == \
             {"_extremal_X": 1, "_adjoint_X": 0, "_ando_decompose": 0}
 

@@ -52,13 +52,16 @@ class TestMemberE21:
     def test_radius_computed_once(self, name, count_calls):
         # each E21 entry point reads ando._e21_witness, whose solve of the
         # doubled LMI reuses the radius it took; at w(2T) = 1 the start
-        # values settle nothing, so all three solve one level set from them
+        # values settle nothing. member_e21 prints its margin, so it solves
+        # one level set from them; the other two print no radius, and X at
+        # the first ascent's provisional radius certifies it with none
         T = random_with_radius(8, 0.5, 3)
         witnesses = count_calls(mr.ando, "_e21_witness")
         starts = count_calls(mr.numrange, "_start_grid")
         levels = count_calls(mr.numrange, "_level_set_max")
         out = getattr(mr, name)(T)
-        assert len(witnesses) == len(starts) == len(levels) == 1
+        assert len(witnesses) == len(starts) == 1
+        assert len(levels) == (name == "member_e21")
         # each found its witness (ucp_from_e21 raises RadiusTooLarge without)
         assert {"member_e21": lambda: out.member, "radius_lmi": lambda: out[0],
                 "ucp_from_e21": lambda: True}[name]()

@@ -1,6 +1,8 @@
-"""The start-grid radius bound: entry points that print no radius take it
-in place of the level set, away from w = 1, with results bit-identical to
-a radius-first run."""
+"""The entry points that print no radius solve no level set where the start
+values or Ando's X settle w: they take the start-grid bound in its place
+away from w = 1, and near it the first ascent's provisional radius, which
+their X certifies by its LMI, with the level set only as the fallback. Every
+result is bit-identical to a radius-first run."""
 
 import dataclasses
 import os
@@ -16,9 +18,9 @@ from hypothesis import strategies as st
 import mrange as mr
 from mrange import ando
 from mrange.dilation import _two_dilation
-from mrange.errors import MrangeError, RadiusTooLarge
+from mrange.errors import MrangeError, NoConvergence, RadiusTooLarge
 from mrange.linalg import BAND, DEFAULT_TOL
-from mrange.numrange import _radius_or_bound
+from mrange.numrange import _Radius, _radius_or_bound
 
 from helpers import E21, random_with_radius
 
@@ -105,12 +107,19 @@ class TestRadiusOrBound:
         _scaled(5, 1.0, 2, real=True),
         np.diag([0.9, -0.5j, 0.3]),
         np.diag([1.0, np.exp(2j), -0.5]),
+        # real inputs attaining w = 1 at +-theta: a shift from one angle fails
+        _scaled(4, 1.0, 9, real=True),
+        *(_scaled(8, 1.0, seed, real=True) for seed in range(4)),
         # the maximum half a grid step off the start angles: bound = w sec(pi/16)
         np.diag([0.99 * np.exp(1j * np.pi / 16), 0.5]),
         np.diag([np.exp(1j * np.pi / 16), 0.5]),
+        # the first ascent climbs to 0.999 at angle 0; w = 1 is attained off
+        # the grid, where a plain run needs 20 steps and ends 4e-7 from X
+        np.diag([0.999, np.exp(1j * np.pi / 16)]),
         E21, 2 * E21, mr.shift(5), mr.shift(5) / np.cos(np.pi / 6), np.zeros((3, 3)),
     ], ids=["2^990", "2^-990", "2^-990 at w=1", "real w=0.9", "real w=1", "normal",
-            "normal w=1", "off-grid w=0.99", "off-grid w=1", "E21", "2 E21", "S_5",
+            "normal w=1", "real n=4 +-theta", *(f"real n=8 +-theta {s}" for s in range(4)),
+            "off-grid w=0.99", "off-grid w=1", "w=1 behind 0.999", "E21", "2 E21", "S_5",
             "S_5 at w=1", "zero"])
     def test_fixed_inputs(self, A):
         assert _mismatches(A) == []
@@ -151,13 +160,88 @@ _ENTRY_POINTS = {
 }
 
 
+_LOOSE = mr.Tolerances(psd_eps=1e-4)
+
+
+class TestProvisionalRadius:
+    """Near w = 1 the first ascent's value stands in for w until X certifies
+    it: its LMI's min eigenvalue of at least -BAND/2 proves w <= 1 + BAND,
+    whatever psd_eps."""
+
+    def test_loose_tolerance_admits_no_radius_above_one(self, count_calls):
+        # the ascent from the best start angle, 0, reads 1; w = 1 + 1e-6 is
+        # attained half a grid step away, where no start value reaches 1.
+        # Each entry point tries that provisional radius, then one level set
+        T = np.diag([1.0, (1.0 + 1e-6) * np.exp(-1j * np.pi / 16)])
+        solves = count_calls(mr.ando, "_extremal_X")
+        levels = count_calls(mr.numrange, "_level_set_max")
+        message = "numerical radius 1.000001000000 exceeds 1"
+        with pytest.raises(RadiusTooLarge, match=f"^{message}$"):
+            mr.ando_decompose(T, _LOOSE)
+        with pytest.raises(RadiusTooLarge, match=f"^{message}$"):
+            mr.two_dilation(T, _WINDOW, _LOOSE)
+        assert mr.radius_lmi(T / 2.0, _LOOSE) == (False, None)
+        with pytest.raises(RadiusTooLarge, match="^numerical radius 0.500000500000 exceeds 1/2$"):
+            mr.ucp_from_e21(T / 2.0, _LOOSE)
+        assert [w.provisional for _, w, *_ in solves] == [True, False] * 4
+        assert [w for _, w, *_ in solves] == pytest.approx([1.0, 1.0 + 1e-6] * 4, rel=1e-12)
+        assert len(levels) == 4
+
+    def test_failed_shift_falls_back_to_the_level_set_alone(self, monkeypatch, count_calls):
+        # attained at +-theta, w = 1 defeats the one-angle shift of the
+        # provisional run. No plain run follows it: 20 linear steps would end
+        # 4e-7 from X. The level set continues from the provisional ascent,
+        # so the call takes the ascents of num_radius, no more
+        A = _scaled(4, 1.0, 9, real=True)
+        runs, reduce = [], ando._cyclic_reduction
+
+        def traced(*args, **kwargs):
+            runs.append(kwargs.get("shift") is not None)
+            return reduce(*args, **kwargs)
+
+        monkeypatch.setattr(ando, "_cyclic_reduction", traced)
+        ascents = count_calls(mr.numrange, "_ascend")
+        mr.num_radius(A)
+        radius_ascents = len(ascents)
+        mr.two_dilation(A, _WINDOW)
+        assert runs == [True, True]
+        assert len(ascents) == 2 * radius_ascents
+
+    def test_lmi_bound_refuses_what_psd_eps_admits(self):
+        # (1 + 1e-6) 2 E21 stops after one plain step at X with eigenvalue
+        # -2e-6: its LMI passes psd_eps = 1e-4, so only w refuses it, and a
+        # provisional w of 1 (an ascent that missed the top) must not
+        A = (1.0 + 1e-6) * 2.0 * E21
+        x = ando._extremal_X(A, _Radius(1.0, np.empty(0)), _LOOSE)[2][0]
+        assert x[0] == pytest.approx(-2e-6, rel=1e-5)
+        with pytest.raises(NoConvergence, match=r"^LMI min eig -2\.000e-06 certifies no"):
+            ando._extremal_X(A, _Radius(1.0, np.empty(0), provisional=True), _LOOSE)
+
+    def test_lmi_bound_under_optimize(self):
+        tests = os.path.dirname(__file__)
+        code = "\n".join([
+            "import sys", f"sys.path.insert(0, {tests!r})",
+            "import test_radius_bound as t",
+            "try:",
+            "    t.TestProvisionalRadius().test_lmi_bound_refuses_what_psd_eps_admits()",
+            "    print(__debug__, True)",
+            "except Exception as exc:",
+            "    print(__debug__, False, repr(exc))",
+        ])
+        src = os.path.dirname(os.path.dirname(mr.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == ["False", "True"], out.stdout + out.stderr
+
+
 class TestLevelSetCalls:
     """The four entry points that print no radius solve a level set only
-    when the start values leave w near 1; member_e21 prints its margin, so
-    it always solves one."""
+    when neither the start values nor X at the first ascent's provisional
+    radius settle w; member_e21 prints its margin, so it always solves one."""
 
     @pytest.mark.parametrize("name", list(_ENTRY_POINTS))
-    @pytest.mark.parametrize("w, levels", [(0.4, 0), (0.9, 0), (1.0, 1)])
+    @pytest.mark.parametrize("w, levels", [(0.4, 0), (0.9, 0), (1.0, 0)])
     def test_level_sets_per_call(self, name, w, levels, count_calls):
         A = random_with_radius(6, w, 7)
         starts = count_calls(mr.numrange, "_start_grid")
@@ -173,3 +257,18 @@ class TestLevelSetCalls:
         solves = count_calls(mr.numrange, "_level_set_max")
         assert mr.member_e21(T).member
         assert len(solves) == 1
+
+    @pytest.mark.parametrize("name", list(_ENTRY_POINTS))
+    @pytest.mark.parametrize("A, levels", [
+        (2.0 * E21, 0), (mr.shift(4) / np.cos(np.pi / 5), 0),
+        (np.diag([1.0, np.exp(2j), -0.5]), 1), (_scaled(4, 1.0, 9, real=True), 1),
+        (_scaled(8, 1.0, 2, real=True), 1),
+    ], ids=["2 E21", "S_4 at w=1", "normal two maxima", "real n=4 +-theta", "real n=8 +-theta"])
+    def test_boundary_inputs(self, name, A, levels, count_calls):
+        # flat support functions certify with no level set; inputs attaining
+        # w = 1 at two angles fail the one-angle shift and solve exactly one
+        starts = count_calls(mr.numrange, "_start_grid")
+        solves = count_calls(mr.numrange, "_level_set_max")
+        pencils = count_calls(mr.numrange, "_pencil_eigenvalues")
+        _ENTRY_POINTS[name](A)
+        assert (len(starts), len(solves), len(pencils)) == (1, levels, levels)
