@@ -36,9 +36,8 @@ The result is verified against the defining LMI and X <= I.
 
 That LMI is also a certificate: LMI + (BAND/2) I PSD proves w(T) <= 1 + BAND.
 So the entry points that print no radius try X first at a provisional radius
-near w = 1, the first ascent of the level-set method (with its angle as the
-one maximum), and solve the level set only when that X fails
-(``numrange._radius_or_bound``).
+near w = 1, the first ascent of the radius solve (``numrange._RadiusSolve``),
+and solve the level set only when that X fails (``numrange._radius_or_bound``).
 
 X of T* (``_adjoint_X``) gives Y_min and, for 2T, the E21 witness of T: the
 Choi matrix [[X, T*], [T, I - X]] of the unital CP map sending E21 to T.
@@ -244,12 +243,6 @@ def _boundary_shifts(A, w, maxima):
     return ((V * -np.exp(-1j * maxima)) @ Ws, P), ((V * -np.exp(1j * maxima)) @ Ws, P)
 
 
-def _boundary_shift(A, w, maxima):
-    """X(A)'s shift (S, P) of _boundary_shifts, or None."""
-    shifts = _boundary_shifts(A, w, maxima)
-    return shifts and shifts[0]
-
-
 def ando_X(T, tol=None):
     """Extremal positive contraction X for T with w(T) <= 1.
 
@@ -264,13 +257,14 @@ def ando_X(T, tol=None):
 
 
 def _extremal_X(A, w, t, shift=None):
-    """ando_X for a square A whose numerical radius w is already known, a _Radius
-    whose ``maxima`` are the angles where it is attained (none: no shift is
-    tried); also returns X's eigendecomposition (x, U) and the LMI's min
-    eigenvalue. w is read only by the gate w > 1 + BAND, the shift (at
-    |w - 1| <= _SHIFT_BAND) and RadiusTooLarge, raised by a failed run at
-    w > 1 only. So a proven bound under 1 - BAND (``_radius_or_bound``) may
-    stand in for w, with no maxima, and gives the same X, count and errors.
+    """ando_X for a square A whose numerical radius w is already known, a
+    _Radius with the ``maxima`` and ``provisional`` flag of
+    ``numrange._RadiusSolve`` (no maxima: no shift is tried); also returns
+    X's eigendecomposition (x, U) and the LMI's min eigenvalue. w is read
+    only by the gate w > 1 + BAND, the shift (at |w - 1| <= _SHIFT_BAND) and
+    RadiusTooLarge, raised by a failed run at w > 1 only. So a proven bound
+    under 1 - BAND (``numrange._radius_or_bound``) may stand in for w, with
+    no maxima, and gives the same X, count and errors.
     ``shift`` is X's (S, P) when the caller built it (``_boundary_shifts``);
     None builds it here.
 
@@ -278,11 +272,11 @@ def _extremal_X(A, w, t, shift=None):
     wrong shift) the unshifted one does, and the iteration count adds the
     rejected run's whole budget of _SHIFT_STEPS.
 
-    A provisional w (an ascent's value, which no pencil certified) takes no
-    fallback: the one run, shifted or plain, has _SHIFT_STEPS steps, and X is
-    accepted only when the LMI's min eigenvalue is at least -BAND/2, whatever
-    psd_eps. Then LMI + (BAND/2) I is PSD, which is the LMI of
-    A / (1 + BAND) for (X + (BAND/2) I) / (1 + BAND): so w(A) <= 1 + BAND.
+    A provisional w takes no fallback: the one run, shifted or plain, has
+    _SHIFT_STEPS steps, and X is accepted only when the LMI's min eigenvalue
+    is at least -BAND/2, whatever psd_eps. Then LMI + (BAND/2) I is PSD,
+    which is the LMI of A / (1 + BAND) for (X + (BAND/2) I) / (1 + BAND): so
+    w(A) <= 1 + BAND.
     Every failure raises MrangeError, on which the caller solves for w."""
     if w > 1.0 + BAND:
         raise RadiusTooLarge(f"numerical radius {w:.12f} exceeds 1")
@@ -290,7 +284,7 @@ def _extremal_X(A, w, t, shift=None):
     A1 = dagger(A) / 2.0
     X, k = None, 0
     if shift is None:
-        shift = _boundary_shift(A, w, w.maxima)
+        shift = (_boundary_shifts(A, w, w.maxima) or (None,))[0]
     if shift is not None:
         try:
             # a wrong shift can also overflow: that falls back as well
@@ -331,21 +325,22 @@ def _adjoint_X(A, w, t, shift=None):
     return _extremal_X(dagger(A), _Radius(w, -w.maxima, w.provisional), t, shift)[:2]
 
 
-def _e21_witness(M, t, radius=None):
-    """(w, X) for M's E21 witness X = ando_X((2M)*), or X = None when none exists;
-    w = radius(2M), by default the radius or bound of
-    ``_radius_or_bound(2M, ...)``, which certifies X witness-first near 1."""
+def _e21_X(D, w, t):
+    """(w, X) for the E21 witness X = ando_X(D*) of M = D/2, D of numerical
+    radius w, or X = None when none exists; a provisional w raises instead."""
+    try:
+        return w, _adjoint_X(D, w, t)[0]
+    except RadiusTooLarge:
+        if w.provisional:
+            raise
+        return w, None
+
+
+def _e21_witness(M, t):
+    """_e21_X of 2M witness-first (``numrange._radius_or_bound``): for the
+    entry points that print no radius."""
     D = 2.0 * M
-
-    def witness(w):
-        try:
-            return w, _adjoint_X(D, w, t)[0]
-        except RadiusTooLarge:
-            if w.provisional:
-                raise
-            return w, None
-
-    return witness(radius(D)) if radius else _radius_or_bound(D, witness)
+    return _radius_or_bound(D, lambda w: _e21_X(D, w, t))
 
 
 @dataclass(frozen=True)

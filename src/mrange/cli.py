@@ -270,7 +270,7 @@ def _run_command(cmd, args):
         # of the samples' direct sum, one level-set solve
         return {
             "count": len(mats),
-            "max_radius": numrange._level_set_max(mats[:, None])[0] if len(mats) else 0.0,
+            "max_radius": numrange._RadiusSolve(mats[:, None]).maximum[0] if len(mats) else 0.0,
             "samples": [matrix_to_json(M) for M in mats[:8]],
         }, 0
 

@@ -43,7 +43,7 @@ from .linalg import (
     require_square,
     shift,
 )
-from .numrange import _level_set_max, _radius_or_bound
+from .numrange import _RadiusSolve, _radius_or_bound
 from .toeplitz import _block_toeplitz, _spectral_factor
 
 
@@ -110,7 +110,7 @@ def two_dilation(T, M, tol=None):
     C = Z (I - X)^{1/2}, which needs X(T) alone: its LMI and X <= I checks,
     then |Z| <= 1 + 1e-8 (``ando._ando_factor``). No radius is printed, so
     the level set runs only when neither the start values' bound nor X at
-    the first ascent's provisional radius settles w (``numrange._radius_or_bound``;
+    the radius solve's provisional radius settles w (``numrange._radius_or_bound``;
     _extremal_X raises RadiusTooLarge when w > 1 + BAND). The
     compression identity is verified for 1 <= n <= M // 2 - 1, where the
     truncation provably cannot leak into the center block, on the block
@@ -246,7 +246,7 @@ def nilpotent_condition(T, n):
     A = require_square(T, "nilpotent_condition")
     if _count(n) < 2:
         raise BadShape(f"order n >= 2 required, got {n}")
-    return 1.0 - _level_set_max(-2.0 * _powers(A, n - 1)[1:])[0]
+    return 1.0 - _RadiusSolve(-2.0 * _powers(A, n - 1)[1:]).maximum[0]
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .linalg import (
     random_matrix,
     require_square,
 )
-from .numrange import _exceeds, num_radius
+from .numrange import _RadiusSolve, num_radius
 from .rng import children
 from .toeplitz import AtomicMeasure, _block_toeplitz, _unitary_measure
 
@@ -50,7 +50,8 @@ def member_e21(X, tol=None):
     the operators with numerical radius at most 1/2. The verdict is the
     existence of its witness, ucp_from_e21's map, so never unverified."""
     M = require_square(X, "member_e21")
-    w, A = ando._e21_witness(M, _tol(tol), num_radius)
+    D = 2.0 * M
+    w, A = ando._e21_X(D, num_radius(D), _tol(tol))
     witness = None if A is None else ando._e21_map(M, A)
     return MembershipVerdict(member=A is not None, margin=0.5 - w / 2.0, witness=witness)
 
@@ -250,7 +251,8 @@ def equivalence_suite(T, tol=None):
     BoundaryBand for |w - 1| <= BAND (1 + |T|), the rounding band of every
     threshold verdict, where (1) and the band-rounded (2), (4), (5) split.
 
-    One level set gives w and (4)'s margin 1 - w; (2) is a level test. One
+    One radius solve gives w, (4)'s margin 1 - w, and (2)'s level test on its
+    pencil, hinted by the angle where w is attained. One
     decomposition, X(T) and X(T*), checks (6) and (8) itself and gives (5),
     Ando's isometry [C; X^{1/2}]; (7) and (9) ask whether X(T*) exists.
     """
@@ -258,14 +260,15 @@ def equivalence_suite(T, tol=None):
 
     t = _tol(tol)
     A = require_square(T, "equivalence_suite")
-    w = num_radius(A)
+    solve = _RadiusSolve(A)
+    w, angle = solve.maximum
     norm = op_norm(A)
     band = BAND * (1.0 + norm)
     if abs(w - 1.0) <= band:
         raise BoundaryBand(f"radius {w:.12f} within the rounding band {band:.1e} of 1")
 
     cond1, cond4 = w <= 1.0, 1.0 - w >= -BAND
-    cond2 = not _exceeds(A, 1.0 + band, norm, w.maxima)
+    cond2 = not solve.exceeds(1.0 + band, norm, [angle])
 
     cond3 = cond5 = False
     dec = None

@@ -26,12 +26,12 @@ analytic first and second derivatives climbs from the best of 16 start
 angles (8 for m > 1) to a local maximum r. One pencil solve at r then
 either certifies it, when no midpoint beats r by more than the rounding
 floor of 8 ulps of r, or hands the best midpoint, which lies in a higher
-basin, to the next ascent. A generic radius takes one pencil solve. The
-final level's midpoints that attain the maximum are the angles where it is
-attained, the last ascent's own angle standing for its basin's midpoint;
-``num_radius`` returns them with the radius, for the boundary shift of
-:mod:`mrange.ando`, whose X certifies the first ascent alone as a
-provisional radius for callers that print none (``_radius_or_bound``).
+basin, to the next ascent. A generic radius takes one pencil solve. One
+``_RadiusSolve`` per input holds these stages, each taken at most once:
+the start grid, the first ascent, the pencil, the maximum with the angles
+where it is attained (for the boundary shift of :mod:`mrange.ando`) and
+level tests. Callers that print no radius take the first ascent alone as
+a provisional radius, which Ando's X certifies (``_radius_or_bound``).
 
 lambda_max of a direct sum is the largest of its summands', and its level
 pencil is the direct sum of theirs. So one solve on a (B, m, n, n) stack
@@ -47,6 +47,7 @@ number of angles takes one tridiagonal reduction per antipodal pair.
 
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -177,19 +178,6 @@ def _pow2_scale(M):
     return float(np.ldexp(1.0, min(-int(np.frexp(np.abs(M).max(initial=0.0))[1]), 1023)))
 
 
-def _exceeds(A, level, norm, angles):
-    """Whether lambda_max(Re(e^{i theta} A)) > level for some theta, for
-    norm = |A|: no if |A| <= level, yes if a fresh support value at a hint
-    angle exceeds it (a hint is never trusted), else as the level set says."""
-    if norm <= level:
-        return False
-    s = _pow2_scale(A)
-    B, level = s * A, s * level
-    if _support_grid(B, np.asarray(angles, dtype=float)).max(initial=-np.inf) > level:
-        return True
-    return bool(_support_grid(B, _level_midpoints(_level_pencil(B), level)).max() > level)
-
-
 def _floor(r):
     """The rounding floor above a level r: _FLOOR_ULPS ulps of 1 + |r|."""
     return _FLOOR_ULPS * _EPS * (1.0 + abs(r))
@@ -272,120 +260,128 @@ def _near(r):
     return r - _MAXIMA_FLOORS * _floor(r)
 
 
-def _level_set_max(D, start=None, ascent=None):
-    """Max over theta of lambda_max(Re p(e^{i theta})), an angle where it
-    is attained, and the maxima: the angles of the final level that attain it
-    to within _MAXIMA_FLOORS floors, for p(z) = sum_k z^k D_k as in
-    ``_support_grid``. They are the level's midpoints, except that the basin
-    the last ascent climbed gives the angle that ascent reached in place of
-    its midpoint (the one nearest that angle on the circle), as the
-    provisional radius of ``_radius_or_bound`` does. A maximum attained that
-    closely at all the start angles (``_start_grid``, or ``start`` when a
-    caller already took it on D scaled by _pow2_scale) is taken to be
-    attained on the whole circle (a constant eigenvalue branch, whose pencils
-    are singular), and no maxima are reported.
-
-    A (B, m, n, n) array D is the direct sum of B such polynomials. Each
-    level solves their B pencils of size 2mn as one batch, never the dense
-    one of size 2Bmn, which for B = 8 is slower than 8 solves from n = 2 on,
-    and each ascent climbs the one summand on top at its start angle.
-
-    A Newton ascent (``_climb``) climbs from the best start angle, and again
-    from the best midpoint of any level that one beats, so each pencil solve
-    mostly just certifies the top already reached; ``ascent`` is the first
-    one's (value, angle) when a caller already took it from ``start``. It
-    works on D scaled by _pow2_scale: the rounding floor is relative to |D|."""
-    scale = _pow2_scale(D)
-    D = scale * np.reshape(D, (1,) * (4 - np.ndim(D)) + np.shape(D))
-    pencil = _level_pencil(D)
-    thetas, vals = _start_grid(D) if start is None else start
-    lowest = float(vals.max(axis=0).min())
-    # climb the summand on top at the best angle; one that rises above it
-    # elsewhere is found by the pencil, as any higher basin is
-    r, angle = _climb(D, thetas, vals) if ascent is None else ascent
-    for _ in range(_MAX_LEVELS):
-        thetas = _level_midpoints(pencil, r)
-        vals = _support_grid(D, thetas)
-        top = vals.max(axis=0)
-        i = int(np.argmax(top))
-        if top[i] <= r + _floor(r):
-            climbed = angle % (2.0 * np.pi)
-            if top[i] > r:
-                r, angle = float(top[i]), float(thetas[i])
-            near, maxima = _near(r), np.empty(0)
-            if lowest < near:
-                maxima = thetas[top >= near] % (2.0 * np.pi)
-                if maxima.size:
-                    maxima[np.cos(maxima - climbed).argmax()] = climbed
-                else:
-                    maxima = np.array([climbed])
-            return r / scale, angle % (2.0 * np.pi), maxima
-        r, angle = _climb(D, thetas, vals)
-    raise NoConvergence(f"level set still rising after {_MAX_LEVELS} levels")
-
-
 class _Radius(float):
-    """A numerical radius that also holds ``maxima``: the angles where the
-    final level of its level-set solve attains it (``_level_set_max``).
-    Ando's extremal X takes its boundary shift from them. A ``provisional``
-    one is an ascent's value and angle, which no pencil certified: see
-    ``_radius_or_bound``."""
+    """A numerical radius that also holds ``maxima``, the angles where it is
+    attained, for Ando's boundary shift, and whether it is ``provisional``:
+    an ascent's value, which Ando's X certifies by its LMI (``_RadiusSolve``
+    states both rules)."""
 
     def __new__(cls, value, maxima, provisional=False):
         self = super().__new__(cls, value)
         self.maxima, self.provisional = maxima, provisional
         return self
 
-
-def _radius_and_angle(T):
-    """Max of the support function, as a _Radius, and an angle where it is
-    attained."""
-    r, angle, maxima = _level_set_max(require_square(T, "num_radius"))
-    return _Radius(r, maxima), angle
+    def __getnewargs__(self):
+        return float(self), self.maxima, self.provisional
 
 
-def _radius_or_bound(A, witness=None):
-    """num_radius(A) for a square A, or, with no maxima, a proven upper bound
-    under 1 - BAND in its place when the start values give one: at the angle
-    theta* where w is attained, with top unit vector v, f(theta) >=
-    Re(e^{i theta} v*Av) = w cos(theta - theta*), and a start angle lies
-    within pi/16 of theta*, so w <= l sec(pi/16) for the largest start value
-    l; (1 + 8 n eps) covers its rounding, about n eps |A| <= 2 n eps w. Only
-    callers that print no radius take it, for ``ando._extremal_X``, which it
-    serves as w would. Otherwise the level set starts from these values.
+class _RadiusSolve:
+    """The level-set solve of max_theta lambda_max(Re p(e^{i theta})) for D as
+    in ``_support_grid``, or a (B, m, n, n) direct sum of B polynomials. It
+    works on D scaled by _pow2_scale, kept as ``self.D``, so the rounding
+    floor is relative to |D|. It takes the start grid (``_start_grid``) at
+    once, and each later stage at most once, when first asked for:
+    ``ascent``, the first Newton ascent (``_climb``) from the best start
+    angle; ``pencil``, the level pencil; ``maximum``, the certified maximum
+    as a _Radius, and an angle where it is attained; and level tests,
+    ``exceeds``, on that same pencil.
 
-    With ``witness``, returns witness(w) for that w instead, and where the
-    start values leave w at least 1 - BAND, first tries witness on a
-    provisional radius: the value r of the ascent that the level set would
-    take first (``_climb``), with its angle as the one maximum (none when the
-    start values are flat, as ``_level_set_max`` rules), for r <= 1 + BAND.
-    witness certifies r by its result or rejects it by raising MrangeError;
-    only then does the level set run, continuing from that ascent."""
-    scale = _pow2_scale(A)
-    D = scale * A[None, None]
-    start = _start_grid(D)
-    bound = float(start[1].max()) / scale / np.cos(np.pi / 16) * (1.0 + 8.0 * A.shape[0] * _EPS)
+    From the first ascent, each level's pencil either certifies the top
+    reached, when no midpoint beats it by more than the rounding floor, or
+    hands the best midpoint, which lies in a higher basin, to the next
+    ascent. Each level solves the B pencils of size 2mn of a direct sum as
+    one batch, never the dense one of size 2Bmn (slower than B solves for
+    B = 8 from n = 2 on), and each ascent climbs the one summand on top at
+    its start angle; one that rises above it elsewhere is found by the
+    pencil, as any higher basin is.
+
+    The maxima are the final level's midpoints that attain the maximum to
+    within _MAXIMA_FLOORS floors, with the angle the last ascent reached in
+    place of the midpoint nearest it on the circle; a provisional radius,
+    the first ascent's value (``_radius_or_bound``), has that ascent's angle
+    as its one maximum. A value attained that closely at every start angle
+    is taken to be attained on the whole circle (a constant eigenvalue
+    branch, whose pencils are singular): no maxima. So where w is attained
+    at one angle, both radii give Ando's X the same shift."""
+
+    def __init__(self, D):
+        self.scale = _pow2_scale(D)
+        self.D = self.scale * np.reshape(D, (1,) * (4 - np.ndim(D)) + np.shape(D))
+        self.thetas, self.vals = _start_grid(self.D)
+        # every start angle attains a maximum r with _near(r) <= lowest
+        self.lowest = float(self.vals.max(axis=0).min())
+
+    @cached_property
+    def ascent(self):
+        return _climb(self.D, self.thetas, self.vals)
+
+    @cached_property
+    def pencil(self):
+        return _level_pencil(self.D)
+
+    @cached_property
+    def maximum(self):
+        r, angle = self.ascent
+        for _ in range(_MAX_LEVELS):
+            thetas = _level_midpoints(self.pencil, r)
+            vals = _support_grid(self.D, thetas)
+            top = vals.max(axis=0)
+            i = int(np.argmax(top))
+            if top[i] <= r + _floor(r):
+                climbed = angle % (2.0 * np.pi)
+                if top[i] > r:
+                    r, angle = float(top[i]), float(thetas[i])
+                near, maxima = _near(r), np.empty(0)
+                if self.lowest < near:
+                    maxima = thetas[top >= near] % (2.0 * np.pi)
+                    if maxima.size:
+                        maxima[np.cos(maxima - climbed).argmax()] = climbed
+                    else:
+                        maxima = np.array([climbed])
+                return _Radius(r / self.scale, maxima), angle % (2.0 * np.pi)
+            r, angle = _climb(self.D, thetas, vals)
+        raise NoConvergence(f"level set still rising after {_MAX_LEVELS} levels")
+
+    def exceeds(self, level, norm, angles):
+        """Whether lambda_max(Re(e^{i theta} T)) > level for some theta, for
+        norm = |T|: no if |T| <= level, yes if a fresh support value at a hint
+        angle exceeds it (a hint is never trusted), else as the level set says."""
+        if norm <= level:
+            return False
+        level = self.scale * level
+        if _support_grid(self.D, np.asarray(angles, dtype=float)).max(initial=-np.inf) > level:
+            return True
+        return bool(_support_grid(self.D, _level_midpoints(self.pencil, level)).max() > level)
+
+
+def _radius_or_bound(A, witness):
+    """witness(w) for the numerical radius w of a square A, for the callers
+    that print no radius, which ``ando._extremal_X`` serves. A proven upper
+    bound under 1 - BAND stands in for w, as X reads it as it would w: at
+    the angle theta* where w is attained, with top unit vector v,
+    f(theta) >= Re(e^{i theta} v*Av) = w cos(theta - theta*), and a start
+    angle lies within pi/16 of theta*, so w <= l sec(pi/16) for the largest
+    start value l; (1 + 8 n eps) covers its rounding, about
+    n eps |A| <= 2 n eps w. Otherwise, for a first ascent of at most
+    1 + BAND, witness certifies that provisional radius by its result or
+    rejects it by raising MrangeError; only then does the level set run."""
+    solve = _RadiusSolve(A)
+    bound = float(solve.vals.max()) / solve.scale / np.cos(np.pi / 16) * (1.0 + 8 * len(A) * _EPS)
     if bound < 1.0 - BAND:
-        w = _Radius(bound, np.empty(0))
-    else:
-        ascent = None
-        if witness is not None:
-            ascent = r, angle = _climb(D, *start)
-            if r / scale <= 1.0 + BAND:
-                flat = float(start[1].max(axis=0).min()) >= _near(r)
-                maxima = np.empty(0) if flat else np.array([angle % (2.0 * np.pi)])
-                with suppress(MrangeError):
-                    return witness(_Radius(r / scale, maxima, provisional=True))
-        r, _, maxima = _level_set_max(A, start, ascent)
-        w = _Radius(r, maxima)
-    return w if witness is None else witness(w)
+        return witness(_Radius(bound, np.empty(0)))
+    r, angle = solve.ascent
+    if r / solve.scale <= 1.0 + BAND:
+        maxima = np.empty(0) if solve.lowest >= _near(r) else np.array([angle % (2.0 * np.pi)])
+        with suppress(MrangeError):
+            return witness(_Radius(r / solve.scale, maxima, provisional=True))
+    return witness(solve.maximum[0])
 
 
 def num_radius(T):
     """Numerical radius w(T) = max_theta lambda_max(Re(e^{i theta} T)), a
     float that also carries the angles where it is attained (``_Radius``).
     The level-set method needs no tolerance."""
-    return _radius_and_angle(T)[0]
+    return _RadiusSolve(require_square(T, "num_radius")).maximum[0]
 
 
 def range_boundary(T, K):
@@ -466,7 +462,8 @@ class RadiusReport:
 def radius_characterizations(T):
     """Decide the four radius-at-most-one conditions.
 
-    Conditions (2) to (4) come from one level test (``_exceeds``) at level
+    Conditions (2) to (4) come from one level test (``_RadiusSolve.exceeds``,
+    on the radius's pencil, hinted by its angle) at level
     1 + BAND * (1 + |T|), BAND the fixed rounding band of every threshold
     verdict: lambda -> -lambda maps the circle onto itself, so (2) is (3),
     and the open-disk condition (4) holds iff its boundary limit (3) does.
@@ -474,10 +471,11 @@ def radius_characterizations(T):
     |radius - 1| > level - 1, the four are verified to agree with w <= 1.
     """
     A = require_square(T, "radius_characterizations")
-    radius, angle = _radius_and_angle(A)
+    solve = _RadiusSolve(A)
+    radius, angle = solve.maximum
     norm = op_norm(A)
     level = 1.0 + BAND * (1.0 + norm)
-    on_circle = not _exceeds(A, level, norm, [angle])
+    on_circle = not solve.exceeds(level, norm, [angle])
     conds = (radius <= level, on_circle, on_circle, on_circle)
     if abs(radius - 1.0) > level - 1.0:
         expected = radius <= 1.0

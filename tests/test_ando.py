@@ -208,9 +208,9 @@ class TestBoundaryShift:
         # the unshifted X, bit for bit
         T = random_with_radius(4, 1.0, split(61, 3))
         w = mr.num_radius(T)
-        assert mr.ando._boundary_shift(T, w, w.maxima) is not None
+        assert mr.ando._boundary_shifts(T, w, w.maxima) is not None
         monkeypatch.setattr(mr.ando, "_SHIFT_RCOND_MIN", np.inf)
-        assert mr.ando._boundary_shift(T, w, w.maxima) is None
+        assert mr.ando._boundary_shifts(T, w, w.maxima) is None
         X, steps = mr.ando_X(T)
         plain, plain_steps = _unshifted_X(T)
         assert np.array_equal(X, plain) and steps == plain_steps
@@ -249,7 +249,7 @@ class TestBoundaryShift:
             Xmin = I + A1 @ S
             Xmin = (Xmin + Xmin.conj().T) / 2
             print(mr.op_norm(Xmin + A1 @ np.linalg.solve(Xmin, A1.conj().T) - I) < 1e-12)
-            ando._boundary_shift = lambda A, w, maxima: (S, np.eye(4))
+            ando._boundary_shifts = lambda A, w, maxima: ((S, np.eye(4)), None)
             X, steps = mr.ando_X(T)
             print(np.array_equal(X, plain(T)[0]))
         """)
@@ -446,7 +446,7 @@ class TestAndoDecompose:
         # ascent's provisional radius does: one start grid and no level set,
         # and w(T*) = w(T), so the adjoint problem reuses that radius
         starts = count_calls(mr.numrange, "_start_grid")
-        levels = count_calls(mr.numrange, "_level_set_max")
+        levels = count_calls(mr.numrange, "_level_pencil")
         mr.ando_decompose(2 * E21)
         assert (len(starts), len(levels)) == (1, 0)
 

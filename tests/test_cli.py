@@ -187,13 +187,13 @@ class TestCommands:
     def test_spatial_is_one_level_set_solve(self, tmp_path, capsys, monkeypatch):
         # the largest sample radius is that of the samples' direct sum
         calls = []
-        level_set_max = mr.numrange._level_set_max
+        solve = mr.numrange._RadiusSolve
 
         def counted(D):
             calls.append(np.shape(D))
-            return level_set_max(D)
+            return solve(D)
 
-        monkeypatch.setattr(mr.numrange, "_level_set_max", counted)
+        monkeypatch.setattr(mr.numrange, "_RadiusSolve", counted)
         T = mr.random_matrix(4, 4, 12)
         path = write_json(tmp_path, "t.json", matrix_to_json(T))
         code, out = run_captured(capsys, ["spatial", "--input", path, "--order", "2",

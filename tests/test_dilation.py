@@ -107,7 +107,7 @@ class TestTwoDilation:
         # level set either: at w = 0.9 the start values bound the radius
         # below 1, and at w = 1 X certifies the first ascent's provisional one
         starts = count_calls(mr.numrange, "_start_grid")
-        levels = count_calls(mr.numrange, "_level_set_max")
+        levels = count_calls(mr.numrange, "_level_pencil")
         pencils = count_calls(mr.numrange, "_pencil_eigenvalues")
         solves = {name: count_calls(mr.ando, name)
                   for name in ("_extremal_X", "_adjoint_X", "_ando_decompose")}

@@ -10,8 +10,8 @@ from scipy.linalg import eig as qz
 import mrange as mr
 from mrange import numrange
 from mrange.linalg import BAND
-from mrange.numrange import (_ascend, _exceeds, _floor, _level_pencil, _level_set_max,
-                             _pencil_eigenvalues, _start_grid, _support_grid)
+from mrange.numrange import (_ascend, _floor, _level_pencil, _pencil_eigenvalues, _RadiusSolve,
+                             _start_grid, _support_grid)
 from mrange.rng import split
 
 from helpers import E21, nilpotent_margin_bracket, radius_bruteforce, random_with_radius
@@ -92,7 +92,7 @@ class TestNewtonAscent:
                 T = mr.random_matrix(n, n, split(2000 + n, k))
                 if k % 2:
                     T = T.real.astype(complex)
-                w, angle = numrange._radius_and_angle(T)
+                w, angle = _RadiusSolve(T).maximum
                 assert _attained(T, angle) == pytest.approx(w, abs=1e-12)
                 radii += 1
         assert len(pencil_calls) / radii <= 1.5
@@ -169,7 +169,7 @@ class TestLevelSetRadius:
 
     def test_scalar(self):
         c = 0.7 * np.exp(2.1j)
-        w, angle = mr.numrange._radius_and_angle(np.array([[c]]))
+        w, angle = _RadiusSolve(np.array([[c]])).maximum
         assert w == pytest.approx(0.7, abs=1e-14)
         assert _attained(np.array([[c]]), angle) == pytest.approx(0.7, abs=1e-14)
 
@@ -187,7 +187,7 @@ class TestLevelSetRadius:
     def test_against_bruteforce(self, dim):
         for k in range(3):
             T = mr.random_matrix(dim, dim, split(700 + dim, k))
-            w, angle = mr.numrange._radius_and_angle(T)
+            w, angle = _RadiusSolve(T).maximum
             brute = radius_bruteforce(T, seed=k, vectors=50_000)
             # the oracle's values are attained, so it can only fall short
             assert brute <= w + 1e-12
@@ -208,7 +208,7 @@ class TestNoLevelCycle:
     def test_radius_in_bruteforce_bracket(self, n, seed, real):
         T = mr.random_matrix(n, n, seed)
         T = T.real if real else T
-        w, angle = numrange._radius_and_angle(T)
+        w, angle = _RadiusSolve(T).maximum
         # the grid maximum is attained, and the support function lies below
         # it over cos(pi / angles) (a polygon circumscribing the range)
         angles = 256
@@ -271,10 +271,11 @@ class TestCharacterizationsByLevelSet:
 
 
 class TestLevelCertificates:
-    """``_exceeds`` settles "lambda_max(Re(e^{i theta} A)) > level somewhere"
-    by a certificate where one holds: |A| <= level says no, a support value
-    above the level at a hint angle says yes. Both must give the verdict of
-    the level set alone, which norm = inf and no hint angles force."""
+    """``_RadiusSolve.exceeds`` settles "lambda_max(Re(e^{i theta} A)) > level
+    somewhere" by a certificate where one holds: |A| <= level says no, a
+    support value above the level at a hint angle says yes. Both must give
+    the verdict of the level set alone, which norm = inf and no hint angles
+    force, on the pencil that the solve's maximum built."""
 
     @pytest.mark.parametrize("real", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
@@ -289,18 +290,42 @@ class TestLevelCertificates:
             for sign in (1, -1):
                 A = U * (1.0 + sign * delta)
                 norm = mr.op_norm(A)
-                w, angle = numrange._radius_and_angle(A)
+                solve = _RadiusSolve(A)
+                w, angle = solve.maximum
                 # w = 1 +- delta against the band-rounded level, and |A| exactly
                 # at the level, where only the norm certificate's <= decides
                 for level, expected in ((1.0 + BAND * (1.0 + norm), sign > 0), (norm, False)):
-                    assert _exceeds(A, level, np.inf, []) == expected, (delta, sign, level)
+                    assert solve.exceeds(level, np.inf, []) == expected, (delta, sign, level)
                     for hints in ([angle], w.maxima, []):
                         pencil_calls.clear()
-                        assert _exceeds(A, level, norm, hints) == expected, (delta, sign, level)
+                        assert solve.exceeds(level, norm, hints) == expected, (delta, sign, level)
                         settled += not pencil_calls
         # every w > level given a hint, and every level = |A|, settles
         # without a pencil
         assert settled >= 7 * 2 + 14 * 3
+
+
+class TestOneSolvePerInput:
+    """radius_characterizations and the suite take their radius and their
+    level test from one _RadiusSolve, so both share its one level pencil,
+    and the suite's test reads the attained angle as its hint."""
+
+    @pytest.mark.parametrize("call", [mr.radius_characterizations, mr.equivalence_suite])
+    def test_one_level_pencil(self, call, count_calls):
+        # w = 0.95 < level < |T|: neither certificate settles the level test
+        T = random_with_radius(6, 0.95, 3)
+        assert mr.op_norm(T) > 1.0 + BAND * (1.0 + mr.op_norm(T))
+        pencils = count_calls(numrange, "_level_pencil")
+        call(T)
+        assert len(pencils) == 1
+
+    def test_flat_suite_input_takes_one_qz_solve(self, qz_calls):
+        # S_n attains its radius at every angle, so it has no maxima and its
+        # pencils are singular; the attained angle shows w > level at once
+        n = 64
+        rep = mr.equivalence_suite(1.05 * mr.shift(n) / np.cos(np.pi / (n + 1)))
+        assert rep.all_conditions() == (False,) * 9
+        assert len(qz_calls) == 1
 
 
 class TestAntipodalStart:
@@ -322,7 +347,7 @@ class TestAntipodalStart:
                 if real:
                     T = T.real.astype(complex)
                 sizes.clear()
-                _level_set_max(T)
+                _RadiusSolve(T).maximum
                 # the first eigensolve batch of a solve is its start
                 assert sizes[0] == 8
                 thetas, vals = _start_grid(T[None, None])
@@ -362,7 +387,7 @@ class TestDirectSum:
     @pytest.mark.parametrize("seed", range(64))
     def test_radius_is_the_largest_summand_radius(self, seed):
         Ms = _summands(3000 + seed)
-        w = _level_set_max(Ms[:, None])[0]
+        w = _RadiusSolve(Ms[:, None]).maximum[0]
         ref = max(mr.num_radius(M) for M in Ms)
         assert abs(w - ref) <= 4.0 * _floor(ref)
 
@@ -371,7 +396,7 @@ class TestDirectSum:
         # 2 S_k is on top, and at its radius only its pencil is singular
         Ms = np.array([2.0 * mr.shift(k)]
                       + [0.3 * mr.random_matrix(k, k, split(3100 + k, b)) for b in range(5)])
-        w = _level_set_max(Ms[:, None])[0]
+        w = _RadiusSolve(Ms[:, None]).maximum[0]
         assert w == pytest.approx(2.0 * np.cos(np.pi / (k + 1)), abs=1e-12)
         assert 1 <= len(qz_calls) <= len(pencil_calls)
         assert all(shape == (6,) for shape in pencil_calls)
@@ -384,7 +409,7 @@ class TestDirectSum:
         M = mr.random_matrix(3, 3, split(3200, 0))
         ref = mr.num_radius(M)
         for Ms in ([M, M], [M, M, M, M], [M, np.exp(0.5j) * M, np.exp(-2.0j) * M]):
-            w = _level_set_max(np.array(Ms)[:, None])[0]
+            w = _RadiusSolve(np.array(Ms)[:, None]).maximum[0]
             assert abs(w - ref) <= 4.0 * _floor(ref)
 
     def test_exactly_singular_summand_goes_to_qz(self, qz_calls):
@@ -402,7 +427,7 @@ class TestDirectSum:
     def test_single_summand_matches_num_radius_bit_for_bit(self):
         for k in range(8):
             T = mr.random_matrix(5, 5, split(3300, k))
-            assert _level_set_max(T[None, None])[0] == mr.num_radius(T)
+            assert _RadiusSolve(T[None, None]).maximum[0] == mr.num_radius(T)
 
 
 def _margins_at(T, n, thetas):
@@ -501,7 +526,7 @@ class TestScaleInvariance:
         # s ~ 1e-16 the margin itself rounds to 1, so its maximum is compared
         T = mr.random_matrix(6, 6, 7)
         top = 1.0 - mr.nilpotent_condition(T, 2)
-        assert numrange._level_set_max(np.array([-2.0 * s * T]))[0] / s \
+        assert _RadiusSolve(np.array([-2.0 * s * T])).maximum[0] / s \
             == pytest.approx(top, rel=1e-15)
         if s > 1.0:
             assert (1.0 - mr.nilpotent_condition(s * T, 2)) / s == pytest.approx(top, rel=1e-15)

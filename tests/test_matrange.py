@@ -50,15 +50,15 @@ class TestMemberE21:
 
     @pytest.mark.parametrize("name", ["member_e21", "radius_lmi", "ucp_from_e21"])
     def test_radius_computed_once(self, name, count_calls):
-        # each E21 entry point reads ando._e21_witness, whose solve of the
+        # each E21 entry point reads ando._e21_X, whose solve of the
         # doubled LMI reuses the radius it took; at w(2T) = 1 the start
         # values settle nothing. member_e21 prints its margin, so it solves
         # one level set from them; the other two print no radius, and X at
         # the first ascent's provisional radius certifies it with none
         T = random_with_radius(8, 0.5, 3)
-        witnesses = count_calls(mr.ando, "_e21_witness")
+        witnesses = count_calls(mr.ando, "_e21_X")
         starts = count_calls(mr.numrange, "_start_grid")
-        levels = count_calls(mr.numrange, "_level_set_max")
+        levels = count_calls(mr.numrange, "_level_pencil")
         out = getattr(mr, name)(T)
         assert len(witnesses) == len(starts) == 1
         assert len(levels) == (name == "member_e21")
@@ -449,7 +449,7 @@ class TestEquivalenceSuite:
             import numpy as np
             from mrange import matrange
             from mrange.errors import VerificationFailed
-            matrange._exceeds = lambda *args: True
+            matrange._RadiusSolve.exceeds = lambda *args: True
             try:
                 matrange.equivalence_suite(0.5 * np.eye(2, dtype=complex))
             except VerificationFailed as exc:
@@ -462,7 +462,7 @@ class TestEquivalenceSuite:
         assert out.stdout.split() == ["False", "VerificationFailed"], out.stderr
 
     @pytest.mark.parametrize("T", [0.3 * E21 + 0.1 * np.eye(2), 2.1 * E21])
-    def test_one_radius_and_one_decomposition(self, T, monkeypatch):
+    def test_one_radius_and_one_decomposition(self, T, monkeypatch, count_calls):
         # the dilations, the factorizations and the halved LMI and UCP map all
         # reuse the suite's radius and its single decomposition: X(T) and
         # X(T*), two cyclic reductions inside the radius, none beyond it. The
@@ -470,25 +470,15 @@ class TestEquivalenceSuite:
         # [C; X^{1/2}], so the one level set is the radius's, and only the
         # radius and the level test (2) solve pencils
         reductions = 2 if mr.num_radius(T) < 1.0 else 0
-        calls = {"radius": 0, "decompose": 0, "reduce": 0}
-        shapes, pencil_callers = [], []
-        solve = mr.numrange._radius_and_angle
+        calls = {"decompose": 0, "reduce": 0}
+        pencil_callers = []
         decompose = mr.ando._ando_decompose
-        level_set_max = mr.numrange._level_set_max
         reduce = mr.ando._cyclic_reduction
         pencil = mr.numrange._pencil_eigenvalues
-
-        def counted_solve(A):
-            calls["radius"] += 1
-            return solve(A)
 
         def counted_decompose(A, w, t):
             calls["decompose"] += 1
             return decompose(A, w, t)
-
-        def counted_level_set_max(D):
-            shapes.append(np.shape(D))
-            return level_set_max(D)
 
         def counted_reduce(*args, **kwargs):
             calls["reduce"] += 1
@@ -499,20 +489,19 @@ class TestEquivalenceSuite:
             while frame is not None:
                 names.add(frame.f_code.co_name)
                 frame = frame.f_back
-            pencil_callers.append(names & {"num_radius", "_exceeds"})
+            pencil_callers.append(names & {"maximum", "exceeds"})
             return pencil(*args)
 
-        monkeypatch.setattr(mr.numrange, "_radius_and_angle", counted_solve)
+        starts = count_calls(mr.numrange, "_start_grid")
+        levels = count_calls(mr.numrange, "_level_pencil")
         monkeypatch.setattr(mr.ando, "_ando_decompose", counted_decompose)
-        monkeypatch.setattr(mr.numrange, "_level_set_max", counted_level_set_max)
-        monkeypatch.setattr(mr.dilation, "_level_set_max", counted_level_set_max)
         monkeypatch.setattr(mr.ando, "_cyclic_reduction", counted_reduce)
         monkeypatch.setattr(mr.toeplitz, "_cyclic_reduction", counted_reduce)
         monkeypatch.setattr(mr.numrange, "_pencil_eigenvalues", traced_pencil)
         rep = mr.equivalence_suite(T)
         assert len(set(rep.all_conditions())) == 1
-        assert calls == {"radius": 1, "decompose": 1, "reduce": reductions}
-        assert shapes == [(2, 2)]
+        assert calls == {"decompose": 1, "reduce": reductions}
+        assert len(starts) == 1 and [np.shape(D) for D, in levels] == [(1, 1, 2, 2)]
         assert pencil_callers and all(pencil_callers)
 
     @pytest.mark.parametrize("T", [0.3 * E21 + 0.1 * np.eye(2), 2.1 * E21])

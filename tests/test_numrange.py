@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -78,6 +80,36 @@ class TestNumRadius:
         # two separated directions within refinement error of each other
         T = np.diag([1.0, (1.0 - 3e-7) * np.exp(1.7j)])
         assert mr.num_radius(T) == pytest.approx(1.0, abs=1e-10)
+
+
+class TestRadiusCopies:
+    """A radius keeps its value, maxima and provisional flag through copy and
+    pickle, also inside the reports that hold one."""
+
+    @staticmethod
+    def _same(a, b):
+        assert type(a) is type(b) and float(a) == float(b)
+        assert a.provisional == b.provisional
+        np.testing.assert_array_equal(a.maxima, b.maxima)
+
+    def test_round_trips(self):
+        T = random_with_radius(4, 0.8, 11)
+        w = mr.num_radius(T)
+        assert w.maxima.size == 1
+        for twin in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+            self._same(w, twin)
+        rep = mr.radius_characterizations(T)
+        twin = copy.deepcopy(rep)
+        assert twin == rep
+        self._same(rep.radius, twin.radius)
+        suite = mr.equivalence_suite(T)
+        twin = pickle.loads(pickle.dumps(suite))
+        assert twin == suite
+        self._same(suite.radius, twin.radius)
+
+    def test_provisional_flag_survives(self):
+        w = mr.numrange._Radius(0.5, np.array([1.0, 2.0]), provisional=True)
+        self._same(w, pickle.loads(pickle.dumps(w)))
 
 
 class TestRangeBoundary:
@@ -218,7 +250,7 @@ class TestRadiusCharacterizations:
         # |w - 1| = 5e-7 lies outside the rounding band: a radius reported
         # on the wrong side of 1 makes (1) disagree with (2) to (4)
         T = random_with_radius(3, 1.0 - 5e-7, 29)
-        monkeypatch.setattr(mr.numrange, "_radius_and_angle", lambda A: (1.0 + 5e-7, 0.0))
+        monkeypatch.setattr(mr.numrange._RadiusSolve, "maximum", (1.0 + 5e-7, 0.0))
         with pytest.raises(VerificationFailed, match="radius conditions disagree"):
             mr.radius_characterizations(T)
 
@@ -229,7 +261,7 @@ class TestRadiusCharacterizations:
             import numpy as np
             from mrange import numrange
             from mrange.errors import VerificationFailed
-            numrange._radius_and_angle = lambda T: (2.0, 0.0)
+            numrange._RadiusSolve.maximum = (2.0, 0.0)
             try:
                 numrange.radius_characterizations(np.array([[0, 0], [1, 0]], dtype=complex))
             except VerificationFailed as exc:
@@ -249,7 +281,7 @@ class TestRadiusCharacterizations:
             import numpy as np
             from mrange import numrange
             from mrange.errors import VerificationFailed
-            numrange._exceeds = lambda *args: True
+            numrange._RadiusSolve.exceeds = lambda *args: True
             try:
                 numrange.radius_characterizations(np.array([[0, 0], [1, 0]], dtype=complex))
             except VerificationFailed as exc:

@@ -43,6 +43,16 @@ def _outcome(run):
     return pickle.dumps(dataclasses.astuple(out) if dataclasses.is_dataclass(out) else out)
 
 
+def _bound(A):
+    """The radius or bound that _radius_or_bound hands a witness that
+    rejects every provisional radius: its bound under 1 - BAND, else w."""
+    def certified(w):
+        if w.provisional:
+            raise NoConvergence("provisional")
+        return w
+    return _radius_or_bound(A, certified)
+
+
 def _two_dilation_reference(A, t):
     w = mr.num_radius(A)
     x, U = ando._extremal_X(A, w, t)[2]
@@ -50,14 +60,14 @@ def _two_dilation_reference(A, t):
 
 
 def _ucp_reference(M, t):
-    w, X = ando._e21_witness(M, t, mr.num_radius)
+    w, X = ando._e21_X(2.0 * M, mr.num_radius(2.0 * M), t)
     if X is None:
         raise RadiusTooLarge(f"numerical radius {w / 2.0:.12f} exceeds 1/2")
     return ando._e21_map(M, X)
 
 
 def _lmi_reference(M, t):
-    X = ando._e21_witness(M, t, mr.num_radius)[1]
+    X = ando._e21_X(2.0 * M, mr.num_radius(2.0 * M), t)[1]
     return X is not None, X
 
 
@@ -67,7 +77,7 @@ def _mismatches(A, t=DEFAULT_TOL):
     w <= bound <= w sec(pi/16) (1 + 1e-12), with bound = w off the bound route.
     The E21 entry points take A/2, so each entry point solves for A."""
     A = np.asarray(A, dtype=complex)
-    w, bound = mr.num_radius(A), _radius_or_bound(A)
+    w, bound = mr.num_radius(A), _bound(A)
     out = []
     if not (w <= bound <= w * _SEC * (1.0 + 1e-12) and (bound == w or bound < 1.0 - BAND)):
         out.append("bracket")
@@ -135,7 +145,7 @@ class TestRadiusOrBound:
             d = np.full(n, 0.3 + 0j)
             d[0] = 0.9 * np.exp(1j * np.pi / 16)
             A = U @ np.diag(d) @ U.conj().T
-            assert mr.num_radius(A) <= _radius_or_bound(A) < 1.0 - BAND
+            assert mr.num_radius(A) <= _bound(A) < 1.0 - BAND
 
     def test_under_optimize(self):
         # the library's checks run under python -O too, and so does the route
@@ -174,7 +184,7 @@ class TestProvisionalRadius:
         # Each entry point tries that provisional radius, then one level set
         T = np.diag([1.0, (1.0 + 1e-6) * np.exp(-1j * np.pi / 16)])
         solves = count_calls(mr.ando, "_extremal_X")
-        levels = count_calls(mr.numrange, "_level_set_max")
+        levels = count_calls(mr.numrange, "_level_pencil")
         message = "numerical radius 1.000001000000 exceeds 1"
         with pytest.raises(RadiusTooLarge, match=f"^{message}$"):
             mr.ando_decompose(T, _LOOSE)
@@ -245,7 +255,7 @@ class TestLevelSetCalls:
     def test_level_sets_per_call(self, name, w, levels, count_calls):
         A = random_with_radius(6, w, 7)
         starts = count_calls(mr.numrange, "_start_grid")
-        solves = count_calls(mr.numrange, "_level_set_max")
+        solves = count_calls(mr.numrange, "_level_pencil")
         pencils = count_calls(mr.numrange, "_pencil_eigenvalues")
         _ENTRY_POINTS[name](A)
         assert (len(starts), len(solves)) == (1, levels)
@@ -254,7 +264,7 @@ class TestLevelSetCalls:
     @pytest.mark.parametrize("w", [0.2, 0.45, 0.5])
     def test_member_e21_keeps_its_radius(self, w, count_calls):
         T = random_with_radius(6, w, 8)
-        solves = count_calls(mr.numrange, "_level_set_max")
+        solves = count_calls(mr.numrange, "_level_pencil")
         assert mr.member_e21(T).member
         assert len(solves) == 1
 
@@ -268,7 +278,7 @@ class TestLevelSetCalls:
         # flat support functions certify with no level set; inputs attaining
         # w = 1 at two angles fail the one-angle shift and solve exactly one
         starts = count_calls(mr.numrange, "_start_grid")
-        solves = count_calls(mr.numrange, "_level_set_max")
+        solves = count_calls(mr.numrange, "_level_pencil")
         pencils = count_calls(mr.numrange, "_pencil_eigenvalues")
         _ENTRY_POINTS[name](A)
         assert (len(starts), len(solves), len(pencils)) == (1, levels, levels)
