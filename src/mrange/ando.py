@@ -46,7 +46,7 @@ Choi matrix [[X, T*], [T, I - X]] of the unital CP map sending E21 to T.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .cpmaps import map_on_units
 from .errors import LostDefiniteness, NoConvergence, RadiusTooLarge, RangeViolation, verify
@@ -134,9 +134,12 @@ def _cyclic_reduction(A0, A1, polish=False, shift=None, steps=None):
         A_{-1} <- -A_{-1} K A_{-1},   A_1 <- -A_1 K A_1,
 
     from Ah = A_0, and G = -Ah^{-1} A_{-1} (the initial A_{-1}) in the
-    limit. Unshifted, A_{-1} = A_1* = A1* keeps every iterate Hermitian and
-    Ah is X itself; a step takes one Cholesky factor of A_0 (one eigh when
-    A_0 is singular but PSD), and an indefinite A_0 raises LostDefiniteness.
+    limit. Unshifted, A_{-1} = A_1* = A1* makes every iterate Hermitian in
+    exact arithmetic, and Ah is X itself. A_0 is read by its lower triangle,
+    the only one that Cholesky, eigh and zherk touch; Ah is symmetrized where
+    read: by the residual, the NoConvergence message and the return. A step
+    takes one Cholesky factor of A_0 (one eigh when A_0 is singular but
+    PSD), and an indefinite A_0 raises LostDefiniteness.
 
     ``shift`` = (S, P) = (V diag(z) W*, V W*), with G V = V diag(z) and
     W* V = I, runs it instead on Brauer's shifted equation for G - S:
@@ -151,31 +154,33 @@ def _cyclic_reduction(A0, A1, polish=False, shift=None, steps=None):
     Either way the loop stops once op_norm(X - (A0 - A1 X^+ A1*)) <=
     FIXPOINT_EPS s, s = max(1, |A0|_1): the rounding floor of X grows with
     |A0|. That residual costs a Cholesky factor and a solve, so it is
-    evaluated only when the last step's update of X (of Ah, shifted) or the
-    current A_{-1} has Frobenius norm at most sqrt(FIXPOINT_EPS s). With
-    ``polish`` it takes one more step, which in the quadratic regime brings X
-    to the rounding floor: a spectral factor read off X needs that accuracy.
+    evaluated only when the last step's update of Ah or the current A_{-1}
+    has Frobenius norm at most sqrt(FIXPOINT_EPS s). With ``polish`` it takes
+    one more step, which in the quadratic regime brings X to the rounding
+    floor: a spectral factor read off X needs that accuracy. That step
+    updates Ah alone, so it solves for A_{-1} only.
     Raises NoConvergence after ``steps`` steps, by default _MAX_STEPS.
     """
-    Am, C, Ap, X = dagger(A1), A0.copy(), A1, A0.copy()
+    Am, C, Ap = dagger(A1), A0, A1
     if steps is None:
         steps = _MAX_STEPS if shift is None else _SHIFT_STEPS
     if shift is not None:
         S, P = shift
         Am0 = Am = Am - Am @ P
-        C = Ah = A0 + A1 @ S
-        X = herm_part(Ah)
+        C = A0 + A1 @ S
+    Ah = C
     # |A0|_1 bounds |A0| for Hermitian A0
     scale = max(1.0, np.abs(A0).sum(axis=0).max())
     gate = _RESIDUAL_GATE * np.sqrt(scale)
     update, n = np.inf, A0.shape[0]
     for k in range(steps):
         done = (update <= gate or _fro_norm(Am) <= gate) and \
-            _norm_within(_fixpoint_defect(A0, A1, X), FIXPOINT_EPS * scale)
+            _norm_within(_fixpoint_defect(A0, A1, herm_part(Ah)), FIXPOINT_EPS * scale)
         if done and not polish:
             break
         if shift is None:
-            BB = np.concatenate([Am, dagger(Am)], axis=1)   # B = A_{-1} and B*
+            # B = A_{-1}, and B* unless this is the last step
+            BB = Am if done else np.concatenate([Am, dagger(Am)], axis=1)
             L, info = lapack.zpotrf(C, lower=1)
             if info == 0:   # C^{-1} = F* F for F = L^{-1}; FBB = [F B, F B*]
                 FBB = lapack.ztrtrs(L, BB, lower=1)[0]
@@ -184,35 +189,38 @@ def _cyclic_reduction(A0, A1, polish=False, shift=None, steps=None):
                 if c[0] < -RANK_REL * c[-1]:   # beyond the rank cutoff
                     raise LostDefiniteness(f"cyclic reduction lost definiteness at step {k}")
                 FBB = (_pinv_sqrt(c)[:, None] * dagger(U)) @ BB
-            W, V = FBB[:, :n], FBB[:, n:]
-            BCB, BCBs, Am = dagger(W) @ W, dagger(V) @ V, -(dagger(V) @ W)
-            update = _fro_norm(BCB)
-            X = herm_part(X - BCB)
-            C = herm_part(C - BCBs - BCB)
+            # Ah is read whole, by herm_part; A_0 by its lower triangle (zherk)
+            W = FBB[:, :n]
+            BCB = blas.zgemm(1.0, W, W, trans_a=2)
+            Ah = Ah - BCB
+            if not done:
+                update, V = _fro_norm(BCB), FBB[:, n:]
+                Am = blas.zgemm(-1.0, V, W, trans_a=2)
+                C = blas.zherk(-1.0, V, beta=1.0, c=C - BCB, trans=2, lower=1, overwrite_c=1)
         else:
             try:
-                K = _lu_solve(C, np.concatenate([Am, Ap], axis=1))
+                K = _lu_solve(C, Am if done else np.concatenate([Am, Ap], axis=1))
             except NoConvergence:
                 if done:   # a singular polishing step: keep the X that met the stop
                     break
                 raise
-            KAm, KAp = K[:, :n], K[:, n:]
+            KAm = K[:, :n]
             ApKAm = Ap @ KAm
-            update = _fro_norm(ApKAm)
             Ah = Ah - ApKAm
-            X = herm_part(Ah)
-            C = C - Am @ KAp - ApKAm
-            Am, Ap = -Am @ KAm, -Ap @ KAp
+            if not done:
+                update, KAp = _fro_norm(ApKAm), K[:, n:]
+                C = C - Am @ KAp - ApKAm
+                Am, Ap = -Am @ KAm, -Ap @ KAp
         if done:
             k += 1
             break
     else:
         raise NoConvergence(f"no fixed point after {steps} steps "
-                            f"(residual {op_norm(_fixpoint_defect(A0, A1, X)):.3e})")
+                            f"(residual {op_norm(_fixpoint_defect(A0, A1, herm_part(Ah))):.3e})")
     if shift is not None and \
             np.abs(np.linalg.eigvals(S - _lu_solve(Ah, Am0))).max() > 1.0 + 1e-8:
         raise NoConvergence("shifted solvent is not the minimal one")
-    return X, k
+    return herm_part(Ah), k
 
 
 def _boundary_shifts(A, w, maxima):

@@ -141,13 +141,19 @@ def herm_eig(H):
     """
     A = require_square(H, "herm_eig")
     w, V = np.linalg.eigh(herm_part(A))
-    # |H - H*|_F bounds |H - H*| from above and max|w| = |(H + H*)/2| <= |H|,
+    _require_hermitian(A, w)
+    return EigResult(eigenvalues=w, eigenvectors=V)
+
+
+def _require_hermitian(A, w):
+    """NotHermitian unless |A - A*| <= 1e-8 * (1 + |A|), for a square A whose
+    Hermitian part has the eigenvalues w."""
+    # |A - A*|_F bounds |A - A*| from above and max|w| = |(A + A*)/2| <= |A|,
     # so passing this cheap test implies passing the exact one
     if _fro_norm(A - dagger(A)) > 1e-8 * (1.0 + np.abs(w).max(initial=0.0)):
         asym = op_norm(A - dagger(A))
         if asym > 1e-8 * (1.0 + op_norm(A)):
             raise NotHermitian(f"asymmetry {asym:.3e} exceeds 1e-8*(1+|H|)")
-    return EigResult(eigenvalues=w, eigenvectors=V)
 
 
 def _psd_verdict(w, eps):
@@ -178,8 +184,12 @@ def _defect_roots(C, svd=None):
 
 
 def psd_check(H, tol=None):
-    """(is_psd, min_eig) with the relative threshold -psd_eps*(1+|H|)."""
-    return _psd_verdict(herm_eig(H).eigenvalues, _tol(tol).psd_eps)
+    """(is_psd, min_eig) with the relative threshold -psd_eps*(1+|H|), from
+    the eigenvalues alone: herm_eig's NotHermitian test, without eigenvectors."""
+    A = require_square(H, "psd_check")
+    w = np.linalg.eigvalsh(herm_part(A))
+    _require_hermitian(A, w)
+    return _psd_verdict(w, _tol(tol).psd_eps)
 
 
 def psd_part(H):

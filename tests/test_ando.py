@@ -7,6 +7,7 @@ import textwrap
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import mrange as mr
 from mrange.cpmaps import Feasible
@@ -412,6 +413,181 @@ class TestRelativeStop:
         # all coefficients are positive, so tau peaks at angle 0
         assert p.size == degree + 1
         assert err[0] + 2 * err[1:].sum() <= 1e-9 * (1 + c[0].real + 2 * c[1:].real.sum())
+
+
+def _symmetrizing_cyclic_reduction(A0, A1, polish=False, shift=None, steps=None):
+    """The reference for ando._cyclic_reduction: the same iteration, but X
+    and A_0 symmetrized after every step (Ah each step, shifted), the
+    Hermitian products formed from conjugate copies, and every block
+    updated in the polishing step as well."""
+    ando, linalg = mr.ando, mr.linalg
+    herm, dag = linalg.herm_part, linalg.dagger
+    Am, C, Ap, X = dag(A1), A0.copy(), A1, A0.copy()
+    if steps is None:
+        steps = ando._MAX_STEPS if shift is None else ando._SHIFT_STEPS
+    if shift is not None:
+        S, P = shift
+        Am0 = Am = Am - Am @ P
+        C = Ah = A0 + A1 @ S
+        X = herm(Ah)
+    scale = max(1.0, np.abs(A0).sum(axis=0).max())
+    gate = ando._RESIDUAL_GATE * np.sqrt(scale)
+    update, n = np.inf, A0.shape[0]
+    for k in range(steps):
+        done = (update <= gate or np.linalg.norm(Am) <= gate) and linalg._norm_within(
+            ando._fixpoint_defect(A0, A1, X), linalg.FIXPOINT_EPS * scale)
+        if done and not polish:
+            break
+        if shift is None:
+            BB = np.concatenate([Am, dag(Am)], axis=1)
+            L, info = lapack.zpotrf(C, lower=1)
+            if info == 0:
+                FBB = lapack.ztrtrs(L, BB, lower=1)[0]
+            else:
+                c, U = np.linalg.eigh(C)
+                if c[0] < -linalg.RANK_REL * c[-1]:
+                    raise LostDefiniteness(f"cyclic reduction lost definiteness at step {k}")
+                FBB = (linalg._pinv_sqrt(c)[:, None] * dag(U)) @ BB
+            W, V = FBB[:, :n], FBB[:, n:]
+            BCB, BCBs, Am = dag(W) @ W, dag(V) @ V, -(dag(V) @ W)
+            update = np.linalg.norm(BCB)
+            X = herm(X - BCB)
+            C = herm(C - BCBs - BCB)
+        else:
+            try:
+                K = ando._lu_solve(C, np.concatenate([Am, Ap], axis=1))
+            except NoConvergence:
+                if done:
+                    break
+                raise
+            KAm, KAp = K[:, :n], K[:, n:]
+            ApKAm = Ap @ KAm
+            update = np.linalg.norm(ApKAm)
+            Ah = Ah - ApKAm
+            X = herm(Ah)
+            C = C - Am @ KAp - ApKAm
+            Am, Ap = -Am @ KAm, -Ap @ KAp
+        if done:
+            k += 1
+            break
+    else:
+        raise NoConvergence(f"no fixed point after {steps} steps "
+                            f"(residual {mr.op_norm(ando._fixpoint_defect(A0, A1, X)):.3e})")
+    if shift is not None and \
+            np.abs(np.linalg.eigvals(S - ando._lu_solve(Ah, Am0))).max() > 1.0 + 1e-8:
+        raise NoConvergence("shifted solvent is not the minimal one")
+    return X, k
+
+
+def _cyclic_reduction_inputs():
+    """(name, solve) for entry points whose cyclic-reduction runs the reference
+    test replays: plain (interior Ando), polished (Fejer-Riesz, nilpotent,
+    a singular first A_0) and shifted (w = 1)."""
+    for n, w, seed in [(2, 0.3, 1), (4, 0.9, 2), (8, 0.999, 3), (16, 0.9, 4), (24, 0.5, 5)]:
+        T = random_with_radius(n, w, split(83, seed))
+        yield f"ando-{n}-{w}", lambda T=T: mr.ando_decompose(T)
+    for name, T in _BOUNDARY[:4] + _BOUNDARY[34:37] + _BOUNDARY[64:67] + _BOUNDARY[-3:]:
+        yield f"ando-w1-{name}", lambda T=T: mr.ando_decompose(T)
+    for degree, seed in [(8, 1), (16, 2), (32, 3), (64, 4)]:
+        tau = mr.trig_poly_from_factor(mr.random_matrix(1, degree + 1, split(89, seed))[0])
+        yield f"fejer-riesz-{degree}", lambda tau=tau: mr.fejer_riesz(tau)
+    for order, d in [(2, 3), (3, 2), (4, 3)]:
+        T = mr.random_matrix(d, d, split(97, order))
+        yield f"nilpotent-{order}-{d}", lambda T=T, order=order: mr.nilpotent_dilation(
+            0.3 * T / mr.op_norm(T), order)
+    U = mr.random_isometry(2, 2, 3)
+    Q = np.array([U @ np.diag([q, 0.0]) @ U.conj().T for q in (3.0, 1.0)])
+    yield "singular-A0", lambda: mr.toeplitz._spectral_factor(Q)
+
+
+_CR_INPUTS = list(_cyclic_reduction_inputs())
+# fixed from the dtype before any run: 64 roundings of s = max(1, |A0|_1),
+# far under the FIXPOINT_EPS s stop
+_CR_TOL = 64 * np.finfo(float).eps
+
+
+class TestHermitianWork:
+    """Cyclic reduction symmetrizes X only where it is read and reads A_0 by
+    its lower triangle: the same steps as the symmetrizing reference, X
+    within rounding of it (bit for bit when shifted), and exactly Hermitian."""
+
+    @pytest.mark.parametrize("solve", [s for _, s in _CR_INPUTS],
+                             ids=[name for name, _ in _CR_INPUTS])
+    def test_matches_the_symmetrizing_loop(self, solve, monkeypatch):
+        runs, reduce = [], mr.ando._cyclic_reduction
+
+        def recorded(*args, **kwargs):
+            runs.append((args, kwargs))
+            return reduce(*args, **kwargs)
+        monkeypatch.setattr(mr.ando, "_cyclic_reduction", recorded)
+        monkeypatch.setattr(mr.toeplitz, "_cyclic_reduction", recorded)
+        solve()
+        assert runs
+        for args, kwargs in runs:
+            try:
+                X_ref, k_ref = _symmetrizing_cyclic_reduction(*args, **kwargs)
+            except (NoConvergence, LostDefiniteness) as exc:
+                with pytest.raises(type(exc)):
+                    reduce(*args, **kwargs)
+                continue
+            X, k = reduce(*args, **kwargs)
+            scale = max(1.0, np.abs(args[0]).sum(axis=0).max())
+            assert k == k_ref
+            assert np.abs(X - X_ref).max() <= _CR_TOL * scale
+            assert np.array_equal(X, X.conj().T)
+            if kwargs.get("shift") is not None:
+                assert np.array_equal(X, X_ref)
+
+    def test_no_convergence_names_the_residual_of_herm_Ah(self):
+        # shifted, Ah is far from Hermitian until it converges: a run cut
+        # after two steps names the residual of herm(Ah), as the reference does
+        T = _BOUNDARY[34][1]
+        w = mr.num_radius(T)
+        shift = mr.ando._boundary_shifts(T, w, w.maxima)[0]
+        args = (np.eye(3, dtype=complex), T.conj().T / 2)
+        messages = []
+        for reduce in (mr.ando._cyclic_reduction, _symmetrizing_cyclic_reduction):
+            with pytest.raises(NoConvergence) as exc:
+                reduce(*args, polish=True, shift=shift, steps=2)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    def test_inputs_cover_every_kind_of_run(self, monkeypatch):
+        kinds, reduce = set(), mr.ando._cyclic_reduction
+
+        def recorded(A0, A1, polish=False, shift=None, steps=None):
+            out = reduce(A0, A1, polish, shift, steps)
+            kinds.add("shifted" if shift is not None else "polished" if polish else "plain")
+            return out
+        monkeypatch.setattr(mr.ando, "_cyclic_reduction", recorded)
+        monkeypatch.setattr(mr.toeplitz, "_cyclic_reduction", recorded)
+        for _, solve in _CR_INPUTS:
+            solve()
+        assert kinds == {"plain", "polished", "shifted"}
+
+
+class TestPolishingStep:
+    """The step after the stop is met updates X alone, so it solves for
+    A_{-1} only: n right-hand sides, not 2n."""
+
+    def test_unshifted_solves_for_B_alone(self, count_calls):
+        n = 6
+        T = random_with_radius(n, 0.9, 5)
+        solves = count_calls(mr.ando.lapack, "ztrtrs")
+        _, k = mr.ando._cyclic_reduction(np.eye(n, dtype=complex), T.conj().T / 2, polish=True)
+        columns = [rhs.shape[1] for _, rhs in solves]
+        # the steps before the stop solve for [B, B*]; the residual's own
+        # solves and the polishing step's have n columns
+        assert columns.count(2 * n) == k - 1
+        assert columns[-1] == n
+
+    def test_shifted_solves_for_A_minus_1_alone(self, count_calls):
+        name, T = _BOUNDARY[34]
+        n = T.shape[0]
+        solves = count_calls(mr.ando, "_lu_solve")
+        _, k = mr.ando_X(T)
+        # k steps, the last one polishing, then the minimal-solvent check
+        assert [rhs.shape[1] for _, rhs in solves] == [2 * n] * (k - 1) + [n, n]
 
 
 def _lmi_feasible_point(T, start):

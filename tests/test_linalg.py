@@ -81,6 +81,16 @@ class TestPsdCheck:
         assert not ok
         assert mn == pytest.approx(-1e-3)
 
+    def test_eigenvalues_alone(self, count_calls):
+        # herm_eig's NotHermitian test, then one eigvalsh and no eigenvectors
+        H = mr.random_hermitian(6, 4)
+        w = np.linalg.eigvalsh(mr.linalg.herm_part(H))
+        eigh, eigvalsh = count_calls(np.linalg, "eigh"), count_calls(np.linalg, "eigvalsh")
+        assert mr.psd_check(H) == (w[0] >= 0.0, w[0])
+        assert (len(eigh), len(eigvalsh)) == (0, 1)
+        with pytest.raises(NotHermitian):
+            mr.psd_check(np.array([[0, 1], [0, 0]], dtype=complex))
+
 
 class TestPinv:
     def test_identity(self):

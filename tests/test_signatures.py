@@ -230,3 +230,40 @@ def test_detects_numpy_dispatch():
 def test_small_matrix_paths_avoid_numpy_dispatch():
     found = {name: numpy_dispatch_calls((SRC / name).read_text()) for name in _DISPATCH_FREE}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def loop_herm_parts(source, function):
+    """(gated, ungated): the lines of the herm_part calls in the loop bodies
+    of ``function`` in ``source``, split by whether they lie in the gated
+    residual check, a later operand of an ``and`` whose first operand reads
+    ``gate``."""
+    fn = next(node for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.FunctionDef) and node.name == function)
+    gated = {id(call) for node in ast.walk(fn)
+             if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And)
+             and any(isinstance(n, ast.Name) and n.id == "gate" for n in ast.walk(node.values[0]))
+             for operand in node.values[1:] for call in ast.walk(operand)}
+    calls = [call for loop in ast.walk(fn) if isinstance(loop, (ast.For, ast.While))
+             for stmt in loop.body for call in ast.walk(stmt)
+             if isinstance(call, ast.Call) and ast.unparse(call.func) == "herm_part"]
+    return (sorted(c.lineno for c in calls if id(c) in gated),
+            sorted(c.lineno for c in calls if id(c) not in gated))
+
+
+def test_detects_an_ungated_herm_part():
+    source = ("def g(X):\n    for k in range(3):\n        X = herm_part(X)\n    return X\n\n"
+              "def f(X, gate):\n    for k in range(3):\n"
+              "        done = k <= gate and check(herm_part(X))\n"
+              "        ok = k > 1 and check(herm_part(X))\n"
+              "        X = herm_part(X - 1)\n"
+              "    else:\n        raise ValueError(herm_part(X))\n"
+              "    return herm_part(X)\n")
+    assert loop_herm_parts(source, "f") == ([8], [9, 10])
+    assert loop_herm_parts(source, "g") == ([], [3])
+
+
+def test_cyclic_reduction_symmetrizes_only_in_the_residual_check():
+    # X is symmetrized where read: the gated residual, the NoConvergence
+    # message and the return; the loop body reads it nowhere else
+    gated, ungated = loop_herm_parts((SRC / "ando.py").read_text(), "_cyclic_reduction")
+    assert len(gated) == 1 and ungated == []
