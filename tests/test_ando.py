@@ -582,7 +582,7 @@ class TestPolishingStep:
         assert columns[-1] == n
 
     def test_shifted_solves_for_A_minus_1_alone(self, count_calls):
-        name, T = _BOUNDARY[34]
+        T = _BOUNDARY[34][1]
         n = T.shape[0]
         solves = count_calls(mr.ando, "_lu_solve")
         _, k = mr.ando_X(T)
