@@ -7,10 +7,16 @@ atomic representing measure, and closes the loop back to the coefficients.
 Also runs the block version on matrix-weighted atoms.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
-import mrange as mr
-from mrange.rng import SplitMix64
+# run from a checkout: the package is imported from its src/
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import mrange as mr  # noqa: E402
+from mrange.rng import SplitMix64  # noqa: E402
 
 
 def scalar_demo(seed=2024, degree=5, n=5):

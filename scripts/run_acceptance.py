@@ -9,7 +9,9 @@ import pathlib
 import sys
 import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+# run from a checkout: the package is imported from its src/
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from test_acceptance import CRITERIA  # noqa: E402
 

@@ -6,9 +6,15 @@ witness map, the power-dilation compressions, the truncated bilateral-shift
 corner, and the order-2 nilpotent dilation, with every verification residual.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
-import mrange as mr
+# run from a checkout: the package is imported from its src/
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import mrange as mr  # noqa: E402
 
 
 def show(name, M):

@@ -308,7 +308,7 @@ def _verified_dilation(A, V, n):
     powers = _powers(A, n - 1)
     N = kron(shift(n), np.eye(d, dtype=complex))
 
-    verify(op_norm(np.linalg.matrix_power(N, n)) == 0.0, "N^n must vanish exactly")
+    verify(not np.linalg.matrix_power(N, n).any(), "N^n must vanish exactly")
     # N^j moves block k of V to block k + j: V* N^j V = V[jd:]* V[:(n-j)d]
     errs = [op_norm(dagger(V[j * d:]) @ V[:(n - j) * d] - powers[j]) for j in range(n)]
     verify(errs[0] <= 1e-10, f"isometry defect {errs[0]:.3e}")

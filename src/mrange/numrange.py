@@ -395,10 +395,11 @@ def range_boundary(T, K):
     Re(e^{-i(theta + pi)} T) = -Re(e^{-i theta} T), so for even K the top
     eigenvector at theta_{k + K/2} is the bottom one at theta_k, and the K
     points need K/2 Hermitian matrices; odd K takes the top end of all K.
-    Each matrix is reduced to real tridiagonal form once (LAPACK ?hetrd),
-    its wanted ends are found by bisection (dstebz) and inverse iteration
-    (dstein), and one ?unmqr applies the reduction's reflectors back to
-    both vectors. The K points then come from one product.
+    Each matrix is reduced in place to real tridiagonal form (LAPACK ?hetrd),
+    each wanted end of the tridiagonal comes with its vector from one MRRR
+    call (dstemr, Dhillon and Parlett, Linear Algebra Appl. 387, 2004), and
+    one ?unmqr applies the reduction's reflectors back to both vectors. The
+    K points then come from one product.
     """
     A = require_square(T, "range_boundary")
     if _count(K) < 3:
@@ -406,38 +407,36 @@ def range_boundary(T, K):
     n = A.shape[0]
     if n == 1:
         return [complex(A[0, 0])] * K
-    # bisection takes squares of the tridiagonal's entries
+    # MRRR takes squares of the tridiagonal's entries
     scale = _pow2_scale(A)
-    X, Y = herm_part(scale * A), herm_part(-1j * scale * A)
+    # Re T and Re(-i T) in column order as floats: (cos, sin) @ XY writes
+    # cos Re T + sin Re(-i T) into the Fortran-order buffer of H
+    XY = np.stack([herm_part(s * scale * A).ravel("F") for s in (1, -1j)]).view(float)
+    H = np.empty((n, n), dtype=complex, order="F")
+    flat = H.reshape(-1, order="F").view(float)
     half, ends = (K // 2, (n, 1)) if K % 2 == 0 else (K, (n,))
-    hetrd, unmqr = scipy.linalg.get_lapack_funcs(("hetrd", "unmqr"), (X,))
-    stebz, stein = scipy.linalg.get_lapack_funcs(("stebz", "stein"), (X.real,))
-    lwork = int(scipy.linalg.get_lapack_funcs("hetrd_lwork", (X,))(n, lower=1)[0].real)
-    iblock = np.zeros(n, dtype=np.int32)
+    hetrd, unmqr = scipy.linalg.get_lapack_funcs(("hetrd", "unmqr"), (H,))
+    stemr = scipy.linalg.get_lapack_funcs("stemr", (XY,))
+    lwork = int(scipy.linalg.get_lapack_funcs("hetrd_lwork", (H,))(n, lower=1)[0].real)
+    # dstemr takes the off-diagonal as n entries and overwrites them
+    e, Z = np.empty(n), np.empty((n, len(ends)), dtype=complex, order="F")
     V = np.empty((K, n), dtype=complex)
-    for k, theta in enumerate(2.0 * np.pi * np.arange(half) / K):
-        c, d, e, tau, info = hetrd(np.cos(theta) * X + np.sin(theta) * Y,
-                                   lower=1, lwork=lwork)
+    for k, cs in enumerate(np.exp(2j * np.pi * np.arange(half) / K)[:, None].view(float)):
+        np.matmul(cs, XY, out=flat)
+        c, d, sub, tau, info = hetrd(H, lower=1, lwork=lwork, overwrite_a=1)
         infos = [info]
-        # (block, eigenvalue, row of V) of each end; dstein wants them
-        # grouped by split-off block and ascending within one
-        found = []
         for j, i in enumerate(ends):
-            _, w, blocks, isplit, info = stebz(d, e, 2, 0.0, 0.0, i, i, 0.0, "B")
-            found.append((blocks[0], w[0], k + j * half))
+            e[:-1] = sub
+            _, _, z, info = stemr(d, e, 2, 0.0, 0.0, i, i)
+            Z[:, j] = z[:, 0]
             infos.append(info)
-        found.sort()
-        iblock[:len(found)] = [b for b, _, _ in found]
-        z, info = stein(d, e, [w for _, w, _ in found], iblock, isplit)
-        infos.append(info)
         # the lower reflectors of ?hetrd are the QR reflectors of c[1:, :n-1]
-        z = z.astype(complex)
-        z[1:], _, info = unmqr("L", "N", c[1:, :-1], tau, z[1:], len(found))
+        Z[1:], _, info = unmqr("L", "N", c[1:, :-1], tau, Z[1:], len(ends))
         infos.append(info)
         if any(infos):
             raise NoConvergence(f"tridiagonal eigensolve failed at angle {k} of {K} "
                                 f"(info={infos})")
-        V[[r for _, _, r in found]] = z.T
+        V[k::half] = Z.T   # rows k and k + K/2 for even K, row k for odd
     # row k of V @ A^T is A v_k
     return np.einsum("ki,ki->k", V.conj(), V @ A.T).tolist()
 

@@ -385,6 +385,13 @@ class TestNilpotentDilation:
         assert mr.op_norm(np.conj(nd.V).T @ nd.N @ nd.V - E21) <= 1e-7
         assert np.count_nonzero(np.linalg.matrix_power(nd.N, 2)) == 0
 
+    def test_nonvanishing_power_of_the_shift_is_refused(self, monkeypatch):
+        # N^n = 0 is checked entry by entry: a shift with a corner entry has
+        # N^n != 0, and the dilation built on it is refused
+        monkeypatch.setattr(mr.dilation, "shift", lambda n: np.eye(n, k=-1) + np.eye(n, k=n - 1))
+        with pytest.raises(VerificationFailed, match="N\\^n must vanish exactly"):
+            mr.nilpotent_dilation(E21, 2)
+
     def test_shift3_via_identity_embedding(self):
         S3 = mr.shift(3)
         nd = mr.nilpotent_dilation(S3, 3)

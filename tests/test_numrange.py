@@ -4,6 +4,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mrange as mr
-from mrange.errors import NonSquare, VerificationFailed
+from mrange.errors import NoConvergence, NonSquare, VerificationFailed
 from mrange.rng import split
 
 from helpers import E21, radius_bruteforce, random_with_radius, support_residual
@@ -137,8 +138,9 @@ class TestRangeBoundary:
             assert abs(p) <= 1.0 + 1e-9
 
     def test_matches_per_angle_eigh_at_64(self):
-        # the one-pass ?heevr scan against one scipy eigh per angle; a top
-        # eigenvector, and so its point, is only defined up to the top gap
+        # one ?hetrd and two dstemr end solves per antipodal pair against one
+        # scipy eigh per angle; a top eigenvector, and so its point, is only
+        # defined up to the top gap
         T = mr.random_matrix(64, 64, split(930, 0))
         K = 64
         pts = mr.range_boundary(T, K)
@@ -164,27 +166,31 @@ _BOUNDARY_INPUTS = {
     "identity": np.eye(3, dtype=complex),
     "tiny": 1e-150 * mr.random_matrix(6, 6, split(940, 2)),
     "huge": 1e150 * mr.random_matrix(6, 6, split(940, 2)),
+    # the sizes the benchmark's radius scan samples
+    "random16": mr.random_matrix(16, 16, split(940, 4)),
+    "random32": mr.random_matrix(32, 32, split(940, 5)),
+    "shift16": mr.shift(16),
 }
 
 
 @pytest.fixture
-def hetrd_calls(monkeypatch):
-    """Counts the ?hetrd reductions made through the LAPACK handles the
-    module looks up."""
+def lapack_calls(monkeypatch):
+    """The names of the LAPACK routines called through the handles the
+    module looks up, in call order."""
     calls = []
     lookup = scipy.linalg.get_lapack_funcs
 
-    def counted(f):
+    def counted(name, f):
         def call(*args, **kwargs):
-            calls.append(1)
+            calls.append(name)
             return f(*args, **kwargs)
         return call
 
     def counted_lookup(names, *args, **kwargs):
         found = lookup(names, *args, **kwargs)
         if isinstance(names, str):
-            return counted(found) if names == "hetrd" else found
-        return [counted(f) if name == "hetrd" else f for name, f in zip(names, found)]
+            return counted(names, found)
+        return [counted(name, f) for name, f in zip(names, found)]
 
     monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counted_lookup)
     return calls
@@ -202,9 +208,28 @@ class TestBoundaryByAntipodalPairs:
         assert np.abs(pts).max() <= mr.num_radius(T) + 1e-12 * scale
 
     @pytest.mark.parametrize("K", [3, 4, 7, 255, 256])
-    def test_one_reduction_per_antipodal_pair(self, hetrd_calls, K):
+    def test_one_reduction_per_antipodal_pair(self, lapack_calls, K):
+        # per pair one reduction, one back-transform, and an end solve for
+        # each end taken: two for even K, the top one alone for odd K
         mr.range_boundary(mr.random_matrix(8, 8, split(941, K)), K)
-        assert len(hetrd_calls) == (K // 2 if K % 2 == 0 else K)
+        pairs, ends = (K // 2, 2) if K % 2 == 0 else (K, 1)
+        assert Counter(lapack_calls) == {"hetrd_lwork": 1, "hetrd": pairs,
+                                         "stemr": ends * pairs, "unmqr": pairs}
+
+    def test_failed_end_solve_raises_naming_the_angle(self, monkeypatch):
+        # the fifth end solve is the top end of the third pair
+        lookup, calls = scipy.linalg.get_lapack_funcs, []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            m, w, z, info = lookup("stemr", (np.zeros(1),))(*args, **kwargs)
+            return m, w, z, 2 if len(calls) == 5 else info
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs",
+                            lambda names, *a, **kw: failing if names == "stemr"
+                            else lookup(names, *a, **kw))
+        with pytest.raises(NoConvergence, match=r"at angle 2 of 8 \(info=\[0, 2, 0, 0\]\)"):
+            mr.range_boundary(mr.random_matrix(4, 4, split(941, 0)), 8)
 
     @pytest.mark.parametrize("exponent", [-990, 990])
     def test_scaling_by_a_power_of_two_is_exact(self, exponent):
@@ -215,9 +240,9 @@ class TestBoundaryByAntipodalPairs:
             scaled = mr.range_boundary(T * 2.0 ** exponent, K)
             assert scaled == [p * 2.0 ** exponent for p in mr.range_boundary(T, K)]
 
-    def test_scalar_needs_no_reduction(self, hetrd_calls):
+    def test_scalar_needs_no_reduction(self, lapack_calls):
         assert mr.range_boundary(np.array([[2.0 - 1j]]), 6) == [2.0 - 1j] * 6
-        assert hetrd_calls == []
+        assert lapack_calls == []
 
 
 class TestRadiusCharacterizations:
