@@ -22,7 +22,7 @@ reduction (Meini, Math. Comp. 71, 2002): from X_0 = C_0 = A0, B_0 = A1*,
 each step through one Cholesky factor of C_k, or one eigendecomposition
 where C_k is singular but PSD; an indefinite C_k (w(T) > 1) ends the run.
 The iterates decrease to X, quadratically when w(T) < 1. The loop stops on
-the fixed-point residual; the step size only decides when it is evaluated.
+the fixed-point residual, then one polishing step takes X to rounding level.
 
 At w(T) = 1 the minimal solvent G of A1* + G + A1 G^2 = 0 (X = I + A1 G)
 has unimodular eigenvalues, and the iteration converges only linearly with
@@ -123,7 +123,7 @@ def _lu_solve(M, B):
     return lapack.zgetrs(lu, piv, B)[0]
 
 
-def _cyclic_reduction(A0, A1, polish=False, shift=None, steps=None):
+def _cyclic_reduction(A0, A1, shift=None, steps=None):
     """Maximal Hermitian solution X of X + A1 X^{-1} A1* = A0, and the step count.
 
     X = A0 + A1 G for the minimal solvent G of A1* + A0 G + A1 G^2 = 0. Each
@@ -155,10 +155,11 @@ def _cyclic_reduction(A0, A1, polish=False, shift=None, steps=None):
     FIXPOINT_EPS s, s = max(1, |A0|_1): the rounding floor of X grows with
     |A0|. That residual costs a Cholesky factor and a solve, so it is
     evaluated only when the last step's update of Ah or the current A_{-1}
-    has Frobenius norm at most sqrt(FIXPOINT_EPS s). With ``polish`` it takes
-    one more step, which in the quadratic regime brings X to the rounding
-    floor: a spectral factor read off X needs that accuracy. That step
-    updates Ah alone, so it solves for A_{-1} only.
+    has Frobenius norm at most sqrt(FIXPOINT_EPS s). Every run then takes
+    one polishing step, which in the quadratic regime brings X to the
+    rounding floor, as a spectral factor or a witness read off X needs. It
+    updates Ah alone, so it solves for A_{-1} only, and one whose A_0 cannot
+    be factored leaves the X that met the stop. The count includes it.
     Raises NoConvergence after ``steps`` steps, by default _MAX_STEPS.
     """
     Am, C, Ap = dagger(A1), A0, A1
@@ -176,41 +177,38 @@ def _cyclic_reduction(A0, A1, polish=False, shift=None, steps=None):
     for k in range(steps):
         done = (update <= gate or _fro_norm(Am) <= gate) and \
             _norm_within(_fixpoint_defect(A0, A1, herm_part(Ah)), FIXPOINT_EPS * scale)
-        if done and not polish:
-            break
-        if shift is None:
-            # B = A_{-1}, and B* unless this is the last step
-            BB = Am if done else np.concatenate([Am, dagger(Am)], axis=1)
-            L, info = lapack.zpotrf(C, lower=1)
-            if info == 0:   # C^{-1} = F* F for F = L^{-1}; FBB = [F B, F B*]
-                FBB = lapack.ztrtrs(L, BB, lower=1)[0]
-            else:   # C = U c U* singular (a summand at its fixed point): F = c^{-1/2} U*
-                c, U = np.linalg.eigh(C)
-                if c[0] < -RANK_REL * c[-1]:   # beyond the rank cutoff
-                    raise LostDefiniteness(f"cyclic reduction lost definiteness at step {k}")
-                FBB = (_pinv_sqrt(c)[:, None] * dagger(U)) @ BB
-            # Ah is read whole, by herm_part; A_0 by its lower triangle (zherk)
-            W = FBB[:, :n]
-            BCB = blas.zgemm(1.0, W, W, trans_a=2)
-            Ah = Ah - BCB
-            if not done:
-                update, V = _fro_norm(BCB), FBB[:, n:]
-                Am = blas.zgemm(-1.0, V, W, trans_a=2)
-                C = blas.zherk(-1.0, V, beta=1.0, c=C - BCB, trans=2, lower=1, overwrite_c=1)
-        else:
-            try:
+        try:
+            if shift is None:
+                # B = A_{-1}, and B* unless this is the polishing step
+                BB = Am if done else np.concatenate([Am, dagger(Am)], axis=1)
+                L, info = lapack.zpotrf(C, lower=1)
+                if info == 0:   # C^{-1} = F* F for F = L^{-1}; FBB = [F B, F B*]
+                    FBB = lapack.ztrtrs(L, BB, lower=1)[0]
+                else:   # C = U c U* singular (a summand at its fixed point): F = c^{-1/2} U*
+                    c, U = np.linalg.eigh(C)
+                    if c[0] < -RANK_REL * c[-1]:   # beyond the rank cutoff
+                        raise LostDefiniteness(f"cyclic reduction lost definiteness at step {k}")
+                    FBB = (_pinv_sqrt(c)[:, None] * dagger(U)) @ BB
+                # Ah is read whole, by herm_part; A_0 by its lower triangle (zherk)
+                W = FBB[:, :n]
+                BCB = blas.zgemm(1.0, W, W, trans_a=2)
+                Ah = Ah - BCB
+                if not done:
+                    update, V = _fro_norm(BCB), FBB[:, n:]
+                    Am = blas.zgemm(-1.0, V, W, trans_a=2)
+                    C = blas.zherk(-1.0, V, beta=1.0, c=C - BCB, trans=2, lower=1, overwrite_c=1)
+            else:
                 K = _lu_solve(C, Am if done else np.concatenate([Am, Ap], axis=1))
-            except NoConvergence:
-                if done:   # a singular polishing step: keep the X that met the stop
-                    break
+                KAm = K[:, :n]
+                ApKAm = Ap @ KAm
+                Ah = Ah - ApKAm
+                if not done:
+                    update, KAp = _fro_norm(ApKAm), K[:, n:]
+                    C = C - Am @ KAp - ApKAm
+                    Am, Ap = -Am @ KAm, -Ap @ KAp
+        except NoConvergence:
+            if not done:   # a polishing step that cannot factor A_0 keeps the X that met the stop
                 raise
-            KAm = K[:, :n]
-            ApKAm = Ap @ KAm
-            Ah = Ah - ApKAm
-            if not done:
-                update, KAp = _fro_norm(ApKAm), K[:, n:]
-                C = C - Am @ KAp - ApKAm
-                Am, Ap = -Am @ KAm, -Ap @ KAp
         if done:
             k += 1
             break
@@ -297,7 +295,7 @@ def _extremal_X(A, w, t, shift=None):
         try:
             # a wrong shift can also overflow: that falls back as well
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                X, k = _cyclic_reduction(I, A1, polish=True, shift=shift)
+                X, k = _cyclic_reduction(I, A1, shift=shift)
         except (NoConvergence, FloatingPointError, np.linalg.LinAlgError) as exc:
             if w.provisional:
                 raise NoConvergence(f"shifted cyclic reduction failed: {exc}")

@@ -21,7 +21,7 @@ from functools import cache
 import numpy as np
 
 from . import __version__
-from .errors import BadJson, MrangeError, UnknownCommand
+from .errors import BadJson, BadOutput, MrangeError, UnknownCommand
 from .linalg import BAND, Tolerances, as_cmat, op_norm
 
 COMMANDS = (
@@ -76,7 +76,7 @@ def _load_input(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # ValueError: not UTF-8, or not JSON
         raise BadJson(f"cannot read input JSON: {exc}")
 
 
@@ -316,22 +316,22 @@ def run(argv):
     started = time.perf_counter()
     try:
         payload, code = _run_command(args.command, args)
+        elapsed = (time.perf_counter() - started) * 1000.0 if args.timing else 0.0
+        text = json.dumps({"command": args.command, **payload, "elapsed_ms": elapsed})
     except MrangeError as exc:
-        out = {"command": args.command, "error": {"name": exc.name, "message": str(exc)}}
-        _emit(out, args.out)
-        return 1
-    elapsed = (time.perf_counter() - started) * 1000.0 if args.timing else 0.0
-    result = {"command": args.command, **payload, "elapsed_ms": elapsed}
-    _emit(result, args.out)
+        text, code = _error_json(args.command, exc), 1
+    if args.out:   # written before stdout, so an unwritable path prints its error alone
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            text, code = _error_json(args.command, BadOutput(f"cannot write --out: {exc}")), 1
+    sys.stdout.write(text + "\n")
     return code
 
 
-def _emit(obj, out_path):
-    text = json.dumps(obj)
-    sys.stdout.write(text + "\n")
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+def _error_json(command, exc):
+    return json.dumps({"command": command, "error": {"name": exc.name, "message": str(exc)}})
 
 
 def main():

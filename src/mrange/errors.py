@@ -115,6 +115,10 @@ class BadJson(MrangeError):
     pass
 
 
+class BadOutput(MrangeError):
+    pass
+
+
 class BadTolerance(MrangeError, ValueError):
     """A tolerance that is not a finite positive number."""
 

@@ -113,7 +113,7 @@ def op_norm(M):
     A = as_cmat(M)
     if A.size == 0:
         return 0.0
-    return float(np.linalg.norm(A, 2))
+    return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
 def _norm_within(R, eps):

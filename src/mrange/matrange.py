@@ -219,7 +219,7 @@ def opsys_probe(S, T, n, samples, seed):
         d = M.shape[0]
         stack = (A[:, :, None, :, None] * np.eye(d)[:, None, :]
                  + B[:, :, None, :, None] * M[:, None, :])
-        return np.linalg.norm(stack.reshape(samples, n * d, n * d), 2, axis=(1, 2))
+        return np.linalg.svd(stack.reshape(samples, n * d, n * d), compute_uv=False)[:, 0]
 
     gaps = np.abs(norms(A1) - norms(A2))
     return ProbeReport(samples=samples, max_gap=float(gaps.max() if samples else 0.0),

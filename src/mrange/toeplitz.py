@@ -113,7 +113,7 @@ def _spectral_factor(Q):
     RANK_REL cutoff, so Q singular on the whole circle factors too.
     """
     N, m = Q.shape[0] - 1, Q.shape[1]
-    X, _ = _cyclic_reduction(_block_toeplitz(Q, N), _block_toeplitz(Q, N, N), polish=True)
+    X, _ = _cyclic_reduction(_block_toeplitz(Q, N), _block_toeplitz(Q, N, N))
     w, U = np.linalg.eigh(X[-m:, -m:])
     root = _pinv_sqrt(w)[:, None] * dagger(U)
     last = X[-m:].reshape(m, N, m).transpose(1, 0, 2)[::-1]   # P_0* P_k, k < N

@@ -171,13 +171,13 @@ class TestBoundaryShift:
     @pytest.mark.parametrize("n", [4, 16, 64])
     @pytest.mark.parametrize("real", [False, True])
     def test_steps(self, n, real):
-        # the unshifted iteration takes 20 steps at w(T) = 1
+        # the unshifted iteration takes 20 steps at w(T) = 1, then its polishing step
         for k in range(2):
             T = mr.random_matrix(n, n, split(64 + n, k))
             T = T.real if real else T
             T = T / mr.num_radius(T)
             assert mr.ando_X(T)[1] <= 10
-            assert _unshifted_X(T)[1] == 20
+            assert _unshifted_X(T)[1] == 21
 
     @pytest.mark.parametrize("T, X", [
         (2 * E21, np.diag([0.0, 1.0])),
@@ -262,14 +262,14 @@ class TestBoundaryShift:
 
 
 _CLOSED_FORM_STEPS = [
-    ("E21", E21, 1),
-    ("2E21", 2 * E21, 1),
-    ("zero", np.zeros((3, 3)), 0),
-    ("S4", mr.shift(4), 2),
-    ("S4-cos", mr.shift(4) / np.cos(np.pi / 5), 2),
-    ("S8-cos", mr.shift(8) / np.cos(np.pi / 9), 3),
-    ("0.999I", 0.999 * np.eye(3), 8),
-    ("I", np.eye(3), 20),
+    ("E21", E21, 2),
+    ("2E21", 2 * E21, 2),
+    ("zero", np.zeros((3, 3)), 1),
+    ("S4", mr.shift(4), 3),
+    ("S4-cos", mr.shift(4) / np.cos(np.pi / 5), 3),
+    ("S8-cos", mr.shift(8) / np.cos(np.pi / 9), 4),
+    ("0.999I", 0.999 * np.eye(3), 9),
+    ("I", np.eye(3), 21),
 ]
 
 
@@ -357,9 +357,9 @@ class TestResidualGate:
         # the gate grows with |A0|, so a residual of about update^2 / |A0| is
         # evaluated at the step where it first passes: X and the step count
         # equal those of a run that evaluates it before every step
-        X, k = mr.ando._cyclic_reduction(A0, A1, polish=True)
+        X, k = mr.ando._cyclic_reduction(A0, A1)
         monkeypatch.setattr(mr.ando, "_RESIDUAL_GATE", np.inf)
-        X_every, k_every = mr.ando._cyclic_reduction(A0, A1, polish=True)
+        X_every, k_every = mr.ando._cyclic_reduction(A0, A1)
         assert k == k_every == steps and np.array_equal(X, X_every)
 
     def test_no_convergence_names_last_residual(self, monkeypatch):
@@ -415,7 +415,7 @@ class TestRelativeStop:
         assert err[0] + 2 * err[1:].sum() <= 1e-9 * (1 + c[0].real + 2 * c[1:].real.sum())
 
 
-def _symmetrizing_cyclic_reduction(A0, A1, polish=False, shift=None, steps=None):
+def _symmetrizing_cyclic_reduction(A0, A1, shift=None, steps=None):
     """The reference for ando._cyclic_reduction: the same iteration, but X
     and A_0 symmetrized after every step (Ah each step, shifted), the
     Hermitian products formed from conjugate copies, and every block
@@ -436,8 +436,6 @@ def _symmetrizing_cyclic_reduction(A0, A1, polish=False, shift=None, steps=None)
     for k in range(steps):
         done = (update <= gate or np.linalg.norm(Am) <= gate) and linalg._norm_within(
             ando._fixpoint_defect(A0, A1, X), linalg.FIXPOINT_EPS * scale)
-        if done and not polish:
-            break
         if shift is None:
             BB = np.concatenate([Am, dag(Am)], axis=1)
             L, info = lapack.zpotrf(C, lower=1)
@@ -446,6 +444,8 @@ def _symmetrizing_cyclic_reduction(A0, A1, polish=False, shift=None, steps=None)
             else:
                 c, U = np.linalg.eigh(C)
                 if c[0] < -linalg.RANK_REL * c[-1]:
+                    if done:
+                        break
                     raise LostDefiniteness(f"cyclic reduction lost definiteness at step {k}")
                 FBB = (linalg._pinv_sqrt(c)[:, None] * dag(U)) @ BB
             W, V = FBB[:, :n], FBB[:, n:]
@@ -481,8 +481,9 @@ def _symmetrizing_cyclic_reduction(A0, A1, polish=False, shift=None, steps=None)
 
 def _cyclic_reduction_inputs():
     """(name, solve) for entry points whose cyclic-reduction runs the reference
-    test replays: plain (interior Ando), polished (Fejer-Riesz, nilpotent,
-    a singular first A_0) and shifted (w = 1)."""
+    test replays: unshifted with A0 = I (interior Ando), unshifted spectral
+    factors (Fejer-Riesz, nilpotent, a singular first A_0) and shifted
+    (w = 1)."""
     for n, w, seed in [(2, 0.3, 1), (4, 0.9, 2), (8, 0.999, 3), (16, 0.9, 4), (24, 0.5, 5)]:
         T = random_with_radius(n, w, split(83, seed))
         yield f"ando-{n}-{w}", lambda T=T: mr.ando_decompose(T)
@@ -548,22 +549,23 @@ class TestHermitianWork:
         messages = []
         for reduce in (mr.ando._cyclic_reduction, _symmetrizing_cyclic_reduction):
             with pytest.raises(NoConvergence) as exc:
-                reduce(*args, polish=True, shift=shift, steps=2)
+                reduce(*args, shift=shift, steps=2)
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
 
     def test_inputs_cover_every_kind_of_run(self, monkeypatch):
         kinds, reduce = set(), mr.ando._cyclic_reduction
 
-        def recorded(A0, A1, polish=False, shift=None, steps=None):
-            out = reduce(A0, A1, polish, shift, steps)
-            kinds.add("shifted" if shift is not None else "polished" if polish else "plain")
+        def recorded(A0, A1, shift=None, steps=None):
+            out = reduce(A0, A1, shift, steps)
+            identity = np.array_equal(A0, np.eye(A0.shape[0]))
+            kinds.add("shifted" if shift is not None else "ando" if identity else "spectral")
             return out
         monkeypatch.setattr(mr.ando, "_cyclic_reduction", recorded)
         monkeypatch.setattr(mr.toeplitz, "_cyclic_reduction", recorded)
         for _, solve in _CR_INPUTS:
             solve()
-        assert kinds == {"plain", "polished", "shifted"}
+        assert kinds == {"ando", "spectral", "shifted"}
 
 
 class TestPolishingStep:
@@ -574,7 +576,7 @@ class TestPolishingStep:
         n = 6
         T = random_with_radius(n, 0.9, 5)
         solves = count_calls(mr.ando.lapack, "ztrtrs")
-        _, k = mr.ando._cyclic_reduction(np.eye(n, dtype=complex), T.conj().T / 2, polish=True)
+        _, k = mr.ando._cyclic_reduction(np.eye(n, dtype=complex), T.conj().T / 2)
         columns = [rhs.shape[1] for _, rhs in solves]
         # the steps before the stop solve for [B, B*]; the residual's own
         # solves and the polishing step's have n columns
@@ -707,7 +709,14 @@ class TestOneFactorizationPerOperator:
 
         def counted(name):
             solver = getattr(np.linalg, name)
-            return lambda *args, **kwargs: calls.append(name) or solver(*args, **kwargs)
+
+            def call(*args, **kwargs):
+                # op_norm's one singular value is a norm, not a factorization
+                # of an operator: its SVD is not counted
+                if sys._getframe(1).f_code.co_name != "op_norm":
+                    calls.append(name)
+                return solver(*args, **kwargs)
+            return call
 
         for name in ("eigh", "eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, name, counted(name))
@@ -898,6 +907,23 @@ class TestUcpFromE21:
         monkeypatch.setattr(mr.ando, "psd_check", lambda H, tol=None: (False, -1.0))
         with pytest.raises(NoConvergence, match="limit violates the defining LMI"):
             mr.ucp_from_e21(random_with_radius(3, 0.4, split(53, 3)))
+
+
+class TestWitnessAtRoundingLevel:
+    """Every cyclic-reduction run takes its polishing step, so an interior
+    E21 witness is PSD to rounding level, not to the stop's 1e-12."""
+
+    @pytest.mark.parametrize("w", [0.2, 0.45])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_witness_blocks_are_psd(self, n, w):
+        for seed in range(4):
+            T = random_with_radius(n, w, split(101 + n, seed))
+            bound = -1e-14 * (1.0 + mr.op_norm(T))
+            ok, A = mr.radius_lmi(T)
+            assert ok
+            block = np.block([[A, np.conj(T).T], [T, np.eye(n) - A]])
+            assert np.linalg.eigvalsh(block)[0] >= bound
+            assert np.linalg.eigvalsh(mr.choi(mr.ucp_from_e21(T)).block)[0] >= bound
 
 
 class TestAdjointXIsTheE21Witness:

@@ -222,6 +222,18 @@ class TestCommands:
         assert code == 0
         assert json.loads(target.read_text()) == out
 
+    @pytest.mark.parametrize("argv", [["numrad"], ["ando"]], ids=["result", "error"])
+    def test_unwritable_out_file(self, tmp_path, capsys, argv):
+        # 3 E21 has radius 3/2: numrad succeeds and ando fails, and either way
+        # an --out path that cannot be written prints one error object alone
+        path = write_json(tmp_path, "t.json", matrix_to_json(3.0 * E21))
+        target = tmp_path / "missing" / "result.json"
+        code = run(argv + ["--input", path, "--out", str(target)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and len(lines) == 1
+        assert json.loads(lines[0])["error"]["name"] == "BadOutput"
+        assert "radius" not in json.loads(lines[0]) and not target.exists()
+
     def test_boundary(self, tmp_path, capsys):
         path = write_json(tmp_path, "e21.json", E21_JSON)
         code, out = run_captured(capsys, ["boundary", "--input", path,
@@ -458,6 +470,14 @@ class TestMissingFields:
         path = tmp_path / "in.json"
         if text is not None:
             path.write_text(text)
+        code, out = run_captured(capsys, ["numrad", "--input", str(path)])
+        assert code == 1 and out["error"]["name"] == "BadJson"
+        assert out["error"]["message"].startswith("cannot read input JSON: ")
+
+    def test_input_file_not_utf8(self, tmp_path, capsys):
+        # a UTF-16 byte-order mark is not UTF-8: BadJson, not a decode error
+        path = tmp_path / "in.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
         code, out = run_captured(capsys, ["numrad", "--input", str(path)])
         assert code == 1 and out["error"]["name"] == "BadJson"
         assert out["error"]["message"].startswith("cannot read input JSON: ")

@@ -146,6 +146,16 @@ class TestOpNorm:
         assert mr.op_norm(np.zeros((2, 2))) == 0.0
         assert mr.op_norm(np.array([[0, 2], [0, 0]])) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (5, 3), (6, 6), (0, 0), (0, 3), (3, 0)])
+    def test_bit_equal_to_the_two_norm(self, shape):
+        # the largest singular value comes from np.linalg.svd, which the
+        # two-norm of np.linalg.norm calls internally: the same bits
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(5):
+            A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            expected = np.linalg.norm(A, 2) if A.size else 0.0
+            assert mr.op_norm(A) == expected
+
 
 def _wide_range(rng, shape, dtype):
     """Entries spread over 16 decades, so that a different summation order

@@ -11,7 +11,7 @@ import pytest
 import mrange as mr
 from mrange.cpmaps import Feasible
 from mrange.errors import BadShape, BoundaryBand, RadiusTooLarge, VerificationFailed
-from mrange.rng import split
+from mrange.rng import children, split
 
 from helpers import E21, random_partition_of_identity, random_ucp_map, random_with_radius
 
@@ -393,6 +393,17 @@ class TestOpsysProbe:
     def test_zero_count(self):
         rep = mr.opsys_probe(E21, 2 * E21, 2, 0, 1)
         assert rep.samples == 0 and rep.max_gap == 0.0 and rep.gaps.shape == (0,)
+
+    def test_gaps_bit_equal_to_the_two_norms(self):
+        # the batched singular values give the bits of np.linalg.norm(., 2)
+        # on each sample's kron(A_i, I) + kron(B_i, M)
+        S, T = mr.random_matrix(3, 3, 4), mr.random_matrix(3, 3, 5)
+        n, samples, seed = 2, 6, 11
+        A, B = np.moveaxis(mr.random_matrix(n, n, children(children(seed, samples), 2)), 1, 0)
+        norm = [lambda M, i=i: np.linalg.norm(np.kron(A[i], np.eye(3)) + np.kron(B[i], M), 2)
+                for i in range(samples)]
+        expected = [abs(f(S) - f(T)) for f in norm]
+        assert np.array_equal(mr.opsys_probe(S, T, n, samples, seed).gaps, expected)
 
     def test_deterministic_under_seed(self):
         a = mr.opsys_probe(E21, 2 * E21, 2, 10, 99)
