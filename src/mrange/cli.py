@@ -20,9 +20,11 @@ from functools import cache
 
 import numpy as np
 
-from . import __version__
+from . import __version__, ando, dilation, matrange, numrange, toeplitz
+from .cpmaps import choi, is_cp
 from .errors import BadJson, BadOutput, MrangeError, UnknownCommand
 from .linalg import BAND, Tolerances, as_cmat, op_norm
+from .toeplitz import BlockToeplitzSpec, ToeplitzSpec
 
 COMMANDS = (
     "numrad", "boundary", "ando", "lmi", "ucp-e21", "dilate2", "bilateral",
@@ -122,10 +124,6 @@ def build_parser():
 
 def _run_command(cmd, args):
     """Returns (payload dict, exit code)."""
-    from . import ando as ando_mod
-    from . import dilation, matrange, numrange, toeplitz
-    from .cpmaps import choi, is_cp
-
     if cmd not in COMMANDS:
         raise UnknownCommand(cmd)
     # BadTolerance unless --tol is a finite positive number
@@ -142,7 +140,7 @@ def _run_command(cmd, args):
         return {"points": [complex_to_json(z) for z in pts]}, 0
 
     if cmd == "ando":
-        dec = ando_mod.ando_decompose(T, tol)
+        dec = ando.ando_decompose(T, tol)
         return {
             "X": matrix_to_json(dec.X),
             "Y_max": matrix_to_json(dec.Y_max),
@@ -154,14 +152,14 @@ def _run_command(cmd, args):
         }, 0
 
     if cmd == "lmi":
-        ok, A = ando_mod.radius_lmi(T, tol)
+        ok, A = ando.radius_lmi(T, tol)
         out = {"feasible": ok}
         if ok:
             out["A"] = matrix_to_json(A)
         return out, 0 if ok else 2
 
     if cmd == "ucp-e21":
-        phi = ando_mod.ucp_from_e21(T, tol)
+        phi = ando.ucp_from_e21(T, tol)
         cp_ok, min_eig = is_cp(phi, tol)
         return {
             "values": {f"E{i}{j}": matrix_to_json(phi.value(i, j))
@@ -299,8 +297,6 @@ def _run_command(cmd, args):
 
 
 def _toeplitz_spec(payload):
-    from .toeplitz import BlockToeplitzSpec, ToeplitzSpec
-
     if isinstance(payload, dict) and "coeffs" in payload:
         return ToeplitzSpec(coeffs=np.array(_field(payload, "coeffs", complex_from_json, True)))
     if isinstance(payload, dict) and "blocks" in payload:

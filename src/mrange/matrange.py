@@ -8,6 +8,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import ando
+from .cpmaps import Feasible, solve_feasibility
+from .dilation import _two_dilation, _verified_dilation
 from .errors import (
     BadShape,
     BoundaryBand,
@@ -28,7 +30,7 @@ from .linalg import (
     random_matrix,
     require_square,
 )
-from .numrange import _RadiusSolve, num_radius
+from .numrange import num_radius, radius_characterizations
 from .rng import children
 from .toeplitz import AtomicMeasure, _block_toeplitz, _unitary_measure
 
@@ -137,13 +139,11 @@ def member_normal(spectrum, X, tol=None):
     returned as the witness. Moments that no Hermitian weights match give
     a checked non-member; solver non-convergence gives a conservative,
     unverified one. Either way the margin is the residual."""
-    from .cpmaps import Feasible, solve_feasibility
-
     t = _tol(tol)
     A = require_square(X, "member_normal")
     lams = np.array([complex(l) for l in spectrum])
-    if not lams.size:
-        raise BadShape("spectrum must be nonempty")
+    if not lams.size or not np.isfinite(lams).all():
+        raise BadShape("spectrum must be nonempty and finite")
     d = A.shape[0]
     K = np.array([np.ones(lams.size), lams])[:, :, None, None]
     try:
@@ -251,29 +251,26 @@ def equivalence_suite(T, tol=None):
     BoundaryBand for |w - 1| <= BAND (1 + |T|), the rounding band of every
     threshold verdict, where (1) and the band-rounded (2), (4), (5) split.
 
-    One radius solve gives w, (4)'s margin 1 - w, and (2)'s level test on its
-    pencil, hinted by the angle where w is attained. One
-    decomposition, X(T) and X(T*), checks (6) and (8) itself and gives (5),
-    Ando's isometry [C; X^{1/2}]; (7) and (9) ask whether X(T*) exists.
+    The four radius checks (``radius_characterizations``, which verifies
+    that they agree) give w, which decides (1) and gives (4) its margin
+    1 - w, and (2), their level test. One decomposition, X(T) and X(T*),
+    checks (6) and (8) itself, gives (5), Ando's isometry [C; X^{1/2}], and
+    (3), the two-step dilation from C; (7) and (9) ask whether its X(T*)
+    exists. So (6) to (9) hold exactly when the decomposition returns.
     """
-    from .dilation import _two_dilation, _verified_dilation
-
     t = _tol(tol)
     A = require_square(T, "equivalence_suite")
-    solve = _RadiusSolve(A)
-    w, angle = solve.maximum
-    norm = op_norm(A)
-    band = BAND * (1.0 + norm)
+    radii = radius_characterizations(A)
+    w = radii.radius
+    band = BAND * (1.0 + op_norm(A))
     if abs(w - 1.0) <= band:
         raise BoundaryBand(f"radius {w:.12f} within the rounding band {band:.1e} of 1")
 
-    cond1, cond4 = w <= 1.0, 1.0 - w >= -BAND
-    cond2 = not solve.exceeds(1.0 + band, norm, [angle])
-
-    cond3 = cond5 = False
-    dec = None
+    cond1, cond2, cond4 = w <= 1.0, radii.conditions[1], 1.0 - w >= -BAND
+    cond3 = cond5 = cond6 = False
     try:
         dec = ando._ando_decompose(A, w, t)
+        cond6 = True
         x, U = dec.X_eig   # 0 <= X <= I is checked: its root clips at 0
         root = (U * np.sqrt(np.clip(x, 0.0, None))) @ dagger(U)
         _verified_dilation(A / 2.0, np.vstack([dec.C, root]), 2)
@@ -283,16 +280,7 @@ def equivalence_suite(T, tol=None):
     except (RadiusTooLarge, NoConvergence, VerificationFailed):
         pass
 
-    # (6) and (8) are the decomposition's own checks; X(T*) is the witness of (7) and (9)
-    cond6 = cond7 = cond8 = cond9 = dec is not None
-    if dec is None:
-        try:
-            ando._adjoint_X(A, w, t)
-            cond7 = cond9 = True
-        except RadiusTooLarge:
-            pass
-
-    report = EquivalenceReport(w, cond1, cond2, cond3, cond4, cond5, cond6, cond7, cond8, cond9)
+    report = EquivalenceReport(w, cond1, cond2, cond3, cond4, cond5, cond6, cond6, cond6, cond6)
     conds = report.all_conditions()
     verify(all(c == cond1 for c in conds),
            f"equivalence conditions disagree at radius {w:.6f}: {conds}")

@@ -261,6 +261,51 @@ class TestBoundaryShift:
         assert out.stdout.split() == ["False", "True", "True", "True", "True"], out.stderr
 
 
+
+def _scalar_shift(z):
+    """A shift (S, P) of _cyclic_reduction for n = 1: S = z, P = 1."""
+    return np.array([[z]], dtype=complex), np.eye(1, dtype=complex)
+
+
+class TestFailedShift:
+    """A shifted run that fails, in process: the plain run takes over, and
+    the count adds the rejected run's whole budget of _SHIFT_STEPS."""
+
+    @pytest.mark.parametrize("s", range(6))
+    def test_shift_off_the_maxima_falls_back(self, s, monkeypatch):
+        # a shift built pi/3 away from the maxima stalls at its 12-step
+        # budget, so X(T) and X(T*) are the plain runs bit for bit
+        T = random_with_radius(4, 1.0, split(77, s))
+        boundary_shifts = mr.ando._boundary_shifts
+        monkeypatch.setattr(mr.ando, "_boundary_shifts", lambda A, w, maxima:
+                            boundary_shifts(A, w, maxima + np.pi / 3))
+        plain, steps = _unshifted_X(T)
+        plain_star, steps_star = _unshifted_X(np.conj(T).T)
+        assert steps == steps_star == 21
+        X, k = mr.ando_X(T)
+        assert np.array_equal(X, plain) and k == mr.ando._SHIFT_STEPS + steps
+        dec = mr.ando_decompose(T)
+        assert np.array_equal(dec.X, plain) and np.array_equal(dec.Xstar, plain_star)
+        assert dec.iterations == 2 * mr.ando._SHIFT_STEPS + steps + steps_star
+
+    @pytest.mark.parametrize("T, z, message", [
+        # A_0 = 1 + (1/2)(-2) = 0 at the first step
+        (1.0, -2.0, "singular cyclic-reduction step"),
+        # z is the outer root of 1/4 + z + z^2/4 = 0: A_{-1} = 0, so 1 + z/4
+        # is a fixed point at once, from the solvent of modulus 2 + sqrt(3)
+        (0.5, -2.0 - np.sqrt(3.0), "shifted solvent is not the minimal one"),
+    ], ids=["singular-step", "outer-solvent"])
+    def test_rejected_shift(self, T, z, message):
+        I, A1 = np.eye(1, dtype=complex), np.array([[T / 2.0]], dtype=complex)
+        with pytest.raises(NoConvergence, match=message):
+            mr.ando._cyclic_reduction(I, A1, shift=_scalar_shift(z))
+        A = np.array([[T]], dtype=complex)
+        X, k = mr.ando._extremal_X(A, mr.num_radius(A), mr.default_tolerances(),
+                                   _scalar_shift(z))[:2]
+        plain, steps = _unshifted_X(A)
+        assert np.array_equal(X, plain) and k == mr.ando._SHIFT_STEPS + steps
+
+
 _CLOSED_FORM_STEPS = [
     ("E21", E21, 2),
     ("2E21", 2 * E21, 2),

@@ -329,6 +329,18 @@ class TestCommands:
                                           "--set", "normal"])
         assert code == 0 and out["member"]
 
+    @pytest.mark.parametrize("bad", [[float("nan"), 0.0], [float("inf"), 0.0],
+                                     [0.0, float("-inf")]], ids=["nan", "inf", "imaginary-inf"])
+    def test_member_normal_non_finite_spectrum(self, tmp_path, capsys, bad):
+        # json reads NaN and Infinity: an error object, not a traceback or a
+        # non-JSON "margin": Infinity
+        path = write_json(tmp_path, "x.json", {
+            "matrix": matrix_to_json(np.eye(2) / 2), "spectrum": [bad, [1.0, 0.0]]})
+        code, out = run_captured(capsys, ["member", "--input", path, "--set", "normal"])
+        assert code == 1 and out["command"] == "member"
+        assert out["error"] == {"name": "BadShape",
+                                "message": "spectrum must be nonempty and finite"}
+
     def test_member_shift(self, tmp_path, capsys):
         path = write_json(tmp_path, "x.json", matrix_to_json(0.5 * E21))
         code, out = run_captured(capsys, ["member", "--input", path,

@@ -10,7 +10,8 @@ import pytest
 
 import mrange as mr
 from mrange.cpmaps import Feasible
-from mrange.errors import BadShape, BoundaryBand, RadiusTooLarge, VerificationFailed
+from mrange.errors import (BadShape, BoundaryBand, NoConvergence, RadiusTooLarge,
+                           VerificationFailed)
 from mrange.rng import children, split
 
 from helpers import E21, random_partition_of_identity, random_ucp_map, random_with_radius
@@ -210,7 +211,7 @@ class TestMemberShiftBall:
     def test_interior_points_need_no_solver(self, d, nodes, monkeypatch):
         def no_solver(*args, **kwargs):
             raise AssertionError("solve_feasibility called")
-        monkeypatch.setattr(mr.cpmaps, "solve_feasibility", no_solver)
+        monkeypatch.setattr(mr.matrange, "solve_feasibility", no_solver)
         X = 0.7 * seeded_unitary(d, split(47, 10 * d + nodes))
         v = mr.member_shift_ball(X, nodes)
         assert v.member and not v.unverified and len(v.witness) == nodes
@@ -224,7 +225,7 @@ class TestMemberShiftBall:
         # dilation's measure of X / max(1, |X|): never the feasibility solver
         def no_solver(*args, **kwargs):
             raise AssertionError("solver called")
-        monkeypatch.setattr(mr.cpmaps, "solve_feasibility", no_solver)
+        monkeypatch.setattr(mr.matrange, "solve_feasibility", no_solver)
         monkeypatch.setattr(mr.matrange, "member_normal", no_solver)
         G = mr.random_matrix(d, d, split(59, 10 * nodes + d))
         for norm in [0.0, 0.5, 0.94, 0.97, 0.999, 1.0 - 1e-6, 1.0, 1.0 + 0.5 * mr.linalg.BAND]:
@@ -283,6 +284,15 @@ class TestMemberNormal:
         with pytest.raises(BadShape):
             mr.member_normal([], np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf),
+                                     complex(np.inf, np.inf)],
+                             ids=["nan", "inf", "imaginary-inf", "complex-inf"])
+    def test_non_finite_spectrum(self, bad, monkeypatch):
+        # refused before the feasibility solver runs
+        monkeypatch.setattr(mr.matrange, "solve_feasibility", None)
+        with pytest.raises(BadShape, match="spectrum must be nonempty and finite"):
+            mr.member_normal([bad, 1.0], np.eye(2) / 2)
+
     def test_inconsistent_moments_checked_non_member(self):
         # H1 + H2 = I forces 0.5 H1 + 0.5 H2 = I/2: no Hermitian weights at
         # all match X, so the verdict is checked, with the least-squares
@@ -300,7 +310,7 @@ class TestMemberNormal:
         lambda: mr.member_shift_ball(0.5 * E21, nodes=8),
     ])
     def test_witness_is_verified(self, member, monkeypatch):
-        monkeypatch.setattr(mr.cpmaps, "solve_feasibility", zero_feasible)
+        monkeypatch.setattr(mr.matrange, "solve_feasibility", zero_feasible)
         monkeypatch.setattr(mr.matrange, "_dilation_weights", short_weights)
         with pytest.raises(VerificationFailed, match="witness residual"):
             member()
@@ -458,19 +468,47 @@ class TestEquivalenceSuite:
         # check must not vanish with assert statements under python -O
         code = textwrap.dedent("""
             import numpy as np
-            from mrange import matrange
+            from mrange import matrange, numrange
             from mrange.errors import VerificationFailed
-            matrange._RadiusSolve.exceeds = lambda *args: True
+            numrange._RadiusSolve.exceeds = lambda *args: True
             try:
                 matrange.equivalence_suite(0.5 * np.eye(2, dtype=complex))
             except VerificationFailed as exc:
-                print(__debug__, exc.name)
+                print(__debug__, exc.name, str(exc).startswith("radius conditions disagree"))
         """)
         src = os.path.dirname(os.path.dirname(mr.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, text=True, timeout=120)
-        assert out.stdout.split() == ["False", "VerificationFailed"], out.stderr
+        assert out.stdout.split() == ["False", "VerificationFailed", "True"], out.stderr
+
+    @pytest.mark.parametrize("T", [0.3 * E21 + 0.1 * np.eye(2), 2.1 * E21])
+    def test_composes_the_radius_checks(self, T, count_calls):
+        # w and (2) are those of the one radius_characterizations call
+        radii = count_calls(mr.matrange, "radius_characterizations")
+        rep = mr.equivalence_suite(T)
+        direct = mr.radius_characterizations(T)
+        assert len(radii) == 1
+        assert repr(rep.radius) == repr(direct.radius)
+        assert rep.radius.maxima.tolist() == direct.radius.maxima.tolist()
+        assert rep.grid_real_part == direct.conditions[1]
+
+    def test_failed_decomposition_inside_raises(self, monkeypatch):
+        # w < 1 with no decomposition: (6) to (9) disagree with (1)
+        def fail(*args):
+            raise NoConvergence("patched")
+
+        monkeypatch.setattr(mr.ando, "_ando_decompose", fail)
+        with pytest.raises(VerificationFailed, match="equivalence conditions disagree"):
+            mr.equivalence_suite(0.3 * E21 + 0.1 * np.eye(2))
+
+    def test_outside_takes_one_extremal_solve(self, count_calls):
+        # w = 1.05: X(T) is refused by its gate, and nothing asks for X(T*)
+        extremal = count_calls(mr.ando, "_extremal_X")
+        adjoint = count_calls(mr.ando, "_adjoint_X")
+        rep = mr.equivalence_suite(2.1 * E21)
+        assert rep.all_conditions() == (False,) * 9
+        assert (len(extremal), len(adjoint)) == (1, 0)
 
     @pytest.mark.parametrize("T", [0.3 * E21 + 0.1 * np.eye(2), 2.1 * E21])
     def test_one_radius_and_one_decomposition(self, T, monkeypatch, count_calls):

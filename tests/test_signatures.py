@@ -88,6 +88,43 @@ def test_every_library_import_is_used():
     assert {k: v for k, v in unused.items() if v} == {}
 
 
+def function_package_imports(source, package="mrange"):
+    """(function name, module) for each import inside a function of
+    ``source`` that names a module of the package, relatively or by the
+    package's name, in source order: no module of the package imports one
+    that imports it, so no such import breaks a cycle, and each belongs at
+    module level."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in _own_nodes(fn):
+            if isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                if node.level or module.split(".")[0] == package:
+                    out.append((node.lineno, fn.name, module))
+            elif isinstance(node, ast.Import):
+                out += [(node.lineno, fn.name, alias.name) for alias in node.names
+                        if alias.name.split(".")[0] == package]
+    return [(name, module) for _, name, module in sorted(out)]
+
+
+def test_detects_a_package_import_in_a_function():
+    source = ("import numpy as np\nfrom . import ando\n\n"
+              "def f():\n    from . import cli\n    from .cpmaps import choi\n"
+              "    import mrange.linalg\n    import scipy.linalg\n\n"
+              "    def g():\n        from mrange import rng\n        return rng\n"
+              "    return g\n")
+    assert function_package_imports(source) == [
+        ("f", "."), ("f", ".cpmaps"), ("f", "mrange.linalg"), ("g", "mrange")]
+
+
+def test_no_library_function_imports_a_package_module():
+    found = {path.name: function_package_imports(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
 def assert_lines(source):
     """Line numbers of the assert statements in ``source``: python -O strips
     them, so a check made by one does not run there."""
